@@ -225,4 +225,20 @@ if ! awk -v w="$WARM_HITS" -v c="$COLD_HITS" 'BEGIN { exit !(w > c) }'; then
 fi
 echo "    warm pass hit rate $WARM_HITS% > cold $COLD_HITS%; store at $SERVE_STORE"
 
+echo "==> serve TCP smoke (explore benchmark workload, 1000 certified requests)"
+# Drives the real `serve --listen` binary over two TCP connections with the
+# seeded request stream and certifies every response with check_response.
+# A correctness gate, not a timing gate: it fails unless the run reports
+# correct with no failed request.
+CARGO_TARGET_DIR=target python3 e2ebench/run.py --workload explore --seed 7 --seconds 1 --trace 0 \
+  | tee target/e2e-explore.log
+if ! tail -n 1 target/e2e-explore.log | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'; then
+  echo "FAIL: explore TCP smoke was not correct or had failed requests"
+  exit 1
+fi
+echo "    every TCP response certified clean"
+
 echo "CI OK"

@@ -93,6 +93,8 @@ impl Kernel {
         init_mem: Vec<i64>,
         check: impl Fn(&RunResult) -> Result<(), String> + Send + Sync + 'static,
     ) -> Self {
+        #[cfg(test)]
+        tests::BUILT.with(|n| n.set(n.get() + 1));
         Kernel {
             name,
             program,
@@ -174,43 +176,107 @@ impl DataGen {
     }
 }
 
+/// A suite kernel's name beside its constructor.
+type Entry = (&'static str, fn() -> Kernel);
+
+/// The whole suite, in suite order, so a lookup builds only the kernel it
+/// asks for.
+const KERNELS: &[Entry] = &[
+    ("crc32", crypto::crc32),
+    ("sha", crypto::sha),
+    ("md5", crypto::md5),
+    ("blowfish", crypto::blowfish),
+    ("rijndael", crypto::rijndael),
+    ("des3", crypto::des3),
+    ("ndes", crypto::ndes),
+    ("adpcm_encode", media::adpcm_encode),
+    ("adpcm_decode", media::adpcm_decode),
+    ("jfdctint", media::jfdctint),
+    ("g721_decode", media::g721_decode),
+    ("g721_encode", media::g721_encode),
+    ("jpeg", media::jpeg_pipeline),
+    ("lms", dsp::lms),
+    ("fir", dsp::fir),
+    ("susan", dsp::susan),
+    ("compress", dsp::compress),
+    ("matmul", dsp::matmul),
+    ("bitcount", dsp::bitcount),
+    ("viterbi", dsp::viterbi),
+    ("vital_signs", biomon::vital_signs),
+    ("fall_detection", biomon::fall_detection),
+];
+
 /// The full benchmark suite used across the experiments (Table 5.1 roster
 /// plus the Chapter 3/4 MiBench picks, JPEG stages, and bio-monitoring).
 pub fn suite() -> Vec<Kernel> {
-    vec![
-        crypto::crc32(),
-        crypto::sha(),
-        crypto::md5(),
-        crypto::blowfish(),
-        crypto::rijndael(),
-        crypto::des3(),
-        crypto::ndes(),
-        media::adpcm_encode(),
-        media::adpcm_decode(),
-        media::jfdctint(),
-        media::g721_decode(),
-        media::g721_encode(),
-        media::jpeg_pipeline(),
-        dsp::lms(),
-        dsp::fir(),
-        dsp::susan(),
-        dsp::compress(),
-        dsp::matmul(),
-        dsp::bitcount(),
-        dsp::viterbi(),
-        biomon::vital_signs(),
-        biomon::fall_detection(),
-    ]
+    KERNELS.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a kernel up by name.
+/// The suite's kernel names, in suite order, without building any kernel.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    KERNELS.iter().map(|&(name, _)| name)
+}
+
+/// Looks a kernel up by name, building only that kernel.
 pub fn by_name(name: &str) -> Option<Kernel> {
-    suite().into_iter().find(|k| k.name == name)
+    KERNELS
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Kernels built on this thread, so tests can see what a lookup builds.
+        pub(super) static BUILT: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn built_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = BUILT.with(Cell::get);
+        let out = f();
+        (out, BUILT.with(Cell::get) - before)
+    }
+
+    #[test]
+    fn kernel_table_is_consistent_with_the_suite() {
+        for &(name, build) in KERNELS {
+            assert_eq!(build().name, name, "entry {name} builds another kernel");
+        }
+        // `reproduce` output iterates the suite, so its order is fixed.
+        let expected = [
+            "crc32",
+            "sha",
+            "md5",
+            "blowfish",
+            "rijndael",
+            "des3",
+            "ndes",
+            "adpcm_encode",
+            "adpcm_decode",
+            "jfdctint",
+            "g721_decode",
+            "g721_encode",
+            "jpeg",
+            "lms",
+            "fir",
+            "susan",
+            "compress",
+            "matmul",
+            "bitcount",
+            "viterbi",
+            "vital_signs",
+            "fall_detection",
+        ];
+        let suite_names: Vec<_> = suite().iter().map(|k| k.name).collect();
+        assert_eq!(suite_names, expected);
+        let (listed, built) = built_by(|| names().collect::<Vec<_>>());
+        assert_eq!(listed, suite_names);
+        assert_eq!(built, 0, "listing names builds no kernel");
+    }
 
     #[test]
     fn whole_suite_validates_against_references() {
@@ -233,7 +299,12 @@ mod tests {
     fn by_name_finds_known_kernels() {
         assert!(by_name("crc32").is_some());
         assert!(by_name("jfdctint").is_some());
-        assert!(by_name("nonexistent").is_none());
+        let (unknown, built) = built_by(|| by_name("nonexistent"));
+        assert!(unknown.is_none());
+        assert_eq!(built, 0, "an unknown name builds nothing");
+        let (fir, built) = built_by(|| by_name("fir"));
+        assert_eq!(fir.map(|k| k.name), Some("fir"));
+        assert_eq!(built, 1, "a lookup builds only the kernel it names");
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn u64_arr(vals: impl IntoIterator<Item = u64>) -> Value {
 
 fn validate_kernels(kernels: &[String]) -> Result<(), String> {
     for k in kernels {
-        if rtise::kernels::by_name(k).is_none() {
+        if !rtise::kernels::names().any(|name| name == k) {
             return Err(format!(
                 "unknown kernel {k:?} — use a suite kernel name (e.g. \"fir\")"
             ));

@@ -367,6 +367,10 @@ fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
 /// response line per request to `writer` in request order. Used by both
 /// `serve --stdin` and each TCP connection.
 ///
+/// Each response goes out, newline included, in a single `write_all`: a
+/// separate write for the newline would leave it as a 1-byte segment that
+/// Nagle's algorithm holds until the client's delayed ACK.
+///
 /// # Errors
 ///
 /// Propagates I/O errors from the reader or writer.
@@ -384,7 +388,9 @@ pub fn serve_lines(
             Ok(req) => server.submit(&req).wait(),
             Err(msg) => engine::error_response(line_request_id(&line), &msg),
         };
-        writeln!(writer, "{}", response.render())?;
+        let mut out = response.render();
+        out.push('\n');
+        writer.write_all(out.as_bytes())?;
         writer.flush()?;
     }
     Ok(())
@@ -401,7 +407,8 @@ fn line_request_id(line: &str) -> u64 {
 }
 
 /// Binds `addr` and serves each connection on its own thread. Blocks
-/// forever (terminate the process to stop).
+/// forever (terminate the process to stop). Every connection runs with
+/// `TCP_NODELAY`, so a response is sent as soon as it is written.
 ///
 /// # Errors
 ///
@@ -413,6 +420,9 @@ pub fn run_tcp(addr: &str, server: &Arc<Server>) -> std::io::Result<()> {
     for stream in listener.incoming() {
         match stream {
             Ok(stream) => {
+                if let Err(e) = stream.set_nodelay(true) {
+                    eprintln!("serve: could not set TCP_NODELAY: {e}");
+                }
                 let server = Arc::clone(server);
                 std::thread::spawn(move || {
                     let reader = match stream.try_clone() {
@@ -431,4 +441,78 @@ pub fn run_tcp(addr: &str, server: &Arc<Server>) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call, so a test sees how a response was split.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn serve_input(input: &str) -> (Vec<Value>, usize) {
+        let server = Server::start_new(ServerConfig::new(2));
+        let mut out = CountingWriter::default();
+        serve_lines(&server, input.as_bytes(), &mut out).expect("in-memory I/O");
+        let _ = server.shutdown();
+        let text = String::from_utf8(out.bytes).expect("utf-8 responses");
+        assert!(text.ends_with('\n'), "every response ends its line");
+        let responses = text
+            .lines()
+            .map(|line| rtise_obs::json::parse(line).expect("response is JSON"))
+            .collect();
+        (responses, out.writes)
+    }
+
+    #[test]
+    fn each_response_line_is_one_write() {
+        let (responses, writes) = serve_input(
+            "{\"id\": 1, \"kind\": \"ilp\", \"seed\": 3}\n\
+             {\"id\": 2, \"kind\": \"ilp\", \"seed\": 3}\n\
+             {\"id\": 3, \"kind\": \"ilp\", \"seed\": 4}\n",
+        );
+        assert_eq!(responses.len(), 3);
+        assert_eq!(writes, responses.len(), "one write per response line");
+    }
+
+    #[test]
+    fn responses_follow_request_order_and_skip_blank_lines() {
+        let (responses, _) = serve_input(
+            "{\"id\": 5, \"kind\": \"ilp\", \"seed\": 4}\n\
+             \n   \n\
+             {\"id\": 9, \"kind\": \"no_such_kind\"}\n\
+             {\"id\": 2, \"kind\": \"ilp\", \"seed\": 3}\n",
+        );
+        let ids: Vec<_> = responses
+            .iter()
+            .map(|r| r.get("id").and_then(Value::as_f64))
+            .collect();
+        assert_eq!(ids, [Some(5.0), Some(9.0), Some(2.0)]);
+        let ok: Vec<_> = responses.iter().map(|r| r.get("ok").cloned()).collect();
+        assert_eq!(
+            ok,
+            [
+                Some(Value::Bool(true)),
+                Some(Value::Bool(false)),
+                Some(Value::Bool(true))
+            ],
+            "the malformed line gets an error response carrying its id"
+        );
+    }
 }

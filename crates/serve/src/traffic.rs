@@ -28,7 +28,7 @@ impl KernelZipf {
     /// Builds the sampler over the full benchmark suite.
     #[must_use]
     pub fn new() -> Self {
-        let names: Vec<&'static str> = rtise::kernels::suite().iter().map(|k| k.name).collect();
+        let names: Vec<&'static str> = rtise::kernels::names().collect();
         let weights: Vec<f64> = (0..names.len())
             .map(|rank| 1.0 / ((rank + 1) as f64).powf(ZIPF_S))
             .collect();

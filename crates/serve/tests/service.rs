@@ -1,12 +1,15 @@
 //! End-to-end service tests: report determinism across worker counts,
-//! in-flight dedup, corrupt-store recovery, and graceful shutdown.
+//! in-flight dedup, corrupt-store recovery, graceful shutdown, and the
+//! `serve --listen` TCP path.
 
 use rtise_obs::json::Value;
 use rtise_serve::engine::ResponseArtifact;
 use rtise_serve::loadtest::{self, LoadtestConfig};
 use rtise_serve::proto::{self, dedup_key};
 use rtise_serve::server::{Server, ServerConfig, STORE_TAG};
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rtise-serve-{tag}-{}", std::process::id()));
@@ -245,4 +248,106 @@ fn warm_rerun_has_strictly_higher_hit_rate() {
         cold.hit_rate_pct
     );
     assert_eq!(warm.hit_rate_pct, 100.0, "every request warm-served");
+}
+
+/// The README's example requests, one per request kind.
+const README_REQUESTS: [&str; 6] = [
+    r#""kind": "curve", "kernel": "crc32", "level": "fast""#,
+    r#""kind": "select_edf", "kernels": ["fir", "crc32"], "u0_pct": 105, "budget": 256"#,
+    r#""kind": "select_rms", "kernels": ["sha", "md5"], "u0_pct": 65, "budget": 512"#,
+    r#""kind": "ilp", "seed": 7"#,
+    r#""kind": "reconfig", "problem": "jpeg", "fabric_pct": 30, "reconfig_cost": 1500"#,
+    r#""kind": "reconfig", "problem": "synthetic", "n": 8, "seed": 3"#,
+];
+
+/// A spawned `serve` process, killed and reaped however the test ends.
+struct ServeProcess(std::process::Child);
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Runs `repeats` closed-loop passes of the README requests on one fresh
+/// connection, checking every response, and returns the latency of each
+/// request after the first pass (those are answered from memory).
+fn drive_connection(addr: &str, conn: u64, repeats: u64) -> Vec<Duration> {
+    let stream = std::net::TcpStream::connect(addr).expect("connect to serve");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(300)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut latencies = Vec::new();
+    for repeat in 0..repeats {
+        for (i, body) in README_REQUESTS.iter().enumerate() {
+            let id = conn * 1000 + repeat * 10 + i as u64;
+            let sent = Instant::now();
+            writer
+                .write_all(format!("{{\"id\": {id}, {body}}}\n").as_bytes())
+                .expect("send request");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read response");
+            let elapsed = sent.elapsed();
+            let resp = rtise_obs::json::parse(&line).expect("response is JSON");
+            assert_eq!(
+                resp.get("ok"),
+                Some(&Value::Bool(true)),
+                "request {id} failed: {line}"
+            );
+            assert_eq!(
+                resp.get("id").and_then(Value::as_f64),
+                Some(id as f64),
+                "responses arrive in request order"
+            );
+            if repeat > 0 {
+                latencies.push(elapsed);
+            }
+        }
+    }
+    latencies
+}
+
+#[test]
+fn tcp_connections_get_every_response_in_order_without_delayed_ack_stalls() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--listen", "127.0.0.1:0", "--jobs", "2"])
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let serve = ServeProcess(child);
+    let mut line = String::new();
+    stderr.read_line(&mut line).expect("read serve stderr");
+    let addr = line
+        .trim()
+        .strip_prefix("serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected first stderr line {line:?}"))
+        .to_string();
+    // Keep draining stderr so the server never blocks on a full pipe.
+    std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+
+    let addr = addr.as_str();
+    let mut latencies: Vec<Duration> = std::thread::scope(|s| {
+        let workers: Vec<_> = (1..=2)
+            .map(|conn| s.spawn(move || drive_connection(addr, conn, 30)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("client thread"))
+            .collect()
+    });
+    drop(serve);
+    latencies.sort_unstable();
+    let median = latencies[latencies.len() / 2];
+    // A response held back for the client's delayed ACK takes ~40 ms.
+    assert!(
+        median < Duration::from_millis(10),
+        "median repeat latency {median:?} over {} requests",
+        latencies.len()
+    );
 }
