@@ -104,13 +104,17 @@ echo "==> parallel-solver determinism: pinned frontier pairs must be byte-identi
 # canonicalization keeps every counter — including the check.certb.*
 # certificate-replay counters — so byte-identity proves the searches
 # visit the same tree, emit the same trace events, and produce identical
-# replayable certificates.
+# replayable certificates. The first pair also writes virtual-clock
+# traces, compared byte-for-byte below: they cover the driver's replay of
+# per-subtree trace events, which the counters check only indirectly.
 cargo run --offline --release -p rtise-bench --bin reproduce -- \
   --check --jobs 4 --par-threads 1 --cache-dir "$CACHE_DIR" \
-  --json target/artifacts/reproduce-par1.json
+  --json target/artifacts/reproduce-par1.json \
+  --trace-out target/artifacts/reproduce-par1.trace.json --trace-clock virtual
 cargo run --offline --release -p rtise-bench --bin reproduce -- \
   --check --jobs 4 --par-threads 4 --par-frontier-for 1 --cache-dir "$CACHE_DIR" \
-  --json target/artifacts/reproduce-par4f1.json
+  --json target/artifacts/reproduce-par4f1.json \
+  --trace-out target/artifacts/reproduce-par4f1.trace.json --trace-clock virtual
 cargo run --offline --release -p rtise-bench --bin reproduce -- \
   --check --jobs 4 --par-threads 4 --cache-dir "$CACHE_DIR" \
   --json target/artifacts/reproduce-par4.json
@@ -131,13 +135,17 @@ for PAIR in "par1 par4f1" "par4 par1f4"; do
     exit 1
   fi
 done
+if ! cmp -s target/artifacts/reproduce-par1.trace.json target/artifacts/reproduce-par4f1.trace.json; then
+  echo "FAIL: virtual-clock traces differ between par1 and par4f1 at the same frontier sizing"
+  exit 1
+fi
 for KEY in check.certb.ilp check.certb.ise check.certb.rms; do
   if ! grep -q "\"$KEY\"" target/artifacts/reproduce-par4.json; then
     echo "FAIL: no $KEY certificate replays in the --par-threads 4 run"
     exit 1
   fi
 done
-echo "    parallel search is byte-identical at pinned sizing and certified optimal"
+echo "    parallel search (reports and traces) is byte-identical at pinned sizing and certified optimal"
 
 echo "==> panic-safety regression gates (pool callback, serve worker death)"
 # cargo test above already runs these; naming them here keeps the gates

@@ -30,6 +30,7 @@ use rtise::select::pareto::{
 use rtise::select::rms::select_rms;
 use rtise::select::select_edf;
 use rtise::workbench::{reconfig_problem, CurveOptions};
+use rtise_trace::bnb::SearchOpts;
 
 /// Default candidate port budget (register read/write ports) used by the
 /// harvest pipeline.
@@ -99,7 +100,8 @@ fn certify_fig3_1() -> Diagnostics {
 /// its optimality certificate (`certb.ise`).
 fn certify_ise_selection(cands: &[rtise::ise::CiCandidate]) -> Diagnostics {
     let budget: u64 = cands.iter().map(|c| c.area).sum::<u64>() / 3;
-    let (sel, cert) = rtise::ise::branch_and_bound_with_cert(cands, budget);
+    let (sel, cert) =
+        rtise::ise::branch_and_bound_with(cands, budget, SearchOpts::CERTIFIED).certified();
     let mut d = cert::check_selection(cands, &sel, budget);
     d.merge(bnbchk::check_ise_certificate(cands, budget, &sel, &cert));
     rtise::obs::record("certb.ise", 1);
@@ -127,7 +129,7 @@ fn certify_fig3_2() -> Diagnostics {
     }
     d.merge(certify_rms_optimality(&specs, budget));
     let m = ch3::fig3_2_ilp_model(&specs, budget);
-    let (res, ilp_cert) = m.solve_with_cert();
+    let (res, ilp_cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
     match &res {
         Ok(sol) => {
             d.merge(cert::check_ilp_solution(&m, sol));
@@ -147,9 +149,9 @@ fn certify_fig3_2() -> Diagnostics {
 /// `Unschedulable` verdict is certified as a genuine infeasibility proof,
 /// a selection as the true optimum.
 fn certify_rms_optimality(specs: &[rtise::select::TaskSpec], budget: u64) -> Diagnostics {
-    let (res, cert) = rtise::select::rms::select_rms_with_cert(specs, budget);
-    let sel = res.as_ref().ok().map(|(sel, _)| sel);
-    let d = bnbchk::check_rms_certificate(specs, budget, sel, &cert);
+    let (res, cert) =
+        rtise::select::rms::select_rms_with(specs, budget, SearchOpts::CERTIFIED).certified();
+    let d = bnbchk::check_rms_certificate(specs, budget, res.as_ref().ok(), &cert);
     rtise::obs::record("certb.rms", 1);
     d
 }
@@ -570,7 +572,8 @@ fn certify_ext_ablation() -> Diagnostics {
     ));
     // The exact rung of the ladder, with its optimality certificate
     // replayed: the heuristics above may only ever trail this optimum.
-    let (exact, ise_cert) = rtise::ise::branch_and_bound_with_cert(&cands, budget);
+    let (exact, ise_cert) =
+        rtise::ise::branch_and_bound_with(&cands, budget, SearchOpts::CERTIFIED).certified();
     d.merge(cert::check_selection(&cands, &exact, budget));
     d.merge(bnbchk::check_ise_certificate(
         &cands, budget, &exact, &ise_cert,

@@ -1,9 +1,9 @@
 //! The `cert_bnb` analyzer: independent replay of branch-and-bound
 //! optimality certificates.
 //!
-//! Each solver's search ([`rtise_ilp::Model::solve_with_cert`],
-//! [`rtise_ise::branch_and_bound_with_cert`],
-//! [`rtise_select::select_rms_with_cert`]) emits a compact preorder event
+//! Each solver's search, run with a certificate cap
+//! ([`rtise_ilp::Model::solve_with`], [`rtise_ise::branch_and_bound_with`],
+//! [`rtise_select::select_rms_with`]), emits a compact preorder event
 //! log. The replayers here walk that log while *re-deriving every
 //! justification from the problem data* — relaxation bounds, feasibility
 //! witnesses, schedulability tests, and the incumbent discipline — never
@@ -929,13 +929,14 @@ pub fn check_rms_certificate(
 mod tests {
     use super::*;
     use rtise_ilp::SolveError;
+    use rtise_trace::bnb::SearchOpts;
 
     #[test]
     fn ilp_feasible_and_infeasible_certificates_replay_clean() {
         let mut m = Model::new(4);
         m.set_objective(Sense::Maximize, &[10, 40, 30, 50]);
         m.add_le(&[(0, 5), (1, 4), (2, 6), (3, 3)], 10);
-        let (res, cert) = m.solve_with_cert();
+        let (res, cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
         let sol = res.expect("feasible");
         assert!(cert.dropped == 0 && !cert.events.is_empty());
         let d = check_ilp_certificate(&m, Some(&sol), &cert);
@@ -943,7 +944,7 @@ mod tests {
 
         let mut inf = Model::new(2);
         inf.add_ge(&[(0, 1), (1, 1)], 3);
-        let (res, cert) = inf.solve_with_cert();
+        let (res, cert) = inf.solve_with(SearchOpts::CERTIFIED).certified();
         assert_eq!(res, Err(SolveError::Infeasible));
         let d = check_ilp_certificate(&inf, None, &cert);
         assert!(d.is_clean(), "{d}");
@@ -954,7 +955,7 @@ mod tests {
         let mut m = Model::new(3);
         m.set_objective(Sense::Maximize, &[60, 100, 120]);
         m.add_le(&[(0, 10), (1, 20), (2, 30)], 50);
-        let (res, cert) = m.solve_with_cert();
+        let (res, cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
         let mut sol = res.expect("feasible");
         sol.objective += 1;
         let d = check_ilp_certificate(&m, Some(&sol), &cert);
@@ -966,7 +967,11 @@ mod tests {
         let mut m = Model::new(6);
         m.set_objective(Sense::Maximize, &[3, 1, 4, 1, 5, 9]);
         m.add_le(&[(0, 2), (1, 3), (2, 1), (3, 4), (4, 2), (5, 3)], 7);
-        let (res, cert) = m.solve_with_cert_capped(4);
+        let capped = SearchOpts {
+            cert_cap: Some(4),
+            ..SearchOpts::default()
+        };
+        let (res, cert) = m.solve_with(capped).certified();
         let sol = res.expect("feasible: the cap only limits recording");
         assert!(cert.dropped > 0);
         let d = check_ilp_certificate(&m, Some(&sol), &cert);

@@ -10,11 +10,11 @@ use rtise_ilp::{IlpCertEvent, Model, Sense};
 use rtise_ir::cfg::BlockId;
 use rtise_ir::nodeset::NodeSet;
 use rtise_ise::configs::ConfigCurve;
-use rtise_ise::select::{branch_and_bound_with_cert, branch_and_bound_with_cert_capped};
-use rtise_ise::{CiCandidate, IseCertEvent};
+use rtise_ise::{branch_and_bound_with, CiCandidate, IseCertEvent};
 use rtise_obs::Rng;
-use rtise_select::rms::{select_rms_with_cert, RmsCertEvent};
+use rtise_select::rms::{select_rms_with, RmsCertEvent};
 use rtise_select::TaskSpec;
+use rtise_trace::bnb::SearchOpts;
 
 /// A feasible knapsack whose root node always branches: distinct positive
 /// gains (so the variable order is unambiguous), non-negative weights and
@@ -87,7 +87,7 @@ fn rms_instance(rng: &mut Rng) -> (Vec<TaskSpec>, u64) {
 fn dropped_node_is_caught() {
     let mut rng = Rng::new(0xC0DE_1001);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
     let sol = res.expect("feasible");
     assert!(check_ilp_certificate(&m, Some(&sol), &cert).is_clean());
     cert.events.pop().expect("non-empty log");
@@ -101,7 +101,7 @@ fn dropped_node_is_caught() {
 fn forged_variable_order_is_caught() {
     let mut rng = Rng::new(0xC0DE_1002);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
     let sol = res.expect("feasible");
     assert!(check_ilp_certificate(&m, Some(&sol), &cert).is_clean());
     cert.order.swap(0, 1);
@@ -115,7 +115,7 @@ fn forged_variable_order_is_caught() {
 fn inflated_bound_prune_is_caught() {
     let mut rng = Rng::new(0xC0DE_1003);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
     let sol = res.expect("feasible");
     assert!(matches!(cert.events[0], IlpCertEvent::Branch { .. }));
     cert.events[0] = IlpCertEvent::PruneBound;
@@ -129,7 +129,7 @@ fn inflated_bound_prune_is_caught() {
 fn forged_infeasibility_witness_is_caught() {
     let mut rng = Rng::new(0xC0DE_1004);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
     let sol = res.expect("feasible");
     cert.events[0] = IlpCertEvent::PruneInfeasible { row: 0 };
     let d = check_ilp_certificate(&m, Some(&sol), &cert);
@@ -142,7 +142,7 @@ fn forged_infeasibility_witness_is_caught() {
 fn skipped_branch_child_is_caught() {
     let mut rng = Rng::new(0xC0DE_1005);
     let (cands, budget) = ise_library(&mut rng);
-    let (sel, mut cert) = branch_and_bound_with_cert(&cands, budget);
+    let (sel, mut cert) = branch_and_bound_with(&cands, budget, SearchOpts::CERTIFIED).certified();
     assert!(check_ise_certificate(&cands, budget, &sel, &cert).is_clean());
     let pos = cert
         .events
@@ -161,8 +161,8 @@ fn skipped_branch_child_is_caught() {
 fn infeasible_recursion_is_caught() {
     let mut rng = Rng::new(0xC0DE_1006);
     let (specs, budget) = rms_instance(&mut rng);
-    let (res, mut cert) = select_rms_with_cert(&specs, budget);
-    let (sel, _) = res.expect("software configurations are schedulable");
+    let (res, mut cert) = select_rms_with(&specs, budget, SearchOpts::CERTIFIED).certified();
+    let sel = res.expect("software configurations are schedulable");
     assert!(check_rms_certificate(&specs, budget, Some(&sel), &cert).is_clean());
     let pos = cert
         .events
@@ -180,8 +180,8 @@ fn infeasible_recursion_is_caught() {
 fn stale_incumbent_is_caught() {
     let mut rng = Rng::new(0xC0DE_1007);
     let (specs, budget) = rms_instance(&mut rng);
-    let (res, cert) = select_rms_with_cert(&specs, budget);
-    let (mut sel, _) = res.expect("software configurations are schedulable");
+    let (res, cert) = select_rms_with(&specs, budget, SearchOpts::CERTIFIED).certified();
+    let mut sel = res.expect("software configurations are schedulable");
     assert!(check_rms_certificate(&specs, budget, Some(&sel), &cert).is_clean());
     sel.utilization += 0.25;
     let d = check_rms_certificate(&specs, budget, Some(&sel), &cert);
@@ -194,7 +194,11 @@ fn stale_incumbent_is_caught() {
 fn truncated_certificate_is_incomplete_not_clean() {
     let mut rng = Rng::new(0xC0DE_1008);
     let (cands, budget) = ise_library(&mut rng);
-    let (sel, cert) = branch_and_bound_with_cert_capped(&cands, budget, 2);
+    let capped = SearchOpts {
+        cert_cap: Some(2),
+        ..SearchOpts::default()
+    };
+    let (sel, cert) = branch_and_bound_with(&cands, budget, capped).certified();
     assert!(cert.dropped > 0, "a 2-event cap must truncate this search");
     let d = check_ise_certificate(&cands, budget, &sel, &cert);
     assert!(d.has(Code::CERTB006), "expected CERTB006, got: {d}");

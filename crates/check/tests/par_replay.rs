@@ -9,11 +9,20 @@ use rtise_ilp::{Model, Sense};
 use rtise_ir::cfg::BlockId;
 use rtise_ir::nodeset::NodeSet;
 use rtise_ise::configs::ConfigCurve;
-use rtise_ise::select::branch_and_bound_par_with_cert_at_depth;
-use rtise_ise::CiCandidate;
+use rtise_ise::{branch_and_bound_with, CiCandidate};
 use rtise_obs::Rng;
-use rtise_select::rms::select_rms_par_with_cert_at_depth;
+use rtise_select::rms::select_rms_with;
 use rtise_select::TaskSpec;
+use rtise_trace::bnb::SearchOpts;
+
+/// A certified search on `threads` workers with the frontier at `depth`.
+fn at(threads: usize, depth: usize) -> SearchOpts {
+    SearchOpts {
+        threads: Some(threads),
+        frontier_depth: Some(depth),
+        ..SearchOpts::CERTIFIED
+    }
+}
 
 /// Random models deep enough that the ILP frontier decomposition
 /// engages, mixing senses and row kinds; some are infeasible.
@@ -62,14 +71,14 @@ fn parallel_ilp_certificates_replay_clean_at_any_thread_count() {
     for case in 0..40 {
         let m = deep_model(&mut rng);
         for depth in sized_depths(rtise_ilp::PAR_FRONTIER_DEPTH) {
-            let (res1, cert1) = m.solve_par_with_cert_at_depth(1, depth);
+            let base = m.solve_with(at(1, depth));
+            let (res1, cert1) = base.clone().certified();
             assert_eq!(cert1.dropped, 0, "case {case}: log must be complete");
             let d = check_ilp_certificate(&m, res1.as_ref().ok(), &cert1);
             assert!(d.is_clean(), "case {case} depth {depth}: {d}");
             for threads in [2, 4] {
-                let (rt, ct) = m.solve_par_with_cert_at_depth(threads, depth);
-                assert_eq!(res1, rt, "case {case} depth {depth} threads {threads}");
-                assert_eq!(cert1, ct, "case {case} depth {depth} threads {threads}");
+                let got = m.solve_with(at(threads, depth));
+                assert_eq!(base, got, "case {case} depth {depth} threads {threads}");
             }
         }
     }
@@ -117,15 +126,14 @@ fn parallel_ise_certificates_replay_clean_at_any_thread_count() {
     for case in 0..40 {
         let (cands, budget) = deep_library(&mut rng);
         for depth in sized_depths(rtise_ise::select::PAR_FRONTIER_DEPTH) {
-            let (sel1, cert1) = branch_and_bound_par_with_cert_at_depth(&cands, budget, 1, depth);
+            let base = branch_and_bound_with(&cands, budget, at(1, depth));
+            let (sel1, cert1) = base.clone().certified();
             assert_eq!(cert1.dropped, 0, "case {case}: log must be complete");
             let d = check_ise_certificate(&cands, budget, &sel1, &cert1);
             assert!(d.is_clean(), "case {case} depth {depth}: {d}");
             for threads in [2, 4] {
-                let (st, ct) =
-                    branch_and_bound_par_with_cert_at_depth(&cands, budget, threads, depth);
-                assert_eq!(sel1, st, "case {case} depth {depth} threads {threads}");
-                assert_eq!(cert1, ct, "case {case} depth {depth} threads {threads}");
+                let got = branch_and_bound_with(&cands, budget, at(threads, depth));
+                assert_eq!(base, got, "case {case} depth {depth} threads {threads}");
             }
         }
     }
@@ -160,15 +168,14 @@ fn parallel_rms_certificates_replay_clean_at_any_thread_count() {
     for case in 0..40 {
         let (specs, budget) = deep_task_set(&mut rng);
         for depth in sized_depths(rtise_select::rms::PAR_FRONTIER_DEPTH) {
-            let (res1, cert1) = select_rms_par_with_cert_at_depth(&specs, budget, 1, depth);
+            let base = select_rms_with(&specs, budget, at(1, depth));
+            let (res1, cert1) = base.clone().certified();
             assert_eq!(cert1.dropped, 0, "case {case}: log must be complete");
-            let sel = res1.as_ref().ok().map(|(s, _)| s);
-            let d = check_rms_certificate(&specs, budget, sel, &cert1);
+            let d = check_rms_certificate(&specs, budget, res1.as_ref().ok(), &cert1);
             assert!(d.is_clean(), "case {case} depth {depth}: {d}");
             for threads in [2, 4] {
-                let (rt, ct) = select_rms_par_with_cert_at_depth(&specs, budget, threads, depth);
-                assert_eq!(res1, rt, "case {case} depth {depth} threads {threads}");
-                assert_eq!(cert1, ct, "case {case} depth {depth} threads {threads}");
+                let got = select_rms_with(&specs, budget, at(threads, depth));
+                assert_eq!(base, got, "case {case} depth {depth} threads {threads}");
             }
         }
     }
@@ -183,7 +190,11 @@ fn parallel_ilp_infeasibility_proofs_replay_clean() {
     m.set_objective(Sense::Minimize, &(0..8).map(|i| i - 4).collect::<Vec<_>>());
     let terms: Vec<(usize, i64)> = (0..8).map(|v| (v as usize, 1)).collect();
     m.add_ge(&terms, 9); // at most 8 ones available
-    let (res, cert) = m.solve_par_with_cert(4);
+    let opts = SearchOpts {
+        threads: Some(4),
+        ..SearchOpts::CERTIFIED
+    };
+    let (res, cert) = m.solve_with(opts).certified();
     assert!(res.is_err());
     let d = check_ilp_certificate(&m, None, &cert);
     assert!(d.is_clean(), "{d}");

@@ -28,7 +28,14 @@ use rtise_select::pareto::{eps_pareto, exact_pareto, Item, ParetoPoint};
 use rtise_select::rms::SelectRmsError;
 use rtise_select::task::{demand, spec_hyperperiod};
 use rtise_select::{heuristics, select_edf, select_rms, Assignment, TaskSpec};
+use rtise_trace::bnb::SearchOpts;
 use std::fmt;
+
+/// A certified search decomposed onto two workers.
+const CERTIFIED_2: SearchOpts = SearchOpts {
+    threads: Some(2),
+    ..SearchOpts::CERTIFIED
+};
 
 /// EDF DP optimum disagrees with the ILP optimum on the same instance.
 pub const DIFF_EDF_ILP: &str = "DIFF001";
@@ -784,10 +791,11 @@ pub fn rms_findings(specs: &[TaskSpec], budget: u64) -> Vec<Finding> {
     }
     // Optimality-certificate replay: an independent walk of the recorded
     // search tree, re-deriving every bound and schedulability verdict.
-    let (cert_res, rms_cert) = rtise_select::rms::select_rms_with_cert(specs, budget);
+    let (cert_res, rms_cert) =
+        rtise_select::rms::select_rms_with(specs, budget, SearchOpts::CERTIFIED).certified();
     rtise_obs::record("fuzz.rms.cert_replay", 1);
     let claimed = match &cert_res {
-        Ok((sel, _)) => Some(Some(sel)),
+        Ok(sel) => Some(Some(sel)),
         Err(SelectRmsError::Unschedulable) => Some(None),
         Err(_) => None,
     };
@@ -803,7 +811,8 @@ pub fn rms_findings(specs: &[TaskSpec], budget: u64) -> Vec<Finding> {
     }
     // Memoized search vs the plain reference search: identical results
     // *and* identical node/prune statistics (same search tree).
-    let memo = rtise_select::rms::select_rms_with_stats(specs, budget);
+    let memo = rtise_select::rms::select_rms_with(specs, budget, SearchOpts::default());
+    let memo = memo.result.map(|sel| (sel, memo.stats));
     let reference = rtise_select::rms::select_rms_reference_with_stats(specs, budget);
     if format!("{memo:?}") != format!("{reference:?}") {
         out.push(Finding::new(
@@ -815,9 +824,10 @@ pub fn rms_findings(specs: &[TaskSpec], budget: u64) -> Vec<Finding> {
     // preorder, so the selection must agree exactly (prune stats
     // legitimately differ — subtree incumbents lag the global one), and
     // the stitched parallel certificate must itself replay clean.
-    let (par_res, par_cert) = rtise_select::rms::select_rms_par_with_cert(specs, budget, 2);
+    let (par_res, par_cert) =
+        rtise_select::rms::select_rms_with(specs, budget, CERTIFIED_2).certified();
     let serial_sel = memo.as_ref().map(|(sel, _)| sel).ok();
-    let par_sel = par_res.as_ref().map(|(sel, _)| sel).ok();
+    let par_sel = par_res.as_ref().ok();
     if format!("{serial_sel:?}") != format!("{par_sel:?}") {
         out.push(Finding::new(
             DIFF_PAR_SERIAL,
@@ -825,7 +835,7 @@ pub fn rms_findings(specs: &[TaskSpec], budget: u64) -> Vec<Finding> {
         ));
     }
     if let Some(outcome) = match &par_res {
-        Ok((sel, _)) => Some(Some(sel)),
+        Ok(sel) => Some(Some(sel)),
         Err(SelectRmsError::Unschedulable) => Some(None),
         Err(_) => None,
     } {
@@ -890,7 +900,7 @@ const MAX_BRUTE_VARS: usize = 12;
 pub fn ilp_findings(model: &Model) -> Vec<Finding> {
     let mut out = Vec::new();
     let brute = (model.num_vars() <= MAX_BRUTE_VARS).then(|| brute_force_ilp(model));
-    let (result, bnb_cert) = model.solve_with_cert();
+    let (result, bnb_cert) = model.solve_with(SearchOpts::CERTIFIED).certified();
     rtise_obs::record("fuzz.ilp.cert_replay", 1);
     if model.num_vars() > MAX_BRUTE_VARS {
         rtise_obs::record("fuzz.ilp.cert_replay_large", 1);
@@ -943,7 +953,8 @@ pub fn ilp_findings(model: &Model) -> Vec<Finding> {
     }
     // Sparse-column incremental search vs the dense reference search:
     // identical outcome and statistics (same branch decisions and prunes).
-    let sparse = model.solve_with_stats();
+    let sparse = model.solve_with(SearchOpts::default());
+    let sparse = sparse.result.map(|sol| (sol, sparse.stats));
     let dense = model.solve_reference_with_stats();
     if format!("{sparse:?}") != format!("{dense:?}") {
         out.push(Finding::new(
@@ -954,7 +965,7 @@ pub fn ilp_findings(model: &Model) -> Vec<Finding> {
     // Decomposed parallel search vs serial: the first optimum-attaining
     // leaf is shared, so solution and verdict must agree exactly, and the
     // stitched parallel certificate must itself replay clean.
-    let (par_res, par_cert) = model.solve_par_with_cert(2);
+    let (par_res, par_cert) = model.solve_with(CERTIFIED_2).certified();
     let serial_res = model.solve();
     let agree = match (&serial_res, &par_res) {
         // `Solution::nodes` legitimately differs (lagging subtree
@@ -1127,7 +1138,8 @@ pub fn cand_findings(
     let bnb = branch_and_bound(&cands, budget);
     push_diags(&mut out, cert::check_selection(&cands, &bnb, budget));
     // Optimality-certificate replay of the intra-task selection search.
-    let (bnb_cert_sel, ise_cert) = rtise_ise::select::branch_and_bound_with_cert(&cands, budget);
+    let (bnb_cert_sel, ise_cert) =
+        rtise_ise::branch_and_bound_with(&cands, budget, SearchOpts::CERTIFIED).certified();
     rtise_obs::record("fuzz.ise.cert_replay", 1);
     let replay = rtise_check::bnb::check_ise_certificate(&cands, budget, &bnb_cert_sel, &ise_cert);
     if !replay.is_clean() {
@@ -1150,7 +1162,8 @@ pub fn cand_findings(
     // parallel tree is a superset of the serial one, so on an equal-gain
     // area tie it may only find a selection of *less or equal* area. Its
     // stitched certificate must itself replay clean.
-    let (par_sel, par_cert) = rtise_ise::select::branch_and_bound_par_with_cert(&cands, budget, 2);
+    let (par_sel, par_cert) =
+        rtise_ise::branch_and_bound_with(&cands, budget, CERTIFIED_2).certified();
     if par_sel.total_gain != bnb.total_gain || par_sel.total_area > bnb.total_area {
         out.push(Finding::new(
             DIFF_PAR_SERIAL,

@@ -10,6 +10,7 @@
 
 use rtise_fuzz::gen;
 use rtise_obs::Rng;
+use rtise_trace::bnb::SearchOpts;
 
 const CASES: u64 = 120;
 
@@ -42,7 +43,8 @@ fn memoized_rms_search_matches_the_reference() {
         let mut rng = Rng::new(0x4153 + seed);
         let specs = gen::task_set(&mut rng, &opts);
         let budget = gen::area_budget(&mut rng, &specs);
-        let memo = rtise_select::rms::select_rms_with_stats(&specs, budget);
+        let memo = rtise_select::rms::select_rms_with(&specs, budget, SearchOpts::default());
+        let memo = memo.result.map(|sel| (sel, memo.stats));
         let reference = rtise_select::rms::select_rms_reference_with_stats(&specs, budget);
         // Results *and* node/prune statistics: the same search tree.
         assert_eq!(
@@ -58,7 +60,8 @@ fn sparse_ilp_search_matches_the_dense_reference() {
     for seed in 0..CASES {
         let mut rng = Rng::new(0x11F + seed);
         let model = gen::ilp_model(&mut rng, &gen::IlpOptions::default());
-        let sparse = model.solve_with_stats();
+        let sparse = model.solve_with(SearchOpts::default());
+        let sparse = sparse.result.map(|sol| (sol, sparse.stats));
         let dense = model.solve_reference_with_stats();
         assert_eq!(
             format!("{sparse:?}"),

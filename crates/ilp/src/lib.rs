@@ -34,6 +34,8 @@
 //! # Ok::<(), rtise_ilp::SolveError>(())
 //! ```
 
+use rtise_obs::{BoundedLog, Hist};
+use rtise_trace::bnb::{Frontier, SearchOpts, SearchOutput, Subtrees};
 use rtise_trace::codes;
 use std::fmt;
 
@@ -95,13 +97,8 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Default cap on certificate events per solve. Experiment-scale solves
-/// explore well under a million nodes; anything past the cap is counted
-/// in [`IlpCertificate::dropped`] instead of growing without bound.
-pub const DEFAULT_CERT_CAP: usize = 1 << 22;
-
-/// Maximum frontier depth of the decomposed parallel search: phase 1
-/// walks the tree serially down to the frontier and every surviving node
+/// Maximum frontier depth of the decomposed parallel search
+/// ([`rtise_trace::bnb`]): the walk stops there and every surviving node
 /// becomes an independent subtree for the worker pool. The actual depth
 /// is sized from the engaged thread count
 /// ([`rtise_obs::par::sized_frontier_depth`]) so small pools skip the
@@ -140,7 +137,7 @@ pub enum IlpCertEvent {
     },
 }
 
-/// A replayable optimality certificate of one [`Model::solve_with_cert`]
+/// A replayable optimality certificate of one certified [`Model::solve_with`]
 /// call: the variable order plus one event per explored node, preorder.
 ///
 /// `rtise-check`'s `bnb` analyzer replays the log against the model and
@@ -170,7 +167,7 @@ pub struct Solution {
     pub nodes: u64,
 }
 
-/// Branch-and-bound statistics for one [`Model::solve_with_stats`] call.
+/// Branch-and-bound statistics for one [`Model::solve_with`] call.
 ///
 /// Invariants: `nodes_explored >= 1` for any model with at least one
 /// search node, and `nodes_explored >= pruned_bound + pruned_infeasible`
@@ -296,165 +293,50 @@ impl Model {
     /// [`SolveError::VarOutOfRange`] on malformed input, or
     /// [`SolveError::NodeLimit`] if a limit was set and exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        self.solve_with_stats().map(|(s, _)| s)
+        self.solve_with(SearchOpts::default()).result
     }
 
-    /// Like [`Model::solve`], additionally returning branch-and-bound
-    /// [`IlpStats`] and publishing `ilp.*` counters to the [`rtise_obs`]
-    /// registry (also on error, so aborted searches stay observable).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`].
-    pub fn solve_with_stats(&self) -> Result<(Solution, IlpStats), SolveError> {
-        self.solve_observed(None)
-    }
-
-    /// Like [`Model::solve`], additionally emitting a replayable
-    /// [`IlpCertificate`] of the branch-and-bound tree (capped at
-    /// [`DEFAULT_CERT_CAP`] events). The certificate is returned even on
+    /// [`Model::solve`] with [`SearchOpts`], additionally returning the
+    /// branch-and-bound [`IlpStats`] (also on error, so aborted searches
+    /// stay observable) and, when `opts.cert_cap` is set, a replayable
+    /// [`IlpCertificate`]. The certificate is returned even on
     /// [`SolveError::Infeasible`] — a complete log whose every prune is
-    /// justified *is* the infeasibility proof.
-    pub fn solve_with_cert(&self) -> (Result<Solution, SolveError>, IlpCertificate) {
-        self.solve_with_cert_capped(DEFAULT_CERT_CAP)
-    }
-
-    /// [`Model::solve_with_cert`] with an explicit event cap; events past
-    /// the cap are dropped and counted in [`IlpCertificate::dropped`].
-    pub fn solve_with_cert_capped(
-        &self,
-        cap: usize,
-    ) -> (Result<Solution, SolveError>, IlpCertificate) {
-        let mut rec = CertRec {
-            order: Vec::new(),
-            log: rtise_obs::BoundedLog::new(cap),
-        };
-        let result = self.solve_observed(Some(&mut rec)).map(|(s, _)| s);
-        let (events, dropped) = rec.log.into_parts();
-        (
-            result,
-            IlpCertificate {
-                order: rec.order,
-                events,
-                dropped,
-            },
-        )
-    }
-
-    /// Like [`Model::solve_with_stats`], but forcing the decomposed
-    /// parallel search with `threads` workers regardless of the
-    /// process-wide [`rtise_obs::par::threads`] knob. The frontier depth
-    /// is sized from `threads`; results, stats, counters, traces, and
-    /// certificates are byte-identical for every worker count *at a
-    /// fixed depth* (pin one with [`rtise_obs::par::set_frontier_for`]
-    /// to compare runs at different thread counts). Models the
-    /// decomposition does not apply to (a node limit is set, or too few
-    /// variables to have a frontier) fall back to the classic serial
-    /// search.
+    /// justified *is* the infeasibility proof. Publishes `ilp.*` counters
+    /// to the [`rtise_obs`] registry.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`].
-    pub fn solve_par_with_stats(&self, threads: usize) -> Result<(Solution, IlpStats), SolveError> {
-        self.solve_observed_threads(threads.max(1), None)
-    }
-
-    /// Like [`Model::solve_with_cert`], but forcing the decomposed
-    /// parallel search with `threads` workers; see
-    /// [`Model::solve_par_with_stats`] for the determinism contract.
-    pub fn solve_par_with_cert(
+    /// With one or more threads the search decomposes into subtrees
+    /// ([`rtise_trace::bnb`]); results, stats, counters, traces, and
+    /// certificates are byte-identical for every worker count *at a fixed
+    /// frontier depth*. Models the decomposition does not apply to run the
+    /// serial search: a node limit is set (it counts nodes in serial
+    /// traversal order, which the decomposition cannot honor), or there
+    /// are too few variables to have a frontier.
+    pub fn solve_with(
         &self,
-        threads: usize,
-    ) -> (Result<Solution, SolveError>, IlpCertificate) {
-        self.solve_par_with_cert_capped(threads, DEFAULT_CERT_CAP)
-    }
-
-    /// [`Model::solve_par_with_cert`] with an explicit event cap.
-    pub fn solve_par_with_cert_capped(
-        &self,
-        threads: usize,
-        cap: usize,
-    ) -> (Result<Solution, SolveError>, IlpCertificate) {
-        let mut rec = CertRec {
-            order: Vec::new(),
-            log: rtise_obs::BoundedLog::new(cap),
-        };
-        let result = self
-            .solve_observed_threads(threads.max(1), Some(&mut rec))
-            .map(|(s, _)| s);
-        let (events, dropped) = rec.log.into_parts();
-        (
-            result,
-            IlpCertificate {
-                order: rec.order,
-                events,
-                dropped,
-            },
-        )
-    }
-
-    /// [`Model::solve_par_with_cert`] at an explicit frontier depth,
-    /// bypassing the thread-count sizing — the determinism-contract test
-    /// hook (identity across thread counts holds per depth).
-    #[doc(hidden)]
-    pub fn solve_par_with_cert_at_depth(
-        &self,
-        threads: usize,
-        depth: usize,
-    ) -> (Result<Solution, SolveError>, IlpCertificate) {
-        let mut rec = CertRec {
-            order: Vec::new(),
-            log: rtise_obs::BoundedLog::new(DEFAULT_CERT_CAP),
-        };
-        let result = self
-            .solve_observed_at_depth(threads.max(1), depth, Some(&mut rec))
-            .map(|(s, _)| s);
-        let (events, dropped) = rec.log.into_parts();
-        (
-            result,
-            IlpCertificate {
-                order: rec.order,
-                events,
-                dropped,
-            },
-        )
-    }
-
-    /// Whether the decomposed parallel search applies: the tree must be
-    /// deeper than the frontier, and no node limit may be set (the limit
-    /// counts nodes in serial traversal order, a property the
-    /// decomposition cannot honor).
-    fn par_applicable(&self, depth: usize) -> bool {
-        self.node_limit == u64::MAX && self.n > depth
-    }
-
-    fn solve_observed(
-        &self,
-        cert: Option<&mut CertRec>,
-    ) -> Result<(Solution, IlpStats), SolveError> {
-        self.solve_observed_threads(rtise_obs::par::threads(), cert)
-    }
-
-    fn solve_observed_threads(
-        &self,
-        threads: usize,
-        cert: Option<&mut CertRec>,
-    ) -> Result<(Solution, IlpStats), SolveError> {
-        let depth = rtise_obs::par::sized_frontier_depth(PAR_FRONTIER_DEPTH, threads);
-        self.solve_observed_at_depth(threads, depth, cert)
-    }
-
-    fn solve_observed_at_depth(
-        &self,
-        threads: usize,
-        depth: usize,
-        cert: Option<&mut CertRec>,
-    ) -> Result<(Solution, IlpStats), SolveError> {
+        opts: SearchOpts,
+    ) -> SearchOutput<Result<Solution, SolveError>, IlpStats, IlpCertificate> {
+        let mut log = opts.cert_cap.map(BoundedLog::new);
+        let mut order = Vec::new();
         let span = rtise_trace::span(codes::ILP_SOLVE);
-        let (result, stats, depth_hist) = if threads > 0 && self.par_applicable(depth) {
-            self.solve_par_inner(threads, depth, cert)
-        } else {
-            self.solve_inner(cert)
+        let (result, stats, depth_hist) = match self.prepare() {
+            Err(e) => (Err(e), IlpStats::default(), Hist::new()),
+            Ok(prep) => {
+                if log.is_some() {
+                    order = prep.order.clone();
+                }
+                let problem = Problem::new(&prep);
+                let (best, (stats, hist)) = if self.node_limit == u64::MAX {
+                    let (best, stats) = rtise_trace::bnb::run(&problem, &opts, log.as_mut());
+                    (Ok(best), stats)
+                } else {
+                    problem.limited(self.node_limit, log.as_mut())
+                };
+                (
+                    best.and_then(|best| self.extract(&prep, best, stats)),
+                    stats,
+                    hist,
+                )
+            }
         };
         rtise_obs::record("ilp.solves", 1);
         rtise_obs::record("ilp.nodes_explored", stats.nodes_explored);
@@ -472,10 +354,21 @@ impl Model {
             ],
         );
         drop(span);
-        result.map(|s| (s, stats))
+        SearchOutput {
+            result,
+            stats,
+            cert: log.map(|log| {
+                let (events, dropped) = log.into_parts();
+                IlpCertificate {
+                    order,
+                    events,
+                    dropped,
+                }
+            }),
+        }
     }
 
-    /// Like [`Model::solve_with_stats`] but using the original dense
+    /// Like [`Model::solve_with`]'s result and stats but using the original dense
     /// search that rescans every row at every node. Kept callable so
     /// differential tests and benchmarks can compare the sparse-column
     /// search against it; does not publish counters.
@@ -504,263 +397,6 @@ impl Model {
         let stats = search.stats;
         self.extract(&prep, search.best, stats)
             .map(|sol| (sol, stats))
-    }
-
-    fn solve_inner(
-        &self,
-        cert: Option<&mut CertRec>,
-    ) -> (Result<Solution, SolveError>, IlpStats, rtise_obs::Hist) {
-        let prep = match self.prepare() {
-            Ok(p) => p,
-            Err(e) => return (Err(e), IlpStats::default(), rtise_obs::Hist::new()),
-        };
-        let cert = cert.map(|rec| {
-            rec.order = prep.order.clone();
-            &mut rec.log
-        });
-        let m = prep.rhs.len();
-        // Sparse columns: the rows each ordered variable actually touches.
-        // Branching and the violated-row count only walk these.
-        let mut cols: Vec<Vec<(usize, i64)>> = vec![Vec::new(); self.n];
-        for (ri, row) in prep.coeff.iter().enumerate() {
-            for (d, &c) in row.iter().enumerate() {
-                if c != 0 {
-                    cols[d].push((ri, c));
-                }
-            }
-        }
-        // Rows already unsatisfiable at the root.
-        let violated = (0..m)
-            .filter(|&ri| prep.min_rem[ri][0] > prep.rhs[ri])
-            .count();
-        let mut search = Search {
-            n: self.n,
-            cols: &cols,
-            min_rem: &prep.min_rem,
-            obj: &prep.obj_ordered,
-            obj_min_rem: &prep.obj_min_rem,
-            rhs: &prep.rhs,
-            lhs: vec![0; m],
-            violated,
-            assign: vec![false; self.n],
-            best: None,
-            stats: IlpStats::default(),
-            node_limit: self.node_limit,
-            depth_hist: rtise_obs::Hist::new(),
-            cert,
-            frontier: None,
-        };
-        if let Err(e) = search.dfs(0, 0) {
-            return (Err(e), search.stats, search.depth_hist);
-        }
-        let stats = search.stats;
-        (
-            self.extract(&prep, search.best, stats),
-            stats,
-            search.depth_hist,
-        )
-    }
-
-    /// The decomposed parallel search. Phase 1 runs the classic search
-    /// serially but truncated at [`PAR_FRONTIER_DEPTH`]: internal nodes
-    /// record stats/certificate/trace events exactly as before, while
-    /// nodes *reaching* the frontier are captured (uncounted, eventless)
-    /// as independent subtree roots. Phase 2 farms the subtrees out via
-    /// [`rtise_obs::par::run_ordered`]; each is searched with its own
-    /// stats, histogram, certificate log, and virtual-clock trace scope,
-    /// seeded with the best incumbent among the subtree's deterministic
-    /// completed-prefix window. The merge is a fixed preorder stitch:
-    ///
-    /// * stats summed and histograms merged in subtree index order after
-    ///   phase 1's own;
-    /// * certificate events spliced at each subtree's recorded phase-1
-    ///   position, so the stitched log is the preorder walk of a valid
-    ///   (differently-pruned but still optimality-proving) search tree
-    ///   that `rtise_check::bnb` replays without modification — a prune
-    ///   justified against a subtree's *weaker* local incumbent is
-    ///   automatically justified against the replayer's stronger one;
-    /// * captured trace events replayed into the ambient scopes in
-    ///   subtree index order.
-    ///
-    /// Incumbents fold with the same strict-improvement rule as the
-    /// search itself, keeping the preorder-earliest attainer among ties,
-    /// so the merged solution equals the replayer's final incumbent.
-    fn solve_par_inner(
-        &self,
-        threads: usize,
-        depth: usize,
-        cert: Option<&mut CertRec>,
-    ) -> (Result<Solution, SolveError>, IlpStats, rtise_obs::Hist) {
-        let prep = match self.prepare() {
-            Ok(p) => p,
-            Err(e) => return (Err(e), IlpStats::default(), rtise_obs::Hist::new()),
-        };
-        let m = prep.rhs.len();
-        let mut cols: Vec<Vec<(usize, i64)>> = vec![Vec::new(); self.n];
-        for (ri, row) in prep.coeff.iter().enumerate() {
-            for (d, &c) in row.iter().enumerate() {
-                if c != 0 {
-                    cols[d].push((ri, c));
-                }
-            }
-        }
-        let violated = (0..m)
-            .filter(|&ri| prep.min_rem[ri][0] > prep.rhs[ri])
-            .count();
-        let want_cert = cert.is_some();
-        let cap = cert.as_ref().map_or(0, |rec| rec.log.cap());
-
-        // Phase 1: serial walk truncated at the frontier. The log is
-        // physically bounded by the frontier size, so no cap is needed.
-        let mut frontier: Vec<FrontierNode> = Vec::new();
-        let mut ph_log = want_cert.then(|| rtise_obs::BoundedLog::new(usize::MAX));
-        let (ph_stats, ph_hist) = {
-            let mut search = Search {
-                n: self.n,
-                cols: &cols,
-                min_rem: &prep.min_rem,
-                obj: &prep.obj_ordered,
-                obj_min_rem: &prep.obj_min_rem,
-                rhs: &prep.rhs,
-                lhs: vec![0; m],
-                violated,
-                assign: vec![false; self.n],
-                best: None,
-                stats: IlpStats::default(),
-                node_limit: u64::MAX,
-                depth_hist: rtise_obs::Hist::new(),
-                cert: ph_log.as_mut(),
-                frontier: Some((depth, &mut frontier)),
-            };
-            search
-                .dfs(0, 0)
-                .expect("decomposed search never sets a node limit");
-            (search.stats, search.depth_hist)
-        };
-        let ph_events = ph_log.map_or(Vec::new(), |log| log.into_parts().0);
-
-        // Phase 2: independent subtree searches on the deterministic
-        // scheduler. Nothing in here touches the counter registry or the
-        // ambient trace scopes — everything is merged by the caller.
-        //
-        // Subtree 0 runs serially first (warm start): it is the preorder-
-        // earliest region of the tree, so its best leaf both seeds every
-        // later subtree — without it, the first `WINDOW` subtrees would
-        // search incumbent-less and can explosively overexpand — and is a
-        // valid justification for any later prune under the replayer's
-        // preorder incumbent.
-        let trace_on = rtise_trace::enabled();
-        let run_subtree = |node: &FrontierNode, seed: Option<(i64, Vec<bool>)>| {
-            let scope = trace_on.then(|| rtise_trace::TraceScope::new(rtise_trace::Clock::Virtual));
-            let mut log = want_cert.then(|| rtise_obs::BoundedLog::new(cap));
-            let mut search = Search {
-                n: self.n,
-                cols: &cols,
-                min_rem: &prep.min_rem,
-                obj: &prep.obj_ordered,
-                obj_min_rem: &prep.obj_min_rem,
-                rhs: &prep.rhs,
-                lhs: node.lhs.clone(),
-                violated: node.violated,
-                assign: node.assign.clone(),
-                best: seed,
-                stats: IlpStats::default(),
-                node_limit: u64::MAX,
-                depth_hist: rtise_obs::Hist::new(),
-                cert: log.as_mut(),
-                frontier: None,
-            };
-            {
-                // Detach from any ambient scope first (with one
-                // worker the closure runs on the caller's thread,
-                // which has the caller's scopes entered) so subtree
-                // events reach the ambient trace exactly once, via
-                // the deterministic replay below.
-                let _isolated = trace_on.then(rtise_trace::isolate);
-                let _active = scope.as_ref().map(rtise_trace::TraceScope::enter);
-                search
-                    .dfs(depth, node.cur_obj)
-                    .expect("decomposed search never sets a node limit");
-            }
-            let Search {
-                best,
-                stats,
-                depth_hist,
-                ..
-            } = search;
-            let (events, cert_dropped) =
-                log.map_or((Vec::new(), 0), rtise_obs::BoundedLog::into_parts);
-            SubResult {
-                best,
-                stats,
-                hist: depth_hist,
-                events,
-                cert_dropped,
-                trace: scope
-                    .as_ref()
-                    .map_or_else(Vec::new, rtise_trace::TraceScope::events),
-                trace_dropped: scope.as_ref().map_or(0, rtise_trace::TraceScope::dropped),
-            }
-        };
-        let first = frontier.first().map(|node| run_subtree(node, None));
-        let rest: Vec<SubResult> = rtise_obs::par::run_ordered(
-            frontier.get(1..).unwrap_or(&[]),
-            threads,
-            |_, node, prefix: rtise_obs::par::Completed<'_, SubResult>| {
-                let mut seed: Option<(i64, Vec<bool>)> = None;
-                for r in std::iter::once(first.as_ref().expect("frontier is non-empty"))
-                    .chain(prefix.iter())
-                {
-                    if let Some((v, a)) = &r.best {
-                        if seed.as_ref().is_none_or(|(s, _)| *v < *s) {
-                            seed = Some((*v, a.clone()));
-                        }
-                    }
-                }
-                run_subtree(node, seed)
-            },
-        );
-        let results: Vec<SubResult> = first.into_iter().chain(rest).collect();
-
-        // Merge, all in subtree index order.
-        let mut stats = ph_stats;
-        let mut hist = ph_hist;
-        let mut best: Option<(i64, Vec<bool>)> = None;
-        for r in &results {
-            stats.nodes_explored += r.stats.nodes_explored;
-            stats.pruned_infeasible += r.stats.pruned_infeasible;
-            stats.pruned_bound += r.stats.pruned_bound;
-            stats.incumbent_updates += r.stats.incumbent_updates;
-            hist.merge(&r.hist);
-            if let Some((v, a)) = &r.best {
-                if best.as_ref().is_none_or(|(b, _)| *v < *b) {
-                    best = Some((*v, a.clone()));
-                }
-            }
-        }
-        if trace_on {
-            for r in &results {
-                rtise_trace::replay(&r.trace, r.trace_dropped);
-            }
-        }
-        if let Some(rec) = cert {
-            rec.order = prep.order.clone();
-            let mut prev = 0;
-            for (node, r) in frontier.iter().zip(&results) {
-                for &e in &ph_events[prev..node.cert_pos] {
-                    rec.log.push(e);
-                }
-                prev = node.cert_pos;
-                for &e in &r.events {
-                    rec.log.push(e);
-                }
-                rec.log.add_dropped(r.cert_dropped);
-            }
-            for &e in &ph_events[prev..] {
-                rec.log.push(e);
-            }
-        }
-        (self.extract(&prep, best, stats), stats, hist)
     }
 
     /// Normalizes the model (minimize, all rows `<=`), orders variables by
@@ -834,7 +470,7 @@ impl Model {
     fn extract(
         &self,
         prep: &Prepared,
-        best: Option<(i64, Vec<bool>)>,
+        best: IlpBest,
         stats: IlpStats,
     ) -> Result<Solution, SolveError> {
         let Some((obj_val, ordered_assign)) = best else {
@@ -856,12 +492,6 @@ impl Model {
     }
 }
 
-/// In-flight certificate state while a recording solve runs.
-struct CertRec {
-    order: Vec<usize>,
-    log: rtise_obs::BoundedLog<IlpCertEvent>,
-}
-
 /// Output of [`Model::prepare`]: the normalized, variable-ordered problem.
 struct Prepared {
     order: Vec<usize>,
@@ -870,6 +500,147 @@ struct Prepared {
     obj_ordered: Vec<i64>,
     obj_min_rem: Vec<i64>,
     rhs: Vec<i64>,
+}
+
+/// An incumbent: the normalized objective and the ordered assignment.
+type IlpBest = Option<(i64, Vec<bool>)>;
+
+/// The prepared problem every search of one solve walks, plus its sparse
+/// columns: the rows each ordered variable actually touches. Branching
+/// and the violated-row count only walk these.
+struct Problem<'a> {
+    prep: &'a Prepared,
+    cols: Vec<Vec<(usize, i64)>>,
+    /// Rows already unsatisfiable at the root.
+    violated: usize,
+}
+
+impl<'a> Problem<'a> {
+    fn new(prep: &'a Prepared) -> Self {
+        let n = prep.order.len();
+        let mut cols: Vec<Vec<(usize, i64)>> = vec![Vec::new(); n];
+        for (ri, row) in prep.coeff.iter().enumerate() {
+            for (d, &c) in row.iter().enumerate() {
+                if c != 0 {
+                    cols[d].push((ri, c));
+                }
+            }
+        }
+        let violated = (0..prep.rhs.len())
+            .filter(|&ri| prep.min_rem[ri][0] > prep.rhs[ri])
+            .count();
+        Problem {
+            prep,
+            cols,
+            violated,
+        }
+    }
+
+    /// A search positioned at `node` with incumbent `best`, and the
+    /// node's objective so far.
+    fn searcher<'s>(
+        &'s self,
+        node: IlpNode,
+        best: IlpBest,
+        node_limit: u64,
+        cert: Option<&'s mut BoundedLog<IlpCertEvent>>,
+    ) -> (Search<'s>, i64) {
+        let search = Search {
+            n: self.prep.order.len(),
+            cols: &self.cols,
+            min_rem: &self.prep.min_rem,
+            obj: &self.prep.obj_ordered,
+            obj_min_rem: &self.prep.obj_min_rem,
+            rhs: &self.prep.rhs,
+            lhs: node.lhs,
+            violated: node.violated,
+            assign: node.assign,
+            best,
+            stats: IlpStats::default(),
+            node_limit,
+            depth_hist: Hist::new(),
+            cert,
+            frontier: None,
+        };
+        (search, node.cur_obj)
+    }
+
+    /// The serial search under a node limit, which counts nodes in serial
+    /// traversal order and so rules out the decomposition.
+    fn limited(
+        &self,
+        node_limit: u64,
+        cert: Option<&mut BoundedLog<IlpCertEvent>>,
+    ) -> (Result<IlpBest, SolveError>, (IlpStats, Hist)) {
+        let (mut search, _) = self.searcher(self.root(), None, node_limit, cert);
+        let outcome = search.dfs(0, 0);
+        let Search {
+            best,
+            stats,
+            depth_hist,
+            ..
+        } = search;
+        (outcome.map(|()| best), (stats, depth_hist))
+    }
+}
+
+impl Subtrees for Problem<'_> {
+    type Node = IlpNode;
+    type Best = IlpBest;
+    type Stats = (IlpStats, Hist);
+    type Event = IlpCertEvent;
+    const MAX_FRONTIER_DEPTH: usize = PAR_FRONTIER_DEPTH;
+
+    fn improves(cur: &IlpBest, cand: &IlpBest) -> bool {
+        cand.as_ref()
+            .is_some_and(|(v, _)| cur.as_ref().is_none_or(|(b, _)| v < b))
+    }
+
+    fn merge_stats((into, hist): &mut Self::Stats, (from, h): &Self::Stats) {
+        into.nodes_explored += from.nodes_explored;
+        into.pruned_infeasible += from.pruned_infeasible;
+        into.pruned_bound += from.pruned_bound;
+        into.incumbent_updates += from.incumbent_updates;
+        hist.merge(h);
+    }
+
+    fn height(&self) -> usize {
+        self.prep.order.len()
+    }
+
+    fn root(&self) -> IlpNode {
+        IlpNode {
+            cur_obj: 0,
+            violated: self.violated,
+            lhs: vec![0; self.prep.rhs.len()],
+            assign: vec![false; self.prep.order.len()],
+        }
+    }
+
+    fn search(
+        &self,
+        node: IlpNode,
+        depth: usize,
+        seed: IlpBest,
+        cert: Option<&mut BoundedLog<IlpCertEvent>>,
+        frontier: Option<&mut Frontier<IlpNode, IlpBest>>,
+    ) -> (IlpBest, Self::Stats) {
+        let (mut search, cur_obj) = self.searcher(node, seed, u64::MAX, cert);
+        search.frontier = frontier;
+        search
+            .dfs(depth, cur_obj)
+            .expect("only a node limit fails a search");
+        (search.best, (search.stats, search.depth_hist))
+    }
+}
+
+/// A search node: everything a search needs to resume from it.
+#[derive(Clone)]
+struct IlpNode {
+    cur_obj: i64,
+    violated: usize,
+    lhs: Vec<i64>,
+    assign: Vec<bool>,
 }
 
 /// The sparse-column search. A row's feasibility status
@@ -890,58 +661,35 @@ struct Search<'a> {
     lhs: Vec<i64>,
     violated: usize,
     assign: Vec<bool>,
-    best: Option<(i64, Vec<bool>)>,
+    best: IlpBest,
     stats: IlpStats,
     node_limit: u64,
     /// Depth of every expanded node, published as the `ilp.depth`
     /// histogram after the solve. Kept outside [`IlpStats`] so the
     /// differential test against [`SearchReference`] stays a plain
     /// tuple comparison.
-    depth_hist: rtise_obs::Hist,
+    depth_hist: Hist,
     /// Certificate event log, when the caller asked for one. Recording
     /// never changes prune decisions — the witness-row scan on an
     /// infeasible prune is the only extra work.
-    cert: Option<&'a mut rtise_obs::BoundedLog<IlpCertEvent>>,
-    /// Phase-1 mode of the decomposed parallel search: nodes reaching
-    /// the given depth are captured (uncounted, eventless) instead of
-    /// expanded; their subtrees run on the worker pool.
-    frontier: Option<(usize, &'a mut Vec<FrontierNode>)>,
-}
-
-/// A phase-1 node captured at the parallel frontier: everything a worker
-/// needs to resume the search from that subtree root, plus where in the
-/// phase-1 certificate log its events must be spliced back in.
-struct FrontierNode {
-    cur_obj: i64,
-    violated: usize,
-    lhs: Vec<i64>,
-    assign: Vec<bool>,
-    cert_pos: usize,
-}
-
-/// Everything one subtree search produced, merged deterministically by
-/// the caller in subtree index order.
-struct SubResult {
-    best: Option<(i64, Vec<bool>)>,
-    stats: IlpStats,
-    hist: rtise_obs::Hist,
-    events: Vec<IlpCertEvent>,
-    cert_dropped: u64,
-    trace: Vec<rtise_trace::Event>,
-    trace_dropped: u64,
+    cert: Option<&'a mut BoundedLog<IlpCertEvent>>,
+    /// The walk of the decomposed parallel search: nodes reaching the
+    /// frontier are captured (uncounted, eventless) instead of expanded;
+    /// their subtrees run on the worker pool.
+    frontier: Option<&'a mut Frontier<IlpNode, IlpBest>>,
 }
 
 impl Search<'_> {
     fn dfs(&mut self, depth: usize, cur_obj: i64) -> Result<(), SolveError> {
-        if let Some((fd, nodes)) = &mut self.frontier {
-            if depth == *fd {
-                nodes.push(FrontierNode {
+        if let Some(frontier) = &mut self.frontier {
+            if depth == frontier.depth() {
+                let node = IlpNode {
                     cur_obj,
                     violated: self.violated,
                     lhs: self.lhs.clone(),
                     assign: self.assign.clone(),
-                    cert_pos: self.cert.as_ref().map_or(0, |c| c.len()),
-                });
+                };
+                frontier.capture(node, &self.best, self.cert.as_ref().map_or(0, |c| c.len()));
                 return Ok(());
             }
         }
@@ -1128,6 +876,22 @@ impl SearchReference<'_> {
 mod tests {
     use super::*;
     use rtise_obs::Rng;
+
+    /// The default search's solution paired with its stats, in the shape
+    /// [`Model::solve_reference_with_stats`] returns.
+    fn with_stats(m: &Model) -> Result<(Solution, IlpStats), SolveError> {
+        let out = m.solve_with(SearchOpts::default());
+        out.result.map(|s| (s, out.stats))
+    }
+
+    /// A certified search on `threads` workers.
+    fn par(threads: usize, depth: Option<usize>) -> SearchOpts {
+        SearchOpts {
+            threads: Some(threads),
+            frontier_depth: depth,
+            ..SearchOpts::CERTIFIED
+        }
+    }
 
     /// Exhaustive reference solver for small models.
     fn brute(m: &Model) -> Option<(i64, Vec<bool>)> {
@@ -1316,7 +1080,7 @@ mod tests {
         for case in 0..60 {
             let m = random_model(&mut rng);
             let plain = m.solve();
-            match m.solve_with_stats() {
+            match with_stats(&m) {
                 Ok((s, stats)) => {
                     // The optimum is identical with and without stats.
                     assert_eq!(plain.expect("plain agrees"), s, "case {case}");
@@ -1341,7 +1105,7 @@ mod tests {
             // Identical solutions AND identical node/prune counts: the
             // incremental violated-row count must not change the tree.
             assert_eq!(
-                m.solve_with_stats(),
+                with_stats(&m),
                 m.solve_reference_with_stats(),
                 "case {case}"
             );
@@ -1353,7 +1117,7 @@ mod tests {
         let terms: Vec<(usize, i64)> = (0..20).map(|i| (i, 1)).collect();
         m.add_eq(&terms, 10);
         m.set_node_limit(37);
-        assert_eq!(m.solve_with_stats(), m.solve_reference_with_stats());
+        assert_eq!(with_stats(&m), m.solve_reference_with_stats());
     }
 
     #[test]
@@ -1415,8 +1179,8 @@ mod tests {
         let mut rng = Rng::new(0x9a11e1);
         for case in 0..60 {
             let m = random_deep_model(&mut rng);
-            match (m.solve_with_stats(), m.solve_par_with_stats(4)) {
-                (Ok((s, _)), Ok((p, _))) => {
+            match (m.solve(), m.solve_with(par(4, None)).result) {
+                (Ok(s), Ok(p)) => {
                     assert_eq!(s.objective, p.objective, "case {case}");
                     assert_eq!(s.values, p.values, "case {case}");
                 }
@@ -1426,7 +1190,7 @@ mod tests {
         }
     }
 
-    /// The whole observable output — solution and certificate — is
+    /// The whole observable output — solution, stats, and certificate — is
     /// identical at every thread count for a fixed frontier depth,
     /// checked at each depth the adaptive sizing picks for 1, 2, and 4
     /// workers. (Different depths cut the tree differently; the optimum
@@ -1438,11 +1202,11 @@ mod tests {
             let m = random_deep_model(&mut rng);
             for sized_for in [1usize, 2, 4] {
                 let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, sized_for);
-                let base = m.solve_par_with_cert_at_depth(1, depth);
+                let base = m.solve_with(par(1, Some(depth)));
                 for threads in [2, 4, 7] {
                     assert_eq!(
                         base,
-                        m.solve_par_with_cert_at_depth(threads, depth),
+                        m.solve_with(par(threads, Some(depth))),
                         "case {case} depth {depth} threads {threads}"
                     );
                 }
@@ -1461,12 +1225,15 @@ mod tests {
         let terms: Vec<(usize, i64)> = (0..20).map(|i| (i, 1)).collect();
         m.add_eq(&terms, 10);
         m.set_node_limit(37);
-        assert_eq!(m.solve_par_with_stats(4), m.solve_with_stats());
+        assert_eq!(m.solve_with(par(4, None)), m.solve_with(par(0, None)));
 
         let mut small = Model::new(3);
         small.set_objective(Sense::Maximize, &[2, 3, 4]);
         small.add_le(&[(0, 1), (1, 1), (2, 1)], 2);
-        assert_eq!(small.solve_par_with_stats(4), small.solve_with_stats());
+        assert_eq!(
+            small.solve_with(par(4, None)),
+            small.solve_with(par(0, None))
+        );
     }
 
     /// Virtual-clock traces of a parallel solve are thread-count
@@ -1482,7 +1249,7 @@ mod tests {
             let scope = rtise_trace::TraceScope::new(rtise_trace::Clock::Virtual);
             {
                 let _active = scope.enter();
-                let _ = m.solve_par_with_cert_at_depth(threads, depth);
+                let _ = m.solve_with(par(threads, Some(depth)));
             }
             (scope.events(), scope.dropped())
         };

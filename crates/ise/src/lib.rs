@@ -35,6 +35,6 @@ pub use iterative::{
 };
 pub use metaheuristics::{genetic_select, simulated_annealing_select, GaOptions, SaOptions};
 pub use select::{
-    branch_and_bound, branch_and_bound_with_cert, greedy_by_ratio, iterative_selection,
+    branch_and_bound, branch_and_bound_with, greedy_by_ratio, iterative_selection, IseBnbStats,
     IseCertEvent, IseCertificate, Selection,
 };

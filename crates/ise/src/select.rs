@@ -13,13 +13,11 @@
 //!   candidate and discard everything overlapping it.
 
 use crate::candidate::CiCandidate;
+use rtise_obs::{BoundedLog, Hist};
+use rtise_trace::bnb::{Frontier, SearchOpts, SearchOutput, Subtrees};
 
-/// Default cap on certificate events per [`branch_and_bound_with_cert`]
-/// call; overflow is counted in [`IseCertificate::dropped`].
-pub const DEFAULT_CERT_CAP: usize = 1 << 22;
-
-/// Maximum frontier depth of the decomposed parallel search: phase 1
-/// walks the tree serially down to the frontier, and every node reaching
+/// Maximum frontier depth of the decomposed parallel search
+/// ([`rtise_trace::bnb`]): the walk stops there, and every node reaching
 /// it becomes an independent subtree for the worker pool. The actual
 /// depth is sized from the engaged thread count
 /// ([`rtise_obs::par::sized_frontier_depth`]) so a 2-worker run does not
@@ -51,8 +49,8 @@ pub enum IseCertEvent {
     },
 }
 
-/// A replayable optimality certificate of one
-/// [`branch_and_bound_with_cert`] call.
+/// A replayable optimality certificate of one certified
+/// [`branch_and_bound_with`] call.
 ///
 /// `rtise-check`'s `bnb` analyzer replays it with an exact-integer bound
 /// (no floating point) and confirms the returned [`Selection`] is
@@ -67,6 +65,17 @@ pub struct IseCertificate {
     pub events: Vec<IseCertEvent>,
     /// Events dropped past the recording cap (0 = complete log).
     pub dropped: u64,
+}
+
+/// Branch-and-bound statistics for one [`branch_and_bound_with`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IseBnbStats {
+    /// Search-tree nodes entered.
+    pub nodes: u64,
+    /// Nodes cut by the fractional-knapsack bound against the incumbent.
+    pub pruned_bound: u64,
+    /// Times a new best (incumbent) selection was recorded.
+    pub incumbent_updates: u64,
 }
 
 /// A selection outcome: indices into the candidate slice plus totals.
@@ -154,103 +163,57 @@ pub fn greedy_by_ratio(cands: &[CiCandidate], budget: u64) -> Selection {
 /// [`branch_and_bound_reference`] exactly (debug builds assert this at
 /// every prune decision).
 pub fn branch_and_bound(cands: &[CiCandidate], budget: u64) -> Selection {
-    bnb_observed(cands, budget, rtise_obs::par::threads(), None)
+    branch_and_bound_with(cands, budget, SearchOpts::default()).result
 }
 
-/// Like [`branch_and_bound`], but forcing the decomposed parallel search
-/// with `threads` workers regardless of the process-wide
-/// [`rtise_obs::par::threads`] knob. The frontier depth is sized from
-/// `threads`; selection, counters, traces, and certificates are
-/// byte-identical for every worker count *at a fixed depth* (pin one
-/// with [`rtise_obs::par::set_frontier_for`] to compare runs at
-/// different thread counts). Libraries too small to have a frontier
-/// fall back to the serial search.
-pub fn branch_and_bound_par(cands: &[CiCandidate], budget: u64, threads: usize) -> Selection {
-    bnb_observed(cands, budget, threads.max(1), None)
-}
-
-/// [`branch_and_bound_par_with_cert`] at an explicit frontier depth,
-/// bypassing the thread-count sizing — the determinism-contract test
-/// hook (identity across thread counts holds per depth).
-#[doc(hidden)]
-pub fn branch_and_bound_par_with_cert_at_depth(
+/// [`branch_and_bound`] with [`SearchOpts`], additionally returning
+/// [`IseBnbStats`] and, when `opts.cert_cap` is set, a replayable
+/// [`IseCertificate`] of the search tree. Publishes `ise.bnb.*` counters
+/// to the [`rtise_obs`] registry.
+///
+/// With one or more threads, libraries deeper than the frontier
+/// decompose into subtrees ([`rtise_trace::bnb`]); selection, stats,
+/// counters, traces, and certificates are byte-identical for every worker
+/// count *at a fixed frontier depth*.
+pub fn branch_and_bound_with(
     cands: &[CiCandidate],
     budget: u64,
-    threads: usize,
-    depth: usize,
-) -> (Selection, IseCertificate) {
-    let mut log = rtise_obs::BoundedLog::new(DEFAULT_CERT_CAP);
-    let sel = bnb_observed_at_depth(cands, budget, threads.max(1), depth, Some(&mut log));
-    let order = ratio_order(cands);
-    let (events, dropped) = log.into_parts();
-    (
-        sel,
-        IseCertificate {
-            order,
-            events,
-            dropped,
-        },
-    )
-}
-
-/// Like [`branch_and_bound`], additionally emitting a replayable
-/// [`IseCertificate`] of the search tree (capped at [`DEFAULT_CERT_CAP`]
-/// events).
-pub fn branch_and_bound_with_cert(
-    cands: &[CiCandidate],
-    budget: u64,
-) -> (Selection, IseCertificate) {
-    branch_and_bound_with_cert_capped(cands, budget, DEFAULT_CERT_CAP)
-}
-
-/// [`branch_and_bound_with_cert`] with an explicit event cap; events past
-/// the cap are dropped and counted in [`IseCertificate::dropped`].
-pub fn branch_and_bound_with_cert_capped(
-    cands: &[CiCandidate],
-    budget: u64,
-    cap: usize,
-) -> (Selection, IseCertificate) {
-    bnb_cert_at(cands, budget, rtise_obs::par::threads(), cap)
-}
-
-/// [`branch_and_bound_with_cert`] on the decomposed parallel search; see
-/// [`branch_and_bound_par`] for the determinism contract.
-pub fn branch_and_bound_par_with_cert(
-    cands: &[CiCandidate],
-    budget: u64,
-    threads: usize,
-) -> (Selection, IseCertificate) {
-    bnb_cert_at(cands, budget, threads.max(1), DEFAULT_CERT_CAP)
-}
-
-/// [`branch_and_bound_par_with_cert`] with an explicit event cap.
-pub fn branch_and_bound_par_with_cert_capped(
-    cands: &[CiCandidate],
-    budget: u64,
-    threads: usize,
-    cap: usize,
-) -> (Selection, IseCertificate) {
-    bnb_cert_at(cands, budget, threads.max(1), cap)
-}
-
-fn bnb_cert_at(
-    cands: &[CiCandidate],
-    budget: u64,
-    threads: usize,
-    cap: usize,
-) -> (Selection, IseCertificate) {
-    let mut log = rtise_obs::BoundedLog::new(cap);
-    let sel = bnb_observed(cands, budget, threads, Some(&mut log));
-    let order = ratio_order(cands);
-    let (events, dropped) = log.into_parts();
-    (
-        sel,
-        IseCertificate {
-            order,
-            events,
-            dropped,
-        },
-    )
+    opts: SearchOpts,
+) -> SearchOutput<Selection, IseBnbStats, IseCertificate> {
+    let mut log = opts.cert_cap.map(BoundedLog::new);
+    let _span = rtise_trace::span(rtise_trace::codes::ISE_BNB_SOLVE);
+    let t = build_tables(cands);
+    let search = IseSearch {
+        cands,
+        budget,
+        t: &t,
+    };
+    let (best, (stats, depth_hist)) = rtise_trace::bnb::run(&search, &opts, log.as_mut());
+    rtise_obs::record("ise.bnb.solves", 1);
+    rtise_obs::record("ise.bnb.nodes", stats.nodes);
+    rtise_obs::record("ise.bnb.pruned_bound", stats.pruned_bound);
+    rtise_obs::record("ise.bnb.incumbent_updates", stats.incumbent_updates);
+    rtise_obs::observe_hist("ise.bnb.depth", &depth_hist);
+    rtise_trace::summary(
+        rtise_trace::codes::ISE_BNB_SUMMARY,
+        &[
+            ("nodes", stats.nodes),
+            ("pruned_bound", stats.pruned_bound),
+            ("incumbents", stats.incumbent_updates),
+        ],
+    );
+    SearchOutput {
+        result: best,
+        stats,
+        cert: log.map(|log| {
+            let (events, dropped) = log.into_parts();
+            IseCertificate {
+                order: t.order,
+                events,
+                dropped,
+            }
+        }),
+    }
 }
 
 /// Candidate indices in descending gain/area order — the branching order
@@ -324,45 +287,82 @@ fn build_tables(cands: &[CiCandidate]) -> Tables {
     }
 }
 
-/// Search-tree telemetry, outside `Selection` so the result equality
-/// against `branch_and_bound_reference` is untouched.
-#[derive(Default)]
-struct BnbTelemetry {
-    nodes: u64,
-    pruned_bound: u64,
-    incumbents: u64,
-    depth_hist: rtise_obs::Hist,
+/// One solve: the library, its prefix tables, and the budget.
+struct IseSearch<'a> {
+    cands: &'a [CiCandidate],
+    budget: u64,
+    t: &'a Tables,
 }
 
-/// A phase-1 node captured at the parallel frontier: the subtree root
-/// state, the phase-1 incumbent at capture time (the cumulative fold of
-/// all earlier phase-1 node entries, which seeds the subtree and anchors
-/// the deterministic merge), and where in the phase-1 certificate log the
-/// subtree's events splice in.
-struct IseFrontierNode {
+/// This search updates its incumbent at *every* node entry, so walk
+/// entries interleave with subtree entries in preorder: each frontier
+/// node captures the walk's cumulative incumbent, and the driver's fold
+/// over those snapshots, the subtree results, and the walk's final best
+/// reproduces the replayer's preorder-first incumbent exactly, ties
+/// included.
+impl Subtrees for IseSearch<'_> {
+    type Node = IseNode;
+    type Best = Selection;
+    type Stats = (IseBnbStats, Hist);
+    type Event = IseCertEvent;
+    const MAX_FRONTIER_DEPTH: usize = PAR_FRONTIER_DEPTH;
+
+    /// The incumbent rule shared by search, merge, and replayer: better
+    /// gain, or equal gain at strictly smaller area.
+    fn improves(cur: &Selection, cand: &Selection) -> bool {
+        cand.total_gain > cur.total_gain
+            || (cand.total_gain == cur.total_gain && cand.total_area < cur.total_area)
+    }
+
+    fn merge_stats((into, hist): &mut Self::Stats, (from, h): &Self::Stats) {
+        into.nodes += from.nodes;
+        into.pruned_bound += from.pruned_bound;
+        into.incumbent_updates += from.incumbent_updates;
+        hist.merge(h);
+    }
+
+    fn height(&self) -> usize {
+        self.cands.len()
+    }
+
+    fn root(&self) -> IseNode {
+        IseNode {
+            area: 0,
+            gain: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    fn search(
+        &self,
+        node: IseNode,
+        depth: usize,
+        seed: Selection,
+        cert: Option<&mut BoundedLog<IseCertEvent>>,
+        frontier: Option<&mut Frontier<IseNode, Selection>>,
+    ) -> (Selection, Self::Stats) {
+        let mut ctx = Ctx {
+            cands: self.cands,
+            budget: self.budget,
+            t: self.t,
+            best: seed,
+            stack: node.stack,
+            stats: IseBnbStats::default(),
+            depth_hist: Hist::new(),
+            cert,
+            frontier,
+        };
+        dfs(&mut ctx, depth, node.area, node.gain);
+        (ctx.best, (ctx.stats, ctx.depth_hist))
+    }
+}
+
+/// A search node: the state a search resumes from.
+#[derive(Clone)]
+struct IseNode {
     area: u64,
     gain: u64,
     stack: Vec<usize>,
-    pre_best: Selection,
-    cert_pos: usize,
-}
-
-/// Everything one subtree search produced, merged by the caller in
-/// subtree index order.
-struct IseSubResult {
-    best: Selection,
-    tel: BnbTelemetry,
-    events: Vec<IseCertEvent>,
-    cert_dropped: u64,
-    trace: Vec<rtise_trace::Event>,
-    trace_dropped: u64,
-}
-
-/// The incumbent rule shared by search, merge, and replayer: better gain,
-/// or equal gain at strictly smaller area.
-fn improves(cur: &Selection, cand: &Selection) -> bool {
-    cand.total_gain > cur.total_gain
-        || (cand.total_gain == cur.total_gain && cand.total_area < cur.total_area)
 }
 
 struct Ctx<'a> {
@@ -371,13 +371,16 @@ struct Ctx<'a> {
     t: &'a Tables,
     best: Selection,
     stack: Vec<usize>,
-    tel: BnbTelemetry,
-    cert: Option<&'a mut rtise_obs::BoundedLog<IseCertEvent>>,
-    /// Phase-1 mode of the decomposed parallel search: nodes reaching
-    /// the given depth are captured (uncounted, eventless, no incumbent
-    /// update — the subtree root replays the node entry itself) instead
-    /// of expanded.
-    frontier: Option<(usize, &'a mut Vec<IseFrontierNode>)>,
+    /// Search-tree telemetry, outside `Selection` so the result equality
+    /// against `branch_and_bound_reference` is untouched.
+    stats: IseBnbStats,
+    depth_hist: Hist,
+    cert: Option<&'a mut BoundedLog<IseCertEvent>>,
+    /// The walk of the decomposed parallel search: nodes reaching the
+    /// frontier are captured (uncounted, eventless, no incumbent update
+    /// — the subtree root replays the node entry itself) instead of
+    /// expanded.
+    frontier: Option<&'a mut Frontier<IseNode, Selection>>,
 }
 
 /// The fractional-knapsack bound from the prefix tables; bit-identical
@@ -412,21 +415,19 @@ fn bound(ctx: &Ctx<'_>, depth: usize, area: u64, gain: u64) -> f64 {
 }
 
 fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
-    if let Some((fd, nodes)) = &mut ctx.frontier {
-        if depth == *fd {
-            let cert_pos = ctx.cert.as_ref().map_or(0, |c| c.len());
-            nodes.push(IseFrontierNode {
+    if let Some(frontier) = &mut ctx.frontier {
+        if depth == frontier.depth() {
+            let node = IseNode {
                 area,
                 gain,
                 stack: ctx.stack.clone(),
-                pre_best: ctx.best.clone(),
-                cert_pos,
-            });
+            };
+            frontier.capture(node, &ctx.best, ctx.cert.as_ref().map_or(0, |c| c.len()));
             return;
         }
     }
-    ctx.tel.nodes += 1;
-    ctx.tel.depth_hist.observe(depth as u64);
+    ctx.stats.nodes += 1;
+    ctx.depth_hist.observe(depth as u64);
     if gain > ctx.best.total_gain || (gain == ctx.best.total_gain && area < ctx.best.total_area) {
         let mut chosen = ctx.stack.clone();
         chosen.sort_unstable();
@@ -435,7 +436,7 @@ fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
             total_gain: gain,
             total_area: area,
         };
-        ctx.tel.incumbents += 1;
+        ctx.stats.incumbent_updates += 1;
         if rtise_trace::enabled() {
             rtise_trace::instant_with(
                 rtise_trace::codes::ISE_BNB_INCUMBENT,
@@ -453,7 +454,7 @@ fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
         "prefix-sum bound diverged from the reference scan at depth {depth}"
     );
     if b <= ctx.best.total_gain as f64 {
-        ctx.tel.pruned_bound += 1;
+        ctx.stats.pruned_bound += 1;
         if let Some(cert) = &mut ctx.cert {
             cert.push(IseCertEvent::PruneBound);
         }
@@ -486,207 +487,6 @@ fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
         ctx.stack.pop();
     }
     dfs(ctx, depth + 1, area, gain);
-}
-
-fn bnb_observed(
-    cands: &[CiCandidate],
-    budget: u64,
-    threads: usize,
-    cert: Option<&mut rtise_obs::BoundedLog<IseCertEvent>>,
-) -> Selection {
-    let depth = rtise_obs::par::sized_frontier_depth(PAR_FRONTIER_DEPTH, threads);
-    bnb_observed_at_depth(cands, budget, threads, depth, cert)
-}
-
-fn bnb_observed_at_depth(
-    cands: &[CiCandidate],
-    budget: u64,
-    threads: usize,
-    depth: usize,
-    cert: Option<&mut rtise_obs::BoundedLog<IseCertEvent>>,
-) -> Selection {
-    let _span = rtise_trace::span(rtise_trace::codes::ISE_BNB_SOLVE);
-    let (best, tel) = if threads > 0 && cands.len() > depth {
-        bnb_par(cands, budget, threads, depth, cert)
-    } else {
-        bnb_serial(cands, budget, cert)
-    };
-    rtise_obs::record("ise.bnb.solves", 1);
-    rtise_obs::record("ise.bnb.nodes", tel.nodes);
-    rtise_obs::record("ise.bnb.pruned_bound", tel.pruned_bound);
-    rtise_obs::record("ise.bnb.incumbent_updates", tel.incumbents);
-    rtise_obs::observe_hist("ise.bnb.depth", &tel.depth_hist);
-    rtise_trace::summary(
-        rtise_trace::codes::ISE_BNB_SUMMARY,
-        &[
-            ("nodes", tel.nodes),
-            ("pruned_bound", tel.pruned_bound),
-            ("incumbents", tel.incumbents),
-        ],
-    );
-    best
-}
-
-fn bnb_serial(
-    cands: &[CiCandidate],
-    budget: u64,
-    cert: Option<&mut rtise_obs::BoundedLog<IseCertEvent>>,
-) -> (Selection, BnbTelemetry) {
-    let t = build_tables(cands);
-    let mut ctx = Ctx {
-        cands,
-        budget,
-        t: &t,
-        best: Selection::default(),
-        stack: Vec::new(),
-        tel: BnbTelemetry::default(),
-        cert,
-        frontier: None,
-    };
-    dfs(&mut ctx, 0, 0, 0);
-    (ctx.best, ctx.tel)
-}
-
-/// The decomposed parallel search; same two-phase structure as
-/// `rtise_ilp`'s (see its `solve_par_inner` docs), with one twist: this
-/// search updates its incumbent at *every* node entry, so phase-1
-/// entries interleave with subtree entries in preorder. Each frontier
-/// node therefore snapshots the cumulative phase-1 incumbent at its
-/// capture point (`pre_best`), and the merge folds
-/// `pre_best_0, result_0, pre_best_1, result_1, …, final phase-1 best`
-/// in that order — reproducing the replayer's preorder-first incumbent
-/// exactly, ties included.
-fn bnb_par(
-    cands: &[CiCandidate],
-    budget: u64,
-    threads: usize,
-    depth: usize,
-    cert: Option<&mut rtise_obs::BoundedLog<IseCertEvent>>,
-) -> (Selection, BnbTelemetry) {
-    let t = build_tables(cands);
-    let want_cert = cert.is_some();
-    let cap = cert.as_ref().map_or(0, |log| log.cap());
-
-    // Phase 1: serial walk truncated at the frontier.
-    let mut frontier: Vec<IseFrontierNode> = Vec::new();
-    let mut ph_log = want_cert.then(|| rtise_obs::BoundedLog::new(usize::MAX));
-    let (ph_best, ph_tel) = {
-        let mut ctx = Ctx {
-            cands,
-            budget,
-            t: &t,
-            best: Selection::default(),
-            stack: Vec::new(),
-            tel: BnbTelemetry::default(),
-            cert: ph_log.as_mut(),
-            frontier: Some((depth, &mut frontier)),
-        };
-        dfs(&mut ctx, 0, 0, 0);
-        (ctx.best, ctx.tel)
-    };
-    let ph_events = ph_log.map_or(Vec::new(), |log| log.into_parts().0);
-
-    // Phase 2: independent subtree searches on the deterministic
-    // scheduler, each seeded with the strongest incumbent among its
-    // phase-1 snapshot, subtree 0's warm-start result, and its
-    // completed-prefix window. Subtree 0 runs serially first: it is the
-    // preorder-earliest region, so its best seeds every later subtree —
-    // without it the first `WINDOW` subtrees would search with only
-    // their phase-1 snapshots and can explosively overexpand — and
-    // remains a valid prune justification under the replayer's preorder
-    // incumbent.
-    let trace_on = rtise_trace::enabled();
-    let run_subtree = |node: &IseFrontierNode, seed: Selection| {
-        let scope = trace_on.then(|| rtise_trace::TraceScope::new(rtise_trace::Clock::Virtual));
-        let mut log = want_cert.then(|| rtise_obs::BoundedLog::new(cap));
-        let mut ctx = Ctx {
-            cands,
-            budget,
-            t: &t,
-            best: seed,
-            stack: node.stack.clone(),
-            tel: BnbTelemetry::default(),
-            cert: log.as_mut(),
-            frontier: None,
-        };
-        {
-            let _isolated = trace_on.then(rtise_trace::isolate);
-            let _active = scope.as_ref().map(rtise_trace::TraceScope::enter);
-            dfs(&mut ctx, depth, node.area, node.gain);
-        }
-        let Ctx { best, tel, .. } = ctx;
-        let (events, cert_dropped) = log.map_or((Vec::new(), 0), rtise_obs::BoundedLog::into_parts);
-        IseSubResult {
-            best,
-            tel,
-            events,
-            cert_dropped,
-            trace: scope
-                .as_ref()
-                .map_or_else(Vec::new, rtise_trace::TraceScope::events),
-            trace_dropped: scope.as_ref().map_or(0, rtise_trace::TraceScope::dropped),
-        }
-    };
-    let first = frontier
-        .first()
-        .map(|node| run_subtree(node, node.pre_best.clone()));
-    let rest: Vec<IseSubResult> = rtise_obs::par::run_ordered(
-        frontier.get(1..).unwrap_or(&[]),
-        threads,
-        |_, node, prefix: rtise_obs::par::Completed<'_, IseSubResult>| {
-            let mut seed = node.pre_best.clone();
-            for r in
-                std::iter::once(first.as_ref().expect("frontier is non-empty")).chain(prefix.iter())
-            {
-                if improves(&seed, &r.best) {
-                    seed = r.best.clone();
-                }
-            }
-            run_subtree(node, seed)
-        },
-    );
-    let results: Vec<IseSubResult> = first.into_iter().chain(rest).collect();
-
-    // Merge, all in subtree index order.
-    let mut tel = ph_tel;
-    let mut best = Selection::default();
-    for (node, r) in frontier.iter().zip(&results) {
-        if improves(&best, &node.pre_best) {
-            best = node.pre_best.clone();
-        }
-        if improves(&best, &r.best) {
-            best = r.best.clone();
-        }
-        tel.nodes += r.tel.nodes;
-        tel.pruned_bound += r.tel.pruned_bound;
-        tel.incumbents += r.tel.incumbents;
-        tel.depth_hist.merge(&r.tel.depth_hist);
-    }
-    if improves(&best, &ph_best) {
-        best = ph_best;
-    }
-    if trace_on {
-        for r in &results {
-            rtise_trace::replay(&r.trace, r.trace_dropped);
-        }
-    }
-    if let Some(log) = cert {
-        let mut prev = 0;
-        for (node, r) in frontier.iter().zip(&results) {
-            for &e in &ph_events[prev..node.cert_pos] {
-                log.push(e);
-            }
-            prev = node.cert_pos;
-            for &e in &r.events {
-                log.push(e);
-            }
-            log.add_dropped(r.cert_dropped);
-        }
-        for &e in &ph_events[prev..] {
-            log.push(e);
-        }
-    }
-    (best, tel)
 }
 
 /// The reference fractional bound: a linear scan over the remaining
@@ -835,6 +635,15 @@ mod tests {
     use super::*;
     use rtise_ir::cfg::BlockId;
     use rtise_ir::nodeset::NodeSet;
+
+    /// A certified search on `threads` workers.
+    fn par(threads: usize, depth: Option<usize>) -> SearchOpts {
+        SearchOpts {
+            threads: Some(threads),
+            frontier_depth: depth,
+            ..SearchOpts::CERTIFIED
+        }
+    }
 
     /// A synthetic candidate covering `nodes` of `block` in a 64-node DFG.
     fn cand(block: usize, nodes: &[usize], area: u64, gain: u64, freq: u64) -> CiCandidate {
@@ -1034,14 +843,14 @@ mod tests {
         for case in 0..60 {
             let (cands, budget) = random_deep_library(&mut rng);
             let s = branch_and_bound(&cands, budget);
-            let p = branch_and_bound_par(&cands, budget, 4);
+            let p = branch_and_bound_with(&cands, budget, par(4, None)).result;
             assert_eq!(s.total_gain, p.total_gain, "case {case}");
             assert!(p.total_area <= s.total_area, "case {case}");
             assert!(p.is_valid(&cands, budget), "case {case}");
         }
     }
 
-    /// Selection and certificate are identical at every thread count for
+    /// Selection, stats, and certificate are identical at every thread count for
     /// a fixed frontier depth — checked at each depth the adaptive
     /// sizing picks for 1, 2, and 4 workers. (At *different* depths the
     /// search tree legitimately differs; the optimum still matches, per
@@ -1053,11 +862,11 @@ mod tests {
             let (cands, budget) = random_deep_library(&mut rng);
             for sized_for in [1usize, 2, 4] {
                 let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, sized_for);
-                let base = branch_and_bound_par_with_cert_at_depth(&cands, budget, 1, depth);
+                let base = branch_and_bound_with(&cands, budget, par(1, Some(depth)));
                 for threads in [2, 4, 7] {
                     assert_eq!(
                         base,
-                        branch_and_bound_par_with_cert_at_depth(&cands, budget, threads, depth),
+                        branch_and_bound_with(&cands, budget, par(threads, Some(depth))),
                         "case {case} depth {depth} threads {threads}"
                     );
                 }
@@ -1075,12 +884,8 @@ mod tests {
             cand(0, &[2], 5, 8, 1),
         ];
         assert_eq!(
-            branch_and_bound_par(&cands, 10, 4),
-            branch_and_bound(&cands, 10)
-        );
-        assert_eq!(
-            branch_and_bound_par_with_cert(&cands, 10, 4),
-            branch_and_bound_with_cert(&cands, 10)
+            branch_and_bound_with(&cands, 10, par(4, None)),
+            branch_and_bound_with(&cands, 10, par(0, None))
         );
     }
 }

@@ -220,6 +220,12 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap one line of `[`s from an untrusted
+/// client overflows the thread's stack and aborts the process. The
+/// documents this workspace writes nest at most 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// Accepts exactly one top-level value with optional surrounding
@@ -228,11 +234,13 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// [`ParseError`] with the byte offset of the first offending character.
+/// [`ParseError`] with the byte offset of the first offending character,
+/// including the first array or object nested past [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -246,6 +254,8 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -278,11 +288,24 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -470,6 +493,21 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"\\x\""] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// A nesting bomb is a parse error, not a stack overflow: 10⁵ `[`
+    /// would need ~10⁵ recursive frames.
+    #[test]
+    fn nesting_past_the_cap_is_rejected() {
+        let bomb = "[".repeat(100_000);
+        let err = parse(&bomb).expect_err("nesting bomb must be rejected");
+        assert_eq!(err.at, MAX_DEPTH);
+        let mut objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        objects.push('1');
+        objects.push_str(&"}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //!
 //! The process-wide [`set_threads`]/[`threads`] knob (0 = serial paths
 //! untouched) is how binaries opt whole runs into the decomposed
-//! searches; library callers that need explicit control use the solvers'
-//! `*_par_*` entry points instead and leave the global alone.
+//! searches; library callers that need explicit control set
+//! `SearchOpts::threads` on a solver's configurable call instead and
+//! leave the global alone (the driver and its options live in
+//! `rtise_trace::bnb`).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -16,6 +16,7 @@ use rtise_ir::{Dfg, HwModel};
 use rtise_ise::{CiCandidate, ConfigCurve, EnumerateOptions, HarvestOptions};
 use rtise_obs::Rng;
 use rtise_select::TaskSpec;
+use rtise_trace::bnb::SearchOpts;
 
 use crate::measure::{median_ns, sample_ns, MeasureOptions};
 
@@ -42,6 +43,14 @@ pub const KERNELS: &[&str] = &[
 /// Worker count for the `*_par` kernels: enough to show real subtree
 /// parallelism without outsizing small CI runners.
 pub const PAR_BENCH_THREADS: usize = 4;
+
+/// Search options of the `*_par` kernels: the plain search, decomposed
+/// onto [`PAR_BENCH_THREADS`] workers.
+const PAR_BENCH: SearchOpts = SearchOpts {
+    threads: Some(PAR_BENCH_THREADS),
+    cert_cap: None,
+    frontier_depth: None,
+};
 
 /// Instances measured together per (kernel, size): one timed sample solves
 /// the whole batch, amortizing `Instant` overhead on microsecond kernels.
@@ -367,9 +376,10 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 },
                 &mut || {
                     for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_with_stats(
+                        let _ = black_box(rtise_select::rms::select_rms_with(
                             black_box(s),
                             black_box(*b),
+                            SearchOpts::default(),
                         ));
                     }
                 },
@@ -388,18 +398,19 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 size,
                 &mut || {
                     for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_with_stats(
+                        let _ = black_box(rtise_select::rms::select_rms_with(
                             black_box(s),
                             black_box(*b),
+                            SearchOpts::default(),
                         ));
                     }
                 },
                 &mut || {
                     for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_par_with_stats(
+                        let _ = black_box(rtise_select::rms::select_rms_with(
                             black_box(s),
                             black_box(*b),
-                            PAR_BENCH_THREADS,
+                            PAR_BENCH,
                         ));
                     }
                 },
@@ -419,7 +430,7 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 },
                 &mut || {
                     for model in &models {
-                        let _ = black_box(black_box(model).solve_with_stats());
+                        let _ = black_box(black_box(model).solve_with(SearchOpts::default()));
                     }
                 },
                 m,
@@ -433,12 +444,12 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 size,
                 &mut || {
                     for model in &models {
-                        let _ = black_box(black_box(model).solve_with_stats());
+                        let _ = black_box(black_box(model).solve_with(SearchOpts::default()));
                     }
                 },
                 &mut || {
                     for model in &models {
-                        let _ = black_box(black_box(model).solve_par_with_stats(PAR_BENCH_THREADS));
+                        let _ = black_box(black_box(model).solve_with(PAR_BENCH));
                     }
                 },
                 m,
@@ -525,10 +536,10 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 },
                 &mut || {
                     for (cands, budget) in &pools {
-                        let _ = black_box(rtise_ise::select::branch_and_bound_par(
+                        let _ = black_box(rtise_ise::branch_and_bound_with(
                             black_box(cands),
                             black_box(*budget),
-                            PAR_BENCH_THREADS,
+                            PAR_BENCH,
                         ));
                     }
                 },

@@ -26,5 +26,5 @@ pub mod rms;
 pub mod task;
 
 pub use edf::select_edf;
-pub use rms::{select_rms, select_rms_with_cert, RmsCertEvent, RmsCertificate};
+pub use rms::{select_rms, select_rms_with, RmsCertEvent, RmsCertificate};
 pub use task::{Assignment, TaskSpec};

@@ -10,7 +10,9 @@
 //! tried fastest-first to find good incumbents early.
 
 use crate::task::{Assignment, TaskSpec};
+use rtise_obs::{BoundedLog, Hist};
 use rtise_rt::{rms_task_schedulable, PeriodicTask};
+use rtise_trace::bnb::{Frontier, SearchOpts, SearchOutput, Subtrees};
 use std::fmt;
 
 /// Errors from [`select_rms`].
@@ -35,11 +37,8 @@ impl fmt::Display for SelectRmsError {
 
 impl std::error::Error for SelectRmsError {}
 
-/// Default cap on certificate events per [`select_rms_with_cert`] call;
-/// overflow is counted in [`RmsCertificate::dropped`].
-pub const DEFAULT_CERT_CAP: usize = 1 << 22;
-
-/// Maximum frontier depth of the decomposed parallel search. Shallower
+/// Maximum frontier depth of the decomposed parallel search
+/// ([`rtise_trace::bnb`]). Shallower
 /// than the binary solvers' frontiers because this search branches
 /// multi-way (one child per feasible configuration). The actual depth is
 /// sized from the engaged thread count
@@ -69,8 +68,8 @@ pub enum RmsCertEvent {
     CfgRecurse,
 }
 
-/// A replayable optimality certificate of one [`select_rms_with_cert`]
-/// call.
+/// A replayable optimality certificate of one certified
+/// [`select_rms_with`] call.
 ///
 /// `rtise-check`'s `bnb` analyzer replays it, re-deriving the utilization
 /// bound and the scheduling-point test from the task specs, and confirms
@@ -97,7 +96,7 @@ pub struct RmsSelection {
     pub utilization: f64,
 }
 
-/// Branch-and-bound statistics for one [`select_rms_with_stats`] call.
+/// Branch-and-bound statistics for one [`select_rms_with`] call.
 ///
 /// Invariant: `nodes >= pruned_bound` and every configuration either
 /// recursed, was pruned by area, or failed the schedulability test, so
@@ -129,148 +128,86 @@ pub struct RmsBnbStats {
 /// [`SelectRmsError::Unschedulable`] when even the fastest configurations
 /// cannot meet all deadlines within the budget.
 pub fn select_rms(specs: &[TaskSpec], area_budget: u64) -> Result<RmsSelection, SelectRmsError> {
-    select_rms_with_stats(specs, area_budget).map(|(s, _)| s)
+    select_rms_with(specs, area_budget, SearchOpts::default()).result
 }
 
-/// Like [`select_rms`], additionally returning [`RmsBnbStats`] and
-/// publishing `select.rms.*` counters to the [`rtise_obs`] registry (also
-/// when the instance is unschedulable — failed searches are the expensive
-/// ones).
-///
-/// # Errors
-///
-/// Same as [`select_rms`].
-pub fn select_rms_with_stats(
-    specs: &[TaskSpec],
-    area_budget: u64,
-) -> Result<(RmsSelection, RmsBnbStats), SelectRmsError> {
-    select_rms_observed(specs, area_budget, rtise_obs::par::threads(), None)
-}
-
-/// Like [`select_rms_with_stats`] with an explicit worker-thread count,
-/// ignoring the global [`rtise_obs::par`] knob. The search decomposes at
-/// a frontier depth sized from `threads` and stitches per-subtree
-/// results in preorder; stats and selection are byte-identical at any
-/// worker count *for a fixed depth* (pin one with
-/// [`rtise_obs::par::set_frontier_for`] to compare runs at different
-/// thread counts). Small instances fall back to the serial search.
-///
-/// # Errors
-///
-/// Same as [`select_rms`].
-pub fn select_rms_par_with_stats(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-) -> Result<(RmsSelection, RmsBnbStats), SelectRmsError> {
-    select_rms_observed(specs, area_budget, threads.max(1), None)
-}
-
-/// Like [`select_rms_with_stats`], additionally recording a replayable
-/// [`RmsCertificate`] of the search (capped at [`DEFAULT_CERT_CAP`]
-/// events). The certificate is returned even when the search fails — a
+/// [`select_rms`] with [`SearchOpts`], additionally returning
+/// [`RmsBnbStats`] and, when `opts.cert_cap` is set, a replayable
+/// [`RmsCertificate`] — returned even when the search fails, since a
 /// complete log with no surviving leaf is an unschedulability proof.
-pub fn select_rms_with_cert(
-    specs: &[TaskSpec],
-    area_budget: u64,
-) -> (
-    Result<(RmsSelection, RmsBnbStats), SelectRmsError>,
-    RmsCertificate,
-) {
-    select_rms_with_cert_capped(specs, area_budget, DEFAULT_CERT_CAP)
-}
-
-/// [`select_rms_with_cert`] with an explicit event cap.
-pub fn select_rms_with_cert_capped(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    cap: usize,
-) -> (
-    Result<(RmsSelection, RmsBnbStats), SelectRmsError>,
-    RmsCertificate,
-) {
-    rms_cert_at(specs, area_budget, rtise_obs::par::threads(), cap)
-}
-
-/// Like [`select_rms_with_cert`] with an explicit worker-thread count (see
-/// [`select_rms_par_with_stats`]); the stitched certificate is
-/// byte-identical at any `threads` value and replays through the same
+/// Publishes `select.rms.*` counters to the [`rtise_obs`] registry (also
+/// when the instance is unschedulable — failed searches are the
+/// expensive ones).
+///
+/// With one or more threads, task sets deeper than the frontier
+/// decompose into subtrees ([`rtise_trace::bnb`]); selection, stats, and
+/// certificate are byte-identical at any worker count *for a fixed
+/// frontier depth*, and the stitched certificate replays through the same
 /// checker as the serial log.
-pub fn select_rms_par_with_cert(
+pub fn select_rms_with(
     specs: &[TaskSpec],
     area_budget: u64,
-    threads: usize,
-) -> (
-    Result<(RmsSelection, RmsBnbStats), SelectRmsError>,
-    RmsCertificate,
-) {
-    rms_cert_at(specs, area_budget, threads.max(1), DEFAULT_CERT_CAP)
-}
-
-/// [`select_rms_par_with_cert`] with an explicit event cap.
-pub fn select_rms_par_with_cert_capped(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-    cap: usize,
-) -> (
-    Result<(RmsSelection, RmsBnbStats), SelectRmsError>,
-    RmsCertificate,
-) {
-    rms_cert_at(specs, area_budget, threads.max(1), cap)
-}
-
-/// [`select_rms_par_with_cert`] at an explicit frontier depth, bypassing
-/// the thread-count sizing — the determinism-contract test hook
-/// (identity across thread counts holds per depth).
-#[doc(hidden)]
-pub fn select_rms_par_with_cert_at_depth(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-    depth: usize,
-) -> (
-    Result<(RmsSelection, RmsBnbStats), SelectRmsError>,
-    RmsCertificate,
-) {
-    let mut log = rtise_obs::BoundedLog::new(DEFAULT_CERT_CAP);
-    let result =
-        select_rms_observed_at_depth(specs, area_budget, threads.max(1), depth, Some(&mut log));
-    let mut order: Vec<usize> = (0..specs.len()).collect();
-    order.sort_by_key(|&i| specs[i].period);
-    let (events, dropped) = log.into_parts();
-    (
-        result,
-        RmsCertificate {
-            order,
-            events,
-            dropped,
-        },
-    )
-}
-
-fn rms_cert_at(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-    cap: usize,
-) -> (
-    Result<(RmsSelection, RmsBnbStats), SelectRmsError>,
-    RmsCertificate,
-) {
-    let mut log = rtise_obs::BoundedLog::new(cap);
-    let result = select_rms_observed(specs, area_budget, threads, Some(&mut log));
-    let mut order: Vec<usize> = (0..specs.len()).collect();
-    order.sort_by_key(|&i| specs[i].period);
-    let (events, dropped) = log.into_parts();
-    (
-        result,
-        RmsCertificate {
-            order,
-            events,
-            dropped,
-        },
-    )
+    opts: SearchOpts,
+) -> SearchOutput<Result<RmsSelection, SelectRmsError>, RmsBnbStats, RmsCertificate> {
+    let mut log = opts.cert_cap.map(BoundedLog::new);
+    if specs.is_empty() {
+        return SearchOutput {
+            result: Err(SelectRmsError::NoTasks),
+            stats: RmsBnbStats::default(),
+            cert: log.map(|_| RmsCertificate {
+                order: Vec::new(),
+                events: Vec::new(),
+                dropped: 0,
+            }),
+        };
+    }
+    let t = rms_tables(specs);
+    let span = rtise_trace::span(rtise_trace::codes::SELECT_RMS_SOLVE);
+    let search = RmsSearch {
+        specs,
+        t: &t,
+        budget: area_budget,
+    };
+    let (best, (stats, depth_hist)) = rtise_trace::bnb::run(&search, &opts, log.as_mut());
+    rtise_obs::observe_hist("select.rms.depth", &depth_hist);
+    rtise_trace::summary(
+        rtise_trace::codes::SELECT_RMS_SUMMARY,
+        &[
+            ("nodes", stats.nodes),
+            ("pruned_bound", stats.pruned_bound),
+            ("pruned_area", stats.pruned_area),
+            ("pruned_unschedulable", stats.pruned_unschedulable),
+            ("sched_tests", stats.sched_tests),
+            ("incumbents", stats.incumbent_updates),
+        ],
+    );
+    drop(span);
+    rtise_obs::record("select.rms.solves", 1);
+    rtise_obs::record("select.rms.nodes", stats.nodes);
+    rtise_obs::record("select.rms.pruned_bound", stats.pruned_bound);
+    rtise_obs::record("select.rms.pruned_area", stats.pruned_area);
+    rtise_obs::record(
+        "select.rms.pruned_unschedulable",
+        stats.pruned_unschedulable,
+    );
+    rtise_obs::record("select.rms.sched_tests", stats.sched_tests);
+    SearchOutput {
+        result: best
+            .map(|(utilization, config)| RmsSelection {
+                assignment: Assignment { config },
+                utilization,
+            })
+            .ok_or(SelectRmsError::Unschedulable),
+        stats,
+        cert: log.map(|log| {
+            let (events, dropped) = log.into_parts();
+            RmsCertificate {
+                order: t.order,
+                events,
+                dropped,
+            }
+        }),
+    }
 }
 
 /// Per-instance tables shared by every search over the same spec list:
@@ -314,27 +251,88 @@ fn rms_tables(specs: &[TaskSpec]) -> RmsTables {
     }
 }
 
-/// A node captured at the parallel frontier: the full path state needed
-/// to resume the search from depth [`PAR_FRONTIER_DEPTH`], plus where in
-/// the phase-1 preorder log its subtree's events belong.
-struct RmsFrontierNode {
+/// An incumbent: utilization and the configuration per task.
+type RmsBest = Option<(f64, Vec<usize>)>;
+
+/// One solve: the spec list, its tables, and the area budget.
+struct RmsSearch<'a> {
+    specs: &'a [TaskSpec],
+    t: &'a RmsTables,
+    budget: u64,
+}
+
+/// Incumbents only exist at leaves, which the walk never reaches, so
+/// subtree results fold with the search's own strict `util <` rule and
+/// the f64 path sums are bitwise identical at any thread count.
+impl Subtrees for RmsSearch<'_> {
+    type Node = RmsNode;
+    type Best = RmsBest;
+    type Stats = (RmsBnbStats, Hist);
+    type Event = RmsCertEvent;
+    const MAX_FRONTIER_DEPTH: usize = PAR_FRONTIER_DEPTH;
+
+    fn improves(cur: &RmsBest, cand: &RmsBest) -> bool {
+        cand.as_ref()
+            .is_some_and(|(u, _)| cur.as_ref().is_none_or(|(b, _)| u < b))
+    }
+
+    fn merge_stats((into, hist): &mut Self::Stats, (from, h): &Self::Stats) {
+        into.nodes += from.nodes;
+        into.pruned_bound += from.pruned_bound;
+        into.pruned_area += from.pruned_area;
+        into.pruned_unschedulable += from.pruned_unschedulable;
+        into.sched_tests += from.sched_tests;
+        into.incumbent_updates += from.incumbent_updates;
+        hist.merge(h);
+    }
+
+    fn height(&self) -> usize {
+        self.specs.len()
+    }
+
+    fn root(&self) -> RmsNode {
+        let n = self.specs.len();
+        RmsNode {
+            area: 0,
+            util: 0.0,
+            cycles: vec![0; n],
+            config: vec![0; n],
+        }
+    }
+
+    fn search(
+        &self,
+        node: RmsNode,
+        depth: usize,
+        seed: RmsBest,
+        cert: Option<&mut BoundedLog<RmsCertEvent>>,
+        frontier: Option<&mut Frontier<RmsNode, RmsBest>>,
+    ) -> (RmsBest, Self::Stats) {
+        let mut ctx = Ctx {
+            specs: self.specs,
+            t: self.t,
+            budget: self.budget,
+            cycles: node.cycles,
+            prefix: self.t.points.iter().map(|pts| vec![0; pts.len()]).collect(),
+            config: node.config,
+            best: seed,
+            stats: RmsBnbStats::default(),
+            depth_hist: Hist::new(),
+            cert,
+            frontier,
+        };
+        search(&mut ctx, depth, node.area, node.util);
+        (ctx.best, (ctx.stats, ctx.depth_hist))
+    }
+}
+
+/// A search node: the path state a search resumes from.
+#[derive(Clone)]
+struct RmsNode {
     area: u64,
     util: f64,
     cycles: Vec<u64>,
     config: Vec<usize>,
-    cert_pos: usize,
-}
-
-/// Everything a subtree search produces, merged by the caller in subtree
-/// index order.
-struct RmsSubResult {
-    best: Option<(f64, Vec<usize>)>,
-    stats: RmsBnbStats,
-    depth_hist: rtise_obs::Hist,
-    events: Vec<RmsCertEvent>,
-    cert_dropped: u64,
-    trace: Vec<rtise_trace::Event>,
-    trace_dropped: u64,
 }
 
 struct Ctx<'a> {
@@ -347,30 +345,28 @@ struct Ctx<'a> {
     // point, filled once per node and shared by all sibling configs.
     prefix: Vec<Vec<u128>>,
     config: Vec<usize>,
-    best: Option<(f64, Vec<usize>)>,
+    best: RmsBest,
     stats: RmsBnbStats,
     // Depth histogram outside `RmsBnbStats`, which the differential
     // test against the reference search compares by tuple equality.
-    depth_hist: rtise_obs::Hist,
-    cert: Option<&'a mut rtise_obs::BoundedLog<RmsCertEvent>>,
-    // `Some((depth, out))` truncates the walk at `depth`, capturing each
-    // reached node into `out` instead of searching it (phase 1 of the
-    // parallel decomposition). Captured nodes record nothing — the
-    // subtree search replays the node entry itself.
-    frontier: Option<(usize, &'a mut Vec<RmsFrontierNode>)>,
+    depth_hist: Hist,
+    cert: Option<&'a mut BoundedLog<RmsCertEvent>>,
+    // The walk of the parallel decomposition: each node reaching the
+    // frontier is captured instead of searched. Captured nodes record
+    // nothing — the subtree search replays the node entry itself.
+    frontier: Option<&'a mut Frontier<RmsNode, RmsBest>>,
 }
 
 fn search(ctx: &mut Ctx<'_>, depth: usize, area: u64, util: f64) {
-    if let Some((fd, nodes)) = &mut ctx.frontier {
-        if depth == *fd {
-            let cert_pos = ctx.cert.as_ref().map_or(0, |c| c.len());
-            nodes.push(RmsFrontierNode {
+    if let Some(frontier) = &mut ctx.frontier {
+        if depth == frontier.depth() {
+            let node = RmsNode {
                 area,
                 util,
                 cycles: ctx.cycles.clone(),
                 config: ctx.config.clone(),
-                cert_pos,
-            });
+            };
+            frontier.capture(node, &ctx.best, ctx.cert.as_ref().map_or(0, |c| c.len()));
             return;
         }
     }
@@ -484,255 +480,6 @@ fn search(ctx: &mut Ctx<'_>, depth: usize, area: u64, util: f64) {
             }
         }
     }
-}
-
-/// Span, routing (serial vs decomposed-parallel), and registry recording
-/// shared by every public entry point. `threads == 0` (the knob's
-/// default) keeps the legacy serial path untouched; any positive count
-/// routes deep-enough instances through [`rms_par`].
-fn select_rms_observed(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-    cert: Option<&mut rtise_obs::BoundedLog<RmsCertEvent>>,
-) -> Result<(RmsSelection, RmsBnbStats), SelectRmsError> {
-    let depth = rtise_obs::par::sized_frontier_depth(PAR_FRONTIER_DEPTH, threads);
-    select_rms_observed_at_depth(specs, area_budget, threads, depth, cert)
-}
-
-fn select_rms_observed_at_depth(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-    depth: usize,
-    cert: Option<&mut rtise_obs::BoundedLog<RmsCertEvent>>,
-) -> Result<(RmsSelection, RmsBnbStats), SelectRmsError> {
-    if specs.is_empty() {
-        return Err(SelectRmsError::NoTasks);
-    }
-    let t = rms_tables(specs);
-    let span = rtise_trace::span(rtise_trace::codes::SELECT_RMS_SOLVE);
-    let (best, stats, depth_hist) = if threads > 0 && specs.len() > depth {
-        rms_par(specs, area_budget, &t, threads, depth, cert)
-    } else {
-        rms_serial(specs, area_budget, &t, cert)
-    };
-    rtise_obs::observe_hist("select.rms.depth", &depth_hist);
-    rtise_trace::summary(
-        rtise_trace::codes::SELECT_RMS_SUMMARY,
-        &[
-            ("nodes", stats.nodes),
-            ("pruned_bound", stats.pruned_bound),
-            ("pruned_area", stats.pruned_area),
-            ("pruned_unschedulable", stats.pruned_unschedulable),
-            ("sched_tests", stats.sched_tests),
-            ("incumbents", stats.incumbent_updates),
-        ],
-    );
-    drop(span);
-    rtise_obs::record("select.rms.solves", 1);
-    rtise_obs::record("select.rms.nodes", stats.nodes);
-    rtise_obs::record("select.rms.pruned_bound", stats.pruned_bound);
-    rtise_obs::record("select.rms.pruned_area", stats.pruned_area);
-    rtise_obs::record(
-        "select.rms.pruned_unschedulable",
-        stats.pruned_unschedulable,
-    );
-    rtise_obs::record("select.rms.sched_tests", stats.sched_tests);
-    let (utilization, config) = best.ok_or(SelectRmsError::Unschedulable)?;
-    Ok((
-        RmsSelection {
-            assignment: Assignment { config },
-            utilization,
-        },
-        stats,
-    ))
-}
-
-type RmsBest = Option<(f64, Vec<usize>)>;
-
-fn rms_serial(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    t: &RmsTables,
-    cert: Option<&mut rtise_obs::BoundedLog<RmsCertEvent>>,
-) -> (RmsBest, RmsBnbStats, rtise_obs::Hist) {
-    let mut ctx = Ctx {
-        specs,
-        t,
-        budget: area_budget,
-        cycles: vec![0; specs.len()],
-        prefix: t.points.iter().map(|pts| vec![0; pts.len()]).collect(),
-        config: vec![0; specs.len()],
-        best: None,
-        stats: RmsBnbStats::default(),
-        depth_hist: rtise_obs::Hist::new(),
-        cert,
-        frontier: None,
-    };
-    search(&mut ctx, 0, 0, 0.0);
-    (ctx.best, ctx.stats, ctx.depth_hist)
-}
-
-/// The decomposed parallel search: a serial phase-1 walk truncated at
-/// the sized frontier depth captures the frontier, then independent subtree
-/// searches run on [`rtise_obs::par::run_ordered`] and are merged in
-/// subtree index order. Incumbents only exist at leaves — which phase 1
-/// never reaches — so the merge folds subtree results with the same
-/// strict `util <` rule the serial search applies, and the f64 path sums
-/// are bitwise identical at any thread count.
-fn rms_par(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    t: &RmsTables,
-    threads: usize,
-    depth: usize,
-    cert: Option<&mut rtise_obs::BoundedLog<RmsCertEvent>>,
-) -> (RmsBest, RmsBnbStats, rtise_obs::Hist) {
-    let want_cert = cert.is_some();
-    let cap = cert.as_ref().map_or(0, |c| c.cap());
-
-    // Phase 1: serial walk truncated at the frontier. The log is
-    // physically bounded by the frontier size, so no cap is needed.
-    let mut frontier: Vec<RmsFrontierNode> = Vec::new();
-    let mut ph_log = want_cert.then(|| rtise_obs::BoundedLog::new(usize::MAX));
-    let mut ph = Ctx {
-        specs,
-        t,
-        budget: area_budget,
-        cycles: vec![0; specs.len()],
-        prefix: t.points.iter().map(|pts| vec![0; pts.len()]).collect(),
-        config: vec![0; specs.len()],
-        best: None,
-        stats: RmsBnbStats::default(),
-        depth_hist: rtise_obs::Hist::new(),
-        cert: ph_log.as_mut(),
-        frontier: Some((depth, &mut frontier)),
-    };
-    search(&mut ph, 0, 0, 0.0);
-    let Ctx {
-        stats: ph_stats,
-        depth_hist: ph_hist,
-        ..
-    } = ph;
-    let ph_events = ph_log.map_or(Vec::new(), |log| log.into_parts().0);
-
-    // Phase 2: independent subtree searches on the deterministic
-    // scheduler. Nothing in here touches the counter registry or the
-    // ambient trace scopes — everything is merged by the caller.
-    //
-    // Subtree 0 runs serially first (warm start): it is the preorder-
-    // earliest region of the tree, so its best leaf both seeds every
-    // later subtree — without it, the first `WINDOW` subtrees would
-    // search incumbent-less and can explosively overexpand — and is a
-    // valid justification for any later prune under the replayer's
-    // preorder incumbent.
-    let trace_on = rtise_trace::enabled();
-    let run_subtree = |node: &RmsFrontierNode, seed: RmsBest| {
-        let scope = trace_on.then(|| rtise_trace::TraceScope::new(rtise_trace::Clock::Virtual));
-        let mut log = want_cert.then(|| rtise_obs::BoundedLog::new(cap));
-        let mut ctx = Ctx {
-            specs,
-            t,
-            budget: area_budget,
-            cycles: node.cycles.clone(),
-            prefix: t.points.iter().map(|pts| vec![0; pts.len()]).collect(),
-            config: node.config.clone(),
-            best: seed,
-            stats: RmsBnbStats::default(),
-            depth_hist: rtise_obs::Hist::new(),
-            cert: log.as_mut(),
-            frontier: None,
-        };
-        {
-            // Detach from any ambient scope first (with one worker
-            // the closure runs on the caller's thread, which has the
-            // caller's scopes entered) so subtree events reach the
-            // ambient trace exactly once, via the deterministic
-            // replay below.
-            let _isolated = trace_on.then(rtise_trace::isolate);
-            let _active = scope.as_ref().map(rtise_trace::TraceScope::enter);
-            search(&mut ctx, depth, node.area, node.util);
-        }
-        let Ctx {
-            best,
-            stats,
-            depth_hist,
-            ..
-        } = ctx;
-        let (events, cert_dropped) = log.map_or((Vec::new(), 0), rtise_obs::BoundedLog::into_parts);
-        RmsSubResult {
-            best,
-            stats,
-            depth_hist,
-            events,
-            cert_dropped,
-            trace: scope
-                .as_ref()
-                .map_or_else(Vec::new, rtise_trace::TraceScope::events),
-            trace_dropped: scope.as_ref().map_or(0, rtise_trace::TraceScope::dropped),
-        }
-    };
-    let first = frontier.first().map(|node| run_subtree(node, None));
-    let rest: Vec<RmsSubResult> = rtise_obs::par::run_ordered(
-        frontier.get(1..).unwrap_or(&[]),
-        threads,
-        |_, node, prefix: rtise_obs::par::Completed<'_, RmsSubResult>| {
-            let mut seed: RmsBest = None;
-            for r in
-                std::iter::once(first.as_ref().expect("frontier is non-empty")).chain(prefix.iter())
-            {
-                if let Some((u, cfg)) = &r.best {
-                    if seed.as_ref().is_none_or(|(s, _)| *u < *s) {
-                        seed = Some((*u, cfg.clone()));
-                    }
-                }
-            }
-            run_subtree(node, seed)
-        },
-    );
-    let results: Vec<RmsSubResult> = first.into_iter().chain(rest).collect();
-
-    // Merge, all in subtree index order.
-    let mut stats = ph_stats;
-    let mut hist = ph_hist;
-    let mut best: RmsBest = None;
-    for r in &results {
-        stats.nodes += r.stats.nodes;
-        stats.pruned_bound += r.stats.pruned_bound;
-        stats.pruned_area += r.stats.pruned_area;
-        stats.pruned_unschedulable += r.stats.pruned_unschedulable;
-        stats.sched_tests += r.stats.sched_tests;
-        stats.incumbent_updates += r.stats.incumbent_updates;
-        hist.merge(&r.depth_hist);
-        if let Some((u, cfg)) = &r.best {
-            if best.as_ref().is_none_or(|(b, _)| *u < *b) {
-                best = Some((*u, cfg.clone()));
-            }
-        }
-    }
-    if trace_on {
-        for r in &results {
-            rtise_trace::replay(&r.trace, r.trace_dropped);
-        }
-    }
-    if let Some(out) = cert {
-        let mut prev = 0;
-        for (node, r) in frontier.iter().zip(&results) {
-            for &e in &ph_events[prev..node.cert_pos] {
-                out.push(e);
-            }
-            prev = node.cert_pos;
-            for &e in &r.events {
-                out.push(e);
-            }
-            out.add_dropped(r.cert_dropped);
-        }
-        for &e in &ph_events[prev..] {
-            out.push(e);
-        }
-    }
-    (best, stats, hist)
 }
 
 /// The original branch-and-bound that re-runs the full Theorem 1 test
@@ -879,6 +626,25 @@ mod tests {
     use super::*;
     use rtise_ise::configs::ConfigCurve;
     use rtise_rt::{rms_schedulable, simulate_rms, SimOutcome};
+
+    /// The default search's selection paired with its stats, in the
+    /// shape [`select_rms_reference_with_stats`] returns.
+    fn with_stats(
+        specs: &[TaskSpec],
+        budget: u64,
+    ) -> Result<(RmsSelection, RmsBnbStats), SelectRmsError> {
+        let out = select_rms_with(specs, budget, SearchOpts::default());
+        out.result.map(|s| (s, out.stats))
+    }
+
+    /// A certified search on `threads` workers.
+    fn par(threads: usize, depth: Option<usize>) -> SearchOpts {
+        SearchOpts {
+            threads: Some(threads),
+            frontier_depth: depth,
+            ..SearchOpts::CERTIFIED
+        }
+    }
 
     fn spec(name: &str, base: u64, period: u64, pts: &[(u64, u64)]) -> TaskSpec {
         TaskSpec::new(ConfigCurve::from_points(name, base, pts), period)
@@ -1035,7 +801,7 @@ mod tests {
             // Same incumbents, same prune decisions: stats must be equal
             // too, not just the optimum.
             assert_eq!(
-                select_rms_with_stats(&specs, budget),
+                with_stats(&specs, budget),
                 select_rms_reference_with_stats(&specs, budget),
                 "case {case}"
             );
@@ -1071,14 +837,14 @@ mod tests {
         let mut solved = 0;
         for case in 0..60 {
             let (specs, budget) = random_deep_specs(&mut rng);
-            let serial = select_rms_with_stats(&specs, budget);
-            let par = select_rms_par_with_stats(&specs, budget, 4);
+            let serial = select_rms(&specs, budget);
+            let par = select_rms_with(&specs, budget, par(4, None)).result;
             match (&serial, &par) {
                 // Leaves are visited in the same preorder and the
                 // incumbent rule is strict, so the parallel search lands
                 // on the exact same leaf — utilization (bitwise: the f64
                 // path sums are order-identical) and assignment both.
-                (Ok((s, _)), Ok((p, _))) => {
+                (Ok(s), Ok(p)) => {
                     assert_eq!(s, p, "case {case}");
                     solved += 1;
                 }
@@ -1089,7 +855,7 @@ mod tests {
         assert!(solved >= 10, "want a healthy mix of schedulable cases");
     }
 
-    /// Result and certificate are identical at every thread count for a
+    /// Result, stats, and certificate are identical at every thread count for a
     /// fixed frontier depth — checked at each depth the adaptive sizing
     /// picks for 1, 2, and 4 workers.
     #[test]
@@ -1100,12 +866,13 @@ mod tests {
             let (specs, budget) = random_deep_specs(&mut rng);
             for sized_for in [1usize, 2, 4] {
                 let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, sized_for);
-                let (res1, cert1) = select_rms_par_with_cert_at_depth(&specs, budget, 1, depth);
+                let base = select_rms_with(&specs, budget, par(1, Some(depth)));
                 for threads in [2, 4, 7] {
-                    let (rt, ct) =
-                        select_rms_par_with_cert_at_depth(&specs, budget, threads, depth);
-                    assert_eq!(res1, rt, "case {case} depth {depth} threads {threads}");
-                    assert_eq!(cert1, ct, "case {case} depth {depth} threads {threads}");
+                    assert_eq!(
+                        base,
+                        select_rms_with(&specs, budget, par(threads, Some(depth))),
+                        "case {case} depth {depth} threads {threads}"
+                    );
                 }
             }
         }
@@ -1113,14 +880,14 @@ mod tests {
 
     #[test]
     fn parallel_falls_back_on_small_task_sets() {
-        // At most PAR_FRONTIER_DEPTH tasks: the parallel entry points run
-        // the plain serial search, stats included.
+        // At most PAR_FRONTIER_DEPTH tasks: a threaded search runs the
+        // plain serial search, stats and certificate included.
         let specs = fig_3_2_specs();
         assert!(specs.len() <= PAR_FRONTIER_DEPTH);
         for budget in [0u64, 17, 1000] {
             assert_eq!(
-                select_rms_par_with_stats(&specs, budget, 4),
-                select_rms_with_stats(&specs, budget),
+                select_rms_with(&specs, budget, par(4, None)),
+                select_rms_with(&specs, budget, par(0, None)),
                 "budget {budget}"
             );
         }
@@ -1131,7 +898,7 @@ mod tests {
         let specs = fig_3_2_specs();
         for budget in [0u64, 10, 17, 1000] {
             let plain = select_rms(&specs, budget);
-            match select_rms_with_stats(&specs, budget) {
+            match with_stats(&specs, budget) {
                 Ok((sel, stats)) => {
                     assert_eq!(plain.expect("plain agrees"), sel, "budget {budget}");
                     assert!(stats.nodes >= 1);

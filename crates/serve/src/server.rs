@@ -515,4 +515,19 @@ mod tests {
             "the malformed line gets an error response carrying its id"
         );
     }
+
+    /// A nesting bomb gets one error response; the next request on the
+    /// same stream is still answered.
+    #[test]
+    fn nesting_bomb_line_is_answered_and_the_stream_survives() {
+        let input = format!(
+            "{}\n{{\"id\": 7, \"kind\": \"ilp\", \"seed\": 3}}\n",
+            "[".repeat(100_000)
+        );
+        let (responses, _) = serve_input(&input);
+        assert_eq!(responses.len(), 2);
+        assert_eq!(responses[0].get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(responses[1].get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(responses[1].get("id").and_then(Value::as_f64), Some(7.0));
+    }
 }

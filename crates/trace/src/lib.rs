@@ -24,6 +24,10 @@
 //!   codes) bit-deterministic and therefore testable: jobs-1 and
 //!   jobs-4 runs of the reproduce pool must produce identical virtual
 //!   traces.
+//! * [`bnb`] — the subtree-parallel branch-and-bound driver the ILP,
+//!   ISE, and RMS searches share, and the [`bnb::SearchOpts`] /
+//!   [`bnb::SearchOutput`] of their configurable entry points. It lives
+//!   here because it isolates and replays per-subtree trace scopes.
 //! * [`codes`] — the stable event-name vocabulary (prune reasons,
 //!   incumbent updates, per-solve summaries) shared by the ILP, ISE,
 //!   and RMS branch-and-bound cores and the EDF DP.
@@ -49,6 +53,7 @@
 //! assert!(doc.render().contains("ilp.prune.bound"));
 //! ```
 
+pub mod bnb;
 pub mod chrome;
 pub mod codes;
 pub mod scope;
