@@ -147,6 +147,30 @@ for KEY in check.certb.ilp check.certb.ise check.certb.rms; do
 done
 echo "    parallel search (reports and traces) is byte-identical at pinned sizing and certified optimal"
 
+echo "==> experiment-pool determinism: --jobs 1 must reproduce the --jobs 4 par1 run"
+# Same warm, certified, virtual-clock pass as par1 above, but on one
+# experiment worker instead of four. Each experiment's scope follows its
+# work into whichever pool worker runs it, so any counter or trace event
+# that escaped (or leaked into) an experiment's scope shows up here as a
+# byte difference in the canonical report or the trace.
+cargo run --offline --release -p rtise-bench --bin reproduce -- \
+  --check --jobs 1 --par-threads 1 --cache-dir "$CACHE_DIR" \
+  --json target/artifacts/reproduce-jobs1.json \
+  --trace-out target/artifacts/reproduce-jobs1.trace.json --trace-clock virtual
+cargo run --offline --release -p rtise-trace --bin trace -- \
+  canon target/artifacts/reproduce-jobs1.json --drop-output "$TIMING_TABLES" \
+  > target/artifacts/canon-jobs1.json
+if ! cmp -s target/artifacts/canon-par1.json target/artifacts/canon-jobs1.json; then
+  echo "FAIL: certified reports differ between --jobs 4 (par1) and --jobs 1"
+  diff target/artifacts/canon-par1.json target/artifacts/canon-jobs1.json | head -40
+  exit 1
+fi
+if ! cmp -s target/artifacts/reproduce-par1.trace.json target/artifacts/reproduce-jobs1.trace.json; then
+  echo "FAIL: virtual-clock traces differ between --jobs 4 (par1) and --jobs 1"
+  exit 1
+fi
+echo "    --jobs 1 and --jobs 4 give byte-identical reports and traces"
+
 echo "==> panic-safety regression gates (pool callback, serve worker death)"
 # cargo test above already runs these; naming them here keeps the gates
 # from silently disappearing if the suites are reorganised. The grep on

@@ -8,7 +8,6 @@
 //! reproduce --list                   # list experiment ids
 //! reproduce --jobs 4                 # run experiments on 4 workers
 //! reproduce --json out.json fig3_2   # also write a machine-readable report
-//! reproduce --trace fig4_1           # print per-experiment span/counter trees
 //! reproduce --trace-out t.json       # export a chrome://tracing span trace
 //! reproduce --trace-clock virtual    # deterministic trace timestamps
 //! reproduce --check tab6_1           # also certify each experiment's artifacts
@@ -34,13 +33,12 @@
 //! nearest-id suggestion.
 
 use rtise_bench::pool::{run_pool, CertOutcome, ExperimentOutcome};
-use rtise_obs::Report;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 const USAGE: &str = "supported: --list, --jobs <n>, --par-threads <n>, \
                      --par-frontier-for <n>, --json <path>, \
-                     --trace, --trace-out <path>, --trace-clock <real|virtual>, --check, \
+                     --trace-out <path>, --trace-clock <real|virtual>, --check, \
                      --cache-dir <dir>, --no-cache";
 
 fn usage_error(msg: &str) -> ! {
@@ -50,7 +48,6 @@ fn usage_error(msg: &str) -> ! {
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut trace = false;
     let mut trace_out: Option<String> = None;
     let mut trace_clock = rtise_trace::Clock::Real;
     let mut check = false;
@@ -83,7 +80,6 @@ fn main() {
                 None => usage_error("--cache-dir requires a path argument"),
             },
             "--no-cache" => cache_dir = None,
-            "--trace" => trace = true,
             "--trace-out" => match args.next() {
                 Some(p) => trace_out = Some(p),
                 None => usage_error("--trace-out requires a path argument"),
@@ -156,14 +152,6 @@ fn main() {
             if report.ok { "ok" } else { "FAILED" },
             report.wall_ms
         );
-        if trace {
-            let mut span = Report::new(id);
-            span.wall_ns = (report.wall_ms * 1e6) as u128;
-            span.counters = report.counters.clone();
-            for line in span.render_tree().lines() {
-                println!("    {line}");
-            }
-        }
         match &outcome.certification {
             None => {}
             Some(CertOutcome::Clean { replays }) => {
@@ -197,7 +185,7 @@ fn main() {
     rtise_bench::set_generation_trace_clock(clock);
     let outcomes = run_pool(&ids, jobs, check, clock, &on_ready);
     let mut failed = failed.into_inner().expect("failure counter poisoned");
-    let mut scopes: Vec<(String, rtise_trace::TraceScope)> = Vec::new();
+    let mut scopes: Vec<(String, rtise_obs::Scope)> = Vec::new();
     let mut reports = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
         if let Some(scope) = outcome.trace {

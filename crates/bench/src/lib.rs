@@ -66,8 +66,8 @@ pub fn run(id: &str) -> Result<(), String> {
 
 /// Outcome of one observed experiment run: wall time, captured output
 /// lines, and the solver counters it incremented (collected through a
-/// [`rtise_obs::CounterScope`], so concurrent experiments never see each
-/// other's work).
+/// [`rtise_obs::Scope`], so concurrent experiments never see each other's
+/// work).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Experiment id.
@@ -142,9 +142,9 @@ pub fn run_observed(id: &str) -> Result<RunReport, String> {
 /// so a worker pool can run experiments concurrently and replay each
 /// report in paper order.
 ///
-/// Counters are collected through a thread-scoped
-/// [`rtise_obs::CounterScope`] — the experiment's deltas are exactly its
-/// own work (plus [attributed](rtise_obs::registry::attribute) shares of
+/// Counters are collected through a thread-scoped [`rtise_obs::Scope`]
+/// — the experiment's deltas are exactly its own work (plus
+/// [attributed](rtise_obs::attribute) shares of
 /// memoized artifacts), no matter what other experiments run concurrently
 /// in the process.
 ///
@@ -156,10 +156,10 @@ pub fn run_observed_with(id: &str, quiet: bool) -> Result<RunReport, String> {
 }
 
 /// Like [`run_observed_with`], but optionally tracing: when `trace_clock`
-/// is `Some`, the experiment runs inside a fresh
-/// [`rtise_trace::TraceScope`] on that clock, wrapped in a root span named
-/// after the experiment, and the populated scope is returned alongside the
-/// report so the caller can merge scopes into a Chrome Trace document.
+/// is `Some`, the experiment's scope stores events on that clock, wrapped
+/// in a root span named after the experiment, and the populated scope is
+/// returned alongside the report so the caller can merge scopes into a
+/// Chrome Trace document.
 ///
 /// # Errors
 ///
@@ -168,7 +168,7 @@ pub fn run_observed_traced(
     id: &str,
     quiet: bool,
     trace_clock: Option<rtise_trace::Clock>,
-) -> Result<(RunReport, Option<rtise_trace::TraceScope>), String> {
+) -> Result<(RunReport, Option<rtise_obs::Scope>), String> {
     let Some((_, f)) = ALL.iter().find(|(name, _)| *name == id) else {
         return Err(format!("unknown experiment {id:?}"));
     };
@@ -177,15 +177,11 @@ pub fn run_observed_traced(
     } else {
         capture::begin();
     }
-    let scope = rtise_obs::CounterScope::new();
-    let trace_scope = trace_clock.map(rtise_trace::TraceScope::new);
+    let scope = trace_clock.map_or_else(rtise_obs::Scope::new, rtise_obs::Scope::with_clock);
     let timer = rtise_obs::Timer::start();
     let ok = {
         let _guard = scope.enter();
-        let _trace_guard = trace_scope.as_ref().map(rtise_trace::TraceScope::enter);
-        let _span = trace_scope
-            .as_ref()
-            .map(|_| rtise_trace::span(id.to_string()));
+        let _span = trace_clock.map(|_| rtise_trace::span(id.to_string()));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_ok()
     };
     let wall_ms = timer.elapsed_ms();
@@ -201,7 +197,7 @@ pub fn run_observed_traced(
             counters,
             hists,
         },
-        trace_scope,
+        trace_clock.map(|_| scope),
     ))
 }
 

@@ -46,10 +46,10 @@ pub struct ExperimentOutcome {
     pub report: RunReport,
     /// Certification verdict, when requested and the run succeeded.
     pub certification: Option<CertOutcome>,
-    /// The experiment's trace scope, when tracing was requested: a root
-    /// span named after the experiment wrapping every solver span and
-    /// search-tree event it recorded.
-    pub trace: Option<rtise_trace::TraceScope>,
+    /// The experiment's scope, when tracing was requested: its events are
+    /// a root span named after the experiment wrapping every solver span
+    /// and search-tree event it recorded.
+    pub trace: Option<rtise_obs::Scope>,
 }
 
 impl ExperimentOutcome {
@@ -104,7 +104,7 @@ fn run_one(
 /// Certifies one experiment inside its own counter scope, returning the
 /// verdict plus every counter the certification pass incremented.
 fn certify_outcome(id: &str) -> (CertOutcome, std::collections::BTreeMap<String, u64>) {
-    let scope = rtise_obs::CounterScope::new();
+    let scope = rtise_obs::Scope::new();
     let result = {
         let _guard = scope.enter();
         catch_unwind(AssertUnwindSafe(|| certify::certify(id)))
@@ -137,8 +137,8 @@ fn certify_outcome(id: &str) -> (CertOutcome, std::collections::BTreeMap<String,
 /// real experiment — the harness validates ids up front (unknown ids are
 /// a usage error with a suggestion, not a pool concern).
 ///
-/// When `trace_clock` is `Some`, every experiment runs inside its own
-/// [`rtise_trace::TraceScope`] on that clock (surfaced as
+/// When `trace_clock` is `Some`, every experiment's own scope stores
+/// events on that clock (surfaced as
 /// [`ExperimentOutcome::trace`]); per-experiment scopes keep concurrent
 /// workers' events apart, and the caller merges them in paper order so
 /// the exported document is independent of `jobs`.

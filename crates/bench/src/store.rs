@@ -748,7 +748,7 @@ mod tests {
         let dir = tmp_dir("evict-failed");
         let stuck = dir.join("stuck-entry");
         std::fs::create_dir_all(&stuck).expect("create dir");
-        let scope = rtise_obs::CounterScope::new();
+        let scope = rtise_obs::Scope::new();
         {
             let _guard = scope.enter();
             evict(&stuck, "cache.toy", Some(7));
@@ -762,7 +762,7 @@ mod tests {
         // must not count as failed.
         let gone = dir.join("plain-entry");
         std::fs::write(&gone, b"x").expect("write");
-        let scope = rtise_obs::CounterScope::new();
+        let scope = rtise_obs::Scope::new();
         {
             let _guard = scope.enter();
             evict(&gone, "cache.toy", None);
@@ -812,8 +812,8 @@ mod tests {
             &hists(),
         )
         .expect("store");
-        let _iso = rtise_obs::registry::isolate();
-        let scope = rtise_obs::CounterScope::new();
+        let _iso = rtise_obs::isolate();
+        let scope = rtise_obs::Scope::new();
         let guard = scope.enter();
         let s3 = open(&dir, opts).expect("open");
         drop(guard);

@@ -10,9 +10,9 @@
 //!
 //! Counter attribution is what keeps `reproduce --json` deterministic
 //! across worker counts and cache states: the generation counters of a
-//! curve are captured in an isolated [`CounterScope`](rtise_obs::CounterScope)
+//! curve are captured in an isolated [`Scope`](rtise_obs::Scope)
 //! (so the first requester is not specially charged) and *replayed* into
-//! the scopes of every consumer via [`rtise_obs::registry::attribute`] —
+//! the scopes of every consumer via [`rtise_obs::attribute`] —
 //! each experiment sees the same deltas whether it computed the curve,
 //! raced another worker for it, or read it back from disk.
 
@@ -22,7 +22,7 @@ use rtise::ise::configs::ConfigCurve;
 use rtise::reconfig::ReconfigProblem;
 use rtise::select::task::{periods_for_utilization, TaskSpec};
 use rtise::workbench::{reconfig_problem, task_curve, CurveOptions};
-use rtise_obs::{CounterScope, Hist};
+use rtise_obs::{Clock, Hist, Scope};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,11 +37,11 @@ static CURVES: OnceLock<Mutex<HashMap<String, Memo<ConfigCurve>>>> = OnceLock::n
 /// override never aliases with the default-options problem.
 static JPEG_PROBLEM: Mutex<Option<(String, Memo<ReconfigProblem>)>> = Mutex::new(None);
 
-/// When set, each fresh curve/problem generation records into its own
-/// [`rtise_trace::TraceScope`] with this clock, collected in
-/// [`GEN_TRACES`] keyed by artifact (`curve/<kernel>`, `problem/jpeg`).
-static GEN_TRACE_CLOCK: Mutex<Option<rtise_trace::Clock>> = Mutex::new(None);
-static GEN_TRACES: Mutex<Vec<(String, rtise_trace::TraceScope)>> = Mutex::new(Vec::new());
+/// When set, each fresh curve/problem generation runs in a scope with
+/// this clock, collected in [`GEN_TRACES`] keyed by artifact
+/// (`curve/<kernel>`, `problem/jpeg`).
+static GEN_TRACE_CLOCK: Mutex<Option<Clock>> = Mutex::new(None);
+static GEN_TRACES: Mutex<Vec<(String, Scope)>> = Mutex::new(Vec::new());
 
 static CACHE_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
@@ -95,12 +95,12 @@ pub fn clear_curve_memo() {
 
 /// Arms (or, with `None`, disarms) tracing of memoized curve/problem
 /// generation. Generation always runs detached from the requesting
-/// experiment's trace scope (per-experiment
+/// experiment's scope (per-experiment
 /// traces must not depend on who wins the memo race); with a clock set
-/// here each fresh generation instead records into a scope of its own,
+/// here each fresh generation's own scope also stores events,
 /// retrievable via [`take_generation_traces`] as one extra track per
 /// artifact. Clears any previously collected scopes.
-pub fn set_generation_trace_clock(clock: Option<rtise_trace::Clock>) {
+pub fn set_generation_trace_clock(clock: Option<Clock>) {
     *GEN_TRACE_CLOCK.lock().expect("gen trace clock poisoned") = clock;
     GEN_TRACES.lock().expect("gen traces poisoned").clear();
 }
@@ -108,17 +108,34 @@ pub fn set_generation_trace_clock(clock: Option<rtise_trace::Clock>) {
 /// Drains the generation scopes collected since
 /// [`set_generation_trace_clock`], sorted by track name so the export
 /// order never depends on which worker happened to generate what.
-pub fn take_generation_traces() -> Vec<(String, rtise_trace::TraceScope)> {
+pub fn take_generation_traces() -> Vec<(String, Scope)> {
     let mut scopes = std::mem::take(&mut *GEN_TRACES.lock().expect("gen traces poisoned"));
     scopes.sort_by(|a, b| a.0.cmp(&b.0));
     scopes
 }
 
-fn generation_scope() -> Option<rtise_trace::TraceScope> {
-    GEN_TRACE_CLOCK
+/// Runs one fresh generation in a scope of its own — clocked while
+/// [`set_generation_trace_clock`] is armed, with a span named `track` —
+/// and files a clocked scope under `track`. Returns the artifact with
+/// the counters and histograms it recorded.
+fn generate<T>(track: String, f: impl FnOnce() -> T) -> Produced<T> {
+    let scope = GEN_TRACE_CLOCK
         .lock()
         .expect("gen trace clock poisoned")
-        .map(rtise_trace::TraceScope::new)
+        .map_or_else(Scope::new, Scope::with_clock);
+    let artifact = {
+        let _guard = scope.enter();
+        let _span = scope.clock().map(|_| rtise_trace::span(track.clone()));
+        f()
+    };
+    let (counters, hists) = (scope.counters(), scope.hists());
+    if scope.clock().is_some() {
+        GEN_TRACES
+            .lock()
+            .expect("gen traces poisoned")
+            .push((track, scope));
+    }
+    (artifact, counters, hists)
 }
 
 fn curve_options() -> CurveOptions {
@@ -132,8 +149,8 @@ fn curve_options() -> CurveOptions {
 /// the solver counters its generation recorded, computing (or loading) it
 /// at most once per process.
 ///
-/// The caller's [`CounterScope`]s are charged the generation counters via
-/// [`attribute`](rtise_obs::registry::attribute) — identically on memo
+/// The caller's [`Scope`]s are charged the generation counters via
+/// [`attribute`](rtise_obs::attribute) — identically on memo
 /// hits, disk hits, and fresh computes.
 ///
 /// # Panics
@@ -161,8 +178,8 @@ pub fn cached_curve_with(name: &str, opts: &CurveOptions) -> ConfigCurve {
     };
     // Compute outside the map lock: only requesters of *this* curve wait.
     let (curve, counters, hists) = slot.get_or_init(|| produce_curve(name, &opts));
-    rtise_obs::registry::attribute(counters);
-    rtise_obs::registry::attribute_hists(hists);
+    rtise_obs::attribute(counters);
+    rtise_obs::attribute_hists(hists);
     curve.clone()
 }
 
@@ -171,11 +188,10 @@ type Produced<T> = (T, BTreeMap<String, u64>, BTreeMap<String, Hist>);
 fn produce_curve(name: &str, opts: &CurveOptions) -> Produced<ConfigCurve> {
     // Detach from the requester's scopes: generation work is attributed
     // uniformly to every consumer, not specially to whoever got here
-    // first. The trace scopes detach too — generation spans would pin the
-    // work to the racing winner and make per-experiment traces depend on
-    // scheduling; attribution happens through counters and histograms.
-    let _iso = rtise_obs::registry::isolate();
-    let _trace_iso = rtise_trace::isolate();
+    // first, through counters and histograms. Events detach too —
+    // generation spans would pin the work to the racing winner and make
+    // per-experiment traces depend on scheduling.
+    let _iso = rtise_obs::isolate();
     if let Some(dir) = cache_dir() {
         if let Some(entry) = curvecache::load(&dir, name, opts) {
             CACHE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -183,24 +199,9 @@ fn produce_curve(name: &str, opts: &CurveOptions) -> Produced<ConfigCurve> {
         }
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     }
-    let scope = CounterScope::new();
-    let trace_scope = generation_scope();
-    let curve = {
-        let _guard = scope.enter();
-        let _trace_guard = trace_scope.as_ref().map(rtise_trace::TraceScope::enter);
-        let _span = trace_scope
-            .as_ref()
-            .map(|_| rtise_trace::span(format!("curve/{name}")));
+    let (curve, counters, hists) = generate(format!("curve/{name}"), || {
         task_curve(name, *opts).unwrap_or_else(|e| panic!("curve for {name}: {e}"))
-    };
-    if let Some(s) = trace_scope {
-        GEN_TRACES
-            .lock()
-            .expect("gen traces poisoned")
-            .push((format!("curve/{name}"), s));
-    }
-    let counters = scope.counters();
-    let hists = scope.hists();
+    });
     if let Some(dir) = cache_dir() {
         match curvecache::store(&dir, name, opts, &curve, &counters, &hists) {
             Ok(()) => {
@@ -259,15 +260,14 @@ pub fn cached_jpeg_problem_with(opts: &CurveOptions) -> ReconfigProblem {
     };
     // Compute outside the memo lock, as for curves.
     let (problem, counters, hists) = slot.get_or_init(|| produce_jpeg_problem(&key));
-    rtise_obs::registry::attribute(counters);
-    rtise_obs::registry::attribute_hists(hists);
+    rtise_obs::attribute(counters);
+    rtise_obs::attribute_hists(hists);
     problem.clone()
 }
 
 fn produce_jpeg_problem(key: &ProblemKey<'_>) -> Produced<ReconfigProblem> {
     // Detach from the requester's scopes, exactly as in `produce_curve`.
-    let _iso = rtise_obs::registry::isolate();
-    let _trace_iso = rtise_trace::isolate();
+    let _iso = rtise_obs::isolate();
     if let Some(dir) = cache_dir() {
         if let Some(entry) = problemcache::load(&dir, key) {
             CACHE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -275,14 +275,7 @@ fn produce_jpeg_problem(key: &ProblemKey<'_>) -> Produced<ReconfigProblem> {
         }
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     }
-    let scope = CounterScope::new();
-    let trace_scope = generation_scope();
-    let problem = {
-        let _guard = scope.enter();
-        let _trace_guard = trace_scope.as_ref().map(rtise_trace::TraceScope::enter);
-        let _span = trace_scope
-            .as_ref()
-            .map(|_| rtise_trace::span(format!("problem/{}", key.kernel)));
+    let (problem, counters, hists) = generate(format!("problem/{}", key.kernel), || {
         reconfig_problem(
             key.kernel,
             key.n_versions,
@@ -291,15 +284,7 @@ fn produce_jpeg_problem(key: &ProblemKey<'_>) -> Produced<ReconfigProblem> {
             key.opts,
         )
         .expect("jpeg problem")
-    };
-    if let Some(s) = trace_scope {
-        GEN_TRACES
-            .lock()
-            .expect("gen traces poisoned")
-            .push((format!("problem/{}", key.kernel), s));
-    }
-    let counters = scope.counters();
-    let hists = scope.hists();
+    });
     if let Some(dir) = cache_dir() {
         match problemcache::store(&dir, key, &problem, &counters, &hists) {
             Ok(()) => {

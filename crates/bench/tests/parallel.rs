@@ -187,7 +187,7 @@ fn jpeg_problem_disk_cache_is_transparent() {
     rtise_bench::clear_curve_memo();
     rtise_bench::reset_cache_stats();
 
-    let scope = rtise_obs::CounterScope::new();
+    let scope = rtise_obs::Scope::new();
     let cold = {
         let _guard = scope.enter();
         rtise_bench::cached_jpeg_problem()
@@ -197,7 +197,7 @@ fn jpeg_problem_disk_cache_is_transparent() {
     assert_eq!(rtise_bench::cache_stats(), (0, 1, 1), "cold: miss + store");
 
     rtise_bench::clear_curve_memo();
-    let scope = rtise_obs::CounterScope::new();
+    let scope = rtise_obs::Scope::new();
     let warm = {
         let _guard = scope.enter();
         rtise_bench::cached_jpeg_problem()

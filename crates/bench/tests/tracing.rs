@@ -26,7 +26,7 @@ fn lock_config() -> std::sync::MutexGuard<'static, ()> {
 /// the merged Chrome Trace document.
 fn traced_run(ids: &[String], jobs: usize) -> Value {
     let outcomes = run_pool(ids, jobs, false, Some(Clock::Virtual), &|_, _| {});
-    let scopes: Vec<(String, rtise_trace::TraceScope)> = outcomes
+    let scopes: Vec<(String, rtise_obs::Scope)> = outcomes
         .into_iter()
         .map(|o| {
             assert!(o.report.ok, "{} failed", o.report.id);

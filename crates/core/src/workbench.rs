@@ -6,7 +6,6 @@ use rtise_ise::candidate::{harvest, HarvestOptions};
 use rtise_ise::configs::ConfigCurve;
 use rtise_ise::enumerate::EnumerateOptions;
 use rtise_kernels::by_name;
-use rtise_obs::Collector;
 use rtise_select::task::{periods_for_utilization, TaskSpec};
 use std::fmt;
 
@@ -91,34 +90,12 @@ impl std::error::Error for WorkbenchError {
 ///
 /// See [`WorkbenchError`].
 pub fn task_curve(name: &str, opts: CurveOptions) -> Result<ConfigCurve, WorkbenchError> {
-    task_curve_spanned(name, opts, &mut Collector::disabled())
-}
-
-/// Like [`task_curve`], recording one span per pipeline stage
-/// (`validate`, `harvest`, `curve`) into `col`, with candidate and
-/// curve-point counts attached to the owning span.
-///
-/// # Errors
-///
-/// See [`WorkbenchError`].
-pub fn task_curve_spanned(
-    name: &str,
-    opts: CurveOptions,
-    col: &mut Collector,
-) -> Result<ConfigCurve, WorkbenchError> {
     let kernel = by_name(name).ok_or_else(|| WorkbenchError::UnknownKernel(name.into()))?;
-    col.enter("validate");
-    let run = kernel.validate().map_err(WorkbenchError::Kernel);
-    col.leave();
-    let run = run?;
+    let run = kernel.validate().map_err(WorkbenchError::Kernel)?;
     debug_assert_program_well_formed(&kernel.program, name);
-    col.enter("harvest");
     let hw = HwModel::default();
     let cands = harvest(&kernel.program, &run.block_counts, &hw, opts.harvest);
-    col.add("candidates", cands.len() as u64);
-    col.leave();
     debug_assert_candidates_legal(&kernel.program, &cands, &hw, &opts, name);
-    col.enter("curve");
     let curve = ConfigCurve::generate(
         name,
         &cands,
@@ -126,8 +103,6 @@ pub fn task_curve_spanned(
         opts.n_budgets,
         opts.exact_threshold,
     );
-    col.add("points", curve.len() as u64);
-    col.leave();
     #[cfg(debug_assertions)]
     {
         let d = rtise_check::cert::check_curve(&curve);
@@ -191,29 +166,9 @@ pub fn task_specs(
     u0: f64,
     opts: CurveOptions,
 ) -> Result<Vec<TaskSpec>, WorkbenchError> {
-    task_specs_spanned(names, u0, opts, &mut Collector::disabled())
-}
-
-/// Like [`task_specs`], recording one span per kernel (each containing
-/// the [`task_curve_spanned`] stage spans) into `col`.
-///
-/// # Errors
-///
-/// See [`WorkbenchError`].
-pub fn task_specs_spanned(
-    names: &[&str],
-    u0: f64,
-    opts: CurveOptions,
-    col: &mut Collector,
-) -> Result<Vec<TaskSpec>, WorkbenchError> {
     let curves: Vec<ConfigCurve> = names
         .iter()
-        .map(|n| {
-            col.enter(&format!("curve:{n}"));
-            let c = task_curve_spanned(n, opts, col);
-            col.leave();
-            c
-        })
+        .map(|n| task_curve(n, opts))
         .collect::<Result<_, _>>()?;
     let bases: Vec<u64> = curves.iter().map(|c| c.base_cycles).collect();
     let periods = periods_for_utilization(&bases, u0);

@@ -2,15 +2,15 @@
 //!
 //! Runs `iters` cases per family, certifies every solution, minimizes any
 //! failure and reports a one-line reproduction command. Progress and
-//! throughput are recorded as an obs-JSON span report: one child span per
-//! family with case/failure counters and an instances/sec gauge, plus the
-//! solver-side global counter deltas (DP cells, B&B nodes, …) the
-//! campaign provoked.
+//! throughput are reported as an obs-JSON tree: one child per family
+//! with case/failure counters and an instances/sec gauge, plus the
+//! solver-side counters (DP cells, B&B nodes, …) the campaign provoked.
 
 use crate::minimize::minimize;
 use crate::oracle::{Family, Instance};
 use rtise_obs::json::Value;
-use rtise_obs::{Collector, Report, Rng, Timer};
+use rtise_obs::{Rng, Scope, Timer};
+use std::collections::BTreeMap;
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]
@@ -26,9 +26,9 @@ pub struct FuzzConfig {
     /// case *index*, so any worker count runs the identical case set and
     /// reports failures in the identical (family, case-index) order.
     pub jobs: usize,
-    /// When `Some`, every sweep lane records solver spans and search-tree
-    /// events into its own [`rtise_trace::TraceScope`] on this clock,
-    /// surfaced as [`FuzzOutcome::trace`]. Tracing never feeds the
+    /// When `Some`, every sweep lane's scope also stores solver spans and
+    /// search-tree events on this clock, surfaced as
+    /// [`FuzzOutcome::trace`]. Tracing never feeds the
     /// deterministic obs report — `--json` is identical with it on or off.
     pub trace: Option<rtise_trace::Clock>,
 }
@@ -75,8 +75,58 @@ pub struct FamilyStats {
     pub cases: u64,
     /// Failing cases.
     pub failures: u64,
+    /// Diagnostics across the failing cases.
+    pub findings: u64,
     /// Instances per second.
     pub rate: f64,
+    /// Wall time of the family's sweep and minimization, in milliseconds.
+    pub wall_ms: f64,
+}
+
+impl FamilyStats {
+    /// The family's node of the obs-JSON report: `name`, `wall_ms`,
+    /// `counters` (`cases`, `failures`, and `findings` once anything
+    /// failed) and the `instances_per_sec` gauge.
+    fn to_json(&self) -> Value {
+        let mut counters = BTreeMap::from([
+            ("cases".to_string(), self.cases),
+            ("failures".to_string(), self.failures),
+        ]);
+        if self.failures > 0 {
+            counters.insert("findings".to_string(), self.findings);
+        }
+        report_node(
+            self.family.name(),
+            self.wall_ms,
+            &counters,
+            self.rate,
+            Vec::new(),
+        )
+    }
+}
+
+/// One node of the obs-JSON report tree; `children` is omitted when
+/// empty.
+fn report_node(
+    name: &str,
+    wall_ms: f64,
+    counters: &BTreeMap<String, u64>,
+    rate: f64,
+    children: Vec<Value>,
+) -> Value {
+    let mut fields = vec![
+        ("name", name.into()),
+        ("wall_ms", wall_ms.into()),
+        ("counters", counters.into()),
+        (
+            "gauges",
+            Value::obj(vec![("instances_per_sec", rate.into())]),
+        ),
+    ];
+    if !children.is_empty() {
+        fields.push(("children", Value::Arr(children)));
+    }
+    Value::obj(fields)
 }
 
 /// Result of a fuzzing campaign.
@@ -88,14 +138,15 @@ pub struct FuzzOutcome {
     pub stats: Vec<FamilyStats>,
     /// Minimized failures, in discovery order.
     pub failures: Vec<FailureReport>,
-    /// Structured obs report (spans, counters, gauges).
-    pub report: Report,
+    /// Solver counters the campaign provoked, sweeps and minimization
+    /// alike.
+    pub counters: BTreeMap<String, u64>,
     /// Campaign wall time in milliseconds.
     pub elapsed_ms: f64,
-    /// Per-lane trace scopes (`family/wN`), present when
-    /// [`FuzzConfig::trace`] asked for them — one Chrome Trace track per
-    /// sweep lane, so concurrent workers' spans never interleave.
-    pub trace: Vec<(String, rtise_trace::TraceScope)>,
+    /// Per-lane scopes (`family/wN`), present when [`FuzzConfig::trace`]
+    /// asked for them — one Chrome Trace track per sweep lane, so
+    /// concurrent workers' spans never interleave.
+    pub trace: Vec<(String, Scope)>,
 }
 
 impl FuzzOutcome {
@@ -105,8 +156,20 @@ impl FuzzOutcome {
     }
 
     /// JSON form: the obs report plus a `failures` array, suitable for CI
-    /// artifacts.
+    /// artifacts. The `report` tree's root carries the campaign totals
+    /// and the solver counters under a `solver.` prefix; its children are
+    /// the families.
     pub fn to_json(&self) -> Value {
+        let mut counters: BTreeMap<String, u64> = self
+            .counters
+            .iter()
+            .map(|(k, &v)| (format!("solver.{k}"), v))
+            .collect();
+        counters.insert("cases".to_string(), self.cases);
+        counters.insert("failures".to_string(), self.failures.len() as u64);
+        let rate = self.cases as f64 / (self.elapsed_ms / 1e3).max(1e-9);
+        let families = self.stats.iter().map(FamilyStats::to_json).collect();
+        let report = report_node("fuzz", self.elapsed_ms, &counters, rate, families);
         Value::obj(vec![
             ("cases", Value::Num(self.cases as f64)),
             ("elapsed_ms", Value::Num(self.elapsed_ms)),
@@ -130,7 +193,7 @@ impl FuzzOutcome {
                         .collect(),
                 ),
             ),
-            ("report", self.report.to_json()),
+            ("report", report),
         ])
     }
 }
@@ -154,16 +217,13 @@ const MAX_SHRINK_ATTEMPTS: u64 = 4_000;
 type RawFailure = (u64, u64, Instance, u64, String);
 
 /// Sweeps one family's cases over `jobs` workers, returning the failing
-/// cases sorted by case index plus one populated trace lane per worker
-/// (empty when tracing is off). Each case derives its seed from its index
-/// alone, and every worker enters a clone of the campaign counter scope —
-/// so the case set, the failure order, and the counter totals are all
-/// independent of the worker count (only per-case wall times vary).
-fn sweep_family(
-    family: Family,
-    cfg: &FuzzConfig,
-    scope: &rtise_obs::CounterScope,
-) -> (Vec<RawFailure>, Vec<(String, rtise_trace::TraceScope)>) {
+/// cases sorted by case index plus each worker's lane scope, labelled
+/// `family/wN`. Each case derives its seed from its index alone, and each
+/// worker records into its own lane, which the caller attributes to the
+/// campaign — so the case set, the failure order, and the counter totals
+/// are all independent of the worker count (only per-case wall times
+/// vary).
+fn sweep_family(family: Family, cfg: &FuzzConfig) -> (Vec<RawFailure>, Vec<(String, Scope)>) {
     let run_case = |i: u64| -> Option<RawFailure> {
         let cs = case_seed(cfg.seed, i);
         let mut rng = Rng::new(cs);
@@ -173,39 +233,18 @@ fn sweep_family(
             .first()
             .map(|f| (i, cs, instance, findings.len() as u64, f.code.clone()))
     };
-    let lane = |w: usize| -> Option<(String, rtise_trace::TraceScope)> {
-        cfg.trace.map(|clock| {
-            (
-                format!("{}/w{w}", family.name()),
-                rtise_trace::TraceScope::new(clock),
-            )
-        })
-    };
     let jobs = cfg.jobs.max(1).min(cfg.iters.max(1) as usize);
-    if jobs == 1 {
-        let lane = lane(0);
-        let found = {
-            let _trace_guard = lane.as_ref().map(|(_, s)| s.enter());
-            let _span = cfg
-                .trace
-                .map(|_| rtise_trace::span(family.name().to_string()));
-            (0..cfg.iters).filter_map(run_case).collect()
-        };
-        return (found, lane.into_iter().collect());
-    }
     let next = std::sync::atomic::AtomicU64::new(0);
     let (mut found, lanes) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|w| {
                 let (run_case, next) = (&run_case, &next);
-                let scope = scope.clone();
-                let lane = lane(w);
                 s.spawn(move || {
-                    let _guard = scope.enter();
+                    let lane = cfg.trace.map_or_else(Scope::new, Scope::with_clock);
                     let found = {
-                        let _trace_guard = lane.as_ref().map(|(_, s)| s.enter());
-                        let _span = lane
-                            .as_ref()
+                        let _guard = lane.enter();
+                        let _span = cfg
+                            .trace
                             .map(|_| rtise_trace::span(family.name().to_string()));
                         let mut found = Vec::new();
                         loop {
@@ -216,7 +255,7 @@ fn sweep_family(
                             found.extend(run_case(i));
                         }
                     };
-                    (found, lane)
+                    (found, (format!("{}/w{w}", family.name()), lane))
                 })
             })
             .collect();
@@ -225,7 +264,7 @@ fn sweep_family(
         for h in handles {
             let (f, lane) = h.join().expect("fuzz worker panicked");
             found.extend(f);
-            lanes.extend(lane);
+            lanes.push(lane);
         }
         (found, lanes)
     });
@@ -236,60 +275,51 @@ fn sweep_family(
 /// Runs a fuzzing campaign.
 pub fn run(cfg: &FuzzConfig) -> FuzzOutcome {
     let total_timer = Timer::start();
-    // Scope the campaign so the solver-work deltas in the report count
+    // Scope the campaign so the solver-work counters in the report count
     // exactly what this campaign provoked, even when other campaigns or
     // tests run concurrently in the same process.
-    let scope = rtise_obs::CounterScope::new();
+    let scope = Scope::new();
     let scope_guard = scope.enter();
-    let mut col = Collector::enabled("fuzz");
     let mut stats = Vec::new();
     let mut failures = Vec::new();
     let mut trace = Vec::new();
     let mut cases = 0u64;
     for &family in &cfg.families {
         let fam_timer = Timer::start();
-        col.enter(family.name());
-        let mut fam_failures = 0u64;
         cases += cfg.iters;
-        let (found, lanes) = sweep_family(family, cfg, &scope);
-        trace.extend(lanes);
+        let (found, lanes) = sweep_family(family, cfg);
+        for (_, lane) in &lanes {
+            rtise_obs::attribute(&lane.counters());
+            rtise_obs::attribute_hists(&lane.hists());
+        }
+        if cfg.trace.is_some() {
+            trace.extend(lanes);
+        }
         // Minimization stays on this thread, in case-index order: failure
         // reports are byte-identical for every `--jobs` value.
+        let mut findings = 0u64;
+        let fam_failures = found.len() as u64;
         for (_, cs, instance, n_findings, code) in found {
-            fam_failures += 1;
-            col.add("findings", n_findings);
+            findings += n_findings;
             failures.push(minimize_failure(family, cs, instance, code));
         }
-        let secs = (fam_timer.elapsed_ms() / 1e3).max(1e-9);
-        col.add("cases", cfg.iters);
-        col.add("failures", fam_failures);
-        col.gauge("instances_per_sec", cfg.iters as f64 / secs);
-        col.leave();
+        let wall_ms = fam_timer.elapsed_ms();
         stats.push(FamilyStats {
             family,
             cases: cfg.iters,
             failures: fam_failures,
-            rate: cfg.iters as f64 / secs,
+            findings,
+            rate: cfg.iters as f64 / (wall_ms / 1e3).max(1e-9),
+            wall_ms,
         });
     }
-    col.add("cases", cases);
-    col.add("failures", failures.len() as u64);
-    // Solver work provoked by the campaign, scoped to this run.
     drop(scope_guard);
-    for (key, delta) in scope.counters() {
-        col.add(&format!("solver.{key}"), delta);
-    }
-    let elapsed_ms = total_timer.elapsed_ms();
-    col.gauge(
-        "instances_per_sec",
-        cases as f64 / (elapsed_ms / 1e3).max(1e-9),
-    );
     FuzzOutcome {
         cases,
         stats,
         failures,
-        report: col.finish(),
-        elapsed_ms,
+        counters: scope.counters(),
+        elapsed_ms: total_timer.elapsed_ms(),
         trace,
     }
 }
@@ -352,10 +382,19 @@ mod tests {
         assert_eq!(a.cases, 8 * Family::ALL.len() as u64);
         assert_eq!(b.cases, a.cases);
         assert_eq!(b.failures.len(), a.failures.len());
-        // The report carries per-family spans with case counters.
-        assert_eq!(a.report.children.len(), Family::ALL.len());
-        for child in &a.report.children {
-            assert_eq!(child.counters.get("cases"), Some(&8));
+        // The report carries per-family nodes with case counters.
+        assert_eq!(a.stats.len(), Family::ALL.len());
+        assert!(a.stats.iter().all(|s| s.cases == 8));
+        let children = a.to_json();
+        let children = children
+            .get("report")
+            .and_then(|r| r.get("children"))
+            .and_then(Value::as_arr)
+            .expect("family nodes");
+        assert_eq!(children.len(), Family::ALL.len());
+        for child in children {
+            let cases = child.get("counters").and_then(|c| c.get("cases"));
+            assert_eq!(cases.and_then(Value::as_f64), Some(8.0));
         }
     }
 
@@ -381,15 +420,16 @@ mod tests {
             "failure reports diverge across worker counts"
         );
         assert_eq!(
-            parallel.report.counters, serial.report.counters,
+            parallel.counters, serial.counters,
             "campaign counter totals diverge across worker counts"
         );
-        for (p, s) in parallel.report.children.iter().zip(&serial.report.children) {
-            assert_eq!(p.name, s.name);
+        for (p, s) in parallel.stats.iter().zip(&serial.stats) {
+            assert_eq!(p.family, s.family);
             assert_eq!(
-                p.counters, s.counters,
+                (p.cases, p.failures, p.findings),
+                (s.cases, s.failures, s.findings),
                 "family {} counters diverge across worker counts",
-                p.name
+                p.family.name()
             );
         }
     }

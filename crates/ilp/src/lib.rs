@@ -1122,9 +1122,9 @@ mod tests {
 
     #[test]
     fn stats_published_to_registry() {
-        // A CounterScope (rather than a global snapshot diff) keeps the
-        // deltas exact even while other tests solve ILPs concurrently.
-        let scope = rtise_obs::CounterScope::new();
+        // A scope keeps the deltas exact even while other tests solve
+        // ILPs concurrently.
+        let scope = rtise_obs::Scope::new();
         let diff = {
             let _guard = scope.enter();
             let mut m = Model::new(3);
@@ -1246,7 +1246,7 @@ mod tests {
         let m = random_deep_model(&mut rng);
         let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, 4);
         let run = |threads: usize| {
-            let scope = rtise_trace::TraceScope::new(rtise_trace::Clock::Virtual);
+            let scope = rtise_obs::Scope::with_clock(rtise_trace::Clock::Virtual);
             {
                 let _active = scope.enter();
                 let _ = m.solve_with(par(threads, Some(depth)));

@@ -1037,7 +1037,7 @@ mod tests {
     /// too big for the bitset path, and never inside it.
     #[test]
     fn generic_path_fallback_is_counted() {
-        let _iso = rtise_obs::registry::isolate();
+        let _iso = rtise_obs::isolate();
         // Seeded construction: a 140-op chain (past the wall) and the
         // 8-op diamond (inside it).
         let mut big = Dfg::new();
@@ -1051,7 +1051,7 @@ mod tests {
             max_candidates: 64,
             ..EnumerateOptions::default()
         };
-        let scope = rtise_obs::CounterScope::new();
+        let scope = rtise_obs::Scope::new();
         let guard = scope.enter();
         let _ = enumerate_connected_with_stats(&big, opts);
         let _ = enumerate_connected_with_stats(&diamond(), opts);

@@ -563,7 +563,7 @@ mod tests {
             ..IterativeOptions::default()
         };
         let run = || {
-            let scope = rtise_trace::TraceScope::new(rtise_trace::Clock::Virtual);
+            let scope = rtise_obs::Scope::with_clock(rtise_trace::Clock::Virtual);
             {
                 let _active = scope.enter();
                 let _ = iterative_candidates(&g, opts);
@@ -675,8 +675,8 @@ mod tests {
 
     #[test]
     fn stats_and_counters_agree() {
-        let _iso = rtise_obs::registry::isolate();
-        let scope = rtise_obs::CounterScope::new();
+        let _iso = rtise_obs::isolate();
+        let scope = rtise_obs::Scope::new();
         let guard = scope.enter();
         let g = layered(60, 21);
         let (_, stats) = iterative_candidates_with_stats(&g, IterativeOptions::default());

@@ -1,8 +1,8 @@
 //! A minimal JSON document model with a writer and a parser.
 //!
-//! Just enough machinery to serialize [`Report`](crate::report::Report)s
-//! into machine-readable run artifacts and to parse them back in tests —
-//! the build environment is offline, so `serde` is not an option. Object
+//! Just enough machinery to serialize run reports into machine-readable
+//! artifacts and to parse them back in tests — the build environment is
+//! offline, so `serde` is not an option. Object
 //! keys keep insertion order (reports read better that way) and numbers
 //! are stored as `f64`, which is exact for every counter below 2⁵³.
 

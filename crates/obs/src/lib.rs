@@ -1,9 +1,8 @@
 //! # rtise-obs
 //!
 //! The observability substrate of the rtise workspace: **std-only**
-//! counters, wall-clock timers, hierarchical span reports, a process-wide
-//! statistics registry, a minimal JSON writer/parser, and a deterministic
-//! seedable PRNG.
+//! scoped counters, histograms and trace events, wall-clock timers, a
+//! minimal JSON writer/parser, and a deterministic seedable PRNG.
 //!
 //! Every result table of the source paper is a claim about *solver
 //! behaviour* — branch-and-bound node counts, DP grid sizes, pruning
@@ -14,23 +13,24 @@
 //!
 //! The pieces:
 //!
-//! * [`registry`] — a global, thread-safe counter registry plus
-//!   thread-scoped collectors. Solvers publish their per-call statistics
-//!   via [`record`] under dotted keys (`ilp.nodes_explored`,
-//!   `select.edf.dp_cells`, …); the `reproduce` harness brackets each
-//!   experiment in a [`CounterScope`] — exact even when experiments run
-//!   concurrently on a worker pool — and emits the scope's counters into
-//!   the machine-readable run report. The global registry stays the
-//!   merged, process-wide view.
-//! * [`report`] — [`Report`], a serializable tree of named
-//!   spans with wall times, counters, and gauges, built imperatively with
-//!   [`Collector`] (which has a disabled "null" mode so
-//!   instrumented code paths cost nothing when nobody is listening).
+//! * [`scope`] — [`Scope`], the one thread-inherited sink every
+//!   measurement lands in. The `reproduce` harness brackets each
+//!   experiment in a scope — exact even when experiments run
+//!   concurrently on a worker pool — and emits its counters into the
+//!   machine-readable run report. A scope made with
+//!   [`Scope::with_clock`] also stores timed events ([`span`],
+//!   [`instant_with`], [`summary`]), which `rtise-trace` exports as a
+//!   Chrome Trace; [`isolate`] detaches a thread from every scope at
+//!   once.
+//! * [`registry`] — [`record`]/[`observe`]/[`observe_hist`], through
+//!   which solvers publish statistics under dotted keys
+//!   (`ilp.nodes_explored`, `select.edf.dp_cells`, …) into every entered
+//!   scope, and [`attribute`]/[`attribute_hists`], through which caches
+//!   replay the cost of a memoized artifact to each consumer.
 //! * [`hist`] — fixed-bucket log2 histograms with exact small-sample
 //!   p50/p90/p99, the third first-class metric next to counters and
-//!   timers. Observations flow through [`observe`]/[`observe_hist`] into
-//!   the global registry and every entered [`CounterScope`], and caches
-//!   replay them with [`attribute_hists`] just like counters.
+//!   timers.
+//! * [`report`] — [`Timer`], the wall-clock stopwatch reports use.
 //! * [`certlog`] — [`BoundedLog`], the capped drop-with-marker event log
 //!   the branch-and-bound solvers record their replayable optimality
 //!   certificates into.
@@ -49,15 +49,18 @@
 //! # Example
 //!
 //! ```
-//! use rtise_obs::report::Collector;
+//! use rtise_obs::{observe, record, span, Clock, Scope};
 //!
-//! let mut c = Collector::enabled("pipeline");
-//! c.enter("harvest");
-//! c.add("candidates", 42);
-//! c.leave();
-//! let report = c.finish();
-//! let json = report.to_json().render();
-//! assert!(json.contains("\"candidates\":42"));
+//! let scope = Scope::with_clock(Clock::Virtual);
+//! {
+//!     let _active = scope.enter();
+//!     let _harvest = span("harvest");
+//!     record("candidates", 42);
+//!     observe("candidate.size", 3);
+//! }
+//! assert_eq!(scope.counters()["candidates"], 42);
+//! assert_eq!(scope.hists()["candidate.size"].count(), 1);
+//! assert_eq!(scope.events().len(), 2); // span begin + end
 //! ```
 
 pub mod certlog;
@@ -68,13 +71,15 @@ pub mod par;
 pub mod registry;
 pub mod report;
 pub mod rng;
+pub mod scope;
 
 pub use certlog::BoundedLog;
 pub use hash::fnv1a;
 pub use hist::Hist;
-pub use registry::{
-    attribute_hists, global_add, hist_snapshot, observe, observe_hist, record, snapshot,
-    snapshot_diff, CounterScope,
-};
-pub use report::{Collector, Report, Timer};
+pub use registry::{attribute, attribute_hists, observe, observe_hist, record, CounterScope};
+pub use report::Timer;
 pub use rng::Rng;
+pub use scope::{
+    enabled, instant, instant_with, isolate, replay, span, summary, Clock, Event, EventKind, Scope,
+    RING_CAP,
+};

@@ -1,20 +1,6 @@
-//! Hierarchical span reports: [`Collector`], [`Report`], [`Timer`].
-//!
-//! A [`Collector`] builds a tree of named spans imperatively —
-//! [`enter`](Collector::enter) opens a child span, [`leave`](Collector::leave)
-//! closes it (recording its wall time), [`add`](Collector::add) and
-//! [`gauge`](Collector::gauge) attach numbers to the current span — and
-//! [`finish`](Collector::finish) yields the completed [`Report`] tree,
-//! serializable with [`Report::to_json`].
-//!
-//! A collector created with [`Collector::disabled`] ignores every call and
-//! finishes to an empty report, so instrumented code paths can take a
-//! `&mut Collector` unconditionally and cost nothing when nobody listens.
+//! Wall-clock timing for reports: [`Timer`].
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-use crate::json::Value;
 
 /// A simple stopwatch around [`Instant`].
 #[derive(Debug, Clone, Copy)]
@@ -47,310 +33,13 @@ impl Default for Timer {
     }
 }
 
-/// One completed span: a name, its wall time, attached counters and
-/// gauges, and nested child spans in completion order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Report {
-    /// Span name (e.g. a pipeline stage or solver phase).
-    pub name: String,
-    /// Wall-clock time spent inside the span, in nanoseconds.
-    pub wall_ns: u128,
-    /// Monotone integer counters attached to this span.
-    pub counters: BTreeMap<String, u64>,
-    /// Point-in-time float measurements attached to this span.
-    pub gauges: BTreeMap<String, f64>,
-    /// Child spans, in the order they finished.
-    pub children: Vec<Report>,
-}
-
-impl Report {
-    /// An empty span with the given name (zero wall time, no counters).
-    pub fn new(name: &str) -> Self {
-        Report {
-            name: name.to_string(),
-            wall_ns: 0,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            children: Vec::new(),
-        }
-    }
-
-    /// Wall time in milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall_ns as f64 / 1e6
-    }
-
-    /// Finds the first descendant span (depth-first, self included) with
-    /// the given name.
-    pub fn find(&self, name: &str) -> Option<&Report> {
-        if self.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-
-    /// Serializes the span tree as a JSON object.
-    ///
-    /// Empty counter/gauge maps and child lists are omitted to keep
-    /// reports small.
-    pub fn to_json(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = vec![
-            ("name".into(), self.name.as_str().into()),
-            ("wall_ms".into(), self.wall_ms().into()),
-        ];
-        if !self.counters.is_empty() {
-            pairs.push(("counters".into(), (&self.counters).into()));
-        }
-        if !self.gauges.is_empty() {
-            let g = self
-                .gauges
-                .iter()
-                .map(|(k, &v)| (k.clone(), v.into()))
-                .collect();
-            pairs.push(("gauges".into(), Value::Obj(g)));
-        }
-        if !self.children.is_empty() {
-            pairs.push((
-                "children".into(),
-                Value::Arr(self.children.iter().map(Report::to_json).collect()),
-            ));
-        }
-        Value::Obj(pairs)
-    }
-
-    /// Renders the tree as indented human-readable lines, one span per
-    /// line: `name  12.3 ms  {counter=…}` — used by `reproduce --trace`.
-    pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
-    }
-
-    fn render_into(&self, out: &mut String, depth: usize) {
-        use std::fmt::Write as _;
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        let _ = write!(out, "{}  {:.3} ms", self.name, self.wall_ms());
-        for (k, v) in &self.counters {
-            let _ = write!(out, "  {k}={v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = write!(out, "  {k}={v}");
-        }
-        out.push('\n');
-        for c in &self.children {
-            c.render_into(out, depth + 1);
-        }
-    }
-}
-
-/// Builds a [`Report`] tree imperatively; see the module docs.
-#[derive(Debug)]
-pub struct Collector {
-    /// `None` = disabled: every method is a no-op.
-    inner: Option<Inner>,
-}
-
-#[derive(Debug)]
-struct Inner {
-    /// Open spans, root first. Invariant: never empty.
-    stack: Vec<(Report, Instant)>,
-}
-
-impl Collector {
-    /// A live collector whose root span is named `root`.
-    pub fn enabled(root: &str) -> Self {
-        Collector {
-            inner: Some(Inner {
-                stack: vec![(Report::new(root), Instant::now())],
-            }),
-        }
-    }
-
-    /// A null collector: every method is a no-op and
-    /// [`finish`](Collector::finish) returns an empty root span. Lets
-    /// instrumented code take a `&mut Collector` unconditionally.
-    pub fn disabled() -> Self {
-        Collector { inner: None }
-    }
-
-    /// Whether this collector records anything. Use to skip expensive
-    /// metric computation when nobody is listening.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Opens a child span of the current span.
-    pub fn enter(&mut self, name: &str) {
-        if let Some(inner) = &mut self.inner {
-            inner.stack.push((Report::new(name), Instant::now()));
-        }
-    }
-
-    /// Closes the current span, recording its wall time and attaching it
-    /// to its parent. Closing the root span is a no-op (use
-    /// [`finish`](Collector::finish) instead).
-    pub fn leave(&mut self) {
-        if let Some(inner) = &mut self.inner {
-            if inner.stack.len() > 1 {
-                let (mut span, started) = inner.stack.pop().expect("stack non-empty");
-                span.wall_ns = started.elapsed().as_nanos();
-                inner
-                    .stack
-                    .last_mut()
-                    .expect("root present")
-                    .0
-                    .children
-                    .push(span);
-            }
-        }
-    }
-
-    /// Adds `delta` to counter `key` on the current span.
-    pub fn add(&mut self, key: &str, delta: u64) {
-        if let Some(inner) = &mut self.inner {
-            let span = &mut inner.stack.last_mut().expect("root present").0;
-            *span.counters.entry(key.to_string()).or_insert(0) += delta;
-        }
-    }
-
-    /// Sets gauge `key` on the current span (overwriting a prior value).
-    pub fn gauge(&mut self, key: &str, value: f64) {
-        if let Some(inner) = &mut self.inner {
-            let span = &mut inner.stack.last_mut().expect("root present").0;
-            span.gauges.insert(key.to_string(), value);
-        }
-    }
-
-    /// Closes all open spans and returns the completed root [`Report`].
-    /// A disabled collector returns an empty span named `disabled`.
-    pub fn finish(mut self) -> Report {
-        match self.inner.take() {
-            None => Report::new("disabled"),
-            Some(mut inner) => {
-                while inner.stack.len() > 1 {
-                    let (mut span, started) = inner.stack.pop().expect("non-empty");
-                    span.wall_ns = started.elapsed().as_nanos();
-                    inner
-                        .stack
-                        .last_mut()
-                        .expect("root present")
-                        .0
-                        .children
-                        .push(span);
-                }
-                let (mut root, started) = inner.stack.pop().expect("root present");
-                root.wall_ns = started.elapsed().as_nanos();
-                root
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builds_nested_tree() {
-        let mut c = Collector::enabled("root");
-        c.add("top", 1);
-        c.enter("a");
-        c.add("x", 2);
-        c.add("x", 3);
-        c.enter("a1");
-        c.gauge("ratio", 0.5);
-        c.leave();
-        c.leave();
-        c.enter("b");
-        c.leave();
-        let r = c.finish();
-
-        assert_eq!(r.name, "root");
-        assert_eq!(r.counters["top"], 1);
-        assert_eq!(r.children.len(), 2);
-        let a = &r.children[0];
-        assert_eq!(a.name, "a");
-        assert_eq!(a.counters["x"], 5);
-        assert_eq!(a.children[0].name, "a1");
-        assert_eq!(a.children[0].gauges["ratio"], 0.5);
-        assert_eq!(r.children[1].name, "b");
-    }
-
-    #[test]
-    fn finish_closes_open_spans() {
-        let mut c = Collector::enabled("root");
-        c.enter("left-open");
-        c.enter("deeper");
-        let r = c.finish();
-        assert_eq!(r.children.len(), 1);
-        assert_eq!(r.children[0].name, "left-open");
-        assert_eq!(r.children[0].children[0].name, "deeper");
-    }
-
-    #[test]
-    fn disabled_collector_is_inert() {
-        let mut c = Collector::disabled();
-        assert!(!c.is_enabled());
-        c.enter("x");
-        c.add("k", 9);
-        c.gauge("g", 1.0);
-        c.leave();
-        let r = c.finish();
-        assert!(r.counters.is_empty());
-        assert!(r.children.is_empty());
-    }
-
-    #[test]
-    fn leave_on_root_is_noop() {
-        let mut c = Collector::enabled("root");
-        c.leave();
-        c.leave();
-        c.add("still", 1);
-        let r = c.finish();
-        assert_eq!(r.counters["still"], 1);
-    }
-
-    #[test]
-    fn json_includes_counters() {
-        let mut c = Collector::enabled("pipeline");
-        c.enter("harvest");
-        c.add("candidates", 42);
-        c.leave();
-        let json = c.finish().to_json().render();
-        assert!(json.contains("\"candidates\":42"), "{json}");
-        assert!(json.contains("\"name\":\"pipeline\""), "{json}");
-        // And it parses back.
-        crate::json::parse(&json).expect("parse");
-    }
-
-    #[test]
-    fn find_locates_descendants() {
-        let mut c = Collector::enabled("root");
-        c.enter("a");
-        c.enter("b");
-        c.add("k", 1);
-        let r = c.finish();
-        assert_eq!(r.find("b").expect("find").counters["k"], 1);
-        assert!(r.find("zzz").is_none());
-    }
-
-    #[test]
     fn timer_measures_nonnegative() {
         let t = Timer::start();
         assert!(t.elapsed_ms() >= 0.0);
-    }
-
-    #[test]
-    fn render_tree_lists_each_span() {
-        let mut c = Collector::enabled("root");
-        c.enter("child");
-        c.add("n", 3);
-        c.leave();
-        let text = c.finish().render_tree();
-        assert!(text.contains("root"), "{text}");
-        assert!(text.contains("  child"), "{text}");
-        assert!(text.contains("n=3"), "{text}");
     }
 }

@@ -77,13 +77,13 @@ fn main() -> ExitCode {
     );
 
     let mut results = Vec::new();
-    let mut trace_scopes: Vec<(String, rtise_trace::TraceScope)> = Vec::new();
+    let mut trace_scopes: Vec<(String, rtise_obs::Scope)> = Vec::new();
     for &kernel in KERNELS {
         let scope = trace_path
             .as_ref()
-            .map(|_| rtise_trace::TraceScope::new(rtise_trace::Clock::Real));
+            .map(|_| rtise_obs::Scope::with_clock(rtise_trace::Clock::Real));
         let points = {
-            let _guard = scope.as_ref().map(rtise_trace::TraceScope::enter);
+            let _guard = scope.as_ref().map(rtise_obs::Scope::enter);
             let _span = scope
                 .as_ref()
                 .map(|_| rtise_trace::span(kernel.to_string()));

@@ -95,7 +95,7 @@ pub struct SizePoint {
     /// `ref_ns_op / opt_ns_op`.
     pub speedup: f64,
     /// Solver counter deltas from one optimized batch execution, captured
-    /// in an isolated [`rtise_obs::CounterScope`].
+    /// in an isolated [`rtise_obs::Scope`].
     pub counters: BTreeMap<String, u64>,
 }
 
@@ -301,8 +301,8 @@ fn measure_cell(
         opt_hist.observe((s / BATCH as u64).max(1));
     }
     let counters = {
-        let _iso = rtise_obs::registry::isolate();
-        let scope = rtise_obs::CounterScope::new();
+        let _iso = rtise_obs::isolate();
+        let scope = rtise_obs::Scope::new();
         let guard = scope.enter();
         optimized();
         drop(guard);

@@ -17,7 +17,7 @@
 //!    the input-size sweep is identical to full mode, so a CI smoke run is
 //!    directly comparable against the committed full-mode baseline.
 //! 4. **Attributable.** Each measured point captures the optimized path's
-//!    solver counter deltas via [`rtise_obs::CounterScope`], tying the
+//!    solver counter deltas via [`rtise_obs::Scope`], tying the
 //!    timing to the amount of search work actually performed.
 //!
 //! The `bench` binary drives the sweep, renders the report, and — given

@@ -1,9 +1,9 @@
 //! Request execution: turns a parsed [`Request`] into a self-contained,
 //! checksummed response document.
 //!
-//! Every computation runs inside an isolated [`CounterScope`], so the
+//! Every computation runs inside a [`Scope`] of its own, so the
 //! response's `work` field is exactly the solver work the request caused
-//! — including the [attributed](rtise_obs::registry::attribute) share of
+//! — including the [attributed](rtise_obs::attribute) share of
 //! memoized curve/problem generation, which makes `work` deterministic
 //! whether the artifact came from a memo, the disk store, or a fresh
 //! computation. The response checksum covers `kind`, `work`, and the
@@ -14,7 +14,7 @@ use crate::proto::{ReconfigReq, ReqKind, Request};
 use rtise::check::serve::{check_response, response_checksum};
 use rtise_bench::store::Artifact;
 use rtise_obs::json::Value;
-use rtise_obs::CounterScope;
+use rtise_obs::Scope;
 
 /// Replaces (or appends) a top-level field of a JSON object.
 pub fn set_field(doc: &mut Value, key: &str, val: Value) {
@@ -293,11 +293,11 @@ pub fn error_response(id: u64, msg: &str) -> Value {
 /// response, so one poisoned request cannot take a worker down.
 #[must_use]
 pub fn execute(req: &Request) -> Value {
-    let scope = CounterScope::new();
+    let scope = Scope::new();
     let outcome = {
-        // Detach from the worker's ambient scopes: the request's work
-        // charges only its own scope (the global registry still sees it).
-        let _iso = rtise_obs::registry::isolate();
+        // The request's scope nests in whatever the caller has entered: a
+        // serve worker enters only its trace scope here, which receives
+        // the request span and its solver events.
         let _guard = scope.enter();
         let _span = rtise_trace::enabled().then(|| rtise_trace::span(req.kind.name()));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compute(&req.kind)))

@@ -44,8 +44,10 @@ pub struct LoadtestConfig {
     pub cache_dir: Option<PathBuf>,
     /// Chrome-trace export path.
     pub trace_out: Option<PathBuf>,
-    /// Trace clock (virtual ⇒ byte-identical trace at any worker count
-    /// too).
+    /// Trace clock. Each worker writes its own `worker-{i}` track with the
+    /// requests it happened to claim, so the trace follows `jobs` and
+    /// scheduling even under [`Clock::Virtual`](rtise_trace::Clock); only
+    /// the report is worker-count-independent.
     pub trace_clock: rtise_trace::Clock,
 }
 

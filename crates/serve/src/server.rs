@@ -20,7 +20,7 @@ use crate::engine::{self, ResponseArtifact};
 use crate::proto::{dedup_key, Request};
 use rtise_bench::store;
 use rtise_obs::json::Value;
-use rtise_obs::CounterScope;
+use rtise_obs::Scope;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -36,8 +36,8 @@ pub struct ServerConfig {
     pub jobs: usize,
     /// Artifact-store directory; `None` disables disk persistence.
     pub cache_dir: Option<PathBuf>,
-    /// When set, each worker records its spans into a `worker-<i>` trace
-    /// scope on this clock, exported by [`Server::shutdown`].
+    /// When set, each worker records its spans into a `worker-<i>` scope
+    /// on this clock, exported by [`Server::shutdown`].
     pub trace_clock: Option<rtise_trace::Clock>,
 }
 
@@ -70,8 +70,10 @@ struct Inner {
     cond: Condvar,
     results: Mutex<HashMap<String, Arc<Slot>>>,
     cache_dir: Option<PathBuf>,
-    scope: CounterScope,
-    traces: Mutex<Vec<(String, rtise_trace::TraceScope)>>,
+    /// The server's own counters; entered only around queue, store and
+    /// bookkeeping work, never around a request's computation.
+    scope: Scope,
+    traces: Mutex<Vec<(String, Scope)>>,
 }
 
 /// A submitted request's future response.
@@ -128,7 +130,7 @@ impl Server {
                 cond: Condvar::new(),
                 results: Mutex::new(HashMap::new()),
                 cache_dir: config.cache_dir.clone(),
-                scope: CounterScope::new(),
+                scope: Scope::new(),
                 traces: Mutex::new(Vec::new()),
             }),
             config,
@@ -210,8 +212,8 @@ impl Server {
     }
 
     /// Graceful shutdown: workers drain every queued job, then exit.
-    /// Returns the final counters and the per-worker trace scopes (empty
-    /// unless [`ServerConfig::trace_clock`] was set).
+    /// Returns the final counters and the per-worker scopes (empty unless
+    /// [`ServerConfig::trace_clock`] was set).
     ///
     /// A panicked worker does not crash the shutdown: its death is
     /// counted (`serve.worker.panics`), the remaining workers still drain
@@ -221,7 +223,7 @@ impl Server {
         self,
     ) -> (
         std::collections::BTreeMap<String, u64>,
-        Vec<(String, rtise_trace::TraceScope)>,
+        Vec<(String, Scope)>,
     ) {
         {
             let mut queue = self.inner.queue.lock().expect("queue poisoned");
@@ -288,9 +290,9 @@ impl Server {
 }
 
 fn worker_loop(inner: &Inner, index: usize, trace_clock: Option<rtise_trace::Clock>) {
-    let trace_scope = trace_clock.map(rtise_trace::TraceScope::new);
+    let trace_scope = trace_clock.map(Scope::with_clock);
     {
-        let _trace_guard = trace_scope.as_ref().map(rtise_trace::TraceScope::enter);
+        let _trace_guard = trace_scope.as_ref().map(Scope::enter);
         loop {
             let job = {
                 let mut queue = inner.queue.lock().expect("queue poisoned");
@@ -307,7 +309,6 @@ fn worker_loop(inner: &Inner, index: usize, trace_clock: Option<rtise_trace::Clo
             let Some((key, req, slot)) = job else {
                 break;
             };
-            let _obs = inner.scope.enter();
             let response = serve_one(inner, &key, &req);
             let mut ready = slot.ready.lock().expect("slot poisoned");
             *ready = Some(response);
@@ -327,16 +328,24 @@ fn worker_loop(inner: &Inner, index: usize, trace_clock: Option<rtise_trace::Clo
 /// Resolves one distinct request: disk store first, then execution, then
 /// persist. The stored/served template always carries id 0; waiters
 /// stamp their own id.
+///
+/// The server's scope is entered around the store traffic and the
+/// `serve.exec` count only. The computation runs outside it, in the
+/// request's own scope, so [`Server::counters`] never sees solver work
+/// while the worker's trace scope still receives the request's events.
 fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
-    if let Some(dir) = &inner.cache_dir {
-        // A loaded entry already passed the full response re-certification
-        // (see `ResponseArtifact::decode`); corrupt entries were evicted
-        // and fall through to recomputation.
-        if let Some((artifact, _, _)) = store::load::<ResponseArtifact>(dir, STORE_TAG, key) {
-            return artifact.0;
+    {
+        let _obs = inner.scope.enter();
+        if let Some(dir) = &inner.cache_dir {
+            // A loaded entry already passed the full response
+            // re-certification (see `ResponseArtifact::decode`); corrupt
+            // entries were evicted and fall through to recomputation.
+            if let Some((artifact, _, _)) = store::load::<ResponseArtifact>(dir, STORE_TAG, key) {
+                return artifact.0;
+            }
         }
+        rtise_obs::record("serve.exec", 1);
     }
-    rtise_obs::record("serve.exec", 1);
     let mut response = engine::execute(&Request {
         id: 0,
         kind: req.kind.clone(),
@@ -345,6 +354,7 @@ fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
     let ok = matches!(response.get("ok"), Some(Value::Bool(true)));
     if ok {
         if let Some(dir) = &inner.cache_dir {
+            let _obs = inner.scope.enter();
             let artifact = ResponseArtifact(response.clone());
             let empty_counters = std::collections::BTreeMap::new();
             let empty_hists = std::collections::BTreeMap::new();
@@ -363,9 +373,19 @@ fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
     response
 }
 
+/// Longest request line [`serve_lines`] accepts, in bytes (newline
+/// excluded). The longest legitimate request — a task set naming every
+/// kernel — is well under 1 KiB; the cap only bounds what one client can
+/// make the server hold.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Serves line-delimited JSON requests from `reader`, writing one
 /// response line per request to `writer` in request order. Used by both
 /// `serve --stdin` and each TCP connection.
+///
+/// A line longer than [`MAX_LINE_BYTES`] or not valid UTF-8 gets one
+/// `ok: false` response and the stream goes on; the excess of an
+/// over-long line is skipped without being buffered.
 ///
 /// Each response goes out, newline included, in a single `write_all`: a
 /// separate write for the newline would leave it as a 1-byte segment that
@@ -376,17 +396,22 @@ fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
 /// Propagates I/O errors from the reader or writer.
 pub fn serve_lines(
     server: &Server,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match crate::proto::parse(&line) {
-            Ok(req) => server.submit(&req).wait(),
-            Err(msg) => engine::error_response(line_request_id(&line), &msg),
+    let mut buf = Vec::new();
+    while let Some(fits) = read_capped_line(&mut reader, &mut buf)? {
+        let response = match std::str::from_utf8(&buf) {
+            _ if !fits => engine::error_response(
+                0,
+                &format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            ),
+            Err(_) => engine::error_response(0, "request line is not valid UTF-8"),
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => match crate::proto::parse(line) {
+                Ok(req) => server.submit(&req).wait(),
+                Err(msg) => engine::error_response(line_request_id(line), &msg),
+            },
         };
         let mut out = response.render();
         out.push('\n');
@@ -394,6 +419,45 @@ pub fn serve_lines(
         writer.flush()?;
     }
     Ok(())
+}
+
+/// Reads the next line into `buf` without its `\n` (or `\r\n`), keeping
+/// at most [`MAX_LINE_BYTES`]: the rest of a longer line is consumed and
+/// dropped chunk by chunk. Returns `None` at end of input, otherwise
+/// whether the line fit.
+fn read_capped_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    // One byte of slack holds the `\r` of a CRLF line end at the cap.
+    const KEEP: usize = MAX_LINE_BYTES + 1;
+    buf.clear();
+    let (mut any, mut fits) = (false, true);
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        fits = fits && buf.len() + part.len() <= KEEP;
+        if fits {
+            buf.extend_from_slice(part);
+        } else {
+            buf.clear();
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            break;
+        }
+    }
+    Ok(any.then_some(fits && buf.len() <= MAX_LINE_BYTES))
 }
 
 /// Best-effort id extraction from a malformed request line, so the error
@@ -466,10 +530,10 @@ mod tests {
         }
     }
 
-    fn serve_input(input: &str) -> (Vec<Value>, usize) {
+    fn serve_input(input: impl AsRef<[u8]>) -> (Vec<Value>, usize) {
         let server = Server::start_new(ServerConfig::new(2));
         let mut out = CountingWriter::default();
-        serve_lines(&server, input.as_bytes(), &mut out).expect("in-memory I/O");
+        serve_lines(&server, input.as_ref(), &mut out).expect("in-memory I/O");
         let _ = server.shutdown();
         let text = String::from_utf8(out.bytes).expect("utf-8 responses");
         assert!(text.ends_with('\n'), "every response ends its line");
@@ -529,5 +593,47 @@ mod tests {
         assert_eq!(responses[0].get("ok"), Some(&Value::Bool(false)));
         assert_eq!(responses[1].get("ok"), Some(&Value::Bool(true)));
         assert_eq!(responses[1].get("id").and_then(Value::as_f64), Some(7.0));
+    }
+
+    /// A valid request padded with spaces past the cap is rejected
+    /// without being parsed, and the request after it is answered.
+    #[test]
+    fn over_long_line_is_rejected_and_the_stream_survives() {
+        let padded = format!(
+            "{{\"id\": 6, \"kind\": \"ilp\", \"seed\": 3}}{}",
+            " ".repeat(MAX_LINE_BYTES)
+        );
+        let (responses, _) = serve_input(format!(
+            "{padded}\n{{\"id\": 7, \"kind\": \"ilp\", \"seed\": 3}}\n"
+        ));
+        assert_eq!(responses.len(), 2);
+        assert_eq!(responses[0].get("ok"), Some(&Value::Bool(false)));
+        let error = responses[0].get("error").and_then(Value::as_str);
+        assert!(
+            error.is_some_and(|e| e.contains("longer than")),
+            "{error:?}"
+        );
+        assert_eq!(responses[1].get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(responses[1].get("id").and_then(Value::as_f64), Some(7.0));
+    }
+
+    /// Invalid UTF-8 gets an error response instead of ending the stream;
+    /// a line exactly at the cap, and CRLF line ends, still parse.
+    #[test]
+    fn invalid_utf8_is_answered_and_lines_at_the_cap_still_parse() {
+        let request = "{\"id\": 8, \"kind\": \"ilp\", \"seed\": 3}";
+        let at_cap = format!("{request}{}", " ".repeat(MAX_LINE_BYTES - request.len()));
+        let mut input = b"{\"id\": 1, \"kind\": \"\xff\"}\r\n".to_vec();
+        input.extend_from_slice(format!("{at_cap}\r\n{request}").as_bytes());
+        let (responses, _) = serve_input(input);
+        let ok: Vec<_> = responses.iter().map(|r| r.get("ok").cloned()).collect();
+        assert_eq!(
+            ok,
+            [
+                Some(Value::Bool(false)),
+                Some(Value::Bool(true)),
+                Some(Value::Bool(true))
+            ]
+        );
     }
 }

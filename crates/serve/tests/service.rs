@@ -351,3 +351,66 @@ fn tcp_connections_get_every_response_in_order_without_delayed_ack_stalls() {
         latencies.len()
     );
 }
+
+/// A traced server keeps its two kinds of observation apart: each
+/// request's span and the solver events under it land on the worker
+/// tracks, while the server's own counters hold only queue and store
+/// bookkeeping, never solver work.
+#[test]
+fn traced_server_records_request_events_and_keeps_solver_work_out_of_its_counters() {
+    let config = ServerConfig {
+        cache_dir: Some(tmp_dir("traced")),
+        trace_clock: Some(rtise_trace::Clock::Virtual),
+        ..ServerConfig::new(2)
+    };
+    let server = Server::new(config);
+    let handles: Vec<_> = [
+        r#"{"id": 1, "kind": "select_edf", "kernels": ["fir", "crc32"], "u0_pct": 100, "budget": 256, "level": "fast"}"#,
+        r#"{"id": 2, "kind": "select_rms", "kernels": ["fir", "crc32"], "u0_pct": 60, "budget": 256, "level": "fast"}"#,
+        r#"{"id": 3, "kind": "ilp", "seed": 3}"#,
+        r#"{"id": 4, "kind": "ilp", "seed": 4}"#,
+    ]
+    .iter()
+    .map(|line| server.submit(&req(line)))
+    .collect();
+    server.start();
+    for h in &handles {
+        let resp = h.wait();
+        assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "{resp:?}");
+    }
+    let (counters, traces) = server.shutdown();
+
+    let labels: Vec<_> = traces.iter().map(|(label, _)| label.as_str()).collect();
+    assert_eq!(labels, ["worker-0", "worker-1"]);
+    let events: Vec<_> = traces
+        .iter()
+        .flat_map(|(_, scope)| scope.events())
+        .collect();
+    let has = |kind: rtise_trace::EventKind, name: &str| {
+        events.iter().any(|e| e.kind == kind && e.name == name)
+    };
+    for span in ["select_edf", "select_rms", "ilp"] {
+        assert!(has(rtise_trace::EventKind::Begin, span), "no {span} span");
+    }
+    for summary in [
+        rtise_trace::codes::SELECT_EDF_SUMMARY,
+        rtise_trace::codes::SELECT_RMS_SUMMARY,
+        rtise_trace::codes::ILP_SUMMARY,
+    ] {
+        assert!(
+            has(rtise_trace::EventKind::Instant, summary),
+            "no {summary} event"
+        );
+    }
+
+    assert_eq!(counters.get("serve.exec"), Some(&4));
+    assert_eq!(counters.get("cache.response.store"), Some(&4));
+    let foreign: Vec<_> = counters
+        .keys()
+        .filter(|k| !k.starts_with("serve.") && !k.starts_with("cache.response."))
+        .collect();
+    assert!(
+        foreign.is_empty(),
+        "solver work in server counters: {foreign:?}"
+    );
+}

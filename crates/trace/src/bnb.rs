@@ -22,7 +22,7 @@
 //!    [`rtise_obs::par::run_ordered`], each seeded with the best of its
 //!    captured incumbent, subtree 0's result, and the deterministic
 //!    completed-prefix window. Every subtree searches under its own
-//!    certificate log and its own virtual-clock trace scope, isolated
+//!    certificate log and its own virtual-clock scope, isolated
 //!    from the caller's.
 //!
 //! The merge is a fixed preorder stitch, so the output is byte-identical
@@ -42,9 +42,9 @@
 //! * captured trace events replay into the caller's scopes in subtree
 //!   index order.
 
-use crate::{Clock, Event, TraceScope};
+use crate::{Clock, Event};
 use rtise_obs::par::{self, Completed};
-use rtise_obs::BoundedLog;
+use rtise_obs::{BoundedLog, Scope};
 
 /// Default cap on certificate events per solve. Experiment-scale solves
 /// explore well under a million nodes; anything past the cap is counted
@@ -224,14 +224,14 @@ pub fn run<S: Subtrees>(
 
     let trace_on = crate::enabled();
     let run_subtree = |c: &Captured<S::Node, S::Best>, seed: S::Best| {
-        let scope = trace_on.then(|| TraceScope::new(Clock::Virtual));
+        let scope = trace_on.then(|| Scope::with_clock(Clock::Virtual));
         let mut log = cap.map(BoundedLog::new);
         let (best, stats) = {
             // Detach from the caller's scopes first (subtree 0, and every
             // subtree with one worker, runs on the caller's thread) so
             // subtree events reach them exactly once, via the replay below.
-            let _isolated = trace_on.then(crate::isolate);
-            let _active = scope.as_ref().map(TraceScope::enter);
+            let _isolated = trace_on.then(rtise_obs::isolate);
+            let _active = scope.as_ref().map(Scope::enter);
             search.search(c.node.clone(), depth, seed, log.as_mut(), None)
         };
         let (events, cert_dropped) = log.map_or((Vec::new(), 0), BoundedLog::into_parts);
@@ -240,8 +240,8 @@ pub fn run<S: Subtrees>(
             stats,
             events,
             cert_dropped,
-            trace: scope.as_ref().map_or_else(Vec::new, TraceScope::events),
-            trace_dropped: scope.as_ref().map_or(0, TraceScope::dropped),
+            trace: scope.as_ref().map_or_else(Vec::new, Scope::events),
+            trace_dropped: scope.as_ref().map_or(0, Scope::dropped),
         }
     };
     let first = nodes.first().map(|c| run_subtree(c, c.pre_best.clone()));

@@ -15,8 +15,8 @@
 //! would vary run to run under a work-stealing pool.
 
 use crate::codes;
-use crate::scope::{Clock, Event, EventKind, TraceScope};
 use rtise_obs::json::Value;
+use rtise_obs::scope::{Clock, Event, EventKind, Scope};
 
 fn ts_value(clock: Clock, ts: u64) -> Value {
     match clock {
@@ -79,12 +79,12 @@ fn thread_name(label: &str, tid: u64) -> Value {
 /// cap dropped bulk instants additionally get a pinned
 /// [`codes::TRACE_DROPPED`] instant so truncation is visible in the
 /// artifact.
-pub fn chrome_trace(scopes: &[(String, TraceScope)]) -> Value {
+pub fn chrome_trace(scopes: &[(String, Scope)]) -> Value {
     let mut events = Vec::new();
     for (i, (label, scope)) in scopes.iter().enumerate() {
         let tid = i as u64 + 1;
         events.push(thread_name(label, tid));
-        let clock = scope.clock();
+        let clock = scope.clock().unwrap_or_default();
         let mut last_ts = 0u64;
         for e in scope.events() {
             last_ts = e.ts;
@@ -114,11 +114,10 @@ pub fn chrome_trace(scopes: &[(String, TraceScope)]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scope::TraceScope;
     use crate::{instant_with, span};
 
-    fn sample_scope() -> TraceScope {
-        let scope = TraceScope::new(Clock::Virtual);
+    fn sample_scope() -> Scope {
+        let scope = Scope::with_clock(Clock::Virtual);
         {
             let _g = scope.enter();
             let _s = span("fig3_1");
@@ -176,7 +175,7 @@ mod tests {
 
     #[test]
     fn real_clock_exports_microseconds() {
-        let scope = TraceScope::new(Clock::Real);
+        let scope = Scope::with_clock(Clock::Real);
         {
             let _g = scope.enter();
             let _s = span("t");
@@ -200,7 +199,7 @@ mod tests {
 
     #[test]
     fn dropped_events_are_surfaced_in_the_artifact() {
-        let scope = TraceScope::new(Clock::Virtual);
+        let scope = Scope::with_clock(Clock::Virtual);
         {
             let _g = scope.enter();
             let _s = span("flood");

@@ -1,37 +1,34 @@
 //! # rtise-trace
 //!
 //! Hierarchical span tracing for the rtise workbench: the telemetry
-//! layer that explains *where* solver time and search effort go, built
-//! on the same thread-inherited scope discipline as
-//! [`rtise_obs::CounterScope`].
+//! layer that explains *where* solver time and search effort go.
 //!
-//! The counter registry (PR 4) answers "how many nodes did this
-//! experiment expand"; this crate answers "in which phase, at what
-//! depth, pruned for which reason, and when". The pieces:
+//! Counters answer "how many nodes did this experiment expand"; traces
+//! answer "in which phase, at what depth, pruned for which reason, and
+//! when". Both land in the same [`rtise_obs::Scope`]: a scope made with
+//! [`Scope::with_clock`](rtise_obs::Scope::with_clock) stores events
+//! besides its counters, and this crate re-exports the event functions
+//! — [`span`], [`instant`]/[`instant_with`], [`summary`], [`replay`] —
+//! which record into every clocked scope entered on the calling thread.
+//! With no clocked scope entered anywhere the [`enabled`] gate is a
+//! single relaxed atomic load, so instrumentation in solver hot loops
+//! costs nothing when nobody is listening. Bulk instants are ring-capped
+//! per scope ([`RING_CAP`]) with a surfaced drop counter — structural
+//! begin/end events and pinned summaries are always kept. Under
+//! [`Clock::Virtual`] timestamps are per-scope sequence numbers, which
+//! makes the trace *structure* bit-deterministic: jobs-1 and jobs-4 runs
+//! of the reproduce pool produce identical virtual traces.
 //!
-//! * [`scope`] — [`TraceScope`], a cloneable event sink activated per
-//!   thread with [`TraceScope::enter`]. While entered, free functions
-//!   [`span`], [`instant`]/[`instant_with`], and [`summary`] record
-//!   into every active scope; with no scope entered anywhere the
-//!   [`enabled`] gate is a single relaxed atomic load, so
-//!   instrumentation in solver hot loops costs nothing when nobody is
-//!   listening. Bulk instants are ring-capped per scope
-//!   ([`RING_CAP`]) with a surfaced drop counter — structural
-//!   begin/end events and pinned summaries are always kept.
-//! * Clocks — [`Clock::Real`] stamps nanoseconds since a process
-//!   epoch; [`Clock::Virtual`] stamps a per-scope sequence number,
-//!   which makes the trace *structure* (span tree, event order, prune
-//!   codes) bit-deterministic and therefore testable: jobs-1 and
-//!   jobs-4 runs of the reproduce pool must produce identical virtual
-//!   traces.
+//! The pieces:
+//!
 //! * [`bnb`] — the subtree-parallel branch-and-bound driver the ILP,
 //!   ISE, and RMS searches share, and the [`bnb::SearchOpts`] /
 //!   [`bnb::SearchOutput`] of their configurable entry points. It lives
-//!   here because it isolates and replays per-subtree trace scopes.
+//!   here because it isolates and replays per-subtree event streams.
 //! * [`codes`] — the stable event-name vocabulary (prune reasons,
 //!   incumbent updates, per-solve summaries) shared by the ILP, ISE,
 //!   and RMS branch-and-bound cores and the EDF DP.
-//! * [`chrome`] — Chrome Trace Event Format JSON export
+//! * [`chrome`] — Chrome Trace Event Format export
 //!   (`chrome://tracing` / Perfetto can open the artifact directly).
 //! * [`view`] — text renderers over an exported trace (per-name
 //!   summary, indented flamegraph) and the `canon` report
@@ -41,9 +38,10 @@
 //! # Example
 //!
 //! ```
-//! use rtise_trace::{chrome, codes, Clock, TraceScope};
+//! use rtise_obs::Scope;
+//! use rtise_trace::{chrome, codes, Clock};
 //!
-//! let scope = TraceScope::new(Clock::Virtual);
+//! let scope = Scope::with_clock(Clock::Virtual);
 //! {
 //!     let _active = scope.enter();
 //!     let _solve = rtise_trace::span("ilp.solve");
@@ -56,10 +54,15 @@
 pub mod bnb;
 pub mod chrome;
 pub mod codes;
-pub mod scope;
 pub mod view;
 
-pub use scope::{
-    enabled, instant, instant_with, isolate, replay, span, summary, Clock, Event, EventKind,
-    SpanGuard, TraceGuard, TraceIsolationGuard, TraceScope, RING_CAP,
+pub use rtise_obs::scope::{
+    enabled, instant, instant_with, replay, span, summary, Clock, Event, EventKind, SpanGuard,
+    RING_CAP,
 };
+
+/// The name [`rtise_obs::Scope`] had when traces had a scope type of
+/// their own. Workspace code says `Scope`; the alias keeps code built
+/// outside the workspace against these crates (the `e2ebench` probe)
+/// compiling.
+pub type TraceScope = rtise_obs::Scope;

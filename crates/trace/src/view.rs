@@ -309,12 +309,12 @@ fn canon_experiments(v: &Value, drop_output_ids: &[&str]) -> Value {
 mod tests {
     use super::*;
     use crate::chrome::chrome_trace;
-    use crate::scope::{Clock, TraceScope};
     use crate::{instant, span};
     use rtise_obs::json::parse;
+    use rtise_obs::scope::{Clock, Scope};
 
     fn sample_doc() -> Value {
-        let scope = TraceScope::new(Clock::Virtual);
+        let scope = Scope::with_clock(Clock::Virtual);
         {
             let _g = scope.enter();
             let _outer = span("experiment");
