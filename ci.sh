@@ -94,79 +94,33 @@ if ! cmp -s target/artifacts/canon-cold.json target/artifacts/canon-warm.json; t
 fi
 echo "    canonical reports are byte-identical"
 
-echo "==> parallel-solver determinism: pinned frontier pairs must be byte-identical"
-# The frontier decomposition is sized from the engaged thread count, so
-# thread counts only compare byte-for-byte at a *pinned* sizing
-# (--par-frontier-for). Two pinned pairs cover both ends: 4 workers on
-# the depth sized for 1 must reproduce the serial run, and 1 worker on
-# the depth sized for 4 must reproduce the 4-worker run. All passes reuse
-# the warm curve cache, so this gate measures only the solvers;
-# canonicalization keeps every counter — including the check.certb.*
-# certificate-replay counters — so byte-identity proves the searches
-# visit the same tree, emit the same trace events, and produce identical
-# replayable certificates. The first pair also writes virtual-clock
-# traces, compared byte-for-byte below: they cover the driver's replay of
-# per-subtree trace events, which the counters check only indirectly.
+echo "==> experiment-pool determinism: --jobs 1 must reproduce a --jobs 4 run"
+# Two warm, certified, virtual-clock passes that differ only in the number
+# of experiment workers. Each experiment's scope follows its work into
+# whichever pool worker runs it, so any counter or trace event that
+# escaped (or leaked into) an experiment's scope shows up here as a byte
+# difference in the canonical report or the trace. Canonicalization keeps
+# every counter, including the check.certb.* certificate-replay counters.
 cargo run --offline --release -p rtise-bench --bin reproduce -- \
-  --check --jobs 4 --par-threads 1 --cache-dir "$CACHE_DIR" \
-  --json target/artifacts/reproduce-par1.json \
-  --trace-out target/artifacts/reproduce-par1.trace.json --trace-clock virtual
+  --check --jobs 4 --cache-dir "$CACHE_DIR" \
+  --json target/artifacts/reproduce-jobs4.json \
+  --trace-out target/artifacts/reproduce-jobs4.trace.json --trace-clock virtual
 cargo run --offline --release -p rtise-bench --bin reproduce -- \
-  --check --jobs 4 --par-threads 4 --par-frontier-for 1 --cache-dir "$CACHE_DIR" \
-  --json target/artifacts/reproduce-par4f1.json \
-  --trace-out target/artifacts/reproduce-par4f1.trace.json --trace-clock virtual
-cargo run --offline --release -p rtise-bench --bin reproduce -- \
-  --check --jobs 4 --par-threads 4 --cache-dir "$CACHE_DIR" \
-  --json target/artifacts/reproduce-par4.json
-cargo run --offline --release -p rtise-bench --bin reproduce -- \
-  --check --jobs 4 --par-threads 1 --par-frontier-for 4 --cache-dir "$CACHE_DIR" \
-  --json target/artifacts/reproduce-par1f4.json
-for PAIR in "par1 par4f1" "par4 par1f4"; do
-  set -- $PAIR
-  cargo run --offline --release -p rtise-trace --bin trace -- \
-    canon "target/artifacts/reproduce-$1.json" --drop-output "$TIMING_TABLES" \
-    > "target/artifacts/canon-$1.json"
-  cargo run --offline --release -p rtise-trace --bin trace -- \
-    canon "target/artifacts/reproduce-$2.json" --drop-output "$TIMING_TABLES" \
-    > "target/artifacts/canon-$2.json"
-  if ! cmp -s "target/artifacts/canon-$1.json" "target/artifacts/canon-$2.json"; then
-    echo "FAIL: certified reports differ between $1 and $2 at the same frontier sizing"
-    diff "target/artifacts/canon-$1.json" "target/artifacts/canon-$2.json" | head -40
-    exit 1
-  fi
-done
-if ! cmp -s target/artifacts/reproduce-par1.trace.json target/artifacts/reproduce-par4f1.trace.json; then
-  echo "FAIL: virtual-clock traces differ between par1 and par4f1 at the same frontier sizing"
-  exit 1
-fi
-for KEY in check.certb.ilp check.certb.ise check.certb.rms; do
-  if ! grep -q "\"$KEY\"" target/artifacts/reproduce-par4.json; then
-    echo "FAIL: no $KEY certificate replays in the --par-threads 4 run"
-    exit 1
-  fi
-done
-echo "    parallel search (reports and traces) is byte-identical at pinned sizing and certified optimal"
-
-echo "==> experiment-pool determinism: --jobs 1 must reproduce the --jobs 4 par1 run"
-# Same warm, certified, virtual-clock pass as par1 above, but on one
-# experiment worker instead of four. Each experiment's scope follows its
-# work into whichever pool worker runs it, so any counter or trace event
-# that escaped (or leaked into) an experiment's scope shows up here as a
-# byte difference in the canonical report or the trace.
-cargo run --offline --release -p rtise-bench --bin reproduce -- \
-  --check --jobs 1 --par-threads 1 --cache-dir "$CACHE_DIR" \
+  --check --jobs 1 --cache-dir "$CACHE_DIR" \
   --json target/artifacts/reproduce-jobs1.json \
   --trace-out target/artifacts/reproduce-jobs1.trace.json --trace-clock virtual
-cargo run --offline --release -p rtise-trace --bin trace -- \
-  canon target/artifacts/reproduce-jobs1.json --drop-output "$TIMING_TABLES" \
-  > target/artifacts/canon-jobs1.json
-if ! cmp -s target/artifacts/canon-par1.json target/artifacts/canon-jobs1.json; then
-  echo "FAIL: certified reports differ between --jobs 4 (par1) and --jobs 1"
-  diff target/artifacts/canon-par1.json target/artifacts/canon-jobs1.json | head -40
+for RUN in jobs4 jobs1; do
+  cargo run --offline --release -p rtise-trace --bin trace -- \
+    canon "target/artifacts/reproduce-$RUN.json" --drop-output "$TIMING_TABLES" \
+    > "target/artifacts/canon-$RUN.json"
+done
+if ! cmp -s target/artifacts/canon-jobs4.json target/artifacts/canon-jobs1.json; then
+  echo "FAIL: certified reports differ between --jobs 4 and --jobs 1"
+  diff target/artifacts/canon-jobs4.json target/artifacts/canon-jobs1.json | head -40
   exit 1
 fi
-if ! cmp -s target/artifacts/reproduce-par1.trace.json target/artifacts/reproduce-jobs1.trace.json; then
-  echo "FAIL: virtual-clock traces differ between --jobs 4 (par1) and --jobs 1"
+if ! cmp -s target/artifacts/reproduce-jobs4.trace.json target/artifacts/reproduce-jobs1.trace.json; then
+  echo "FAIL: virtual-clock traces differ between --jobs 4 and --jobs 1"
   exit 1
 fi
 echo "    --jobs 1 and --jobs 4 give byte-identical reports and traces"
@@ -216,11 +170,11 @@ echo "    iterative generator produced certified candidates past the 128-node wa
 
 echo "==> bench smoke (same sweep as the committed baseline, fewer samples)"
 cargo run --offline --release -p rtise-perf --bin bench -- \
-  --smoke --out target/artifacts/bench-smoke.json --baseline BENCH_7.json
+  --smoke --out target/artifacts/bench-smoke.json --baseline BENCH_8.json
 # --baseline validates both documents' schemas and fails on any (kernel,
-# size) point regressing past 2.5x the committed BENCH_7.json figure;
-# BENCH_7 extends BENCH_6 with the ise_iter_small/ise_iter_large kernels
-# (iterative generation at 500-2000 nodes, past the exact enumerator wall).
+# size) point regressing past 2.5x the committed BENCH_8.json figure;
+# BENCH_8 is BENCH_7 without the retired *_par kernels (every remaining
+# point is byte-for-byte BENCH_7's).
 
 echo "==> serve smoke (seeded 1000-request loadtest, 4 workers, cold then warm store)"
 # The serve binary certifies every response via rtise-check internally and

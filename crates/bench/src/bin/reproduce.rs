@@ -13,9 +13,6 @@
 //! reproduce --check tab6_1           # also certify each experiment's artifacts
 //! reproduce --cache-dir .cache       # persist curves somewhere specific
 //! reproduce --no-cache               # disable the on-disk curve cache
-//! reproduce --par-threads 4          # parallel solver cores (same optimum)
-//! reproduce --par-frontier-for 4     # pin solver frontier sizing (byte-identity
-//!                                    # across different --par-threads values)
 //! ```
 //!
 //! Experiments run on a worker pool (`--jobs N`, defaulting to every
@@ -36,8 +33,7 @@ use rtise_bench::pool::{run_pool, CertOutcome, ExperimentOutcome};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-const USAGE: &str = "supported: --list, --jobs <n>, --par-threads <n>, \
-                     --par-frontier-for <n>, --json <path>, \
+const USAGE: &str = "supported: --list, --jobs <n>, --json <path>, \
                      --trace-out <path>, --trace-clock <real|virtual>, --check, \
                      --cache-dir <dir>, --no-cache";
 
@@ -90,20 +86,6 @@ fn main() {
                 _ => usage_error("--trace-clock requires `real` or `virtual`"),
             },
             "--check" => check = true,
-            // Worker threads *inside* each solver (subtree parallelism),
-            // orthogonal to --jobs (experiments in parallel). The solvers
-            // decompose deterministically, so every report, trace, and
-            // certificate is byte-identical at any count.
-            "--par-threads" => match args.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => rtise_obs::par::set_threads(n),
-                _ => usage_error("--par-threads requires a thread count (0 = serial cores)"),
-            },
-            "--par-frontier-for" => match args.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(n)) => rtise_obs::par::set_frontier_for(n),
-                _ => usage_error(
-                    "--par-frontier-for requires a thread count (0 = size from --par-threads)",
-                ),
-            },
             other if other.starts_with('-') => {
                 usage_error(&format!("unknown flag {other:?}"));
             }

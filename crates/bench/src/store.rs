@@ -194,9 +194,19 @@ pub fn store<A: Artifact>(
         .lock()
         .expect("shard writer lock poisoned");
     std::fs::create_dir_all(path.parent().expect("entry path has a shard dir"))?;
+    write_atomic(&path, &doc.render_pretty())
+}
+
+/// Writes `text` to `path` through a `*.tmp.<pid>` sibling and an atomic
+/// rename. A failed write or rename removes the temp file before the
+/// error is returned.
+fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, doc.render_pretty())?;
-    std::fs::rename(&tmp, &path)
+    let written = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 fn malformed(d: &mut Diagnostics, what: &str) {
@@ -575,9 +585,7 @@ pub fn open(dir: &Path, opts: Options) -> std::io::Result<OpenStats> {
         ("entries", entries),
     ]);
     std::fs::create_dir_all(dir)?;
-    let tmp = ledger_path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, doc.render_pretty())?;
-    std::fs::rename(&tmp, &ledger_path)?;
+    write_atomic(&ledger_path, &doc.render_pretty())?;
     Ok(OpenStats {
         generation,
         evicted_aged,
@@ -655,6 +663,43 @@ mod tests {
         assert_eq!(attrib_hists, hists());
         // A different key misses even with the same tag.
         assert!(load::<Staircase>(&dir, "toy", "k2").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Names in `dir` that look like a writer's temp file.
+    fn temp_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|name| name.contains("tmp."))
+            .collect()
+    }
+
+    #[test]
+    fn failed_store_leaves_no_temp_file() {
+        let dir = tmp_dir("failed-store");
+        let path = entry_path::<Staircase>(&dir, "toy", "k1");
+        // A directory squatting on the entry's final path makes the
+        // rename fail after the temp file was written.
+        std::fs::create_dir_all(&path).expect("squat the entry path");
+        let art = Staircase(vec![1, 2]);
+        assert!(store(&dir, "toy", "k1", &art, &counters(), &hists()).is_err());
+        let shard = path.parent().expect("shard dir");
+        assert_eq!(temp_files(shard), Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_ledger_write_leaves_no_temp_file() {
+        let dir = tmp_dir("failed-ledger");
+        std::fs::create_dir_all(dir.join(LEDGER)).expect("squat the ledger path");
+        assert!(open(&dir, Options::default()).is_err());
+        assert_eq!(temp_files(&dir), Vec::<String>::new());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -967,10 +967,7 @@ mod tests {
         let mut m = Model::new(6);
         m.set_objective(Sense::Maximize, &[3, 1, 4, 1, 5, 9]);
         m.add_le(&[(0, 2), (1, 3), (2, 1), (3, 4), (4, 2), (5, 3)], 7);
-        let capped = SearchOpts {
-            cert_cap: Some(4),
-            ..SearchOpts::default()
-        };
+        let capped = SearchOpts { cert_cap: Some(4) };
         let (res, cert) = m.solve_with(capped).certified();
         let sol = res.expect("feasible: the cap only limits recording");
         assert!(cert.dropped > 0);

@@ -194,10 +194,7 @@ fn stale_incumbent_is_caught() {
 fn truncated_certificate_is_incomplete_not_clean() {
     let mut rng = Rng::new(0xC0DE_1008);
     let (cands, budget) = ise_library(&mut rng);
-    let capped = SearchOpts {
-        cert_cap: Some(2),
-        ..SearchOpts::default()
-    };
+    let capped = SearchOpts { cert_cap: Some(2) };
     let (sel, cert) = branch_and_bound_with(&cands, budget, capped).certified();
     assert!(cert.dropped > 0, "a 2-event cap must truncate this search");
     let d = check_ise_certificate(&cands, budget, &sel, &cert);

@@ -31,12 +31,6 @@ use rtise_select::{heuristics, select_edf, select_rms, Assignment, TaskSpec};
 use rtise_trace::bnb::SearchOpts;
 use std::fmt;
 
-/// A certified search decomposed onto two workers.
-const CERTIFIED_2: SearchOpts = SearchOpts {
-    threads: Some(2),
-    ..SearchOpts::CERTIFIED
-};
-
 /// EDF DP optimum disagrees with the ILP optimum on the same instance.
 pub const DIFF_EDF_ILP: &str = "DIFF001";
 /// RMS branch-and-bound disagrees with exhaustive configuration search.
@@ -59,10 +53,9 @@ pub const DIFF_FAST_PATH: &str = "DIFF007";
 /// (or infeasibility verdict). This is the sole optimality oracle above
 /// `MAX_BRUTE_VARS` (12) variables, where exhaustive search is off the table.
 pub const DIFF_CERT_REPLAY: &str = "DIFF008";
-/// A decomposed parallel solver core diverged from its serial twin: the
-/// optimum must agree exactly (ISE may trade an equal-gain tie for less
-/// area), and the stitched parallel certificate must replay clean.
-pub const DIFF_PAR_SERIAL: &str = "DIFF009";
+// DIFF009 (parallel solver core vs its serial twin) is retired with the
+// parallel cores; the code is not reused, so old repros citing it stay
+// unambiguous.
 /// The anytime iterative generator broke its contract: it beat the exact
 /// enumerator's certified optimum on a small DFG, emitted a cut outside
 /// the exact candidate space, or diverged between two identical runs
@@ -667,17 +660,6 @@ pub fn edf_findings(specs: &[TaskSpec], budget: u64) -> Vec<Finding> {
         ));
     }
 
-    // Differential: the chunked parallel row merge must reproduce the
-    // serial sparse solve bit-identically, stats included.
-    let serial = rtise_select::edf::select_edf_with_stats(specs, budget);
-    let par = rtise_select::edf::select_edf_par_with_stats(specs, budget, 2);
-    if format!("{serial:?}") != format!("{par:?}") {
-        out.push(Finding::new(
-            DIFF_PAR_SERIAL,
-            format!("serial EDF DP {serial:?} but 2-thread merge {par:?}"),
-        ));
-    }
-
     // Differential 3: no heuristic may beat the certified optimum.
     type HeuristicFn = fn(&[TaskSpec], u64) -> Assignment;
     let heuristic_fns: [(&str, HeuristicFn); 4] = [
@@ -820,34 +802,6 @@ pub fn rms_findings(specs: &[TaskSpec], budget: u64) -> Vec<Finding> {
             format!("memoized RMS B&B {memo:?} but reference search {reference:?}"),
         ));
     }
-    // Decomposed parallel search vs serial: leaves are met in the same
-    // preorder, so the selection must agree exactly (prune stats
-    // legitimately differ — subtree incumbents lag the global one), and
-    // the stitched parallel certificate must itself replay clean.
-    let (par_res, par_cert) =
-        rtise_select::rms::select_rms_with(specs, budget, CERTIFIED_2).certified();
-    let serial_sel = memo.as_ref().map(|(sel, _)| sel).ok();
-    let par_sel = par_res.as_ref().ok();
-    if format!("{serial_sel:?}") != format!("{par_sel:?}") {
-        out.push(Finding::new(
-            DIFF_PAR_SERIAL,
-            format!("serial RMS B&B {serial_sel:?} but 2-thread search {par_sel:?}"),
-        ));
-    }
-    if let Some(outcome) = match &par_res {
-        Ok(sel) => Some(Some(sel)),
-        Err(SelectRmsError::Unschedulable) => Some(None),
-        Err(_) => None,
-    } {
-        let replay = rtise_check::bnb::check_rms_certificate(specs, budget, outcome, &par_cert);
-        if !replay.is_clean() {
-            out.push(Finding::new(
-                DIFF_PAR_SERIAL,
-                format!("parallel RMS certificate replay refutes the solver: {replay}"),
-            ));
-            push_diags(&mut out, replay);
-        }
-    }
     out
 }
 
@@ -961,38 +915,6 @@ pub fn ilp_findings(model: &Model) -> Vec<Finding> {
             DIFF_FAST_PATH,
             format!("sparse ILP search {sparse:?} but dense reference {dense:?}"),
         ));
-    }
-    // Decomposed parallel search vs serial: the first optimum-attaining
-    // leaf is shared, so solution and verdict must agree exactly, and the
-    // stitched parallel certificate must itself replay clean.
-    let (par_res, par_cert) = model.solve_with(CERTIFIED_2).certified();
-    let serial_res = model.solve();
-    let agree = match (&serial_res, &par_res) {
-        // `Solution::nodes` legitimately differs (lagging subtree
-        // incumbents prune less); objective and assignment may not.
-        (Ok(s), Ok(p)) => s.objective == p.objective && s.values == p.values,
-        (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
-        _ => false,
-    };
-    if !agree {
-        out.push(Finding::new(
-            DIFF_PAR_SERIAL,
-            format!("serial ILP search {serial_res:?} but 2-thread search {par_res:?}"),
-        ));
-    }
-    if let Some(outcome) = match &par_res {
-        Ok(sol) => Some(Some(sol)),
-        Err(SolveError::Infeasible) => Some(None),
-        Err(_) => None,
-    } {
-        let replay = rtise_check::bnb::check_ilp_certificate(model, outcome, &par_cert);
-        if !replay.is_clean() {
-            out.push(Finding::new(
-                DIFF_PAR_SERIAL,
-                format!("parallel ILP certificate replay refutes the solver: {replay}"),
-            ));
-            push_diags(&mut out, replay);
-        }
     }
     out
 }
@@ -1157,26 +1079,6 @@ pub fn cand_findings(
             DIFF_FAST_PATH,
             format!("incremental-bound B&B {bnb:?} but reference {bnb_reference:?}"),
         ));
-    }
-    // Decomposed parallel search vs serial: gain must be identical; the
-    // parallel tree is a superset of the serial one, so on an equal-gain
-    // area tie it may only find a selection of *less or equal* area. Its
-    // stitched certificate must itself replay clean.
-    let (par_sel, par_cert) =
-        rtise_ise::branch_and_bound_with(&cands, budget, CERTIFIED_2).certified();
-    if par_sel.total_gain != bnb.total_gain || par_sel.total_area > bnb.total_area {
-        out.push(Finding::new(
-            DIFF_PAR_SERIAL,
-            format!("serial ISE B&B {bnb:?} but 2-thread search {par_sel:?}"),
-        ));
-    }
-    let par_replay = rtise_check::bnb::check_ise_certificate(&cands, budget, &par_sel, &par_cert);
-    if !par_replay.is_clean() {
-        out.push(Finding::new(
-            DIFF_PAR_SERIAL,
-            format!("parallel ISE certificate replay refutes the solver: {par_replay}"),
-        ));
-        push_diags(&mut out, par_replay);
     }
     if greedy.total_gain > bnb.total_gain {
         out.push(Finding::new(

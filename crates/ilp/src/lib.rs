@@ -35,7 +35,7 @@
 //! ```
 
 use rtise_obs::{BoundedLog, Hist};
-use rtise_trace::bnb::{Frontier, SearchOpts, SearchOutput, Subtrees};
+use rtise_trace::bnb::{SearchOpts, SearchOutput};
 use rtise_trace::codes;
 use std::fmt;
 
@@ -96,16 +96,6 @@ impl fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
-
-/// Maximum frontier depth of the decomposed parallel search
-/// ([`rtise_trace::bnb`]): the walk stops there and every surviving node
-/// becomes an independent subtree for the worker pool. The actual depth
-/// is sized from the engaged thread count
-/// ([`rtise_obs::par::sized_frontier_depth`]) so small pools skip the
-/// 64-subtree decomposition; stats, certificates, and traces are
-/// byte-identical at any thread count *for a fixed depth* (pin one with
-/// [`rtise_obs::par::set_frontier_for`] to compare across counts).
-pub const PAR_FRONTIER_DEPTH: usize = 6;
 
 /// One branch-and-bound node of the search, in preorder.
 ///
@@ -303,14 +293,6 @@ impl Model {
     /// [`SolveError::Infeasible`] — a complete log whose every prune is
     /// justified *is* the infeasibility proof. Publishes `ilp.*` counters
     /// to the [`rtise_obs`] registry.
-    ///
-    /// With one or more threads the search decomposes into subtrees
-    /// ([`rtise_trace::bnb`]); results, stats, counters, traces, and
-    /// certificates are byte-identical for every worker count *at a fixed
-    /// frontier depth*. Models the decomposition does not apply to run the
-    /// serial search: a node limit is set (it counts nodes in serial
-    /// traversal order, which the decomposition cannot honor), or there
-    /// are too few variables to have a frontier.
     pub fn solve_with(
         &self,
         opts: SearchOpts,
@@ -324,13 +306,7 @@ impl Model {
                 if log.is_some() {
                     order = prep.order.clone();
                 }
-                let problem = Problem::new(&prep);
-                let (best, (stats, hist)) = if self.node_limit == u64::MAX {
-                    let (best, stats) = rtise_trace::bnb::run(&problem, &opts, log.as_mut());
-                    (Ok(best), stats)
-                } else {
-                    problem.limited(self.node_limit, log.as_mut())
-                };
+                let (best, stats, hist) = search(&prep, self.node_limit, log.as_mut());
                 (
                     best.and_then(|best| self.extract(&prep, best, stats)),
                     stats,
@@ -505,142 +481,49 @@ struct Prepared {
 /// An incumbent: the normalized objective and the ordered assignment.
 type IlpBest = Option<(i64, Vec<bool>)>;
 
-/// The prepared problem every search of one solve walks, plus its sparse
-/// columns: the rows each ordered variable actually touches. Branching
-/// and the violated-row count only walk these.
-struct Problem<'a> {
-    prep: &'a Prepared,
-    cols: Vec<Vec<(usize, i64)>>,
-    /// Rows already unsatisfiable at the root.
-    violated: usize,
-}
-
-impl<'a> Problem<'a> {
-    fn new(prep: &'a Prepared) -> Self {
-        let n = prep.order.len();
-        let mut cols: Vec<Vec<(usize, i64)>> = vec![Vec::new(); n];
-        for (ri, row) in prep.coeff.iter().enumerate() {
-            for (d, &c) in row.iter().enumerate() {
-                if c != 0 {
-                    cols[d].push((ri, c));
-                }
+/// Runs the sparse-column search of one solve under `node_limit`. Each
+/// ordered variable's column lists the rows it actually touches;
+/// branching and the violated-row count only walk these.
+fn search(
+    prep: &Prepared,
+    node_limit: u64,
+    cert: Option<&mut BoundedLog<IlpCertEvent>>,
+) -> (Result<IlpBest, SolveError>, IlpStats, Hist) {
+    let n = prep.order.len();
+    let mut cols: Vec<Vec<(usize, i64)>> = vec![Vec::new(); n];
+    for (ri, row) in prep.coeff.iter().enumerate() {
+        for (d, &c) in row.iter().enumerate() {
+            if c != 0 {
+                cols[d].push((ri, c));
             }
         }
-        let violated = (0..prep.rhs.len())
-            .filter(|&ri| prep.min_rem[ri][0] > prep.rhs[ri])
-            .count();
-        Problem {
-            prep,
-            cols,
-            violated,
-        }
     }
-
-    /// A search positioned at `node` with incumbent `best`, and the
-    /// node's objective so far.
-    fn searcher<'s>(
-        &'s self,
-        node: IlpNode,
-        best: IlpBest,
-        node_limit: u64,
-        cert: Option<&'s mut BoundedLog<IlpCertEvent>>,
-    ) -> (Search<'s>, i64) {
-        let search = Search {
-            n: self.prep.order.len(),
-            cols: &self.cols,
-            min_rem: &self.prep.min_rem,
-            obj: &self.prep.obj_ordered,
-            obj_min_rem: &self.prep.obj_min_rem,
-            rhs: &self.prep.rhs,
-            lhs: node.lhs,
-            violated: node.violated,
-            assign: node.assign,
-            best,
-            stats: IlpStats::default(),
-            node_limit,
-            depth_hist: Hist::new(),
-            cert,
-            frontier: None,
-        };
-        (search, node.cur_obj)
-    }
-
-    /// The serial search under a node limit, which counts nodes in serial
-    /// traversal order and so rules out the decomposition.
-    fn limited(
-        &self,
-        node_limit: u64,
-        cert: Option<&mut BoundedLog<IlpCertEvent>>,
-    ) -> (Result<IlpBest, SolveError>, (IlpStats, Hist)) {
-        let (mut search, _) = self.searcher(self.root(), None, node_limit, cert);
-        let outcome = search.dfs(0, 0);
-        let Search {
-            best,
-            stats,
-            depth_hist,
-            ..
-        } = search;
-        (outcome.map(|()| best), (stats, depth_hist))
-    }
-}
-
-impl Subtrees for Problem<'_> {
-    type Node = IlpNode;
-    type Best = IlpBest;
-    type Stats = (IlpStats, Hist);
-    type Event = IlpCertEvent;
-    const MAX_FRONTIER_DEPTH: usize = PAR_FRONTIER_DEPTH;
-
-    fn improves(cur: &IlpBest, cand: &IlpBest) -> bool {
-        cand.as_ref()
-            .is_some_and(|(v, _)| cur.as_ref().is_none_or(|(b, _)| v < b))
-    }
-
-    fn merge_stats((into, hist): &mut Self::Stats, (from, h): &Self::Stats) {
-        into.nodes_explored += from.nodes_explored;
-        into.pruned_infeasible += from.pruned_infeasible;
-        into.pruned_bound += from.pruned_bound;
-        into.incumbent_updates += from.incumbent_updates;
-        hist.merge(h);
-    }
-
-    fn height(&self) -> usize {
-        self.prep.order.len()
-    }
-
-    fn root(&self) -> IlpNode {
-        IlpNode {
-            cur_obj: 0,
-            violated: self.violated,
-            lhs: vec![0; self.prep.rhs.len()],
-            assign: vec![false; self.prep.order.len()],
-        }
-    }
-
-    fn search(
-        &self,
-        node: IlpNode,
-        depth: usize,
-        seed: IlpBest,
-        cert: Option<&mut BoundedLog<IlpCertEvent>>,
-        frontier: Option<&mut Frontier<IlpNode, IlpBest>>,
-    ) -> (IlpBest, Self::Stats) {
-        let (mut search, cur_obj) = self.searcher(node, seed, u64::MAX, cert);
-        search.frontier = frontier;
-        search
-            .dfs(depth, cur_obj)
-            .expect("only a node limit fails a search");
-        (search.best, (search.stats, search.depth_hist))
-    }
-}
-
-/// A search node: everything a search needs to resume from it.
-#[derive(Clone)]
-struct IlpNode {
-    cur_obj: i64,
-    violated: usize,
-    lhs: Vec<i64>,
-    assign: Vec<bool>,
+    // Rows already unsatisfiable at the root.
+    let violated = (0..prep.rhs.len())
+        .filter(|&ri| prep.min_rem[ri][0] > prep.rhs[ri])
+        .count();
+    let mut search = Search {
+        n,
+        cols: &cols,
+        min_rem: &prep.min_rem,
+        obj: &prep.obj_ordered,
+        obj_min_rem: &prep.obj_min_rem,
+        rhs: &prep.rhs,
+        lhs: vec![0; prep.rhs.len()],
+        violated,
+        assign: vec![false; n],
+        best: None,
+        stats: IlpStats::default(),
+        node_limit,
+        depth_hist: Hist::new(),
+        cert,
+    };
+    let outcome = search.dfs(0, 0);
+    (
+        outcome.map(|()| search.best),
+        search.stats,
+        search.depth_hist,
+    )
 }
 
 /// The sparse-column search. A row's feasibility status
@@ -673,26 +556,10 @@ struct Search<'a> {
     /// never changes prune decisions — the witness-row scan on an
     /// infeasible prune is the only extra work.
     cert: Option<&'a mut BoundedLog<IlpCertEvent>>,
-    /// The walk of the decomposed parallel search: nodes reaching the
-    /// frontier are captured (uncounted, eventless) instead of expanded;
-    /// their subtrees run on the worker pool.
-    frontier: Option<&'a mut Frontier<IlpNode, IlpBest>>,
 }
 
 impl Search<'_> {
     fn dfs(&mut self, depth: usize, cur_obj: i64) -> Result<(), SolveError> {
-        if let Some(frontier) = &mut self.frontier {
-            if depth == frontier.depth() {
-                let node = IlpNode {
-                    cur_obj,
-                    violated: self.violated,
-                    lhs: self.lhs.clone(),
-                    assign: self.assign.clone(),
-                };
-                frontier.capture(node, &self.best, self.cert.as_ref().map_or(0, |c| c.len()));
-                return Ok(());
-            }
-        }
         self.stats.nodes_explored += 1;
         self.depth_hist.observe(depth as u64);
         if self.stats.nodes_explored > self.node_limit {
@@ -882,15 +749,6 @@ mod tests {
     fn with_stats(m: &Model) -> Result<(Solution, IlpStats), SolveError> {
         let out = m.solve_with(SearchOpts::default());
         out.result.map(|s| (s, out.stats))
-    }
-
-    /// A certified search on `threads` workers.
-    fn par(threads: usize, depth: Option<usize>) -> SearchOpts {
-        SearchOpts {
-            threads: Some(threads),
-            frontier_depth: depth,
-            ..SearchOpts::CERTIFIED
-        }
     }
 
     /// Exhaustive reference solver for small models.
@@ -1138,126 +996,5 @@ mod tests {
             diff.get("ilp.nodes_explored").is_some_and(|&v| v >= 1),
             "{diff:?}"
         );
-    }
-
-    /// Random models deep enough (`n > PAR_FRONTIER_DEPTH`) that the
-    /// decomposed parallel search actually engages.
-    fn random_deep_model(rng: &mut Rng) -> Model {
-        let n = rng.gen_range(7..=12usize);
-        let mut m = Model::new(n);
-        let sense = if rng.gen_bool(0.5) {
-            Sense::Minimize
-        } else {
-            Sense::Maximize
-        };
-        let obj: Vec<i64> = (0..n).map(|_| rng.gen_range(-20..=20i64)).collect();
-        m.set_objective(sense, &obj);
-        for _ in 0..rng.gen_range(0..4u32) {
-            let mut terms: Vec<(usize, i64)> = Vec::new();
-            for v in 0..n {
-                if rng.gen_bool(0.7) {
-                    terms.push((v, rng.gen_range(-10..=10i64)));
-                }
-            }
-            let rhs = rng.gen_range(-10..=15i64);
-            match rng.gen_range(0..3u32) {
-                0 => m.add_le(&terms, rhs),
-                1 => m.add_ge(&terms, rhs),
-                _ => m.add_eq(&terms, rhs),
-            }
-        }
-        m
-    }
-
-    /// The parallel search proves the same optimum as the serial one —
-    /// and because the decomposition preserves the serial preorder, the
-    /// first leaf attaining the optimum is the same leaf, so even the
-    /// argmin matches. Only node/prune counts may differ (the windowed
-    /// incumbent prunes less).
-    #[test]
-    fn parallel_search_matches_serial_optimum() {
-        let mut rng = Rng::new(0x9a11e1);
-        for case in 0..60 {
-            let m = random_deep_model(&mut rng);
-            match (m.solve(), m.solve_with(par(4, None)).result) {
-                (Ok(s), Ok(p)) => {
-                    assert_eq!(s.objective, p.objective, "case {case}");
-                    assert_eq!(s.values, p.values, "case {case}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "case {case}"),
-                (s, p) => panic!("case {case}: serial {s:?}, par {p:?}"),
-            }
-        }
-    }
-
-    /// The whole observable output — solution, stats, and certificate — is
-    /// identical at every thread count for a fixed frontier depth,
-    /// checked at each depth the adaptive sizing picks for 1, 2, and 4
-    /// workers. (Different depths cut the tree differently; the optimum
-    /// still matches, per `parallel_search_matches_serial_optimum`.)
-    #[test]
-    fn parallel_output_is_identical_at_any_thread_count() {
-        let mut rng = Rng::new(0x7a11);
-        for case in 0..30 {
-            let m = random_deep_model(&mut rng);
-            for sized_for in [1usize, 2, 4] {
-                let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, sized_for);
-                let base = m.solve_with(par(1, Some(depth)));
-                for threads in [2, 4, 7] {
-                    assert_eq!(
-                        base,
-                        m.solve_with(par(threads, Some(depth))),
-                        "case {case} depth {depth} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Models the decomposition does not apply to fall back to the
-    /// classic serial search, byte-for-byte — including the node-limit
-    /// abort point.
-    #[test]
-    fn parallel_falls_back_when_not_applicable() {
-        let mut m = Model::new(20);
-        let obj: Vec<i64> = (0..20).map(|i| -(i as i64)).collect();
-        m.set_objective(Sense::Minimize, &obj);
-        let terms: Vec<(usize, i64)> = (0..20).map(|i| (i, 1)).collect();
-        m.add_eq(&terms, 10);
-        m.set_node_limit(37);
-        assert_eq!(m.solve_with(par(4, None)), m.solve_with(par(0, None)));
-
-        let mut small = Model::new(3);
-        small.set_objective(Sense::Maximize, &[2, 3, 4]);
-        small.add_le(&[(0, 1), (1, 1), (2, 1)], 2);
-        assert_eq!(
-            small.solve_with(par(4, None)),
-            small.solve_with(par(0, None))
-        );
-    }
-
-    /// Virtual-clock traces of a parallel solve are thread-count
-    /// independent at a fixed frontier depth: subtree events are
-    /// captured in per-worker scopes and replayed into the ambient scope
-    /// in subtree index order.
-    #[test]
-    fn parallel_traces_are_thread_count_independent() {
-        let mut rng = Rng::new(0x7ace);
-        let m = random_deep_model(&mut rng);
-        let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, 4);
-        let run = |threads: usize| {
-            let scope = rtise_obs::Scope::with_clock(rtise_trace::Clock::Virtual);
-            {
-                let _active = scope.enter();
-                let _ = m.solve_with(par(threads, Some(depth)));
-            }
-            (scope.events(), scope.dropped())
-        };
-        let serial = run(1);
-        assert!(
-            serial.0.iter().any(|e| e.name == codes::ILP_SOLVE),
-            "trace should contain the solve span"
-        );
-        assert_eq!(serial, run(4));
     }
 }

@@ -14,17 +14,7 @@
 
 use crate::candidate::CiCandidate;
 use rtise_obs::{BoundedLog, Hist};
-use rtise_trace::bnb::{Frontier, SearchOpts, SearchOutput, Subtrees};
-
-/// Maximum frontier depth of the decomposed parallel search
-/// ([`rtise_trace::bnb`]): the walk stops there, and every node reaching
-/// it becomes an independent subtree for the worker pool. The actual
-/// depth is sized from the engaged thread count
-/// ([`rtise_obs::par::sized_frontier_depth`]) so a 2-worker run does not
-/// pay the 64-subtree decomposition built for wide pools; output is
-/// byte-identical for any thread count *at a fixed depth* (pin one with
-/// [`rtise_obs::par::set_frontier_for`] to compare across counts).
-pub const PAR_FRONTIER_DEPTH: usize = 6;
+use rtise_trace::bnb::{SearchOpts, SearchOutput};
 
 /// One branch-and-bound decision node, in preorder.
 ///
@@ -170,11 +160,6 @@ pub fn branch_and_bound(cands: &[CiCandidate], budget: u64) -> Selection {
 /// [`IseBnbStats`] and, when `opts.cert_cap` is set, a replayable
 /// [`IseCertificate`] of the search tree. Publishes `ise.bnb.*` counters
 /// to the [`rtise_obs`] registry.
-///
-/// With one or more threads, libraries deeper than the frontier
-/// decompose into subtrees ([`rtise_trace::bnb`]); selection, stats,
-/// counters, traces, and certificates are byte-identical for every worker
-/// count *at a fixed frontier depth*.
 pub fn branch_and_bound_with(
     cands: &[CiCandidate],
     budget: u64,
@@ -183,12 +168,23 @@ pub fn branch_and_bound_with(
     let mut log = opts.cert_cap.map(BoundedLog::new);
     let _span = rtise_trace::span(rtise_trace::codes::ISE_BNB_SOLVE);
     let t = build_tables(cands);
-    let search = IseSearch {
+    let mut ctx = Ctx {
         cands,
         budget,
         t: &t,
+        best: Selection::default(),
+        stack: Vec::new(),
+        stats: IseBnbStats::default(),
+        depth_hist: Hist::new(),
+        cert: log.as_mut(),
     };
-    let (best, (stats, depth_hist)) = rtise_trace::bnb::run(&search, &opts, log.as_mut());
+    dfs(&mut ctx, 0, 0, 0);
+    let Ctx {
+        best,
+        stats,
+        depth_hist,
+        ..
+    } = ctx;
     rtise_obs::record("ise.bnb.solves", 1);
     rtise_obs::record("ise.bnb.nodes", stats.nodes);
     rtise_obs::record("ise.bnb.pruned_bound", stats.pruned_bound);
@@ -287,84 +283,6 @@ fn build_tables(cands: &[CiCandidate]) -> Tables {
     }
 }
 
-/// One solve: the library, its prefix tables, and the budget.
-struct IseSearch<'a> {
-    cands: &'a [CiCandidate],
-    budget: u64,
-    t: &'a Tables,
-}
-
-/// This search updates its incumbent at *every* node entry, so walk
-/// entries interleave with subtree entries in preorder: each frontier
-/// node captures the walk's cumulative incumbent, and the driver's fold
-/// over those snapshots, the subtree results, and the walk's final best
-/// reproduces the replayer's preorder-first incumbent exactly, ties
-/// included.
-impl Subtrees for IseSearch<'_> {
-    type Node = IseNode;
-    type Best = Selection;
-    type Stats = (IseBnbStats, Hist);
-    type Event = IseCertEvent;
-    const MAX_FRONTIER_DEPTH: usize = PAR_FRONTIER_DEPTH;
-
-    /// The incumbent rule shared by search, merge, and replayer: better
-    /// gain, or equal gain at strictly smaller area.
-    fn improves(cur: &Selection, cand: &Selection) -> bool {
-        cand.total_gain > cur.total_gain
-            || (cand.total_gain == cur.total_gain && cand.total_area < cur.total_area)
-    }
-
-    fn merge_stats((into, hist): &mut Self::Stats, (from, h): &Self::Stats) {
-        into.nodes += from.nodes;
-        into.pruned_bound += from.pruned_bound;
-        into.incumbent_updates += from.incumbent_updates;
-        hist.merge(h);
-    }
-
-    fn height(&self) -> usize {
-        self.cands.len()
-    }
-
-    fn root(&self) -> IseNode {
-        IseNode {
-            area: 0,
-            gain: 0,
-            stack: Vec::new(),
-        }
-    }
-
-    fn search(
-        &self,
-        node: IseNode,
-        depth: usize,
-        seed: Selection,
-        cert: Option<&mut BoundedLog<IseCertEvent>>,
-        frontier: Option<&mut Frontier<IseNode, Selection>>,
-    ) -> (Selection, Self::Stats) {
-        let mut ctx = Ctx {
-            cands: self.cands,
-            budget: self.budget,
-            t: self.t,
-            best: seed,
-            stack: node.stack,
-            stats: IseBnbStats::default(),
-            depth_hist: Hist::new(),
-            cert,
-            frontier,
-        };
-        dfs(&mut ctx, depth, node.area, node.gain);
-        (ctx.best, (ctx.stats, ctx.depth_hist))
-    }
-}
-
-/// A search node: the state a search resumes from.
-#[derive(Clone)]
-struct IseNode {
-    area: u64,
-    gain: u64,
-    stack: Vec<usize>,
-}
-
 struct Ctx<'a> {
     cands: &'a [CiCandidate],
     budget: u64,
@@ -376,11 +294,6 @@ struct Ctx<'a> {
     stats: IseBnbStats,
     depth_hist: Hist,
     cert: Option<&'a mut BoundedLog<IseCertEvent>>,
-    /// The walk of the decomposed parallel search: nodes reaching the
-    /// frontier are captured (uncounted, eventless, no incumbent update
-    /// — the subtree root replays the node entry itself) instead of
-    /// expanded.
-    frontier: Option<&'a mut Frontier<IseNode, Selection>>,
 }
 
 /// The fractional-knapsack bound from the prefix tables; bit-identical
@@ -415,17 +328,6 @@ fn bound(ctx: &Ctx<'_>, depth: usize, area: u64, gain: u64) -> f64 {
 }
 
 fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
-    if let Some(frontier) = &mut ctx.frontier {
-        if depth == frontier.depth() {
-            let node = IseNode {
-                area,
-                gain,
-                stack: ctx.stack.clone(),
-            };
-            frontier.capture(node, &ctx.best, ctx.cert.as_ref().map_or(0, |c| c.len()));
-            return;
-        }
-    }
     ctx.stats.nodes += 1;
     ctx.depth_hist.observe(depth as u64);
     if gain > ctx.best.total_gain || (gain == ctx.best.total_gain && area < ctx.best.total_area) {
@@ -636,15 +538,6 @@ mod tests {
     use rtise_ir::cfg::BlockId;
     use rtise_ir::nodeset::NodeSet;
 
-    /// A certified search on `threads` workers.
-    fn par(threads: usize, depth: Option<usize>) -> SearchOpts {
-        SearchOpts {
-            threads: Some(threads),
-            frontier_depth: depth,
-            ..SearchOpts::CERTIFIED
-        }
-    }
-
     /// A synthetic candidate covering `nodes` of `block` in a 64-node DFG.
     fn cand(block: usize, nodes: &[usize], area: u64, gain: u64, freq: u64) -> CiCandidate {
         let mut set = NodeSet::with_capacity(64);
@@ -810,82 +703,5 @@ mod tests {
             }
             assert_eq!(e.total_gain, best, "case {case}");
         }
-    }
-
-    /// Random libraries deep enough (`n > PAR_FRONTIER_DEPTH`) that the
-    /// decomposed parallel search actually engages.
-    fn random_deep_library(rng: &mut rtise_obs::Rng) -> (Vec<CiCandidate>, u64) {
-        let n = rng.gen_range(7..=12usize);
-        let cands: Vec<CiCandidate> = (0..n)
-            .map(|i| {
-                let lo = rng.gen_range(0..12usize);
-                let hi = lo + rng.gen_range(1..=4usize);
-                let nodes: Vec<usize> = (lo..hi).collect();
-                cand(
-                    i % 3,
-                    &nodes,
-                    rng.gen_range(0..9u64),
-                    rng.gen_range(0..20u64),
-                    rng.gen_range(1..4u64),
-                )
-            })
-            .collect();
-        (cands, rng.gen_range(0..30u64))
-    }
-
-    /// The parallel search proves the same optimal gain. Its area may be
-    /// *smaller* on gain ties: the serial prune rule only protects gain,
-    /// so the less-pruned parallel tree can visit an equal-gain
-    /// smaller-area node the serial search cut — never a worse one.
-    #[test]
-    fn parallel_selection_matches_serial_optimum() {
-        let mut rng = rtise_obs::Rng::new(0x15e_9a11);
-        for case in 0..60 {
-            let (cands, budget) = random_deep_library(&mut rng);
-            let s = branch_and_bound(&cands, budget);
-            let p = branch_and_bound_with(&cands, budget, par(4, None)).result;
-            assert_eq!(s.total_gain, p.total_gain, "case {case}");
-            assert!(p.total_area <= s.total_area, "case {case}");
-            assert!(p.is_valid(&cands, budget), "case {case}");
-        }
-    }
-
-    /// Selection, stats, and certificate are identical at every thread count for
-    /// a fixed frontier depth — checked at each depth the adaptive
-    /// sizing picks for 1, 2, and 4 workers. (At *different* depths the
-    /// search tree legitimately differs; the optimum still matches, per
-    /// `parallel_selection_matches_serial_optimum`.)
-    #[test]
-    fn parallel_output_is_identical_at_any_thread_count() {
-        let mut rng = rtise_obs::Rng::new(0x15e_7a11);
-        for case in 0..30 {
-            let (cands, budget) = random_deep_library(&mut rng);
-            for sized_for in [1usize, 2, 4] {
-                let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, sized_for);
-                let base = branch_and_bound_with(&cands, budget, par(1, Some(depth)));
-                for threads in [2, 4, 7] {
-                    assert_eq!(
-                        base,
-                        branch_and_bound_with(&cands, budget, par(threads, Some(depth))),
-                        "case {case} depth {depth} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Libraries with no frontier fall back to the serial search,
-    /// byte-for-byte.
-    #[test]
-    fn parallel_falls_back_on_small_libraries() {
-        let cands = vec![
-            cand(0, &[0], 6, 10, 1),
-            cand(0, &[1], 5, 8, 1),
-            cand(0, &[2], 5, 8, 1),
-        ];
-        assert_eq!(
-            branch_and_bound_with(&cands, 10, par(4, None)),
-            branch_and_bound_with(&cands, 10, par(0, None))
-        );
     }
 }

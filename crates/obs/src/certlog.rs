@@ -44,11 +44,6 @@ impl<T> BoundedLog<T> {
         &self.events
     }
 
-    /// The configured cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Number of retained events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -68,13 +63,6 @@ impl<T> BoundedLog<T> {
     /// Whether every pushed event was retained.
     pub fn is_complete(&self) -> bool {
         self.dropped == 0
-    }
-
-    /// Adds `n` to the drop counter without touching the events — used
-    /// when merging pre-capped logs (a subtree log that already dropped
-    /// events contributes its count to the stitched whole).
-    pub fn add_dropped(&mut self, n: u64) {
-        self.dropped += n;
     }
 
     /// Consumes the log into `(events, dropped)`.

@@ -34,11 +34,6 @@
 //! * [`certlog`] — [`BoundedLog`], the capped drop-with-marker event log
 //!   the branch-and-bound solvers record their replayable optimality
 //!   certificates into.
-//! * [`par`] — the deterministic work scheduler behind the parallel
-//!   solver cores: an ordered claim counter plus a fixed-window
-//!   completed-prefix view, so subtree searches share incumbents without
-//!   making the output depend on the thread count. The process-wide
-//!   `par_threads` knob lives here too.
 //! * [`json`] — a tiny JSON document model with a writer and a
 //!   recursive-descent parser, enough to serialize reports and to verify
 //!   them in tests.
@@ -67,7 +62,6 @@ pub mod certlog;
 pub mod hash;
 pub mod hist;
 pub mod json;
-pub mod par;
 pub mod registry;
 pub mod report;
 pub mod rng;
@@ -80,6 +74,6 @@ pub use registry::{attribute, attribute_hists, observe, observe_hist, record, Co
 pub use report::Timer;
 pub use rng::Rng;
 pub use scope::{
-    enabled, instant, instant_with, isolate, replay, span, summary, Clock, Event, EventKind, Scope,
+    enabled, instant, instant_with, isolate, span, summary, Clock, Event, EventKind, Scope,
     RING_CAP,
 };

@@ -12,12 +12,12 @@
 //! * [`record`](crate::record), [`observe`](crate::observe) and the
 //!   other [`registry`](crate::registry) functions reach **every**
 //!   entered scope.
-//! * [`span`], [`instant`]/[`instant_with`], [`summary`] and [`replay`]
-//!   reach only the scopes made with [`Scope::with_clock`]. [`enabled`]
-//!   is true only while such a scope is entered somewhere in the
-//!   process — one relaxed atomic load, so solver hot loops skip
-//!   building event payloads when nobody traces, even though every
-//!   `reproduce` experiment runs inside a clockless [`Scope::new`].
+//! * [`span`], [`instant`]/[`instant_with`] and [`summary`] reach only
+//!   the scopes made with [`Scope::with_clock`]. [`enabled`] is true
+//!   only while such a scope is entered somewhere in the process — one
+//!   relaxed atomic load, so solver hot loops skip building event
+//!   payloads when nobody traces, even though every `reproduce`
+//!   experiment runs inside a clockless [`Scope::new`].
 //!
 //! Clocks: [`Clock::Real`] stamps nanoseconds since a process epoch;
 //! [`Clock::Virtual`] stamps a per-scope sequence number, which makes
@@ -373,27 +373,6 @@ pub fn summary(name: impl Into<Cow<'static, str>>, args: &[(&'static str, u64)])
     for_each_clocked(|t| t.push(EventKind::Instant, name.clone(), args, false));
 }
 
-/// Replays events captured in a detached scope into every clocked scope
-/// entered on the current thread, re-stamping each with the receiving
-/// scope's own clock. `dropped` carries the detached scope's ring-cap
-/// drop count into the receivers.
-///
-/// This is how the parallel solver cores merge traces: each subtree
-/// search records into a private scope on its worker thread, and the
-/// coordinating thread replays the captured events in a fixed preorder
-/// — so the merged stream is identical at any thread count. Instants
-/// replay as bulk (ring-capped) events; Begin/End pairs, if present,
-/// are never capped.
-pub fn replay(events: &[Event], dropped: u64) {
-    for_each_clocked(|t| {
-        for ev in events {
-            let bulk = ev.kind == EventKind::Instant;
-            t.push(ev.kind, ev.name.clone(), &ev.args, bulk);
-        }
-        t.dropped.fetch_add(dropped, Ordering::Relaxed);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,47 +628,6 @@ mod tests {
         let (first, last) = (&events[1], &events[RING_CAP]);
         assert_eq!(first.name, "node");
         assert_eq!(last.name, "node"); // keep-first: earliest survive
-    }
-
-    #[test]
-    fn replay_restamps_into_the_ambient_scope() {
-        let _serial = serial();
-        let worker = Scope::with_clock(Clock::Virtual);
-        {
-            let _g = worker.enter();
-            instant_with("sub.node", &[("depth", 3)]);
-            instant_with("sub.node", &[("depth", 4)]);
-        }
-        let captured = worker.events();
-
-        let ambient = Scope::with_clock(Clock::Virtual);
-        let plain = Scope::new();
-        {
-            let _g = ambient.enter();
-            let _p = plain.enter();
-            instant("before");
-            replay(&captured, 5);
-            instant("after");
-        }
-        let got: Vec<(String, u64)> = ambient
-            .events()
-            .iter()
-            .map(|e| (e.name.to_string(), e.ts))
-            .collect();
-        // Re-stamped on the ambient clock: a dense local sequence, not
-        // the worker scope's stamps.
-        assert_eq!(
-            got,
-            vec![
-                ("before".to_string(), 0),
-                ("sub.node".to_string(), 1),
-                ("sub.node".to_string(), 2),
-                ("after".to_string(), 3),
-            ]
-        );
-        assert_eq!(ambient.events()[1].args, vec![("depth", 3)]);
-        assert_eq!(ambient.dropped(), 5);
-        assert_eq!(plain.dropped(), 0, "clockless scopes take no events");
     }
 
     /// One `isolate` detaches clocked and clockless scopes alike, and

@@ -20,37 +20,17 @@ use rtise_trace::bnb::SearchOpts;
 
 use crate::measure::{median_ns, sample_ns, MeasureOptions};
 
-/// Stable benchmark identifiers, in report order. The `*_par` kernels
-/// time the decomposed parallel search (at [`PAR_BENCH_THREADS`]
-/// workers) against the *optimized serial* path on the same instances —
-/// their reference is the serial fast path, not the `*_reference`
-/// implementation — at sizes where one solve outweighs the worker-pool
-/// setup.
+/// Stable benchmark identifiers, in report order.
 pub const KERNELS: &[&str] = &[
     "edf_dp",
     "rms_bnb",
-    "rms_bnb_par",
     "ilp_bnb",
-    "ilp_bnb_par",
     "enumerate",
     "miso",
     "ise_bnb",
-    "ise_bnb_par",
     "ise_iter_small",
     "ise_iter_large",
 ];
-
-/// Worker count for the `*_par` kernels: enough to show real subtree
-/// parallelism without outsizing small CI runners.
-pub const PAR_BENCH_THREADS: usize = 4;
-
-/// Search options of the `*_par` kernels: the plain search, decomposed
-/// onto [`PAR_BENCH_THREADS`] workers.
-const PAR_BENCH: SearchOpts = SearchOpts {
-    threads: Some(PAR_BENCH_THREADS),
-    cert_cap: None,
-    frontier_depth: None,
-};
 
 /// Instances measured together per (kernel, size): one timed sample solves
 /// the whole batch, amortizing `Instant` overhead on microsecond kernels.
@@ -63,13 +43,10 @@ pub fn sizes(kernel: &str) -> &'static [usize] {
     match kernel {
         "edf_dp" => &[2, 4, 8, 16],
         "rms_bnb" => &[4, 6, 8],
-        "rms_bnb_par" => &[16, 20],
         "ilp_bnb" => &[8, 14, 20],
-        "ilp_bnb_par" => &[36, 38],
         "enumerate" => &[12, 24, 48],
         "miso" => &[12, 24, 48, 96],
         "ise_bnb" => &[8, 14, 20, 26],
-        "ise_bnb_par" => &[56, 64],
         "ise_iter_small" => &[12, 24, 48],
         "ise_iter_large" => &[500, 1000, 2000],
         _ => &[],
@@ -386,37 +363,6 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 m,
             )
         }
-        "rms_bnb_par" => {
-            let inputs: Vec<(Vec<TaskSpec>, u64)> = (0..BATCH)
-                .map(|_| {
-                    let specs = task_set_exact(&mut rng, size, 4);
-                    let budget = mid_budget(&specs);
-                    (specs, budget)
-                })
-                .collect();
-            measure_cell(
-                size,
-                &mut || {
-                    for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_with(
-                            black_box(s),
-                            black_box(*b),
-                            SearchOpts::default(),
-                        ));
-                    }
-                },
-                &mut || {
-                    for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_with(
-                            black_box(s),
-                            black_box(*b),
-                            PAR_BENCH,
-                        ));
-                    }
-                },
-                m,
-            )
-        }
         "ilp_bnb" => {
             let models: Vec<Model> = (0..BATCH)
                 .map(|_| ilp_model_exact(&mut rng, size))
@@ -431,25 +377,6 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 &mut || {
                     for model in &models {
                         let _ = black_box(black_box(model).solve_with(SearchOpts::default()));
-                    }
-                },
-                m,
-            )
-        }
-        "ilp_bnb_par" => {
-            let models: Vec<Model> = (0..BATCH)
-                .map(|_| ilp_model_exact(&mut rng, size))
-                .collect();
-            measure_cell(
-                size,
-                &mut || {
-                    for model in &models {
-                        let _ = black_box(black_box(model).solve_with(SearchOpts::default()));
-                    }
-                },
-                &mut || {
-                    for model in &models {
-                        let _ = black_box(black_box(model).solve_with(PAR_BENCH));
                     }
                 },
                 m,
@@ -515,31 +442,6 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                         let _ = black_box(rtise_ise::branch_and_bound(
                             black_box(cands),
                             black_box(*budget),
-                        ));
-                    }
-                },
-                m,
-            )
-        }
-        "ise_bnb_par" => {
-            let pools: Vec<(Vec<CiCandidate>, u64)> =
-                (0..BATCH).map(|_| candidate_pool(&mut rng, size)).collect();
-            measure_cell(
-                size,
-                &mut || {
-                    for (cands, budget) in &pools {
-                        let _ = black_box(rtise_ise::branch_and_bound(
-                            black_box(cands),
-                            black_box(*budget),
-                        ));
-                    }
-                },
-                &mut || {
-                    for (cands, budget) in &pools {
-                        let _ = black_box(rtise_ise::branch_and_bound_with(
-                            black_box(cands),
-                            black_box(*budget),
-                            PAR_BENCH,
                         ));
                     }
                 },

@@ -85,38 +85,13 @@ pub fn select_edf_with_stats(
     specs: &[TaskSpec],
     area_budget: u64,
 ) -> Result<(EdfSelection, EdfDpStats), SelectEdfError> {
-    select_edf_observed(specs, area_budget, rtise_obs::par::threads())
-}
-
-/// Like [`select_edf_with_stats`] with an explicit worker-thread count,
-/// ignoring the global [`rtise_obs::par`] knob. Only the sparse row merge
-/// is parallelized — fixed 64-state chunks of the previous staircase,
-/// concatenated in chunk order before the normalizing sort — so the
-/// selection and stats are byte-identical at any `threads` value.
-///
-/// # Errors
-///
-/// See [`SelectEdfError`].
-pub fn select_edf_par_with_stats(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-) -> Result<(EdfSelection, EdfDpStats), SelectEdfError> {
-    select_edf_observed(specs, area_budget, threads.max(1))
-}
-
-fn select_edf_observed(
-    specs: &[TaskSpec],
-    area_budget: u64,
-    threads: usize,
-) -> Result<(EdfSelection, EdfDpStats), SelectEdfError> {
     if specs.is_empty() {
         return Err(SelectEdfError::NoTasks);
     }
     let span = rtise_trace::span(rtise_trace::codes::SELECT_EDF_SOLVE);
     let prep = Prep::new(specs, area_budget);
     let mut stats = prep.blank_stats();
-    let (config, min_demand) = match solve_sparse(specs, area_budget, threads, &prep, &mut stats) {
+    let (config, min_demand) = match solve_sparse(specs, area_budget, &prep, &mut stats) {
         Some(solved) => solved,
         None => {
             rtise_obs::record("select.edf.dense_fallbacks", 1);
@@ -162,15 +137,6 @@ pub fn select_edf_dense_with_stats(
     let (config, min_demand) = solve_dense(specs, &prep, &mut stats);
     Ok((finalize(specs, &prep, config, min_demand), stats))
 }
-
-/// Staircase chunk size of the parallel sparse row merge. Fixed (never
-/// thread-dependent), so the concatenated candidate list — and after the
-/// normalizing sort, the whole solve — is identical at any thread count.
-const PAR_CHUNK: usize = 64;
-
-/// Minimum previous-row size before the merge fans out; smaller rows are
-/// cheaper to merge than to schedule.
-const PAR_MIN_ROW: usize = 4096;
 
 /// Shared solve context: demand weights and the dense-grid geometry.
 struct Prep {
@@ -239,7 +205,6 @@ impl Prep {
 fn solve_sparse(
     specs: &[TaskSpec],
     area_budget: u64,
-    threads: usize,
     prep: &Prep,
     stats: &mut EdfDpStats,
 ) -> Option<(Vec<usize>, u128)> {
@@ -252,42 +217,18 @@ fn solve_sparse(
         if prev.len().saturating_mul(pts.len()) >= prep.slots {
             return None;
         }
-        let expand = |states: &[(u64, u128)], cand: &mut Vec<(u64, u128)>| -> u64 {
-            let mut transitions = 0;
-            for &(a0, d0) in states {
-                for p in pts {
-                    if p.area > area_budget - a0 {
-                        break; // points are ascending in area
-                    }
-                    transitions += 1;
-                    cand.push((a0 + p.area, d0.saturating_add(p.cycles as u128 * w)));
-                }
-            }
-            transitions
-        };
         let mut cand: Vec<(u64, u128)> = Vec::with_capacity(prev.len() * pts.len());
-        if threads > 1 && prev.len() >= PAR_MIN_ROW {
-            // Fan the merge out over fixed chunks of the previous
-            // staircase; concatenating in chunk order rebuilds the exact
-            // serial candidate list, so the sort below — and everything
-            // after it — is untouched by the thread count.
-            let chunks: Vec<&[(u64, u128)]> = prev.chunks(PAR_CHUNK).collect();
-            let parts = rtise_obs::par::run_ordered(
-                &chunks,
-                threads,
-                |_, chunk, _: rtise_obs::par::Completed<'_, (Vec<(u64, u128)>, u64)>| {
-                    let mut part = Vec::with_capacity(chunk.len() * pts.len());
-                    let transitions = expand(chunk, &mut part);
-                    (part, transitions)
-                },
-            );
-            for (part, transitions) in parts {
-                cand.extend(part);
-                stats.transitions += transitions;
+        let mut transitions = 0;
+        for &(a0, d0) in prev {
+            for p in pts {
+                if p.area > area_budget - a0 {
+                    break; // points are ascending in area
+                }
+                transitions += 1;
+                cand.push((a0 + p.area, d0.saturating_add(p.cycles as u128 * w)));
             }
-        } else {
-            stats.transitions += expand(prev, &mut cand);
         }
+        stats.transitions += transitions;
         // Dominance prune: sort by (area, demand) and keep only entries
         // that strictly improve on the best demand seen so far.
         cand.sort_unstable();
@@ -576,34 +517,6 @@ mod tests {
         let (dense, dstats) = select_edf_dense_with_stats(&specs, 8).expect("dense");
         assert_eq!(sel, dense);
         assert_eq!(stats, dstats);
-    }
-
-    #[test]
-    fn parallel_row_merge_is_identical_at_any_thread_count() {
-        // Base-4 digit areas with cycles = C - area make every distinct
-        // total area survive dominance pruning, so the staircase after
-        // task k holds exactly 4^k states: the 7-task instance crosses
-        // the PAR_MIN_ROW = 4096 gate on its last row without tripping
-        // the dense fallback (4096·4 < 20001 slots).
-        let specs: Vec<TaskSpec> = (0..7)
-            .map(|i| {
-                let step = 4u64.pow(i);
-                let base = 20_000u64;
-                let pts: Vec<(u64, u64)> = (1..=3).map(|j| (j * step, base - j * step)).collect();
-                spec(&format!("t{i}"), base, 10, &pts)
-            })
-            .collect();
-        let budget = 20_000u64;
-        let serial = select_edf_with_stats(&specs, budget).expect("serial");
-        assert_eq!(
-            serial.1.dp_cells,
-            (1..=7).map(|k| 4u64.pow(k)).sum::<u64>(),
-            "construction must keep every state (else the gate is untested)"
-        );
-        for threads in [2, 4, 7] {
-            let par = select_edf_par_with_stats(&specs, budget, threads).expect("par");
-            assert_eq!(serial, par, "threads {threads}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::task::{Assignment, TaskSpec};
 use rtise_obs::{BoundedLog, Hist};
 use rtise_rt::{rms_task_schedulable, PeriodicTask};
-use rtise_trace::bnb::{Frontier, SearchOpts, SearchOutput, Subtrees};
+use rtise_trace::bnb::{SearchOpts, SearchOutput};
 use std::fmt;
 
 /// Errors from [`select_rms`].
@@ -36,16 +36,6 @@ impl fmt::Display for SelectRmsError {
 }
 
 impl std::error::Error for SelectRmsError {}
-
-/// Maximum frontier depth of the decomposed parallel search
-/// ([`rtise_trace::bnb`]). Shallower
-/// than the binary solvers' frontiers because this search branches
-/// multi-way (one child per feasible configuration). The actual depth is
-/// sized from the engaged thread count
-/// ([`rtise_obs::par::sized_frontier_depth`]); output is byte-identical
-/// at any thread count *for a fixed depth* (pin one with
-/// [`rtise_obs::par::set_frontier_for`] to compare across counts).
-pub const PAR_FRONTIER_DEPTH: usize = 4;
 
 /// One branch-and-bound event, in preorder.
 ///
@@ -138,12 +128,6 @@ pub fn select_rms(specs: &[TaskSpec], area_budget: u64) -> Result<RmsSelection, 
 /// Publishes `select.rms.*` counters to the [`rtise_obs`] registry (also
 /// when the instance is unschedulable — failed searches are the
 /// expensive ones).
-///
-/// With one or more threads, task sets deeper than the frontier
-/// decompose into subtrees ([`rtise_trace::bnb`]); selection, stats, and
-/// certificate are byte-identical at any worker count *for a fixed
-/// frontier depth*, and the stitched certificate replays through the same
-/// checker as the serial log.
 pub fn select_rms_with(
     specs: &[TaskSpec],
     area_budget: u64,
@@ -163,12 +147,26 @@ pub fn select_rms_with(
     }
     let t = rms_tables(specs);
     let span = rtise_trace::span(rtise_trace::codes::SELECT_RMS_SOLVE);
-    let search = RmsSearch {
+    let n = specs.len();
+    let mut ctx = Ctx {
         specs,
         t: &t,
         budget: area_budget,
+        cycles: vec![0; n],
+        prefix: t.points.iter().map(|pts| vec![0; pts.len()]).collect(),
+        config: vec![0; n],
+        best: None,
+        stats: RmsBnbStats::default(),
+        depth_hist: Hist::new(),
+        cert: log.as_mut(),
     };
-    let (best, (stats, depth_hist)) = rtise_trace::bnb::run(&search, &opts, log.as_mut());
+    search(&mut ctx, 0, 0, 0.0);
+    let Ctx {
+        best,
+        stats,
+        depth_hist,
+        ..
+    } = ctx;
     rtise_obs::observe_hist("select.rms.depth", &depth_hist);
     rtise_trace::summary(
         rtise_trace::codes::SELECT_RMS_SUMMARY,
@@ -254,87 +252,6 @@ fn rms_tables(specs: &[TaskSpec]) -> RmsTables {
 /// An incumbent: utilization and the configuration per task.
 type RmsBest = Option<(f64, Vec<usize>)>;
 
-/// One solve: the spec list, its tables, and the area budget.
-struct RmsSearch<'a> {
-    specs: &'a [TaskSpec],
-    t: &'a RmsTables,
-    budget: u64,
-}
-
-/// Incumbents only exist at leaves, which the walk never reaches, so
-/// subtree results fold with the search's own strict `util <` rule and
-/// the f64 path sums are bitwise identical at any thread count.
-impl Subtrees for RmsSearch<'_> {
-    type Node = RmsNode;
-    type Best = RmsBest;
-    type Stats = (RmsBnbStats, Hist);
-    type Event = RmsCertEvent;
-    const MAX_FRONTIER_DEPTH: usize = PAR_FRONTIER_DEPTH;
-
-    fn improves(cur: &RmsBest, cand: &RmsBest) -> bool {
-        cand.as_ref()
-            .is_some_and(|(u, _)| cur.as_ref().is_none_or(|(b, _)| u < b))
-    }
-
-    fn merge_stats((into, hist): &mut Self::Stats, (from, h): &Self::Stats) {
-        into.nodes += from.nodes;
-        into.pruned_bound += from.pruned_bound;
-        into.pruned_area += from.pruned_area;
-        into.pruned_unschedulable += from.pruned_unschedulable;
-        into.sched_tests += from.sched_tests;
-        into.incumbent_updates += from.incumbent_updates;
-        hist.merge(h);
-    }
-
-    fn height(&self) -> usize {
-        self.specs.len()
-    }
-
-    fn root(&self) -> RmsNode {
-        let n = self.specs.len();
-        RmsNode {
-            area: 0,
-            util: 0.0,
-            cycles: vec![0; n],
-            config: vec![0; n],
-        }
-    }
-
-    fn search(
-        &self,
-        node: RmsNode,
-        depth: usize,
-        seed: RmsBest,
-        cert: Option<&mut BoundedLog<RmsCertEvent>>,
-        frontier: Option<&mut Frontier<RmsNode, RmsBest>>,
-    ) -> (RmsBest, Self::Stats) {
-        let mut ctx = Ctx {
-            specs: self.specs,
-            t: self.t,
-            budget: self.budget,
-            cycles: node.cycles,
-            prefix: self.t.points.iter().map(|pts| vec![0; pts.len()]).collect(),
-            config: node.config,
-            best: seed,
-            stats: RmsBnbStats::default(),
-            depth_hist: Hist::new(),
-            cert,
-            frontier,
-        };
-        search(&mut ctx, depth, node.area, node.util);
-        (ctx.best, (ctx.stats, ctx.depth_hist))
-    }
-}
-
-/// A search node: the path state a search resumes from.
-#[derive(Clone)]
-struct RmsNode {
-    area: u64,
-    util: f64,
-    cycles: Vec<u64>,
-    config: Vec<usize>,
-}
-
 struct Ctx<'a> {
     specs: &'a [TaskSpec],
     t: &'a RmsTables,
@@ -351,25 +268,9 @@ struct Ctx<'a> {
     // test against the reference search compares by tuple equality.
     depth_hist: Hist,
     cert: Option<&'a mut BoundedLog<RmsCertEvent>>,
-    // The walk of the parallel decomposition: each node reaching the
-    // frontier is captured instead of searched. Captured nodes record
-    // nothing — the subtree search replays the node entry itself.
-    frontier: Option<&'a mut Frontier<RmsNode, RmsBest>>,
 }
 
 fn search(ctx: &mut Ctx<'_>, depth: usize, area: u64, util: f64) {
-    if let Some(frontier) = &mut ctx.frontier {
-        if depth == frontier.depth() {
-            let node = RmsNode {
-                area,
-                util,
-                cycles: ctx.cycles.clone(),
-                config: ctx.config.clone(),
-            };
-            frontier.capture(node, &ctx.best, ctx.cert.as_ref().map_or(0, |c| c.len()));
-            return;
-        }
-    }
     ctx.stats.nodes += 1;
     ctx.depth_hist.observe(depth as u64);
     if depth == ctx.t.order.len() {
@@ -637,15 +538,6 @@ mod tests {
         out.result.map(|s| (s, out.stats))
     }
 
-    /// A certified search on `threads` workers.
-    fn par(threads: usize, depth: Option<usize>) -> SearchOpts {
-        SearchOpts {
-            threads: Some(threads),
-            frontier_depth: depth,
-            ..SearchOpts::CERTIFIED
-        }
-    }
-
     fn spec(name: &str, base: u64, period: u64, pts: &[(u64, u64)]) -> TaskSpec {
         TaskSpec::new(ConfigCurve::from_points(name, base, pts), period)
     }
@@ -804,91 +696,6 @@ mod tests {
                 with_stats(&specs, budget),
                 select_rms_reference_with_stats(&specs, budget),
                 "case {case}"
-            );
-        }
-    }
-
-    /// Random task sets deep enough (> [`PAR_FRONTIER_DEPTH`] tasks) that
-    /// the parallel decomposition engages.
-    fn random_deep_specs(rng: &mut rtise_obs::Rng) -> (Vec<TaskSpec>, u64) {
-        let n = rng.gen_range(5..=8usize);
-        let specs: Vec<TaskSpec> = (0..n)
-            .map(|i| {
-                let base = rng.gen_range(2..8u64);
-                let pts: Vec<(u64, u64)> = (0..rng.gen_range(0..4usize))
-                    .map(|k| {
-                        (
-                            rng.gen_range(1..10u64) * (k as u64 + 1),
-                            rng.gen_range(1..=base),
-                        )
-                    })
-                    .collect();
-                spec(&format!("t{i}"), base, rng.gen_range(16..60u64), &pts)
-            })
-            .collect();
-        let budget = rng.gen_range(0..30u64);
-        (specs, budget)
-    }
-
-    #[test]
-    fn parallel_selection_matches_serial_optimum() {
-        use rtise_obs::Rng;
-        let mut rng = Rng::new(0x4315);
-        let mut solved = 0;
-        for case in 0..60 {
-            let (specs, budget) = random_deep_specs(&mut rng);
-            let serial = select_rms(&specs, budget);
-            let par = select_rms_with(&specs, budget, par(4, None)).result;
-            match (&serial, &par) {
-                // Leaves are visited in the same preorder and the
-                // incumbent rule is strict, so the parallel search lands
-                // on the exact same leaf — utilization (bitwise: the f64
-                // path sums are order-identical) and assignment both.
-                (Ok(s), Ok(p)) => {
-                    assert_eq!(s, p, "case {case}");
-                    solved += 1;
-                }
-                (Err(es), Err(ep)) => assert_eq!(es, ep, "case {case}"),
-                _ => panic!("case {case}: serial {serial:?} vs par {par:?}"),
-            }
-        }
-        assert!(solved >= 10, "want a healthy mix of schedulable cases");
-    }
-
-    /// Result, stats, and certificate are identical at every thread count for a
-    /// fixed frontier depth — checked at each depth the adaptive sizing
-    /// picks for 1, 2, and 4 workers.
-    #[test]
-    fn parallel_output_is_identical_at_any_thread_count() {
-        use rtise_obs::Rng;
-        let mut rng = Rng::new(0x4316);
-        for case in 0..30 {
-            let (specs, budget) = random_deep_specs(&mut rng);
-            for sized_for in [1usize, 2, 4] {
-                let depth = rtise_obs::par::frontier_depth(PAR_FRONTIER_DEPTH, sized_for);
-                let base = select_rms_with(&specs, budget, par(1, Some(depth)));
-                for threads in [2, 4, 7] {
-                    assert_eq!(
-                        base,
-                        select_rms_with(&specs, budget, par(threads, Some(depth))),
-                        "case {case} depth {depth} threads {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_falls_back_on_small_task_sets() {
-        // At most PAR_FRONTIER_DEPTH tasks: a threaded search runs the
-        // plain serial search, stats and certificate included.
-        let specs = fig_3_2_specs();
-        assert!(specs.len() <= PAR_FRONTIER_DEPTH);
-        for budget in [0u64, 17, 1000] {
-            assert_eq!(
-                select_rms_with(&specs, budget, par(4, None)),
-                select_rms_with(&specs, budget, par(0, None)),
-                "budget {budget}"
             );
         }
     }

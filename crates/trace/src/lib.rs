@@ -8,9 +8,9 @@
 //! when". Both land in the same [`rtise_obs::Scope`]: a scope made with
 //! [`Scope::with_clock`](rtise_obs::Scope::with_clock) stores events
 //! besides its counters, and this crate re-exports the event functions
-//! — [`span`], [`instant`]/[`instant_with`], [`summary`], [`replay`] —
-//! which record into every clocked scope entered on the calling thread.
-//! With no clocked scope entered anywhere the [`enabled`] gate is a
+//! — [`span`], [`instant`]/[`instant_with`], [`summary`] — which record
+//! into every clocked scope entered on the calling thread. With no
+//! clocked scope entered anywhere the [`enabled`] gate is a
 //! single relaxed atomic load, so instrumentation in solver hot loops
 //! costs nothing when nobody is listening. Bulk instants are ring-capped
 //! per scope ([`RING_CAP`]) with a surfaced drop counter — structural
@@ -21,10 +21,9 @@
 //!
 //! The pieces:
 //!
-//! * [`bnb`] — the subtree-parallel branch-and-bound driver the ILP,
-//!   ISE, and RMS searches share, and the [`bnb::SearchOpts`] /
-//!   [`bnb::SearchOutput`] of their configurable entry points. It lives
-//!   here because it isolates and replays per-subtree event streams.
+//! * [`bnb`] — the [`bnb::SearchOpts`] / [`bnb::SearchOutput`] of the
+//!   configurable entry points of the ILP, ISE, and RMS branch-and-bound
+//!   searches, next to the [`codes`] those searches emit.
 //! * [`codes`] — the stable event-name vocabulary (prune reasons,
 //!   incumbent updates, per-solve summaries) shared by the ILP, ISE,
 //!   and RMS branch-and-bound cores and the EDF DP.
@@ -57,8 +56,7 @@ pub mod codes;
 pub mod view;
 
 pub use rtise_obs::scope::{
-    enabled, instant, instant_with, replay, span, summary, Clock, Event, EventKind, SpanGuard,
-    RING_CAP,
+    enabled, instant, instant_with, span, summary, Clock, Event, EventKind, SpanGuard, RING_CAP,
 };
 
 /// The name [`rtise_obs::Scope`] had when traces had a scope type of
