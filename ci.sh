@@ -211,6 +211,11 @@ if ! awk -v w="$WARM_HITS" -v c="$COLD_HITS" 'BEGIN { exit !(w > c) }'; then
 fi
 echo "    warm pass hit rate $WARM_HITS% > cold $COLD_HITS%; store at $SERVE_STORE"
 
+echo "==> benchmark harness self-tests"
+# PYTHONDONTWRITEBYTECODE keeps the run from writing __pycache__ into
+# e2ebench/.
+PYTHONDONTWRITEBYTECODE=1 python3 e2ebench/test_run.py
+
 echo "==> serve TCP smoke (explore benchmark workload, 1000 certified requests)"
 # Drives the real `serve --listen` binary over two TCP connections with the
 # seeded request stream and certifies every response with check_response.

@@ -9,8 +9,8 @@
 //! against the certified optimum, and the exact Pareto sweep against a
 //! brute-force subset front. Every optimized solver fast path is also
 //! checked against its retained reference implementation (sparse EDF DP,
-//! bitset enumeration, incremental-bound B&B, memoized RMS search, sparse
-//! ILP search). Certificate violations keep their stable
+//! bitset enumeration and MISO growth, memoized RMS search, sparse ILP
+//! search). Certificate violations keep their stable
 //! `rtise-check` codes; differential mismatches get `DIFF*` codes local
 //! to this crate.
 
@@ -45,9 +45,9 @@ pub const DIFF_PARETO: &str = "DIFF005";
 /// ILP solver outcome disagrees with exhaustive 0-1 search.
 pub const DIFF_ILP_EXHAUSTIVE: &str = "DIFF006";
 /// An optimized fast path disagrees with its retained reference
-/// implementation (sparse EDF DP vs dense grid, bitset enumeration vs
-/// generic growth, incremental-bound vs recomputed-bound B&B, memoized vs
-/// plain RMS search, sparse vs dense ILP search).
+/// implementation (sparse EDF DP vs dense grid, bitset enumeration and
+/// MISO growth vs generic growth, memoized vs plain RMS search, sparse vs
+/// dense ILP search).
 pub const DIFF_FAST_PATH: &str = "DIFF007";
 /// Independent certificate replay refutes the solver's claimed optimum
 /// (or infeasibility verdict). This is the sole optimality oracle above
@@ -1070,15 +1070,6 @@ pub fn cand_findings(
             format!("ISE certificate replay refutes the solver: {replay}"),
         ));
         push_diags(&mut out, replay);
-    }
-    // Incremental prefix-sum bound vs the recomputed-bound reference: the
-    // search trees are proven identical, so the selections must be too.
-    let bnb_reference = rtise_ise::select::branch_and_bound_reference(&cands, budget);
-    if bnb != bnb_reference {
-        out.push(Finding::new(
-            DIFF_FAST_PATH,
-            format!("incremental-bound B&B {bnb:?} but reference {bnb_reference:?}"),
-        ));
     }
     if greedy.total_gain > bnb.total_gain {
         out.push(Finding::new(

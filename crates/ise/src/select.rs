@@ -143,15 +143,10 @@ pub fn greedy_by_ratio(cands: &[CiCandidate], budget: u64) -> Selection {
 /// per-task configuration generator at fine granularity).
 ///
 /// Variables are ordered by descending gain density (gain/area) so the
-/// fractional bound is tight, and the bound itself is evaluated from
-/// prefix sums over that ordering (greedy-fitting prefix found by binary
-/// search) instead of rescanning the whole suffix at every node. The
-/// prefix-sum bound is bit-identical to the reference scan — the integer
-/// partial sums are exact in `f64` and the single fractional term plus
-/// any trailing zero-area additions round in the same order — so the
-/// search tree, prunes, and returned selection match
-/// [`branch_and_bound_reference`] exactly (debug builds assert this at
-/// every prune decision).
+/// fractional bound is tight. At every node the bound is one greedy scan
+/// over the remaining candidates in that order: free (zero-area) gains
+/// always count, non-free ones fill the remaining room whole until the
+/// first misfit, which counts fractionally.
 pub fn branch_and_bound(cands: &[CiCandidate], budget: u64) -> Selection {
     branch_and_bound_with(cands, budget, SearchOpts::default()).result
 }
@@ -167,11 +162,11 @@ pub fn branch_and_bound_with(
 ) -> SearchOutput<Selection, IseBnbStats, IseCertificate> {
     let mut log = opts.cert_cap.map(BoundedLog::new);
     let _span = rtise_trace::span(rtise_trace::codes::ISE_BNB_SOLVE);
-    let t = build_tables(cands);
+    let order = ratio_order(cands);
     let mut ctx = Ctx {
         cands,
+        order: &order,
         budget,
-        t: &t,
         best: Selection::default(),
         stack: Vec::new(),
         stats: IseBnbStats::default(),
@@ -204,7 +199,7 @@ pub fn branch_and_bound_with(
         cert: log.map(|log| {
             let (events, dropped) = log.into_parts();
             IseCertificate {
-                order: t.order,
+                order,
                 events,
                 dropped,
             }
@@ -213,7 +208,7 @@ pub fn branch_and_bound_with(
 }
 
 /// Candidate indices in descending gain/area order — the branching order
-/// of every search variant and the order a certificate declares.
+/// of the search and the order a certificate declares.
 fn ratio_order(cands: &[CiCandidate]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..cands.len()).collect();
     order.sort_by(|&a, &b| {
@@ -225,106 +220,15 @@ fn ratio_order(cands: &[CiCandidate]) -> Vec<usize> {
     order
 }
 
-/// Prefix tables over the gain-density ordering. `nf_*` index the
-/// subsequence of non-free (area > 0) candidates: `nf_cum_area[k]` /
-/// `nf_cum_gain[k]` sum the first `k` of them; `nf_from[p]` counts the
-/// non-free candidates at order positions `< p`. `free_cum_gain[p]`
-/// sums zero-area gains at order positions `< p`, and `free_pos` /
-/// `free_gain` list them for the post-fractional tail.
-struct Tables {
-    order: Vec<usize>,
-    nf_from: Vec<usize>,
-    nf_pos: Vec<usize>,
-    nf_cum_area: Vec<u64>,
-    nf_cum_gain: Vec<u64>,
-    free_cum_gain: Vec<u64>,
-    free_pos: Vec<usize>,
-    free_gain: Vec<u64>,
-}
-
-fn build_tables(cands: &[CiCandidate]) -> Tables {
-    let order = ratio_order(cands);
-    let n = order.len();
-    let mut nf_from = vec![0usize; n + 1];
-    let mut nf_cum_area = vec![0u64; 1];
-    let mut nf_cum_gain = vec![0u64; 1];
-    let mut free_cum_gain = vec![0u64; n + 1];
-    let mut free_pos: Vec<usize> = Vec::new();
-    let mut free_gain: Vec<u64> = Vec::new();
-    for (p, &i) in order.iter().enumerate() {
-        nf_from[p + 1] = nf_from[p];
-        free_cum_gain[p + 1] = free_cum_gain[p];
-        let c = &cands[i];
-        if c.area == 0 {
-            free_cum_gain[p + 1] += c.total_gain();
-            free_pos.push(p);
-            free_gain.push(c.total_gain());
-        } else {
-            nf_from[p + 1] += 1;
-            nf_cum_area.push(nf_cum_area.last().unwrap() + c.area);
-            nf_cum_gain.push(nf_cum_gain.last().unwrap() + c.total_gain());
-        }
-    }
-    let nf_pos: Vec<usize> = order
-        .iter()
-        .enumerate()
-        .filter(|&(_, &i)| cands[i].area > 0)
-        .map(|(p, _)| p)
-        .collect();
-    Tables {
-        order,
-        nf_from,
-        nf_pos,
-        nf_cum_area,
-        nf_cum_gain,
-        free_cum_gain,
-        free_pos,
-        free_gain,
-    }
-}
-
 struct Ctx<'a> {
     cands: &'a [CiCandidate],
+    order: &'a [usize],
     budget: u64,
-    t: &'a Tables,
     best: Selection,
     stack: Vec<usize>,
-    /// Search-tree telemetry, outside `Selection` so the result equality
-    /// against `branch_and_bound_reference` is untouched.
     stats: IseBnbStats,
     depth_hist: Hist,
     cert: Option<&'a mut BoundedLog<IseCertEvent>>,
-}
-
-/// The fractional-knapsack bound from the prefix tables; bit-identical
-/// to the reference linear scan (see [`branch_and_bound`] docs).
-fn bound(ctx: &Ctx<'_>, depth: usize, area: u64, gain: u64) -> f64 {
-    let room = ctx.budget - area;
-    let s = ctx.t.nf_from[depth];
-    let m = ctx.t.nf_cum_area.len() - 1;
-    // Largest k such that the first k non-free candidates at or after
-    // `depth` fit in `room` together (the greedy fill stops at the
-    // first misfit and never resumes).
-    let base = ctx.t.nf_cum_area[s];
-    let k = ctx.t.nf_cum_area[s..=m].partition_point(|&ca| ca - base <= room) - 1;
-    let fit_gain = ctx.t.nf_cum_gain[s + k] - ctx.t.nf_cum_gain[s];
-    if s + k == m {
-        // Everything fits: the whole bound is an exact integer sum.
-        let total = gain + (ctx.t.free_cum_gain[ctx.t.order.len()] - ctx.t.free_cum_gain[depth]);
-        return (total + fit_gain) as f64;
-    }
-    let t_pos = ctx.t.nf_pos[s + k];
-    let int_part = gain + (ctx.t.free_cum_gain[t_pos] - ctx.t.free_cum_gain[depth]) + fit_gain;
-    let rem = room - (ctx.t.nf_cum_area[s + k] - base);
-    let c = &ctx.cands[ctx.t.order[t_pos]];
-    let mut b = int_part as f64 + c.total_gain() as f64 * rem as f64 / c.area as f64;
-    // Free candidates past the fractional position rounded one by one,
-    // in order, exactly as the reference scan adds them.
-    let f = ctx.t.free_pos.partition_point(|&p| p <= t_pos);
-    for &g in &ctx.t.free_gain[f..] {
-        b += g as f64;
-    }
-    b
 }
 
 fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
@@ -346,16 +250,11 @@ fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
             );
         }
     }
-    if depth == ctx.t.order.len() {
+    if depth == ctx.order.len() {
         return;
     }
-    let b = bound(ctx, depth, area, gain);
-    debug_assert_eq!(
-        b.to_bits(),
-        bound_by_scan(ctx.cands, &ctx.t.order, ctx.budget, depth, area, gain).to_bits(),
-        "prefix-sum bound diverged from the reference scan at depth {depth}"
-    );
-    if b <= ctx.best.total_gain as f64 {
+    if bound(ctx.cands, &ctx.order[depth..], ctx.budget - area, gain) <= ctx.best.total_gain as f64
+    {
         ctx.stats.pruned_bound += 1;
         if let Some(cert) = &mut ctx.cert {
             cert.push(IseCertEvent::PruneBound);
@@ -368,7 +267,7 @@ fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
         }
         return;
     }
-    let i = ctx.t.order[depth];
+    let i = ctx.order[depth];
     let fits = area + ctx.cands[i].area <= ctx.budget;
     let conflict = ctx
         .stack
@@ -391,21 +290,13 @@ fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
     dfs(ctx, depth + 1, area, gain);
 }
 
-/// The reference fractional bound: a linear scan over the remaining
-/// candidates, ignoring conflicts. The optimized [`branch_and_bound`]
-/// asserts bit-equality against this in debug builds.
-fn bound_by_scan(
-    cands: &[CiCandidate],
-    order: &[usize],
-    budget: u64,
-    depth: usize,
-    area: u64,
-    gain: u64,
-) -> f64 {
+/// The fractional-knapsack bound: `gain` plus a greedy fill of `room`
+/// by the remaining candidates `rest`, in gain-density order, ignoring
+/// conflicts.
+fn bound(cands: &[CiCandidate], rest: &[usize], mut room: u64, gain: u64) -> f64 {
     let mut b = gain as f64;
-    let mut room = budget - area;
     let mut fractional_used = false;
-    for &i in &order[depth..] {
+    for &i in rest {
         let c = &cands[i];
         if c.area == 0 {
             // Free candidates always fit, regardless of where the greedy
@@ -422,76 +313,6 @@ fn bound_by_scan(
         }
     }
     b
-}
-
-/// The original branch-and-bound that recomputes the fractional bound by
-/// scanning the whole remaining suffix at every node. Kept callable so
-/// differential tests and benchmarks can compare the prefix-sum bound
-/// against it.
-#[doc(hidden)]
-pub fn branch_and_bound_reference(cands: &[CiCandidate], budget: u64) -> Selection {
-    let mut order: Vec<usize> = (0..cands.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ga = cands[a].total_gain() as u128 * cands[b].area.max(1) as u128;
-        let gb = cands[b].total_gain() as u128 * cands[a].area.max(1) as u128;
-        gb.cmp(&ga)
-    });
-
-    struct Ctx<'a> {
-        cands: &'a [CiCandidate],
-        order: &'a [usize],
-        budget: u64,
-        best: Selection,
-        stack: Vec<usize>,
-    }
-
-    fn dfs(ctx: &mut Ctx<'_>, depth: usize, area: u64, gain: u64) {
-        if gain > ctx.best.total_gain || (gain == ctx.best.total_gain && area < ctx.best.total_area)
-        {
-            let mut chosen = ctx.stack.clone();
-            chosen.sort_unstable();
-            ctx.best = Selection {
-                chosen,
-                total_gain: gain,
-                total_area: area,
-            };
-        }
-        if depth == ctx.order.len() {
-            return;
-        }
-        if bound_by_scan(ctx.cands, ctx.order, ctx.budget, depth, area, gain)
-            <= ctx.best.total_gain as f64
-        {
-            return;
-        }
-        let i = ctx.order[depth];
-        let fits = area + ctx.cands[i].area <= ctx.budget;
-        let conflict = ctx
-            .stack
-            .iter()
-            .any(|&j| ctx.cands[j].conflicts_with(&ctx.cands[i]));
-        if fits && !conflict && ctx.cands[i].total_gain() > 0 {
-            ctx.stack.push(i);
-            dfs(
-                ctx,
-                depth + 1,
-                area + ctx.cands[i].area,
-                gain + ctx.cands[i].total_gain(),
-            );
-            ctx.stack.pop();
-        }
-        dfs(ctx, depth + 1, area, gain);
-    }
-
-    let mut ctx = Ctx {
-        cands,
-        order: &order,
-        budget,
-        best: Selection::default(),
-        stack: Vec::new(),
-    };
-    dfs(&mut ctx, 0, 0, 0);
-    ctx.best
 }
 
 /// The Iterative Selection (IS) baseline \[81\]: per iteration, commit the
@@ -641,67 +462,67 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sum_bound_matches_reference_search_exactly() {
-        use rtise_obs::Rng;
-        let mut rng = Rng::new(0xB0B);
-        for case in 0..120 {
-            let n = rng.gen_range(1..=14usize);
-            let cands: Vec<CiCandidate> = (0..n)
-                .map(|i| {
-                    let lo = rng.gen_range(0..12usize);
-                    let hi = lo + rng.gen_range(1..=4usize);
-                    let nodes: Vec<usize> = (lo..hi).collect();
-                    // Zero areas exercise the free-candidate tail of the
-                    // bound; repeated ratios exercise ordering ties.
-                    let area = rng.gen_range(0..9u64);
-                    let gain = rng.gen_range(0..20u64);
-                    cand(i % 3, &nodes, area, gain, rng.gen_range(1..4u64))
-                })
-                .collect();
-            let budget = rng.gen_range(0..30u64);
-            // Identical chosen indices, not just the optimum: the
-            // prefix-sum bound must reproduce the reference search tree.
-            assert_eq!(
-                branch_and_bound(&cands, budget),
-                branch_and_bound_reference(&cands, budget),
-                "case {case}"
-            );
-        }
-    }
-
-    #[test]
     fn bnb_matches_exhaustive_on_random_instances() {
         use rtise_obs::Rng;
+        // Two input families: fixed area/gain patterns over overlapping
+        // node ranges, and drawn ones whose zero areas exercise the
+        // free-candidate terms of the bound and whose repeated
+        // gain/area ratios exercise ordering ties.
         let mut rng = Rng::new(17);
-        for case in 0..40 {
-            let n = rng.gen_range(1..=10usize);
-            let cands: Vec<CiCandidate> = (0..n)
-                .map(|i| {
-                    let lo = rng.gen_range(0..8usize);
-                    let hi = lo + rng.gen_range(1..=3usize);
-                    let nodes: Vec<usize> = (lo..hi).collect();
-                    let block = i % 2;
-                    let area = (i as u64 * 7 + 3) % 10;
-                    let gain = (i as u64 * 5 + 1) % 15;
-                    cand(block, &nodes, area, gain, 1)
-                })
-                .collect();
-            let budget = rng.gen_range(0..25u64);
-            let e = branch_and_bound(&cands, budget);
-            // Exhaustive reference.
-            let mut best = 0u64;
-            for mask in 0u32..(1 << n) {
-                let chosen: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
-                let sel = Selection {
-                    total_gain: chosen.iter().map(|&i| cands[i].total_gain()).sum(),
-                    total_area: chosen.iter().map(|&i| cands[i].area).sum(),
-                    chosen,
-                };
-                if sel.is_valid(&cands, budget) {
-                    best = best.max(sel.total_gain);
+        let patterned: Vec<(Vec<CiCandidate>, u64)> = (0..40)
+            .map(|_| {
+                let n = rng.gen_range(1..=10usize);
+                let cands: Vec<CiCandidate> = (0..n)
+                    .map(|i| {
+                        let lo = rng.gen_range(0..8usize);
+                        let hi = lo + rng.gen_range(1..=3usize);
+                        let nodes: Vec<usize> = (lo..hi).collect();
+                        let block = i % 2;
+                        let area = (i as u64 * 7 + 3) % 10;
+                        let gain = (i as u64 * 5 + 1) % 15;
+                        cand(block, &nodes, area, gain, 1)
+                    })
+                    .collect();
+                (cands, rng.gen_range(0..25u64))
+            })
+            .collect();
+        let mut rng = Rng::new(0xB0B);
+        let drawn: Vec<(Vec<CiCandidate>, u64)> = (0..120)
+            .map(|_| {
+                let n = rng.gen_range(1..=14usize);
+                let cands: Vec<CiCandidate> = (0..n)
+                    .map(|i| {
+                        let lo = rng.gen_range(0..12usize);
+                        let hi = lo + rng.gen_range(1..=4usize);
+                        let nodes: Vec<usize> = (lo..hi).collect();
+                        let area = rng.gen_range(0..9u64);
+                        let gain = rng.gen_range(0..20u64);
+                        cand(i % 3, &nodes, area, gain, rng.gen_range(1..4u64))
+                    })
+                    .collect();
+                (cands, rng.gen_range(0..30u64))
+            })
+            .collect();
+        for (family, instances) in [("patterned", patterned), ("drawn", drawn)] {
+            for (case, (cands, budget)) in instances.into_iter().enumerate() {
+                let n = cands.len();
+                let e = branch_and_bound(&cands, budget);
+                assert!(e.is_valid(&cands, budget), "{family} case {case}");
+                // Exhaustive reference.
+                let mut best = 0u64;
+                for mask in 0u32..(1 << n) {
+                    let chosen: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
+                    let sel = Selection {
+                        total_gain: chosen.iter().map(|&i| cands[i].total_gain()).sum(),
+                        total_area: chosen.iter().map(|&i| cands[i].area).sum(),
+                        chosen,
+                    };
+                    if sel.is_valid(&cands, budget) {
+                        best = best.max(sel.total_gain);
+                    }
                 }
+                assert_eq!(e.total_gain, best, "{family} case {case}");
             }
-            assert_eq!(e.total_gain, best, "case {case}");
         }
     }
 }

@@ -1,11 +1,13 @@
 //! The benchmarked kernel pairs.
 //!
-//! Each kernel times its optimized entry point against the retained
-//! `*_reference` implementation on an identical batch of seeded instances
-//! from [`rtise_fuzz::gen`]. A "size" is the knob that dominates each
-//! kernel's work: task count for the schedulability DPs, variable count
-//! for the ILP, DFG node count for enumeration, candidate-pool size for
-//! the ISE knapsack.
+//! Each kernel times its optimized entry point against a second path on an
+//! identical batch of seeded instances from [`rtise_fuzz::gen`]: the
+//! retained `*_reference` implementation where one exists, the exact
+//! enumerator for the iterative generator, and the certified call of the
+//! same search for `ise_bnb`, which has one implementation. A "size" is
+//! the knob that dominates each kernel's work: task count for the
+//! schedulability DPs, variable count for the ILP, DFG node count for
+//! enumeration, candidate-pool size for the ISE knapsack.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -424,6 +426,8 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 m,
             )
         }
+        // The one ISE selection search, plain against certified: the
+        // ratio is the cost of recording an optimality certificate.
         "ise_bnb" => {
             let pools: Vec<(Vec<CiCandidate>, u64)> =
                 (0..BATCH).map(|_| candidate_pool(&mut rng, size)).collect();
@@ -431,9 +435,10 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 size,
                 &mut || {
                     for (cands, budget) in &pools {
-                        let _ = black_box(rtise_ise::select::branch_and_bound_reference(
+                        let _ = black_box(rtise_ise::branch_and_bound_with(
                             black_box(cands),
                             black_box(*budget),
+                            SearchOpts::CERTIFIED,
                         ));
                     }
                 },
@@ -550,9 +555,15 @@ mod tests {
 
     #[test]
     fn optimized_paths_publish_solver_counters() {
-        // Kernels whose optimized entry points record observability
-        // counters; the pure-selection paths (rms/ise B&B) may not.
-        for &kernel in &["edf_dp", "ilp_bnb", "enumerate", "miso", "ise_iter_small"] {
+        for &kernel in &[
+            "edf_dp",
+            "rms_bnb",
+            "ilp_bnb",
+            "enumerate",
+            "miso",
+            "ise_bnb",
+            "ise_iter_small",
+        ] {
             let point = run_size(kernel, sizes(kernel)[0], 1, &tiny());
             assert!(
                 !point.counters.is_empty(),

@@ -7,9 +7,9 @@
 //!   (deadline = period).
 //! * [`utilization`] / [`edf_schedulable`] — the exact EDF condition
 //!   `U = Σ Cᵢ/Pᵢ ≤ 1` (Liu & Layland).
-//! * [`rms_schedulable`] — the exact RMS test of Theorem 1 (Bini–Buttazzo
-//!   `Sᵢ(t)` recurrence), plus the conservative Liu–Layland sufficient bound
-//!   [`rms_ll_bound`] used by the voltage-scaling step.
+//! * [`rms_schedulable`] — the exact RMS test of Theorem 1 over the
+//!   Bini–Buttazzo [`scheduling_points`], plus the conservative Liu–Layland
+//!   sufficient bound [`rms_ll_bound`] used by the voltage-scaling step.
 //! * [`simulate_edf`] / [`simulate_rms`] — cycle-accurate preemptive
 //!   schedule simulators over the hyperperiod, used to cross-validate the
 //!   analytic tests.
@@ -32,8 +32,6 @@
 //! ```
 
 pub mod dvfs;
-
-use std::collections::BTreeSet;
 
 /// A periodic, preemptable task with implicit deadline (= period).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -118,9 +116,8 @@ pub fn rms_schedulable(tasks: &[PeriodicTask]) -> bool {
 /// a lower-priority task can never disturb higher-priority ones, so only the
 /// newly added task needs the check (§3.1.4).
 pub fn rms_task_schedulable(sorted: &[&PeriodicTask], i: usize) -> bool {
-    let pi = sorted[i].period;
-    let points = schedule_points(sorted, i, pi);
-    points.into_iter().filter(|&t| t > 0).any(|t| {
+    let periods: Vec<u64> = sorted[..=i].iter().map(|t| t.period).collect();
+    scheduling_points(&periods, i).into_iter().any(|t| {
         let demand: u128 = sorted[..=i]
             .iter()
             .map(|tj| (t as u128).div_ceil(tj.period as u128) * tj.wcet as u128)
@@ -129,21 +126,27 @@ pub fn rms_task_schedulable(sorted: &[&PeriodicTask], i: usize) -> bool {
     })
 }
 
-/// The `Sᵢ(t)` scheduling-point set of Theorem 1:
-/// `S₀(t) = {t}`, `Sᵢ(t) = Sᵢ₋₁(⌊t/Pᵢ⌋ Pᵢ) ∪ Sᵢ₋₁(t)`.
-fn schedule_points(sorted: &[&PeriodicTask], i: usize, t: u64) -> BTreeSet<u64> {
-    fn rec(sorted: &[&PeriodicTask], level: usize, t: u64, out: &mut BTreeSet<u64>) {
-        if level == 0 {
-            out.insert(t);
-            return;
-        }
-        let p = sorted[level - 1].period;
-        rec(sorted, level - 1, t / p * p, out);
-        rec(sorted, level - 1, t, out);
+/// The scheduling points of Theorem 1 for task `i` (0-based; `periods`
+/// in increasing order), ascending, zero removed: `Sᵢ(periods[i])` with
+/// `S₀(t) = {t}` and `Sₖ(t) = Sₖ₋₁(⌊t/Pₖ⌋ Pₖ) ∪ Sₖ₋₁(t)`, where
+/// `Pₖ = periods[k - 1]`. In the paper's 1-based task numbering this is
+/// `Sᵢ₋₁(Pᵢ)`.
+///
+/// The set is built one priority level at a time, from `periods[i - 1]`
+/// down to `periods[0]`, merging duplicates at each level, so the work is
+/// bounded by the number of distinct points rather than by the
+/// recursion's `2^i` leaves. Depends only on periods, never on execution
+/// times.
+pub fn scheduling_points(periods: &[u64], i: usize) -> Vec<u64> {
+    let mut points = vec![periods[i]];
+    for &p in periods[..i].iter().rev() {
+        let floors: Vec<u64> = points.iter().map(|&t| t / p * p).collect();
+        points.extend(floors);
+        points.sort_unstable();
+        points.dedup();
     }
-    let mut out = BTreeSet::new();
-    rec(sorted, i, t, &mut out);
-    out
+    points.retain(|&t| t > 0);
+    points
 }
 
 /// Least common multiple of all periods, or `None` on overflow.
@@ -380,6 +383,37 @@ mod tests {
             if rms_schedulable(&ts) {
                 assert!(edf_schedulable(&ts), "{ts:?}");
             }
+        }
+    }
+
+    #[test]
+    fn scheduling_points_match_the_recursive_definition() {
+        // The Theorem 1 recurrence, expanded leaf by leaf (2^i leaves).
+        fn rec(periods: &[u64], level: usize, t: u64, out: &mut Vec<u64>) {
+            if level == 0 {
+                out.push(t);
+                return;
+            }
+            let p = periods[level - 1];
+            rec(periods, level - 1, t / p * p, out);
+            rec(periods, level - 1, t, out);
+        }
+        let mut rng = Rng::new(0x5C4E);
+        for case in 0..200 {
+            let n = rng.gen_range(1..=15usize);
+            let mut periods: Vec<u64> = (0..n).map(|_| rng.gen_range(1u64..=400)).collect();
+            periods.sort_unstable();
+            let i = rng.gen_range(0..n);
+            let mut want = Vec::new();
+            rec(&periods, i, periods[i], &mut want);
+            want.sort_unstable();
+            want.dedup();
+            want.retain(|&t| t > 0);
+            assert_eq!(
+                scheduling_points(&periods, i),
+                want,
+                "case {case}: periods {periods:?}, i = {i}"
+            );
         }
     }
 

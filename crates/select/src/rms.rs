@@ -11,7 +11,7 @@
 
 use crate::task::{Assignment, TaskSpec};
 use rtise_obs::{BoundedLog, Hist};
-use rtise_rt::{rms_task_schedulable, PeriodicTask};
+use rtise_rt::{rms_task_schedulable, scheduling_points, PeriodicTask};
 use rtise_trace::bnb::{SearchOpts, SearchOutput};
 use std::fmt;
 
@@ -384,7 +384,7 @@ fn search(ctx: &mut Ctx<'_>, depth: usize, area: u64, util: f64) {
 }
 
 /// The original branch-and-bound that re-runs the full Theorem 1 test
-/// (scheduling-point recursion included) for every candidate. Kept
+/// (scheduling points included) for every candidate. Kept
 /// callable so differential tests and benchmarks can compare the memoized
 /// search against it; does not publish counters.
 ///
@@ -500,26 +500,6 @@ fn suffix_bounds(specs: &[TaskSpec], order: &[usize]) -> Vec<f64> {
         suffix_bound[d] = suffix_bound[d + 1] + best_u[order[d]];
     }
     suffix_bound
-}
-
-/// The `Sᵢ₋₁(Pᵢ)` scheduling points of Theorem 1 for depth `i` of the
-/// priority order, ascending, zero removed — exactly the points
-/// `rtise_rt::rms_task_schedulable` evaluates. Depends only on periods,
-/// never on the chosen configurations.
-fn scheduling_points(periods: &[u64], i: usize) -> Vec<u64> {
-    use std::collections::BTreeSet;
-    fn rec(periods: &[u64], level: usize, t: u64, out: &mut BTreeSet<u64>) {
-        if level == 0 {
-            out.insert(t);
-            return;
-        }
-        let p = periods[level - 1];
-        rec(periods, level - 1, t / p * p, out);
-        rec(periods, level - 1, t, out);
-    }
-    let mut out = BTreeSet::new();
-    rec(periods, i, periods[i], &mut out);
-    out.into_iter().filter(|&t| t > 0).collect()
 }
 
 #[cfg(test)]

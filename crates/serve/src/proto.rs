@@ -196,6 +196,11 @@ fn get_level(doc: &Value) -> Result<Level, String> {
     }
 }
 
+/// Most tasks one selection request may name. Each task is a level of an
+/// exponential branch-and-bound search, so the list length is bounded
+/// before any work is queued.
+pub const MAX_TASKS: usize = 64;
+
 fn get_kernels(doc: &Value) -> Result<Vec<String>, String> {
     let arr = doc
         .get("kernels")
@@ -203,6 +208,12 @@ fn get_kernels(doc: &Value) -> Result<Vec<String>, String> {
         .ok_or("field \"kernels\" is missing or not an array")?;
     if arr.is_empty() {
         return Err("field \"kernels\" is empty".into());
+    }
+    if arr.len() > MAX_TASKS {
+        return Err(format!(
+            "field \"kernels\" names {} tasks, more than the limit of {MAX_TASKS}",
+            arr.len()
+        ));
     }
     arr.iter()
         .map(|v| {
@@ -313,5 +324,14 @@ mod tests {
         )
         .is_err());
         assert!(parse(r#"{"id": 1, "kind": "curve", "kernel": "fir", "level": "warp"}"#).is_err());
+        let rms = |n: usize| {
+            let kernels = vec![r#""fir""#; n].join(", ");
+            format!(
+                r#"{{"id": 1, "kind": "select_rms", "kernels": [{kernels}], "u0_pct": 60, "budget": 1}}"#
+            )
+        };
+        assert!(parse(&rms(MAX_TASKS)).is_ok());
+        let err = parse(&rms(MAX_TASKS + 1)).unwrap_err();
+        assert!(err.contains(&MAX_TASKS.to_string()), "{err}");
     }
 }
