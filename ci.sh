@@ -125,18 +125,17 @@ if ! cmp -s target/artifacts/reproduce-jobs4.trace.json target/artifacts/reprodu
 fi
 echo "    --jobs 1 and --jobs 4 give byte-identical reports and traces"
 
-echo "==> panic-safety regression gates (pool callback, serve worker death)"
+echo "==> panic-safety regression gates (pool callback, serve computation panic)"
 # cargo test above already runs these; naming them here keeps the gates
 # from silently disappearing if the suites are reorganised. The grep on
 # the pass count makes a renamed (and therefore unmatched) test a failure.
 cargo test --offline --release -q -p rtise-bench --lib -- --exact \
   pool::tests::panicking_callback_does_not_poison_the_pool \
   | grep -q "1 passed"
-cargo test --offline --release -q -p rtise-serve --test service -- --exact \
-  panicked_worker_does_not_crash_shutdown_or_hang_waiters \
-  queue_drains_past_a_panicked_worker \
-  | grep -q "2 passed"
-echo "    pool survives panicking callbacks; serve survives dead workers"
+cargo test --offline --release -q -p rtise-serve --lib -- --exact \
+  server::tests::a_panicking_computation_answers_every_waiter_and_the_server_keeps_serving \
+  | grep -q "1 passed"
+echo "    pool survives panicking callbacks; serve answers every waiter of a panicked request"
 
 echo "==> fuzz smoke (fixed seed, all families, 4 workers; fails on any diagnostic)"
 cargo run --offline --release -p rtise-fuzz --bin fuzz -- \
@@ -176,7 +175,7 @@ cargo run --offline --release -p rtise-perf --bin bench -- \
 # BENCH_8 is BENCH_7 without the retired *_par kernels (every remaining
 # point is byte-for-byte BENCH_7's).
 
-echo "==> serve smoke (seeded 1000-request loadtest, 4 workers, cold then warm store)"
+echo "==> serve smoke (seeded 1000-request loadtest, 4 lanes, cold then warm store)"
 # The serve binary certifies every response via rtise-check internally and
 # schema-checks the Chrome Trace export before writing it; a nonzero exit
 # already fails CI. On top of that we grep the certification line and prove

@@ -55,15 +55,6 @@ pub const ALL: &[(&str, fn())] = &[
     ("ext_ablation", ext::ext_ablation),
 ];
 
-/// Runs one experiment by id.
-///
-/// # Errors
-///
-/// Returns the unknown id back to the caller.
-pub fn run(id: &str) -> Result<(), String> {
-    run_observed(id).map(|_| ())
-}
-
 /// Outcome of one observed experiment run: wall time, captured output
 /// lines, and the solver counters it incremented (collected through a
 /// [`rtise_obs::Scope`], so concurrent experiments never see each other's
@@ -123,24 +114,10 @@ impl RunReport {
 }
 
 /// Runs one experiment by id, capturing output, wall time, and counter
-/// deltas, with a `=== id ===` header printed up front (the historical
-/// serial-harness behavior). A panicking experiment is reported with
-/// `ok = false` rather than aborting the harness.
-///
-/// # Errors
-///
-/// Returns the unknown id back to the caller.
-pub fn run_observed(id: &str) -> Result<RunReport, String> {
-    if ALL.iter().any(|(name, _)| *name == id) {
-        println!("\n=== {id} ===");
-    }
-    run_observed_with(id, false)
-}
-
-/// Like [`run_observed`], but without the header line, and optionally
-/// `quiet`: output is buffered into the report without echoing to stdout,
-/// so a worker pool can run experiments concurrently and replay each
-/// report in paper order.
+/// deltas. A panicking experiment is reported with `ok = false` rather
+/// than aborting the harness. With `quiet`, output is buffered into the
+/// report without echoing to stdout, so a worker pool can run experiments
+/// concurrently and replay each report in paper order.
 ///
 /// Counters are collected through a thread-scoped [`rtise_obs::Scope`]
 /// — the experiment's deltas are exactly its own work (plus

@@ -433,166 +433,6 @@ pub fn evict(path: &Path, prefix: &str, age_ms: Option<u64>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Open-time maintenance: aged eviction
-// ---------------------------------------------------------------------------
-
-/// Store-wide maintenance options for [`open`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Options {
-    /// Evict entries that have sat untouched for this many store
-    /// *generations* — one generation per [`open`] call, so age is
-    /// counted in process lifetimes, not wall-clock time (deterministic
-    /// under any scheduler). `None` disables aged eviction; the ledger
-    /// still advances so enabling it later has accurate ages.
-    pub max_age_generations: Option<u64>,
-}
-
-/// Result of one [`open`] maintenance pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenStats {
-    /// The store generation this open established (1 on a fresh store).
-    pub generation: u64,
-    /// Entries evicted for age this pass (also counted under
-    /// `store.evict.aged`).
-    pub evicted_aged: u64,
-    /// Entries tracked by the ledger after the pass.
-    pub tracked: usize,
-}
-
-/// Name of the sidecar generation ledger at the store root. Not a shard
-/// entry, so it can never collide with an artifact.
-const LEDGER: &str = "generations.json";
-
-/// Fingerprint a ledger uses to tell whether an entry file was rewritten
-/// since the last open: length plus mtime in milliseconds since the Unix
-/// epoch. Rewrites go through rename, so either field moving is enough.
-fn fingerprint(path: &Path) -> Option<(u64, u64)> {
-    let meta = std::fs::metadata(path).ok()?;
-    let mtime = meta
-        .modified()
-        .ok()?
-        .duration_since(std::time::UNIX_EPOCH)
-        .ok()?;
-    Some((
-        meta.len(),
-        u64::try_from(mtime.as_millis()).unwrap_or(u64::MAX),
-    ))
-}
-
-fn ledger_u64(v: &Value) -> Option<u64> {
-    v.as_f64()
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
-}
-
-/// Opens the store for maintenance: advances the generation ledger and —
-/// when [`Options::max_age_generations`] is set — evicts every shard
-/// entry whose file has not been (re)written for that many generations.
-/// Counted under `store.evict.aged` (plus the generic `store.evict` of
-/// [`evict`]). Entries appearing for the first time, and entries whose
-/// size/mtime fingerprint moved since the last open, start a fresh age.
-///
-/// Intended to run once at store startup (the serve engine and the curve
-/// caches open before serving); racing a concurrent writer is safe — the
-/// worst case is a fresh entry being adopted one generation late. A
-/// missing or corrupt ledger resets ages rather than evicting anything.
-pub fn open(dir: &Path, opts: Options) -> std::io::Result<OpenStats> {
-    let ledger_path = dir.join(LEDGER);
-    let (mut generation, mut seen): (u64, BTreeMap<String, (u64, u64, u64)>) =
-        match std::fs::read_to_string(&ledger_path)
-            .ok()
-            .as_deref()
-            .map(parse)
-        {
-            Some(Ok(doc)) => {
-                let generation = doc.get("generation").and_then(ledger_u64).unwrap_or(0);
-                let mut seen = BTreeMap::new();
-                if let Some(Value::Obj(pairs)) = doc.get("entries") {
-                    for (name, rec) in pairs {
-                        if let (Some(g), Some(len), Some(mtime)) = (
-                            rec.get("seen").and_then(ledger_u64),
-                            rec.get("len").and_then(ledger_u64),
-                            rec.get("mtime_ms").and_then(ledger_u64),
-                        ) {
-                            seen.insert(name.clone(), (g, len, mtime));
-                        }
-                    }
-                }
-                (generation, seen)
-            }
-            // No ledger yet, or an unreadable one: restart the clock.
-            _ => (0, BTreeMap::new()),
-        };
-    generation += 1;
-
-    let mut next: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    let mut evicted_aged = 0u64;
-    for shard in 0..N_SHARDS {
-        let shard_name = format!("shard-{shard:02}");
-        let shard_dir = dir.join(&shard_name);
-        let Ok(listing) = std::fs::read_dir(&shard_dir) else {
-            continue;
-        };
-        for file in listing.flatten() {
-            let file_name = file.file_name();
-            let Some(name) = file_name.to_str() else {
-                continue;
-            };
-            // Skip temp files mid-rename and anything that is not an
-            // entry document.
-            if !name.ends_with(".json") {
-                continue;
-            }
-            let path = file.path();
-            let Some((len, mtime)) = fingerprint(&path) else {
-                continue;
-            };
-            let rel = format!("{shard_name}/{name}");
-            let first_seen = match seen.remove(&rel) {
-                // Unchanged since last open: age keeps accruing.
-                Some((g, l, m)) if (l, m) == (len, mtime) => g,
-                // Rewritten (or new): fresh age from this generation.
-                _ => generation,
-            };
-            let age = generation - first_seen;
-            if opts.max_age_generations.is_some_and(|max| age >= max) {
-                rtise_obs::record("store.evict.aged", 1);
-                evict(&path, "store", entry_age_ms(&path));
-                evicted_aged += 1;
-            } else {
-                next.insert(rel, (first_seen, len, mtime));
-            }
-        }
-    }
-
-    let entries = Value::Obj(
-        next.iter()
-            .map(|(name, &(g, len, mtime))| {
-                (
-                    name.clone(),
-                    Value::obj(vec![
-                        ("seen", g.into()),
-                        ("len", len.into()),
-                        ("mtime_ms", mtime.into()),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let doc = Value::obj(vec![
-        ("generation", generation.into()),
-        ("entries", entries),
-    ]);
-    std::fs::create_dir_all(dir)?;
-    write_atomic(&ledger_path, &doc.render_pretty())?;
-    Ok(OpenStats {
-        generation,
-        evicted_aged,
-        tracked: next.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,15 +531,6 @@ mod tests {
         assert!(store(&dir, "toy", "k1", &art, &counters(), &hists()).is_err());
         let shard = path.parent().expect("shard dir");
         assert_eq!(temp_files(shard), Vec::<String>::new());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failed_ledger_write_leaves_no_temp_file() {
-        let dir = tmp_dir("failed-ledger");
-        std::fs::create_dir_all(dir.join(LEDGER)).expect("squat the ledger path");
-        assert!(open(&dir, Options::default()).is_err());
-        assert_eq!(temp_files(&dir), Vec::<String>::new());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -816,60 +647,6 @@ mod tests {
         let counters = scope.counters();
         assert_eq!(counters.get("cache.toy.evict"), Some(&2));
         assert_eq!(counters.get("cache.toy.evict_failed"), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The open-time generation clock: entries untouched for
-    /// `max_age_generations` opens are evicted and counted under
-    /// `store.evict.aged`; rewritten entries restart their age; a `None`
-    /// policy never evicts but keeps the clock advancing.
-    #[test]
-    fn aged_eviction_spares_fresh_entries_and_counts_stale_ones() {
-        let dir = tmp_dir("aged");
-        for i in 0..6u64 {
-            let key = format!("age-{i}");
-            store(
-                &dir,
-                "toy",
-                &key,
-                &Staircase(vec![i, i + 1]),
-                &counters(),
-                &hists(),
-            )
-            .expect("store");
-        }
-        let opts = Options {
-            max_age_generations: Some(2),
-        };
-        // Generation 1 adopts everything fresh; generation 2 sees age 1.
-        let s1 = open(&dir, opts).expect("open");
-        assert_eq!((s1.generation, s1.evicted_aged, s1.tracked), (1, 0, 6));
-        let s2 = open(&dir, opts).expect("open");
-        assert_eq!((s2.generation, s2.evicted_aged, s2.tracked), (2, 0, 6));
-        // Rewrite one entry (longer payload, new fingerprint): its age
-        // restarts while the other five hit the cap at generation 3.
-        store(
-            &dir,
-            "toy",
-            "age-0",
-            &Staircase(vec![7, 700_000]),
-            &counters(),
-            &hists(),
-        )
-        .expect("store");
-        let _iso = rtise_obs::isolate();
-        let scope = rtise_obs::Scope::new();
-        let guard = scope.enter();
-        let s3 = open(&dir, opts).expect("open");
-        drop(guard);
-        assert_eq!((s3.generation, s3.evicted_aged, s3.tracked), (3, 5, 1));
-        assert_eq!(scope.counters().get("store.evict.aged"), Some(&5));
-        assert_eq!(scope.counters().get("store.evict"), Some(&5));
-        assert!(load::<Staircase>(&dir, "toy", "age-0").is_some());
-        assert!(load::<Staircase>(&dir, "toy", "age-1").is_none());
-        // Disabled policy: the clock advances, nothing is evicted.
-        let s4 = open(&dir, Options::default()).expect("open");
-        assert_eq!((s4.generation, s4.evicted_aged, s4.tracked), (4, 0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,7 +10,8 @@
 //!     [--trace-out PATH] [--min-hit-rate PCT]
 //! ```
 //!
-//! Common flags: `--jobs <n>` (worker count, default every core),
+//! Common flags: `--jobs <n>` (most requests computing at once, default
+//! every core; the load test also runs that many client lanes),
 //! `--cache-dir <dir>` (persist responses in the sharded artifact
 //! store). The load test exits nonzero if any response fails independent
 //! re-certification, the trace export is not schema-clean, or the hit
@@ -59,11 +60,11 @@ fn main() {
             "loadtest" => mode = Some(Mode::Loadtest),
             "--jobs" => match args.next().map(|n| n.parse::<usize>()) {
                 Some(Ok(0)) => usage_error(
-                    "--jobs 0 is not a worker count — did you mean --jobs 1 for a single \
-                     worker? (omit --jobs to use every core)",
+                    "--jobs 0 would run nothing — did you mean --jobs 1 for one request at a \
+                     time? (omit --jobs to use every core)",
                 ),
                 Some(Ok(n)) => jobs = Some(n),
-                _ => usage_error("--jobs requires a worker count >= 1"),
+                _ => usage_error("--jobs requires a count >= 1"),
             },
             "--cache-dir" => match args.next() {
                 Some(p) => cache_dir = Some(PathBuf::from(p)),
@@ -102,25 +103,16 @@ fn main() {
     match mode {
         None => usage_error("pick a mode: --stdin, --listen <addr>, or loadtest"),
         Some(Mode::Stdin) => {
-            let server = Server::start_new(ServerConfig {
-                jobs,
-                cache_dir,
-                trace_clock: None,
-            });
+            let server = Server::new(ServerConfig { jobs, cache_dir });
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
             if let Err(e) = serve_lines(&server, stdin.lock(), stdout.lock()) {
                 eprintln!("serve: {e}");
                 std::process::exit(1);
             }
-            server.shutdown();
         }
         Some(Mode::Listen(addr)) => {
-            let server = Arc::new(Server::start_new(ServerConfig {
-                jobs,
-                cache_dir,
-                trace_clock: None,
-            }));
+            let server = Arc::new(Server::new(ServerConfig { jobs, cache_dir }));
             if let Err(e) = run_tcp(&addr, &server) {
                 eprintln!("serve: {e}");
                 std::process::exit(1);

@@ -290,14 +290,15 @@ pub fn error_response(id: u64, msg: &str) -> Value {
 /// Executes one request to a complete response document.
 ///
 /// Never panics outward: a panicking computation becomes an `ok: false`
-/// response, so one poisoned request cannot take a worker down.
+/// response, so one poisoned request cannot take its serving thread
+/// down.
 #[must_use]
 pub fn execute(req: &Request) -> Value {
     let scope = Scope::new();
     let outcome = {
         // The request's scope nests in whatever the caller has entered: a
-        // serve worker enters only its trace scope here, which receives
-        // the request span and its solver events.
+        // traced load-test lane has entered only its trace scope here,
+        // which receives the request span and its solver events.
         let _guard = scope.enter();
         let _span = rtise_trace::enabled().then(|| rtise_trace::span(req.kind.name()));
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compute(&req.kind)))

@@ -12,13 +12,15 @@
 //! - [`proto`]/[`engine`] — the wire protocol and a pure request →
 //!   response executor whose `work` field (solver-counter sum) is
 //!   deterministic for a given request.
-//! - [`server`] — a bounded worker pool with in-flight dedup (identical
-//!   concurrent requests share one computation) backed by the sharded
-//!   content-addressed artifact store in [`rtise_bench::store`]; cached
-//!   responses are re-certified on load and corrupt entries recomputed.
+//! - [`server`] — answers each request on the thread that read it, with
+//!   in-flight dedup (identical concurrent requests share one
+//!   computation), at most `jobs` computations at once, and the sharded
+//!   content-addressed artifact store in [`rtise_bench::store`] behind
+//!   it; cached responses are re-certified on load and corrupt entries
+//!   recomputed.
 //! - [`traffic`]/[`loadtest`] — a seeded Zipf workload generator and an
 //!   in-process load test whose obs-JSON report is byte-identical at any
-//!   worker count.
+//!   lane count.
 //!
 //! ```text
 //! $ echo '{"id": 1, "kind": "ilp", "seed": 5}' | serve --stdin

@@ -1,16 +1,14 @@
 //! The in-process load-test harness: drive a seeded synthetic workload
-//! through a real [`Server`] and emit a deterministic obs-JSON report.
+//! through a real [`Server`] from `jobs` client lanes and emit a
+//! deterministic obs-JSON report.
 //!
-//! The report is **byte-identical at any worker count**. Everything in
-//! it derives from the request stream and the responses, never from
+//! The report is **byte-identical at any lane count**. Everything in it
+//! derives from the request stream and the responses, never from
 //! timing: per-family latency histograms are in *work units* (the
-//! deterministic solver-counter sum each response carries), hit
-//! classification replays the dedup keys in submission order against the
-//! starting store state, and queue-depth accounting exploits the paused
-//! server — the whole workload is submitted before the first worker
-//! starts, so depth after the k-th submission is exactly the number of
-//! distinct keys seen so far. Wall-clock time is printed to stderr,
-//! outside the report.
+//! deterministic solver-counter sum each response carries), and hit
+//! classification replays the dedup keys in stream order against the
+//! starting store state. Wall-clock time is printed to stderr, outside
+//! the report.
 //!
 //! Every response is re-certified through
 //! [`rtise::check::serve::check_response`] before the report is built;
@@ -18,14 +16,15 @@
 //! independently provable.
 
 use crate::engine::ResponseArtifact;
-use crate::proto::dedup_key;
+use crate::proto::{dedup_key, Request};
 use crate::server::{Server, ServerConfig, STORE_TAG};
 use crate::traffic;
 use rtise_bench::store;
 use rtise_obs::json::Value;
-use rtise_obs::Hist;
+use rtise_obs::{Hist, Scope};
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of buckets in the cache-hit-over-time curve.
 const HIT_CURVE_BUCKETS: usize = 20;
@@ -37,17 +36,18 @@ pub struct LoadtestConfig {
     pub seed: u64,
     /// Number of requests.
     pub requests: usize,
-    /// Worker count.
+    /// Client lanes calling the server at once; also the server's
+    /// computation limit.
     pub jobs: usize,
     /// Artifact-store directory shared with real serving; `None` runs
     /// memory-only.
     pub cache_dir: Option<PathBuf>,
     /// Chrome-trace export path.
     pub trace_out: Option<PathBuf>,
-    /// Trace clock. Each worker writes its own `worker-{i}` track with the
-    /// requests it happened to claim, so the trace follows `jobs` and
+    /// Trace clock. Each lane writes its own `worker-{i}` track with the
+    /// requests it happened to compute, so the trace follows `jobs` and
     /// scheduling even under [`Clock::Virtual`](rtise_trace::Clock); only
-    /// the report is worker-count-independent.
+    /// the report is lane-count-independent.
     pub trace_clock: rtise_trace::Clock,
 }
 
@@ -71,7 +71,7 @@ struct FamilyStats {
     work: Hist,
 }
 
-/// Runs one load test: generate, submit (paused), start, drain, certify,
+/// Runs one load test: generate, serve from `jobs` lanes, certify,
 /// report.
 #[must_use]
 pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
@@ -79,38 +79,28 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
 
     // Deterministic hit classification *before* the server runs: a
     // request is a hit if its key appeared earlier in the stream or is
-    // already on disk. Also replay the queue depth the paused submission
-    // phase will produce.
+    // already on disk.
     let mut seen: HashSet<String> = HashSet::new();
-    let mut hit = Vec::with_capacity(requests.len());
-    let mut queue_depth = Hist::new();
-    let mut depth = 0u64;
-    for req in &requests {
-        let key = dedup_key(&req.kind);
-        let warm = cfg
-            .cache_dir
-            .as_deref()
-            .is_some_and(|dir| store::contains::<ResponseArtifact>(dir, STORE_TAG, &key));
-        if seen.insert(key) {
-            depth += 1;
-            queue_depth.observe(depth);
-            hit.push(warm);
-        } else {
-            hit.push(true);
-        }
-    }
+    let hit: Vec<bool> = requests
+        .iter()
+        .map(|req| {
+            let key = dedup_key(&req.kind);
+            let warm = cfg
+                .cache_dir
+                .as_deref()
+                .is_some_and(|dir| store::contains::<ResponseArtifact>(dir, STORE_TAG, &key));
+            !seen.insert(key) || warm
+        })
+        .collect();
     let distinct = seen.len();
 
     let timer = rtise_obs::Timer::start();
     let server = Server::new(ServerConfig {
         jobs: cfg.jobs,
         cache_dir: cfg.cache_dir.clone(),
-        trace_clock: cfg.trace_out.as_ref().map(|_| cfg.trace_clock),
     });
-    let handles: Vec<_> = requests.iter().map(|r| server.submit(r)).collect();
-    server.start();
-    let responses: Vec<Value> = handles.iter().map(crate::server::Handle::wait).collect();
-    let (counters, traces) = server.shutdown();
+    let (responses, traces) = serve_from_lanes(&server, &requests, cfg);
+    let counters = server.counters();
     let wall_ms = timer.elapsed_ms();
 
     // Independent re-certification of every response.
@@ -189,7 +179,6 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
                 ("stores", counter("cache.response.store").into()),
             ]),
         ),
-        ("queue_depth", queue_depth.summary_json()),
         (
             "families",
             Value::Obj(
@@ -235,7 +224,7 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
     }
 
     eprintln!(
-        "loadtest: {} requests ({distinct} distinct) on {} worker(s) in {wall_ms:.1} ms",
+        "loadtest: {} requests ({distinct} distinct) on {} lane(s) in {wall_ms:.1} ms",
         requests.len(),
         cfg.jobs,
     );
@@ -246,4 +235,49 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
         trace_ok,
         hit_rate_pct,
     }
+}
+
+/// Serves `requests` from `jobs.min(requests).max(1)` scoped lanes that
+/// claim request indices in stream order. Returns the responses in
+/// stream order and, when tracing, each lane's `worker-<i>` scope.
+fn serve_from_lanes(
+    server: &Server,
+    requests: &[Request],
+    cfg: &LoadtestConfig,
+) -> (Vec<Value>, Vec<(String, Scope)>) {
+    let next = AtomicUsize::new(0);
+    let lane = |i: usize| {
+        let trace = cfg
+            .trace_out
+            .as_ref()
+            .map(|_| Scope::with_clock(cfg.trace_clock));
+        let mut answered = Vec::new();
+        {
+            let _trace = trace.as_ref().map(Scope::enter);
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(req) = requests.get(k) else {
+                    break;
+                };
+                answered.push((k, server.serve(req)));
+            }
+        }
+        (answered, trace.map(|scope| (format!("worker-{i}"), scope)))
+    };
+    let lanes = cfg.jobs.min(requests.len()).max(1);
+    let results: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..lanes).map(|i| s.spawn(move || lane(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("load-test lane panicked"))
+            .collect()
+    });
+    let mut answered = Vec::with_capacity(requests.len());
+    let mut traces = Vec::new();
+    for (lane_answers, trace) in results {
+        answered.extend(lane_answers);
+        traces.extend(trace);
+    }
+    answered.sort_by_key(|&(k, _)| k);
+    (answered.into_iter().map(|(_, r)| r).collect(), traces)
 }

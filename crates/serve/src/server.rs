@@ -1,27 +1,27 @@
-//! The concurrent exploration server: a bounded worker pool over one
-//! request queue, with in-flight dedup and an optional disk-backed
-//! response store.
+//! The exploration server: in-flight dedup, an in-memory memo and an
+//! optional disk-backed response store, answered on the caller's thread.
 //!
-//! Identical concurrent requests (same [dedup key](crate::proto::dedup_key))
-//! share one slot: the first submission enqueues a job, later ones attach
-//! to the in-flight slot (`serve.dedup.hit`) or to its finished result
-//! (`serve.memo.hit`) without enqueuing anything. Workers consult the
-//! sharded artifact store before computing (`cache.response.*` counters)
-//! and persist fresh successful responses back, so a warm store answers
+//! [`Server::serve`] runs on whichever thread read the request — the
+//! stdin loop, a TCP connection, or a load-test lane. Identical
+//! concurrent requests (same [dedup key](crate::proto::dedup_key)) share
+//! one slot: the first caller for a key computes and fills it, later
+//! callers wait on the in-flight slot (`serve.dedup.hit`) or read its
+//! finished result (`serve.memo.hit`). The computing caller consults the
+//! sharded artifact store first (`cache.response.*` counters) and
+//! persists fresh successful responses back, so a warm store answers
 //! most of a repeated workload without touching a solver.
 //!
-//! A server starts paused — [`Server::start`] spawns the workers — so
-//! tests (and the load-test harness) can submit a whole workload first
-//! and get deterministic dedup/queue accounting, independent of worker
-//! timing. [`Server::shutdown`] is graceful: workers drain every queued
-//! job before exiting.
+//! At most [`ServerConfig::jobs`] computations run at once; memo and
+//! dedup hits never wait for one. A computation that panics fills its
+//! slot with an `ok: false` response (`serve.panics`), so every waiter
+//! gets an answer and the caller's thread goes on serving.
 
 use crate::engine::{self, ResponseArtifact};
 use crate::proto::{dedup_key, Request};
 use rtise_bench::store;
 use rtise_obs::json::Value;
 use rtise_obs::Scope;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -32,345 +32,190 @@ pub const STORE_TAG: &str = "resp";
 /// Server tuning.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker count (>= 1).
+    /// Most computations running at once (>= 1).
     pub jobs: usize,
     /// Artifact-store directory; `None` disables disk persistence.
     pub cache_dir: Option<PathBuf>,
-    /// When set, each worker records its spans into a `worker-<i>` scope
-    /// on this clock, exported by [`Server::shutdown`].
-    pub trace_clock: Option<rtise_trace::Clock>,
 }
 
 impl ServerConfig {
-    /// `jobs` workers, no disk store, no tracing.
+    /// At most `jobs` concurrent computations, no disk store.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         ServerConfig {
-            jobs: jobs.max(1),
+            jobs,
             cache_dir: None,
-            trace_clock: None,
         }
     }
 }
 
 /// One shared result slot: the response template (id normalized to 0)
 /// once ready.
+#[derive(Default)]
 struct Slot {
     ready: Mutex<Option<Value>>,
     cond: Condvar,
 }
 
-struct Queue {
-    jobs: VecDeque<(String, Request, Arc<Slot>)>,
-    closed: bool,
-}
-
-struct Inner {
-    queue: Mutex<Queue>,
-    cond: Condvar,
-    results: Mutex<HashMap<String, Arc<Slot>>>,
-    cache_dir: Option<PathBuf>,
-    /// The server's own counters; entered only around queue, store and
-    /// bookkeeping work, never around a request's computation.
-    scope: Scope,
-    traces: Mutex<Vec<(String, Scope)>>,
-}
-
-/// A submitted request's future response.
-pub struct Handle {
-    slot: Arc<Slot>,
-    id: u64,
-}
-
-impl Handle {
-    /// Blocks until the response is ready and returns it with this
-    /// request's id.
-    #[must_use]
-    pub fn wait(&self) -> Value {
-        // Recover from poisoning: a worker that panicked while filling
-        // the slot must not take the waiter down too — shutdown fills the
-        // orphaned slot with an error response instead.
-        let mut ready = self
-            .slot
-            .ready
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+impl Slot {
+    fn wait(&self) -> Value {
+        let mut ready = self.ready.lock().expect("slot poisoned");
         while ready.is_none() {
-            ready = self
-                .slot
-                .cond
-                .wait(ready)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            ready = self.cond.wait(ready).expect("slot poisoned");
         }
-        let mut resp = ready.clone().expect("checked above");
-        engine::set_field(&mut resp, "id", self.id.into());
-        resp
+        ready.clone().expect("checked above")
+    }
+
+    fn fill(&self, response: Value) {
+        *self.ready.lock().expect("slot poisoned") = Some(response);
+        self.cond.notify_all();
     }
 }
 
-/// The exploration server. Created paused; call [`Server::start`].
+/// The exploration server; share it by reference (or `Arc`) between the
+/// threads that read requests.
 pub struct Server {
-    inner: Arc<Inner>,
-    config: ServerConfig,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    started: std::sync::atomic::AtomicBool,
+    slots: Mutex<HashMap<String, Arc<Slot>>>,
+    cache_dir: Option<PathBuf>,
+    /// The server's own counters; entered only around dedup, store and
+    /// bookkeeping work, never around a request's computation.
+    scope: Scope,
+    /// Computation permits not currently taken.
+    permits: Mutex<usize>,
+    permit_returned: Condvar,
 }
 
 impl Server {
-    /// Creates a paused server: requests can be submitted and queue up,
-    /// but nothing executes until [`Server::start`].
+    /// Creates a server. It starts no threads.
     #[must_use]
     pub fn new(config: ServerConfig) -> Self {
         Server {
-            inner: Arc::new(Inner {
-                queue: Mutex::new(Queue {
-                    jobs: VecDeque::new(),
-                    closed: false,
-                }),
-                cond: Condvar::new(),
-                results: Mutex::new(HashMap::new()),
-                cache_dir: config.cache_dir.clone(),
-                scope: Scope::new(),
-                traces: Mutex::new(Vec::new()),
-            }),
-            config,
-            workers: Mutex::new(Vec::new()),
-            started: std::sync::atomic::AtomicBool::new(false),
+            slots: Mutex::new(HashMap::new()),
+            cache_dir: config.cache_dir,
+            scope: Scope::new(),
+            permits: Mutex::new(config.jobs.max(1)),
+            permit_returned: Condvar::new(),
         }
     }
 
-    /// Creates and immediately starts a server.
+    /// Answers one request on the calling thread, stamped with its id.
+    /// Blocks while an identical request is in flight, or while `jobs`
+    /// other computations run.
     #[must_use]
-    pub fn start_new(config: ServerConfig) -> Self {
-        let server = Server::new(config);
-        server.start();
-        server
-    }
-
-    /// Spawns the worker pool. Idempotent per server (second call is a
-    /// no-op).
-    pub fn start(&self) {
-        if self.started.swap(true, std::sync::atomic::Ordering::SeqCst) {
-            return;
-        }
-        let mut workers = self.workers.lock().expect("worker list poisoned");
-        for i in 0..self.config.jobs {
-            let inner = Arc::clone(&self.inner);
-            let clock = self.config.trace_clock;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i, clock))
-                    .expect("spawn worker"),
-            );
-        }
-    }
-
-    /// Submits one request. Identical in-flight or finished requests
-    /// share their slot; only the first submission of a key enqueues
-    /// work.
-    pub fn submit(&self, req: &Request) -> Handle {
+    pub fn serve(&self, req: &Request) -> Value {
         let key = dedup_key(&req.kind);
-        let _obs = self.inner.scope.enter();
-        let mut results = self.inner.results.lock().expect("results poisoned");
-        if let Some(slot) = results.get(&key) {
-            let done = slot.ready.lock().expect("slot poisoned").is_some();
-            rtise_obs::record(
-                if done {
-                    "serve.memo.hit"
-                } else {
-                    "serve.dedup.hit"
-                },
-                1,
-            );
-            return Handle {
-                slot: Arc::clone(slot),
-                id: req.id,
-            };
-        }
-        let slot = Arc::new(Slot {
-            ready: Mutex::new(None),
-            cond: Condvar::new(),
-        });
-        results.insert(key.clone(), Arc::clone(&slot));
-        drop(results);
-        rtise_obs::record("serve.queue.enqueued", 1);
-        {
-            let mut queue = self.inner.queue.lock().expect("queue poisoned");
-            queue.jobs.push_back((key, req.clone(), Arc::clone(&slot)));
-            rtise_obs::observe("serve.queue.depth", queue.jobs.len() as u64);
-        }
-        self.inner.cond.notify_one();
-        Handle { slot, id: req.id }
+        let mut response = self.resolve(&key, || self.compute(&key, req));
+        engine::set_field(&mut response, "id", req.id.into());
+        response
     }
 
     /// The server's own counters: `serve.*` plus the response store's
     /// `cache.response.*` traffic.
     #[must_use]
     pub fn counters(&self) -> std::collections::BTreeMap<String, u64> {
-        self.inner.scope.counters()
+        self.scope.counters()
     }
 
-    /// Graceful shutdown: workers drain every queued job, then exit.
-    /// Returns the final counters and the per-worker scopes (empty unless
-    /// [`ServerConfig::trace_clock`] was set).
+    /// The response for `key`: the first caller runs `compute` (under a
+    /// permit, panics caught) and fills the shared slot; later callers
+    /// wait on or read that slot.
+    fn resolve(&self, key: &str, compute: impl FnOnce() -> Value) -> Value {
+        let slot = {
+            let _obs = self.scope.enter();
+            let mut slots = self.slots.lock().expect("slots poisoned");
+            if let Some(slot) = slots.get(key) {
+                let slot = Arc::clone(slot);
+                let done = slot.ready.lock().expect("slot poisoned").is_some();
+                drop(slots);
+                rtise_obs::record(
+                    if done {
+                        "serve.memo.hit"
+                    } else {
+                        "serve.dedup.hit"
+                    },
+                    1,
+                );
+                return slot.wait();
+            }
+            let slot = Arc::new(Slot::default());
+            slots.insert(key.to_string(), Arc::clone(&slot));
+            slot
+        };
+        self.take_permit();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
+        self.return_permit();
+        let response = outcome.unwrap_or_else(|_| {
+            let _obs = self.scope.enter();
+            rtise_obs::record("serve.panics", 1);
+            engine::error_response(0, "internal error: request computation panicked")
+        });
+        slot.fill(response.clone());
+        response
+    }
+
+    fn take_permit(&self) {
+        let mut free = self.permits.lock().expect("permits poisoned");
+        while *free == 0 {
+            free = self.permit_returned.wait(free).expect("permits poisoned");
+        }
+        *free -= 1;
+    }
+
+    fn return_permit(&self) {
+        *self.permits.lock().expect("permits poisoned") += 1;
+        self.permit_returned.notify_one();
+    }
+
+    /// Computes one distinct request: disk store first, then execution,
+    /// then persist. The stored/served template always carries id 0;
+    /// [`Server::serve`] stamps the caller's id.
     ///
-    /// A panicked worker does not crash the shutdown: its death is
-    /// counted (`serve.worker.panics`), the remaining workers still drain
-    /// the queue, and any slot the dead worker left unfilled is completed
-    /// with an error response so no [`Handle::wait`] hangs forever.
-    pub fn shutdown(
-        self,
-    ) -> (
-        std::collections::BTreeMap<String, u64>,
-        Vec<(String, Scope)>,
-    ) {
+    /// The server's scope is entered around the store traffic and the
+    /// `serve.exec` count only. The computation runs outside it, in the
+    /// request's own scope nested under the caller's, so
+    /// [`Server::counters`] never sees solver work while a caller's trace
+    /// scope still receives the request's events.
+    fn compute(&self, key: &str, req: &Request) -> Value {
         {
-            let mut queue = self.inner.queue.lock().expect("queue poisoned");
-            queue.closed = true;
-        }
-        self.inner.cond.notify_all();
-        let mut panicked = 0u64;
-        for handle in self.workers.lock().expect("worker list poisoned").drain(..) {
-            let name = handle.thread().name().unwrap_or("serve-worker").to_string();
-            if handle.join().is_err() {
-                panicked += 1;
-                eprintln!("serve: {name} panicked; continuing shutdown");
+            let _obs = self.scope.enter();
+            if let Some(dir) = &self.cache_dir {
+                // A loaded entry already passed the full response
+                // re-certification (see `ResponseArtifact::decode`);
+                // corrupt entries were evicted and fall through to
+                // recomputation.
+                if let Some((artifact, _, _)) = store::load::<ResponseArtifact>(dir, STORE_TAG, key)
+                {
+                    return artifact.0;
+                }
             }
+            rtise_obs::record("serve.exec", 1);
         }
-        if panicked > 0 {
-            let _obs = self.inner.scope.enter();
-            rtise_obs::record("serve.worker.panics", panicked);
-            let results = self.inner.results.lock().expect("results poisoned");
-            for slot in results.values() {
-                let mut ready = slot
-                    .ready
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if ready.is_none() {
-                    *ready = Some(engine::error_response(
-                        0,
-                        "worker panicked before completing this request",
-                    ));
-                    drop(ready);
-                    slot.cond.notify_all();
+        let mut response = engine::execute(&Request {
+            id: 0,
+            kind: req.kind.clone(),
+        });
+        engine::set_field(&mut response, "id", 0u64.into());
+        let ok = matches!(response.get("ok"), Some(Value::Bool(true)));
+        if ok {
+            if let Some(dir) = &self.cache_dir {
+                let _obs = self.scope.enter();
+                let artifact = ResponseArtifact(response.clone());
+                let empty_counters = std::collections::BTreeMap::new();
+                let empty_hists = std::collections::BTreeMap::new();
+                if let Err(e) = store::store(
+                    dir,
+                    STORE_TAG,
+                    key,
+                    &artifact,
+                    &empty_counters,
+                    &empty_hists,
+                ) {
+                    eprintln!("serve: failed to persist response for {key:?}: {e}");
                 }
             }
         }
-        let mut traces = self.inner.traces.lock().expect("traces poisoned");
-        let mut traces = std::mem::take(&mut *traces);
-        traces.sort_by(|a, b| a.0.cmp(&b.0));
-        (self.inner.scope.counters(), traces)
+        response
     }
-
-    /// Test-only: synchronously claims the front queued job (so the
-    /// claim cannot race a real worker), then spawns a worker thread
-    /// that panics without ever filling the job's slot — the exact
-    /// failure mode [`Server::shutdown`] must recover from. Not part of
-    /// the public API.
-    #[doc(hidden)]
-    pub fn inject_worker_panic_for_tests(&self) {
-        let job = self
-            .inner
-            .queue
-            .lock()
-            .expect("queue poisoned")
-            .jobs
-            .pop_front();
-        self.workers.lock().expect("worker list poisoned").push(
-            std::thread::Builder::new()
-                .name("serve-worker-faulty".to_string())
-                .spawn(move || {
-                    let _claimed = job;
-                    panic!("worker panic injected by a test");
-                })
-                .expect("spawn worker"),
-        );
-    }
-}
-
-fn worker_loop(inner: &Inner, index: usize, trace_clock: Option<rtise_trace::Clock>) {
-    let trace_scope = trace_clock.map(Scope::with_clock);
-    {
-        let _trace_guard = trace_scope.as_ref().map(Scope::enter);
-        loop {
-            let job = {
-                let mut queue = inner.queue.lock().expect("queue poisoned");
-                loop {
-                    if let Some(job) = queue.jobs.pop_front() {
-                        break Some(job);
-                    }
-                    if queue.closed {
-                        break None;
-                    }
-                    queue = inner.cond.wait(queue).expect("queue poisoned");
-                }
-            };
-            let Some((key, req, slot)) = job else {
-                break;
-            };
-            let response = serve_one(inner, &key, &req);
-            let mut ready = slot.ready.lock().expect("slot poisoned");
-            *ready = Some(response);
-            drop(ready);
-            slot.cond.notify_all();
-        }
-    }
-    if let Some(scope) = trace_scope {
-        inner
-            .traces
-            .lock()
-            .expect("traces poisoned")
-            .push((format!("worker-{index}"), scope));
-    }
-}
-
-/// Resolves one distinct request: disk store first, then execution, then
-/// persist. The stored/served template always carries id 0; waiters
-/// stamp their own id.
-///
-/// The server's scope is entered around the store traffic and the
-/// `serve.exec` count only. The computation runs outside it, in the
-/// request's own scope, so [`Server::counters`] never sees solver work
-/// while the worker's trace scope still receives the request's events.
-fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
-    {
-        let _obs = inner.scope.enter();
-        if let Some(dir) = &inner.cache_dir {
-            // A loaded entry already passed the full response
-            // re-certification (see `ResponseArtifact::decode`); corrupt
-            // entries were evicted and fall through to recomputation.
-            if let Some((artifact, _, _)) = store::load::<ResponseArtifact>(dir, STORE_TAG, key) {
-                return artifact.0;
-            }
-        }
-        rtise_obs::record("serve.exec", 1);
-    }
-    let mut response = engine::execute(&Request {
-        id: 0,
-        kind: req.kind.clone(),
-    });
-    engine::set_field(&mut response, "id", 0u64.into());
-    let ok = matches!(response.get("ok"), Some(Value::Bool(true)));
-    if ok {
-        if let Some(dir) = &inner.cache_dir {
-            let _obs = inner.scope.enter();
-            let artifact = ResponseArtifact(response.clone());
-            let empty_counters = std::collections::BTreeMap::new();
-            let empty_hists = std::collections::BTreeMap::new();
-            if let Err(e) = store::store(
-                dir,
-                STORE_TAG,
-                key,
-                &artifact,
-                &empty_counters,
-                &empty_hists,
-            ) {
-                eprintln!("serve: failed to persist response for {key:?}: {e}");
-            }
-        }
-    }
-    response
 }
 
 /// Longest request line [`serve_lines`] accepts, in bytes (newline
@@ -381,7 +226,8 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Serves line-delimited JSON requests from `reader`, writing one
 /// response line per request to `writer` in request order. Used by both
-/// `serve --stdin` and each TCP connection.
+/// `serve --stdin` and each TCP connection; each request is answered on
+/// the calling thread.
 ///
 /// A line longer than [`MAX_LINE_BYTES`] or not valid UTF-8 gets one
 /// `ok: false` response and the stream goes on; the excess of an
@@ -409,7 +255,7 @@ pub fn serve_lines(
             Err(_) => engine::error_response(0, "request line is not valid UTF-8"),
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => match crate::proto::parse(line) {
-                Ok(req) => server.submit(&req).wait(),
+                Ok(req) => server.serve(&req),
                 Err(msg) => engine::error_response(line_request_id(line), &msg),
             },
         };
@@ -470,9 +316,10 @@ fn line_request_id(line: &str) -> u64 {
         .map_or(0, |n| n as u64)
 }
 
-/// Binds `addr` and serves each connection on its own thread. Blocks
-/// forever (terminate the process to stop). Every connection runs with
-/// `TCP_NODELAY`, so a response is sent as soon as it is written.
+/// Binds `addr` and serves each connection on its own thread, which also
+/// computes that connection's requests. Blocks forever (terminate the
+/// process to stop). Every connection runs with `TCP_NODELAY`, so a
+/// response is sent as soon as it is written.
 ///
 /// # Errors
 ///
@@ -510,6 +357,9 @@ pub fn run_tcp(addr: &str, server: &Arc<Server>) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     /// Records every `write` call, so a test sees how a response was split.
     #[derive(Default)]
@@ -531,10 +381,9 @@ mod tests {
     }
 
     fn serve_input(input: impl AsRef<[u8]>) -> (Vec<Value>, usize) {
-        let server = Server::start_new(ServerConfig::new(2));
+        let server = Server::new(ServerConfig::new(2));
         let mut out = CountingWriter::default();
         serve_lines(&server, input.as_ref(), &mut out).expect("in-memory I/O");
-        let _ = server.shutdown();
         let text = String::from_utf8(out.bytes).expect("utf-8 responses");
         assert!(text.ends_with('\n'), "every response ends its line");
         let responses = text
@@ -635,5 +484,144 @@ mod tests {
                 Some(Value::Bool(true))
             ]
         );
+    }
+
+    fn ok_response(tag: u64) -> Value {
+        Value::obj(vec![
+            ("id", 0u64.into()),
+            ("ok", Value::Bool(true)),
+            ("tag", tag.into()),
+        ])
+    }
+
+    /// Polls the server's counters until `name` reaches `want`: the only
+    /// way to know a second caller has attached to an in-flight slot.
+    fn await_counter(server: &Server, name: &str, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.counters().get(name).copied().unwrap_or(0) < want {
+            assert!(Instant::now() < deadline, "{name} never reached {want}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs `resolve(key, compute)` on its own thread; the answer arrives
+    /// on the returned channel. A caller stuck forever shows up as a
+    /// `recv_timeout` failure instead of a hung test.
+    fn resolve_on_thread(
+        server: &Arc<Server>,
+        key: &'static str,
+        compute: impl FnOnce() -> Value + Send + 'static,
+    ) -> mpsc::Receiver<Value> {
+        let (tx, rx) = mpsc::channel();
+        let server = Arc::clone(server);
+        std::thread::spawn(move || {
+            let _ = tx.send(server.resolve(key, compute));
+        });
+        rx
+    }
+
+    const ANSWER_TIMEOUT: Duration = Duration::from_secs(30);
+
+    /// The owner's computation blocks until a second caller has attached
+    /// to its slot; both get the one result, and a later call reads it
+    /// from the memo without computing.
+    #[test]
+    fn identical_inflight_requests_share_one_computation() {
+        let server = Arc::new(Server::new(ServerConfig::new(2)));
+        let computed = Arc::new(AtomicUsize::new(0));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let owner = resolve_on_thread(&server, "k", {
+            let computed = Arc::clone(&computed);
+            move || {
+                computed.fetch_add(1, Ordering::SeqCst);
+                started_tx.send(()).expect("test alive");
+                release_rx.recv().expect("released");
+                ok_response(7)
+            }
+        });
+        started_rx
+            .recv_timeout(ANSWER_TIMEOUT)
+            .expect("owner computes");
+        let waiter = resolve_on_thread(&server, "k", {
+            let computed = Arc::clone(&computed);
+            move || {
+                computed.fetch_add(1, Ordering::SeqCst);
+                ok_response(8)
+            }
+        });
+        await_counter(&server, "serve.dedup.hit", 1);
+        release_tx.send(()).expect("owner waiting");
+        let a = owner.recv_timeout(ANSWER_TIMEOUT).expect("owner answered");
+        let b = waiter
+            .recv_timeout(ANSWER_TIMEOUT)
+            .expect("waiter answered");
+        assert_eq!(a, ok_response(7));
+        assert_eq!(b, a, "the waiter got the owner's result");
+
+        let c = server.resolve("k", || ok_response(9));
+        assert_eq!(c, a, "a finished result answers from the memo");
+        assert_eq!(computed.load(Ordering::SeqCst), 1, "one computation");
+        let counters = server.counters();
+        assert_eq!(counters.get("serve.dedup.hit"), Some(&1));
+        assert_eq!(counters.get("serve.memo.hit"), Some(&1));
+    }
+
+    /// A panic in the owner's computation answers the owner and its
+    /// waiter with an error, returns the permit, and leaves the server
+    /// able to compute the next key.
+    #[test]
+    fn a_panicking_computation_answers_every_waiter_and_the_server_keeps_serving() {
+        let server = Arc::new(Server::new(ServerConfig::new(1)));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let owner = resolve_on_thread(&server, "bad", move || {
+            started_tx.send(()).expect("test alive");
+            release_rx.recv().expect("released");
+            panic!("computation panic injected by a test");
+        });
+        started_rx
+            .recv_timeout(ANSWER_TIMEOUT)
+            .expect("owner computes");
+        let waiter = resolve_on_thread(&server, "bad", || ok_response(1));
+        await_counter(&server, "serve.dedup.hit", 1);
+        release_tx.send(()).expect("owner waiting");
+        for (who, rx) in [("owner", owner), ("waiter", waiter)] {
+            let resp = rx.recv_timeout(ANSWER_TIMEOUT).expect(who);
+            assert_eq!(resp.get("ok"), Some(&Value::Bool(false)), "{who}");
+            let error = resp.get("error").and_then(Value::as_str).unwrap_or("");
+            assert!(error.contains("panicked"), "{who}: {error}");
+        }
+        assert_eq!(server.counters().get("serve.panics"), Some(&1));
+
+        let next = resolve_on_thread(&server, "good", || ok_response(2));
+        let resp = next
+            .recv_timeout(ANSWER_TIMEOUT)
+            .expect("the permit came back");
+        assert_eq!(resp, ok_response(2));
+    }
+
+    #[test]
+    fn at_most_jobs_computations_run_at_once() {
+        let server = Server::new(ServerConfig::new(1));
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for (i, key) in ["a", "b", "c", "d"].into_iter().enumerate() {
+                let (server, running, peak, start) = (&server, &running, &peak, &start);
+                s.spawn(move || {
+                    start.wait();
+                    server.resolve(key, || {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(20));
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        ok_response(i as u64)
+                    })
+                });
+            }
+        });
+        assert_eq!(peak.load(Ordering::SeqCst), 1);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The generator is pure — same seed, same stream, on every platform —
 //! so a load test is replayable and its report byte-identical across
-//! worker counts. Kernel popularity follows a Zipf law (`s = 1.1`) over
+//! lane counts. Kernel popularity follows a Zipf law (`s = 1.1`) over
 //! the benchmark suite, matching the skew a shared exploration service
 //! sees in practice: a few hot kernels dominate, giving caches something
 //! to bite on. Parameter grids are chosen so every request is *servable*

@@ -1,6 +1,7 @@
-//! End-to-end service tests: report determinism across worker counts,
-//! in-flight dedup, corrupt-store recovery, graceful shutdown, and the
-//! `serve --listen` TCP path.
+//! End-to-end service tests: report determinism across lane counts, the
+//! memo, corrupt-store recovery, tracing, and the `serve --listen` TCP
+//! path. Dedup, panic and concurrency-limit tests live next to the
+//! private `resolve` in `server.rs`.
 
 use rtise_obs::json::Value;
 use rtise_serve::engine::ResponseArtifact;
@@ -41,48 +42,17 @@ fn loadtest_report_is_byte_identical_across_worker_counts() {
     assert_eq!(
         serial.report.render_pretty(),
         parallel.report.render_pretty(),
-        "report must not depend on the worker count"
+        "report must not depend on the lane count"
     );
-}
-
-#[test]
-fn identical_inflight_requests_share_one_computation() {
-    // Paused server: both submissions land before any worker runs, so
-    // the second is deterministically an in-flight dedup hit.
-    let server = Server::new(ServerConfig::new(2));
-    let a = server.submit(&req(r#"{"id": 1, "kind": "ilp", "seed": 3}"#));
-    let b = server.submit(&req(r#"{"id": 2, "kind": "ilp", "seed": 3}"#));
-    let counters = server.counters();
-    assert_eq!(counters.get("serve.dedup.hit"), Some(&1));
-    assert_eq!(counters.get("serve.queue.enqueued"), Some(&1));
-
-    server.start();
-    let ra = a.wait();
-    let rb = b.wait();
-    let (counters, _) = server.shutdown();
-    assert_eq!(
-        counters.get("serve.exec"),
-        Some(&1),
-        "one solve, two responses"
-    );
-
-    assert_eq!(ra.get("id").and_then(Value::as_f64), Some(1.0));
-    assert_eq!(rb.get("id").and_then(Value::as_f64), Some(2.0));
-    assert_eq!(
-        ra.get("checksum").and_then(Value::as_str),
-        rb.get("checksum").and_then(Value::as_str),
-        "both callers got the same certified result"
-    );
-    assert!(rtise::check::serve::check_response(&ra).is_clean());
 }
 
 #[test]
 fn finished_results_are_served_from_the_memo() {
-    let server = Server::start_new(ServerConfig::new(1));
+    let server = Server::new(ServerConfig::new(1));
     let line = r#"{"id": 1, "kind": "reconfig", "problem": "synthetic", "n": 6, "seed": 1}"#;
-    let first = server.submit(&req(line)).wait();
-    let second = server.submit(&req(line)).wait();
-    let (counters, _) = server.shutdown();
+    let first = server.serve(&req(line));
+    let second = server.serve(&req(line));
+    let counters = server.counters();
     assert_eq!(counters.get("serve.exec"), Some(&1));
     assert_eq!(counters.get("serve.memo.hit"), Some(&1));
     assert_eq!(
@@ -99,13 +69,11 @@ fn corrupt_store_entries_are_evicted_and_recomputed() {
     let key = dedup_key(&request.kind);
 
     // Warm the store.
-    let server = Server::start_new(ServerConfig {
+    let server = Server::new(ServerConfig {
         jobs: 1,
         cache_dir: Some(dir.clone()),
-        trace_clock: None,
     });
-    let clean = server.submit(&request).wait();
-    server.shutdown();
+    let clean = server.serve(&request);
     let path = rtise_bench::store::entry_path::<ResponseArtifact>(&dir, STORE_TAG, &key);
     assert!(path.exists(), "response persisted");
 
@@ -116,13 +84,12 @@ fn corrupt_store_entries_are_evicted_and_recomputed() {
     std::fs::write(&path, doctored).expect("write doctored entry");
 
     // A fresh server must reject the entry, evict it, and recompute.
-    let server = Server::start_new(ServerConfig {
+    let server = Server::new(ServerConfig {
         jobs: 1,
         cache_dir: Some(dir.clone()),
-        trace_clock: None,
     });
-    let recomputed = server.submit(&request).wait();
-    let (counters, _) = server.shutdown();
+    let recomputed = server.serve(&request);
+    let counters = server.counters();
     assert_eq!(
         counters.get("cache.response.hit"),
         None,
@@ -137,101 +104,15 @@ fn corrupt_store_entries_are_evicted_and_recomputed() {
     );
 
     // The recomputed entry is stored again and now serves warm.
-    let server = Server::start_new(ServerConfig {
+    let server = Server::new(ServerConfig {
         jobs: 1,
         cache_dir: Some(dir),
-        trace_clock: None,
     });
-    let warm = server.submit(&request).wait();
-    let (counters, _) = server.shutdown();
+    let warm = server.serve(&request);
+    let counters = server.counters();
     assert_eq!(counters.get("cache.response.hit"), Some(&1));
     assert_eq!(counters.get("serve.exec"), None, "no solve on a warm hit");
     assert!(rtise::check::serve::check_response(&warm).is_clean());
-}
-
-#[test]
-fn shutdown_drains_every_queued_job() {
-    // Queue a batch while paused, start, and immediately shut down: the
-    // graceful drain must answer everything before the workers exit.
-    let server = Server::new(ServerConfig::new(3));
-    let handles: Vec<_> = (0..12)
-        .map(|i| {
-            server.submit(&req(&format!(
-                r#"{{"id": {}, "kind": "ilp", "seed": {}}}"#,
-                i + 1,
-                i % 6
-            )))
-        })
-        .collect();
-    server.start();
-    let (counters, _) = server.shutdown();
-    assert_eq!(
-        counters.get("serve.exec"),
-        Some(&6),
-        "six distinct seeds solved"
-    );
-    for (i, h) in handles.iter().enumerate() {
-        let resp = h.wait();
-        assert_eq!(resp.get("id").and_then(Value::as_f64), Some(i as f64 + 1.0));
-        assert!(
-            rtise::check::serve::check_response(&resp).is_clean(),
-            "response {i} certified after drain"
-        );
-    }
-}
-
-/// A worker that dies mid-job must not crash `shutdown` or strand its
-/// waiter: the panic is counted, the orphaned slot is completed with an
-/// error response, and `Handle::wait` returns instead of hanging.
-#[test]
-fn panicked_worker_does_not_crash_shutdown_or_hang_waiters() {
-    let server = Server::new(ServerConfig::new(1));
-    let handle = server.submit(&req(r#"{"id": 9, "kind": "ilp", "seed": 2}"#));
-    // Claim the queued job and die without filling its slot; real
-    // workers are never started, so only the faulty one ran.
-    server.inject_worker_panic_for_tests();
-    let (counters, _) = server.shutdown();
-    assert_eq!(counters.get("serve.worker.panics"), Some(&1));
-    assert_eq!(counters.get("serve.exec"), None, "job never executed");
-
-    let resp = handle.wait();
-    assert_eq!(resp.get("ok"), Some(&Value::Bool(false)));
-    assert_eq!(resp.get("id").and_then(Value::as_f64), Some(9.0));
-    let error = resp.get("error").and_then(Value::as_str).unwrap_or("");
-    assert!(
-        error.contains("worker panicked"),
-        "unexpected error: {error}"
-    );
-}
-
-/// Surviving workers keep draining the queue past a panicked one: only
-/// the job the dead worker claimed gets an error response.
-#[test]
-fn queue_drains_past_a_panicked_worker() {
-    let server = Server::new(ServerConfig::new(1));
-    let handles: Vec<_> = (0..3)
-        .map(|i| {
-            server.submit(&req(&format!(
-                r#"{{"id": {}, "kind": "ilp", "seed": {i}}}"#,
-                i + 1
-            )))
-        })
-        .collect();
-    // The faulty worker deterministically claims the first job; the real
-    // worker started afterwards drains the remaining two.
-    server.inject_worker_panic_for_tests();
-    server.start();
-    let (counters, _) = server.shutdown();
-    assert_eq!(counters.get("serve.worker.panics"), Some(&1));
-    assert_eq!(counters.get("serve.exec"), Some(&2), "survivors drained");
-
-    let lost = handles[0].wait();
-    assert_eq!(lost.get("ok"), Some(&Value::Bool(false)));
-    for (i, h) in handles.iter().enumerate().skip(1) {
-        let resp = h.wait();
-        assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "job {i} served");
-        assert!(rtise::check::serve::check_response(&resp).is_clean());
-    }
 }
 
 #[test]
@@ -352,40 +233,32 @@ fn tcp_connections_get_every_response_in_order_without_delayed_ack_stalls() {
     );
 }
 
-/// A traced server keeps its two kinds of observation apart: each
-/// request's span and the solver events under it land on the worker
-/// tracks, while the server's own counters hold only queue and store
-/// bookkeeping, never solver work.
+/// A traced caller keeps the two kinds of observation apart: each
+/// request's span and the solver events under it land in the caller's
+/// clocked scope, while the server's own counters hold only dedup and
+/// store bookkeeping, never solver work.
 #[test]
 fn traced_server_records_request_events_and_keeps_solver_work_out_of_its_counters() {
-    let config = ServerConfig {
+    let server = Server::new(ServerConfig {
         cache_dir: Some(tmp_dir("traced")),
-        trace_clock: Some(rtise_trace::Clock::Virtual),
         ..ServerConfig::new(2)
-    };
-    let server = Server::new(config);
-    let handles: Vec<_> = [
-        r#"{"id": 1, "kind": "select_edf", "kernels": ["fir", "crc32"], "u0_pct": 100, "budget": 256, "level": "fast"}"#,
-        r#"{"id": 2, "kind": "select_rms", "kernels": ["fir", "crc32"], "u0_pct": 60, "budget": 256, "level": "fast"}"#,
-        r#"{"id": 3, "kind": "ilp", "seed": 3}"#,
-        r#"{"id": 4, "kind": "ilp", "seed": 4}"#,
-    ]
-    .iter()
-    .map(|line| server.submit(&req(line)))
-    .collect();
-    server.start();
-    for h in &handles {
-        let resp = h.wait();
-        assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "{resp:?}");
+    });
+    let trace = rtise_obs::Scope::with_clock(rtise_trace::Clock::Virtual);
+    {
+        let _trace = trace.enter();
+        for line in [
+            r#"{"id": 1, "kind": "select_edf", "kernels": ["fir", "crc32"], "u0_pct": 100, "budget": 256, "level": "fast"}"#,
+            r#"{"id": 2, "kind": "select_rms", "kernels": ["fir", "crc32"], "u0_pct": 60, "budget": 256, "level": "fast"}"#,
+            r#"{"id": 3, "kind": "ilp", "seed": 3}"#,
+            r#"{"id": 4, "kind": "ilp", "seed": 4}"#,
+        ] {
+            let resp = server.serve(&req(line));
+            assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "{resp:?}");
+        }
     }
-    let (counters, traces) = server.shutdown();
+    let counters = server.counters();
 
-    let labels: Vec<_> = traces.iter().map(|(label, _)| label.as_str()).collect();
-    assert_eq!(labels, ["worker-0", "worker-1"]);
-    let events: Vec<_> = traces
-        .iter()
-        .flat_map(|(_, scope)| scope.events())
-        .collect();
+    let events = trace.events();
     let has = |kind: rtise_trace::EventKind, name: &str| {
         events.iter().any(|e| e.kind == kind && e.name == name)
     };
