@@ -601,6 +601,39 @@ mod tests {
         assert_eq!(resp, ok_response(2));
     }
 
+    /// A panicking computation holding the only permit returns it, so
+    /// every caller queued behind it for a permit still computes its key.
+    #[test]
+    fn callers_waiting_for_a_permit_compute_after_a_panic() {
+        let server = Arc::new(Server::new(ServerConfig::new(1)));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let owner = resolve_on_thread(&server, "bad", move || {
+            started_tx.send(()).expect("test alive");
+            release_rx.recv().expect("released");
+            panic!("computation panic injected by a test");
+        });
+        started_rx
+            .recv_timeout(ANSWER_TIMEOUT)
+            .expect("owner computes");
+        let queued: Vec<_> = ["q0", "q1", "q2"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, key)| resolve_on_thread(&server, key, move || ok_response(i as u64)))
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        release_tx.send(()).expect("owner waiting");
+        let resp = owner.recv_timeout(ANSWER_TIMEOUT).expect("owner answered");
+        assert_eq!(resp.get("ok"), Some(&Value::Bool(false)));
+        for (i, rx) in queued.into_iter().enumerate() {
+            let resp = rx
+                .recv_timeout(ANSWER_TIMEOUT)
+                .expect("a queued caller got the permit");
+            assert_eq!(resp, ok_response(i as u64));
+        }
+        assert_eq!(server.counters().get("serve.panics"), Some(&1));
+    }
+
     #[test]
     fn at_most_jobs_computations_run_at_once() {
         let server = Server::new(ServerConfig::new(1));
