@@ -137,6 +137,16 @@ cargo test --offline --release -q -p rtise-serve --lib -- --exact \
   | grep -q "1 passed"
 echo "    pool survives panicking callbacks; serve answers every waiter of a panicked request"
 
+echo "==> reconfig equivalence gates (in-place polish, memoized exhaustive search)"
+# Each test compares the optimized partitioner with a test-only copy of the
+# code it replaced, solution for solution; named here for the same reason
+# as the panic-safety gates above.
+cargo test --offline --release -q -p rtise-reconfig --lib -- --exact \
+  partition::tests::polish_matches_the_reference_on_seeded_instances \
+  partition::tests::exhaustive_matches_the_unmemoized_reference \
+  | grep -q "2 passed"
+echo "    polish and exhaustive search match their references move for move"
+
 echo "==> fuzz smoke (fixed seed, all families, 4 workers; fails on any diagnostic)"
 cargo run --offline --release -p rtise-fuzz --bin fuzz -- \
   --seed 7 --iters 200 --family all --jobs 4 --json target/fuzz-smoke.json \

@@ -13,8 +13,13 @@
 //!   version that still fits.
 
 use crate::model::{HotLoop, ReconfigProblem, Solution};
-use crate::spatial::spatial_select;
+use crate::spatial::{spatial_select, spatial_select_hw};
 use rtise_graphpart::{partition as kway, Graph};
+use std::collections::HashMap;
+
+/// Per-call memo of the Algorithm 7 DP: a cell's member loops (ascending
+/// indices) → the versions `spatial_select` picks for them under `MaxA`.
+type CellMemo = HashMap<Vec<usize>, Vec<usize>>;
 
 /// Algorithm 6. Returns the best solution found across configuration
 /// counts `1..=loops.len()` together with the chosen number of
@@ -25,6 +30,7 @@ pub fn iterative_partition(problem: &ReconfigProblem, seed: u64) -> Solution {
     let mut best_net = best.net_gain(problem);
     let max_gain: u64 = problem.loops.iter().map(|l| l.best().gain).sum();
     let mut stagnant = 0usize;
+    let mut cells = CellMemo::new();
 
     for k in 1..=n.max(1) {
         // Phase 1: global spatial partitioning over a virtual k·MaxA
@@ -55,7 +61,7 @@ pub fn iterative_partition(problem: &ReconfigProblem, seed: u64) -> Solution {
         // rely on the multilevel partitioner's own refinement.
         let mut improved_this_k = false;
         for assignment in assignments {
-            let mut sol = local_spatial(problem, &assignment, k);
+            let mut sol = local_spatial(problem, &assignment, k, &mut cells);
             if n * k <= 256 {
                 polish(problem, &mut sol, k);
             }
@@ -155,25 +161,50 @@ fn temporal_with_weights(
 /// configuration — accepting any net-gain improvement, to a bounded
 /// fixpoint. This plays the role of the uncoarsening refinement the paper
 /// applies at each level.
+///
+/// Moves are scored in place. A loop's reconfiguration count depends only
+/// on whether it is in software or in which configuration, not on its
+/// hardware version, so each loop needs `k + 1` trace walks; raw gain and
+/// per-configuration areas are running totals. A move fits only if every
+/// configuration is within `MaxA` afterwards, as [`Solution::fits`]
+/// checks; the start itself may be over budget.
 fn polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
     let n = problem.loops.len();
+    let max_area = problem.max_area;
+    let net = |raw: u64, reconfigs: u64| raw as i64 - (reconfigs * problem.reconfig_cost) as i64;
+    let version = |i: usize, j: usize| problem.loops[i].versions()[j];
+    let mut area = vec![0u64; k];
+    for i in (0..n).filter(|&i| sol.version[i] > 0) {
+        area[sol.config[i]] += version(i, sol.version[i]).area;
+    }
+    let mut raw = sol.raw_gain(problem);
+    let mut reconfigs = sol.reconfigurations(problem);
     for _pass in 0..4 {
         let mut improved = false;
         for i in 0..n {
-            let base = sol.net_gain(problem);
+            let base = net(raw, reconfigs);
+            let (cur_v, cur_c) = (sol.version[i], sol.config[i]);
+            let cur = version(i, cur_v);
+            if cur_v > 0 {
+                area[cur_c] -= cur.area;
+            }
+            let others_fit = area.iter().all(|&a| a <= max_area);
+            let in_sw = reconfigurations_with(problem, sol, i, None);
+            let in_cfg: Vec<u64> = (0..k)
+                .map(|c| reconfigurations_with(problem, sol, i, Some(c)))
+                .collect();
             let mut best: Option<(i64, usize, usize)> = None;
-            for cfg in 0..k {
-                for j in 0..problem.loops[i].versions().len() {
-                    if j == sol.version[i] && cfg == sol.config[i] {
+            for (cfg, &in_c) in in_cfg.iter().enumerate() {
+                for (j, v) in problem.loops[i].versions().iter().enumerate() {
+                    if j == cur_v && cfg == cur_c {
                         continue;
                     }
-                    let mut cand = sol.clone();
-                    cand.version[i] = j;
-                    cand.config[i] = cfg;
-                    if !cand.fits(problem) {
+                    let fits = others_fit && (j == 0 || area[cfg] + v.area <= max_area);
+                    if !fits {
                         continue;
                     }
-                    let delta = cand.net_gain(problem) - base;
+                    let count = if j == 0 { in_sw } else { in_c };
+                    let delta = net(raw - cur.gain + v.gain, count) - base;
                     if delta > 0 && best.is_none_or(|(b, _, _)| delta > b) {
                         best = Some((delta, j, cfg));
                     }
@@ -182,7 +213,12 @@ fn polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
             if let Some((_, j, cfg)) = best {
                 sol.version[i] = j;
                 sol.config[i] = cfg;
+                raw = raw - cur.gain + version(i, j).gain;
+                reconfigs = if j == 0 { in_sw } else { in_cfg[cfg] };
                 improved = true;
+            }
+            if sol.version[i] > 0 {
+                area[sol.config[i]] += version(i, sol.version[i]).area;
             }
         }
         if !improved {
@@ -191,9 +227,40 @@ fn polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
     }
 }
 
+/// [`Solution::reconfigurations`] with loop `i` moved to software (`None`)
+/// or into configuration `Some(c)`, the rest of `sol` unchanged.
+fn reconfigurations_with(
+    problem: &ReconfigProblem,
+    sol: &Solution,
+    i: usize,
+    place: Option<usize>,
+) -> u64 {
+    let mut loaded: Option<usize> = None;
+    let mut count = 0;
+    for &l in &problem.trace {
+        let cfg = match (l == i, sol.version[l]) {
+            (true, _) => place,
+            (false, 0) => None,
+            (false, _) => Some(sol.config[l]),
+        };
+        let Some(cfg) = cfg else { continue };
+        if loaded.is_some_and(|cur| cur != cfg) {
+            count += 1;
+        }
+        loaded = Some(cfg);
+    }
+    count
+}
+
 /// Phase 3: per configuration, re-select versions optimally under the real
-/// `MaxA` budget.
-fn local_spatial(problem: &ReconfigProblem, assignment: &[Option<usize>], k: usize) -> Solution {
+/// `MaxA` budget. The k-way assignments of one [`iterative_partition`] call
+/// share most of their cells, so each cell's DP answer is kept in `cells`.
+fn local_spatial(
+    problem: &ReconfigProblem,
+    assignment: &[Option<usize>],
+    k: usize,
+    cells: &mut CellMemo,
+) -> Solution {
     let n = problem.loops.len();
     let mut version = vec![0usize; n];
     let mut config = vec![0usize; n];
@@ -202,8 +269,12 @@ fn local_spatial(problem: &ReconfigProblem, assignment: &[Option<usize>], k: usi
         if members.is_empty() {
             continue;
         }
-        let refs: Vec<&HotLoop> = members.iter().map(|&i| &problem.loops[i]).collect();
-        let (vs, _, _) = spatial_select(&refs, problem.max_area);
+        if !cells.contains_key(&members) {
+            let refs: Vec<&HotLoop> = members.iter().map(|&i| &problem.loops[i]).collect();
+            let (vs, _, _) = spatial_select(&refs, problem.max_area);
+            cells.insert(members.clone(), vs);
+        }
+        let vs = &cells[&members];
         for (pos, &i) in members.iter().enumerate() {
             version[i] = vs[pos];
             config[i] = cfg;
@@ -217,7 +288,9 @@ fn local_spatial(problem: &ReconfigProblem, assignment: &[Option<usize>], k: usi
 /// strings), with the optimal all-hardware spatial DP per cell. Once the
 /// software set and configuration structure are fixed, the reconfiguration
 /// count is fixed, so maximizing raw gain per cell is net-gain-optimal —
-/// this makes the search a true optimum, at Bell(n+1) total work.
+/// this makes the search a true optimum, at Bell(n+1) total work. A
+/// cell's DP answer depends only on its loop subset, so it is computed
+/// once per subset bitmask (at most 2^12 of them).
 ///
 /// # Panics
 ///
@@ -232,6 +305,7 @@ pub fn exhaustive_partition(problem: &ReconfigProblem) -> Solution {
     if n == 0 {
         return best;
     }
+    let mut cells: Vec<Option<Option<Vec<usize>>>> = vec![None; 1 << n];
     for sw_mask in 0u32..(1 << n) {
         let hw: Vec<usize> = (0..n).filter(|&i| sw_mask >> i & 1 == 0).collect();
         if hw.is_empty() {
@@ -247,9 +321,14 @@ pub fn exhaustive_partition(problem: &ReconfigProblem) -> Solution {
             let mut feasible = true;
             for cell in 0..k {
                 let members: Vec<usize> = (0..m).filter(|&p| rgs[p] == cell).collect();
-                let refs: Vec<&HotLoop> = members.iter().map(|&p| &problem.loops[hw[p]]).collect();
-                match crate::spatial::spatial_select_hw(&refs, problem.max_area) {
-                    Some((vs, _, _)) => {
+                let mask = members.iter().fold(0usize, |mask, &p| mask | 1 << hw[p]);
+                let answer = cells[mask].get_or_insert_with(|| {
+                    let refs: Vec<&HotLoop> =
+                        members.iter().map(|&p| &problem.loops[hw[p]]).collect();
+                    spatial_select_hw(&refs, problem.max_area).map(|(vs, _, _)| vs)
+                });
+                match answer {
+                    Some(vs) => {
                         for (pos, &p) in members.iter().enumerate() {
                             version[hw[p]] = vs[pos];
                             config[hw[p]] = cell;
@@ -460,6 +539,194 @@ mod tests {
         p.reconfig_cost = 0;
         let sol = iterative_partition(&p, 1);
         assert_eq!(sol.net_gain(&p), 1668, "free reconfiguration");
+    }
+
+    /// The clone-and-walk polish that [`polish`] replaced: every candidate
+    /// move is a cloned `Solution`, checked with `fits` and scored with a
+    /// full `net_gain` trace walk.
+    fn reference_polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
+        let n = problem.loops.len();
+        for _pass in 0..4 {
+            let mut improved = false;
+            for i in 0..n {
+                let base = sol.net_gain(problem);
+                let mut best: Option<(i64, usize, usize)> = None;
+                for cfg in 0..k {
+                    for j in 0..problem.loops[i].versions().len() {
+                        if j == sol.version[i] && cfg == sol.config[i] {
+                            continue;
+                        }
+                        let mut cand = sol.clone();
+                        cand.version[i] = j;
+                        cand.config[i] = cfg;
+                        if !cand.fits(problem) {
+                            continue;
+                        }
+                        let delta = cand.net_gain(problem) - base;
+                        if delta > 0 && best.is_none_or(|(b, _, _)| delta > b) {
+                            best = Some((delta, j, cfg));
+                        }
+                    }
+                }
+                if let Some((_, j, cfg)) = best {
+                    sol.version[i] = j;
+                    sol.config[i] = cfg;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// The exhaustive search without its per-subset memo: one
+    /// `spatial_select_hw` run per cell of every partition.
+    fn reference_exhaustive(problem: &ReconfigProblem) -> Solution {
+        let n = problem.loops.len();
+        let mut best = Solution::software(n);
+        let mut best_net = best.net_gain(problem);
+        for sw_mask in 0u32..(1 << n) {
+            let hw: Vec<usize> = (0..n).filter(|&i| sw_mask >> i & 1 == 0).collect();
+            if hw.is_empty() {
+                continue;
+            }
+            let m = hw.len();
+            let mut rgs = vec![0usize; m];
+            'partitions: loop {
+                let k = rgs.iter().copied().max().unwrap_or(0) + 1;
+                let mut version = vec![0usize; n];
+                let mut config = vec![0usize; n];
+                let mut feasible = true;
+                for cell in 0..k {
+                    let members: Vec<usize> = (0..m).filter(|&p| rgs[p] == cell).collect();
+                    let refs: Vec<&HotLoop> =
+                        members.iter().map(|&p| &problem.loops[hw[p]]).collect();
+                    match spatial_select_hw(&refs, problem.max_area) {
+                        Some((vs, _, _)) => {
+                            for (pos, &p) in members.iter().enumerate() {
+                                version[hw[p]] = vs[pos];
+                                config[hw[p]] = cell;
+                            }
+                        }
+                        None => {
+                            feasible = false;
+                            break;
+                        }
+                    }
+                }
+                if feasible {
+                    let sol = Solution { version, config };
+                    let net = sol.net_gain(problem);
+                    if net > best_net {
+                        best_net = net;
+                        best = sol;
+                    }
+                }
+                let mut i = m;
+                loop {
+                    if i == 1 {
+                        break 'partitions;
+                    }
+                    i -= 1;
+                    let max_prefix = rgs[..i].iter().copied().max().unwrap_or(0);
+                    if rgs[i] <= max_prefix {
+                        rgs[i] += 1;
+                        for v in rgs[i + 1..].iter_mut() {
+                            *v = 0;
+                        }
+                        break;
+                    }
+                    rgs[i] = 0;
+                }
+            }
+        }
+        best
+    }
+
+    /// Synthetic instances over a grid of fabric areas and
+    /// reconfiguration costs.
+    fn seeded_instances(
+        sizes: std::ops::RangeInclusive<usize>,
+        seeds: u64,
+    ) -> Vec<ReconfigProblem> {
+        let mut out = Vec::new();
+        for n in sizes {
+            for seed in 1..=seeds {
+                for max_area in [40, 100, 250] {
+                    for reconfig_cost in [0, 50, 800, 3000] {
+                        let mut p = synthetic_problem(n, seed * 31 + n as u64);
+                        p.max_area = max_area;
+                        p.reconfig_cost = reconfig_cost;
+                        out.push(p);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Scoring moves in place accepts exactly the reference's moves: from
+    /// random k-way assignments through the local spatial DP, and from
+    /// random starts that break the area budget.
+    #[test]
+    fn polish_matches_the_reference_on_seeded_instances() {
+        use rtise_obs::Rng;
+        let mut rng = Rng::new(0x0090_1154);
+        let mut over_budget_starts = 0;
+        for p in seeded_instances(1..=8, 2) {
+            let n = p.loops.len();
+            let mut cells = CellMemo::new();
+            for k in 1..=n {
+                let mut starts = Vec::new();
+                for _ in 0..3 {
+                    let assignment: Vec<Option<usize>> = (0..n)
+                        .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0..k)))
+                        .collect();
+                    starts.push(local_spatial(&p, &assignment, k, &mut cells));
+                }
+                let random = Solution {
+                    version: p
+                        .loops
+                        .iter()
+                        .map(|l| rng.gen_range(0..l.versions().len()))
+                        .collect(),
+                    config: (0..n).map(|_| rng.gen_range(0..k)).collect(),
+                };
+                over_budget_starts += usize::from(!random.fits(&p));
+                starts.push(random);
+                for start in starts {
+                    let (mut fast, mut slow) = (start.clone(), start);
+                    polish(&p, &mut fast, k);
+                    reference_polish(&p, &mut slow, k);
+                    assert_eq!(
+                        fast, slow,
+                        "n {n}, k {k}, area {}, cost {}",
+                        p.max_area, p.reconfig_cost
+                    );
+                }
+            }
+        }
+        assert!(
+            over_budget_starts > 100,
+            "only {over_budget_starts} over-budget starts"
+        );
+    }
+
+    /// The per-subset memo returns the unmemoized search's whole solution,
+    /// versions and configurations alike.
+    #[test]
+    fn exhaustive_matches_the_unmemoized_reference() {
+        for p in seeded_instances(1..=6, 2) {
+            assert_eq!(
+                exhaustive_partition(&p),
+                reference_exhaustive(&p),
+                "n {}, area {}, cost {}",
+                p.loops.len(),
+                p.max_area,
+                p.reconfig_cost
+            );
+        }
     }
 
     #[test]

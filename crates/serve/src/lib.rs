@@ -14,10 +14,10 @@
 //!   deterministic for a given request.
 //! - [`server`] — answers each request on the thread that read it, with
 //!   in-flight dedup (identical concurrent requests share one
-//!   computation), at most `jobs` computations at once, and the sharded
-//!   content-addressed artifact store in [`rtise_bench::store`] behind
-//!   it; cached responses are re-certified on load and corrupt entries
-//!   recomputed.
+//!   computation), a bounded memo of finished responses, at most `jobs`
+//!   computations at once, and the sharded content-addressed artifact
+//!   store in [`rtise_bench::store`] behind it; cached responses are
+//!   re-certified on load and corrupt entries recomputed.
 //! - [`traffic`]/[`loadtest`] — a seeded Zipf workload generator and an
 //!   in-process load test whose obs-JSON report is byte-identical at any
 //!   lane count.

@@ -11,6 +11,11 @@
 //! persists fresh successful responses back, so a warm store answers
 //! most of a repeated workload without touching a solver.
 //!
+//! The memo holds at most [`MAX_SLOTS`] slots: an insert that would pass
+//! the cap first drops every finished slot (`serve.memo.evicted`), never
+//! an in-flight one. A repeat of a dropped key reads the disk store or
+//! recomputes, and gets the same bytes.
+//!
 //! At most [`ServerConfig::jobs`] computations run at once; memo and
 //! dedup hits never wait for one. A computation that panics fills its
 //! slot with an `ok: false` response (`serve.panics`), so every waiter
@@ -28,6 +33,12 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Store tag (filename prefix) for response entries.
 pub const STORE_TAG: &str = "resp";
+
+/// Most slots the in-memory memo holds. Well above the distinct request
+/// counts of the benchmark and load-test streams (under 1000), so those
+/// never evict; it bounds what a client sending fresh keys makes the
+/// server hold.
+pub const MAX_SLOTS: usize = 4096;
 
 /// Server tuning.
 #[derive(Debug, Clone)]
@@ -136,6 +147,11 @@ impl Server {
                     1,
                 );
                 return slot.wait();
+            }
+            if slots.len() >= MAX_SLOTS {
+                let before = slots.len();
+                slots.retain(|_, slot| slot.ready.lock().expect("slot poisoned").is_none());
+                rtise_obs::record("serve.memo.evicted", (before - slots.len()) as u64);
             }
             let slot = Arc::new(Slot::default());
             slots.insert(key.to_string(), Arc::clone(&slot));
@@ -632,6 +648,59 @@ mod tests {
             assert_eq!(resp, ok_response(i as u64));
         }
         assert_eq!(server.counters().get("serve.panics"), Some(&1));
+    }
+
+    /// Past the cap the memo drops finished slots only: the in-flight
+    /// slot still dedups a later caller, and a dropped key computes once
+    /// more and is memoized again.
+    #[test]
+    fn the_memo_drops_finished_slots_at_the_cap_and_keeps_in_flight_ones() {
+        let server = Arc::new(Server::new(ServerConfig::new(2)));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let owner = resolve_on_thread(&server, "in-flight", move || {
+            started_tx.send(()).expect("test alive");
+            release_rx.recv().expect("released");
+            ok_response(0)
+        });
+        started_rx
+            .recv_timeout(ANSWER_TIMEOUT)
+            .expect("owner computes");
+        let computed = AtomicUsize::new(0);
+        let fill = |i: usize| {
+            server.resolve(&format!("k{i}"), || {
+                computed.fetch_add(1, Ordering::SeqCst);
+                ok_response(i as u64 + 1)
+            })
+        };
+        for i in 0..=MAX_SLOTS {
+            assert_eq!(fill(i), ok_response(i as u64 + 1));
+            assert!(server.slots.lock().expect("slots").len() <= MAX_SLOTS);
+        }
+        assert!(server
+            .slots
+            .lock()
+            .expect("slots")
+            .contains_key("in-flight"));
+        let evicted = server.counters().get("serve.memo.evicted").copied();
+        assert_eq!(evicted, Some(MAX_SLOTS as u64 - 1), "every finished slot");
+
+        let waiter = resolve_on_thread(&server, "in-flight", || ok_response(99));
+        await_counter(&server, "serve.dedup.hit", 1);
+        release_tx.send(()).expect("owner waiting");
+        for rx in [owner, waiter] {
+            let resp = rx.recv_timeout(ANSWER_TIMEOUT).expect("answered");
+            assert_eq!(
+                resp,
+                ok_response(0),
+                "one computation for the in-flight key"
+            );
+        }
+
+        let computed_before = computed.load(Ordering::SeqCst);
+        assert_eq!(fill(0), ok_response(1), "a dropped key recomputes");
+        assert_eq!(fill(0), ok_response(1), "and is memoized again");
+        assert_eq!(computed.load(Ordering::SeqCst), computed_before + 1);
     }
 
     #[test]
