@@ -147,6 +147,16 @@ cargo test --offline --release -q -p rtise-reconfig --lib -- --exact \
   | grep -q "2 passed"
 echo "    polish and exhaustive search match their references move for move"
 
+echo "==> enumeration equivalence gate (bitset path at both widths vs the generic walk)"
+# The test compares the bitset enumerator with the generic walk, results
+# and stats, on every suite block and on seeded DFGs on both sides of each
+# width boundary (128 and 1024 nodes); named here for the same
+# reason as the panic-safety gates above.
+cargo test --offline --release -q -p rtise-fuzz --test differential -- --exact \
+  every_enumeration_width_matches_the_generic_reference \
+  | grep -q "1 passed"
+echo "    bitset enumeration matches the generic walk at 2 and 16 words"
+
 echo "==> fuzz smoke (fixed seed, all families, 4 workers; fails on any diagnostic)"
 cargo run --offline --release -p rtise-fuzz --bin fuzz -- \
   --seed 7 --iters 200 --family all --jobs 4 --json target/fuzz-smoke.json \
@@ -175,7 +185,7 @@ if ! grep -Eq '"solver\.ise\.iterative\.accepted": *[1-9]' target/fuzz-iter.json
   echo "FAIL: dedicated iterative campaign accepted no candidates"
   exit 1
 fi
-echo "    iterative generator produced certified candidates past the 128-node wall"
+echo "    iterative generator produced certified candidates past 128 nodes"
 
 echo "==> bench smoke (same sweep as the committed baseline, fewer samples)"
 cargo run --offline --release -p rtise-perf --bin bench -- \

@@ -160,12 +160,12 @@ pub fn dfg(rng: &mut Rng, opts: &DfgOptions) -> Dfg {
 }
 
 /// Generates a large layered DAG with roughly `ops` operation nodes —
-/// the 500–2000-node regime past the bitset enumerator's 128-node wall,
-/// where only the iterative generator applies. Nodes are appended in
-/// layers of 4–12; operands are drawn mostly from the previous few
-/// layers (deep critical paths, high locality) with occasional
-/// long-range edges, plus the same sprinkle of immediates and CI-illegal
-/// `Load`s as [`dfg`]. Always well-formed.
+/// the 500–2000-node regime where capped exact enumeration covers a
+/// sliver of the space and the iterative generator is the practical
+/// one. Nodes are appended in layers of 4–12; operands are drawn mostly
+/// from the previous few layers (deep critical paths, high locality)
+/// with occasional long-range edges, plus the same sprinkle of
+/// immediates and CI-illegal `Load`s as [`dfg`]. Always well-formed.
 pub fn large_dfg(rng: &mut Rng, ops: usize) -> Dfg {
     let mut g = Dfg::new();
     let n_in = rng.gen_range(4..=8usize);
@@ -516,7 +516,7 @@ mod tests {
         assert!(p.validate().is_ok(), "{:?}", p.validate());
         let d = rtise_check::ir::check_program(&p);
         assert!(d.is_clean(), "{}", d.render());
-        // The whole-suite workload really is past the 128-node wall.
+        // The whole-suite workload really is many hundreds of nodes.
         let total: usize = p.blocks.iter().map(|b| b.dfg.len()).sum();
         assert!(total > 500, "composed suite only has {total} nodes");
     }

@@ -41,61 +41,11 @@ impl Default for EnumerateOptions {
     }
 }
 
-/// Largest DFG the bitset fast path — and with it, practical exact
-/// enumeration — handles; the "enumeration wall". Larger DFGs either
-/// fall back to the generic exponential walk or switch to the
-/// [`crate::iterative`] backend.
+/// Largest DFG the bitset path handles: 1024 nodes, shapes of up to 16
+/// words. Every suite block fits (des3's 584-node block is the largest);
+/// past it, enumeration falls back to the generic walk, and the
+/// [`crate::iterative`] generator is the anytime alternative.
 pub const MAX_FAST_NODES: usize = fast::MAX_FAST_NODES;
-
-/// Which candidate-identification engine to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnumerateBackend {
-    /// Exhaustive connected-convex enumeration: the bitset fast path up
-    /// to [`MAX_FAST_NODES`] nodes, the generic walk beyond.
-    Exact,
-    /// The generic any-size walk, unconditionally (differential testing
-    /// and benchmarking against the fast path).
-    Generic,
-    /// Kernighan–Lin iterative improvement ([`crate::iterative`]) with
-    /// default knobs; anytime, scales to thousands of nodes.
-    Iterative,
-    /// Policy switch: [`Exact`](EnumerateBackend::Exact) inside the
-    /// bitset wall, [`Iterative`](EnumerateBackend::Iterative) past it —
-    /// exhaustive where affordable, anytime where not.
-    #[default]
-    Auto,
-}
-
-/// Enumerates candidates with an explicitly chosen backend. The exact
-/// backends return complete libraries (up to the caps); the iterative
-/// backend returns the gain-ranked cuts its move budget reached.
-pub fn enumerate_with_backend(
-    dfg: &Dfg,
-    opts: EnumerateOptions,
-    backend: EnumerateBackend,
-) -> Vec<NodeSet> {
-    match backend {
-        EnumerateBackend::Exact => enumerate_connected(dfg, opts),
-        EnumerateBackend::Generic => {
-            let (results, _) = enumerate_generic(dfg, opts);
-            results
-        }
-        EnumerateBackend::Iterative => crate::iterative::iterative_candidates(
-            dfg,
-            crate::iterative::IterativeOptions {
-                enumerate: opts,
-                ..Default::default()
-            },
-        ),
-        EnumerateBackend::Auto => {
-            if dfg.len() <= MAX_FAST_NODES {
-                enumerate_connected(dfg, opts)
-            } else {
-                enumerate_with_backend(dfg, opts, EnumerateBackend::Iterative)
-            }
-        }
-    }
-}
 
 /// Enumerates the maximal MISO pattern rooted at every sink of `dfg`.
 ///
@@ -105,28 +55,6 @@ pub fn enumerate_with_backend(
 /// trivial node are dropped. Input counts are *not* constrained here — the
 /// caller filters with [`Dfg::io_counts`] if needed, mirroring MaxMISO.
 pub fn maximal_miso(dfg: &Dfg) -> Vec<NodeSet> {
-    let out = if dfg.len() <= fast::MAX_FAST_NODES {
-        fast::maximal_miso_shapes(dfg)
-    } else {
-        maximal_miso_generic(dfg)
-    };
-    #[cfg(debug_assertions)]
-    for set in &out {
-        debug_assert!(dfg.is_convex(set));
-        debug_assert!(dfg.io_counts(set).outputs <= 1);
-    }
-    rtise_obs::record("ise.miso.patterns", out.len() as u64);
-    out
-}
-
-/// The generic (any-size) MISO growth loop, exposed for differential tests
-/// against the bitset fast path. Does not publish counters.
-#[doc(hidden)]
-pub fn maximal_miso_reference(dfg: &Dfg) -> Vec<NodeSet> {
-    maximal_miso_generic(dfg)
-}
-
-fn maximal_miso_generic(dfg: &Dfg) -> Vec<NodeSet> {
     let mut out: Vec<NodeSet> = Vec::new();
     let mut seen: HashSet<NodeSet> = HashSet::new();
     for root in dfg.ids() {
@@ -158,6 +86,12 @@ fn maximal_miso_generic(dfg: &Dfg) -> Vec<NodeSet> {
             out.push(set);
         }
     }
+    #[cfg(debug_assertions)]
+    for set in &out {
+        debug_assert!(dfg.is_convex(set));
+        debug_assert!(dfg.io_counts(set).outputs <= 1);
+    }
+    rtise_obs::record("ise.miso.patterns", out.len() as u64);
     out
 }
 
@@ -206,11 +140,12 @@ pub fn enumerate_connected(dfg: &Dfg, opts: EnumerateOptions) -> Vec<NodeSet> {
 /// and publishing `ise.enumerate.*` counters to the [`rtise_obs`]
 /// registry.
 ///
-/// DFGs of at most 128 nodes (the common kernel size) take an inline
-/// bitset fast path: shapes live in two `u64` words, the visited set is
-/// FNV-keyed over the raw words, and convexity/port tests run on
-/// precomputed transitive masks. The fast path is differentially tested to
-/// produce bit-identical results and stats to the generic path.
+/// DFGs of at most [`MAX_FAST_NODES`] nodes take the bitset path: shapes
+/// live inline in 2 `u64` words up to 128 nodes and in 16 beyond (no
+/// workload has blocks in between), the visited set is FNV-keyed over the raw words, and
+/// convexity/port tests run on precomputed transitive masks. The bitset
+/// path is differentially tested to produce bit-identical results and
+/// stats to the generic walk, which answers for larger DFGs.
 pub fn enumerate_connected_with_stats(
     dfg: &Dfg,
     opts: EnumerateOptions,
@@ -219,14 +154,14 @@ pub fn enumerate_connected_with_stats(
         fast::enumerate(dfg, opts)
     } else {
         // The enumeration wall: count and trace every fall-through so
-        // reports show when runs leave the fast path instead of just
+        // reports show when runs leave the bitset path instead of just
         // getting slow.
         rtise_obs::record("ise.enumerate.generic_path", 1);
         rtise_trace::instant_with(
             rtise_trace::codes::ISE_ENUM_GENERIC_PATH,
             &[("nodes", dfg.len() as u64)],
         );
-        enumerate_generic(dfg, opts)
+        enumerate_connected_reference(dfg, opts)
     };
     rtise_obs::record("ise.enumerate.calls", 1);
     rtise_obs::record("ise.enumerate.generated", stats.generated);
@@ -236,17 +171,14 @@ pub fn enumerate_connected_with_stats(
     (results, stats)
 }
 
-/// The generic (any-size) enumeration path, exposed for differential tests
-/// and benchmarks against the bitset fast path. Does not publish counters.
+/// The generic (any-size) enumeration walk: the path past
+/// [`MAX_FAST_NODES`], and the differential oracle and benchmark twin of
+/// the bitset path. Does not publish counters.
 #[doc(hidden)]
 pub fn enumerate_connected_reference(
     dfg: &Dfg,
     opts: EnumerateOptions,
 ) -> (Vec<NodeSet>, EnumerateStats) {
-    enumerate_generic(dfg, opts)
-}
-
-fn enumerate_generic(dfg: &Dfg, opts: EnumerateOptions) -> (Vec<NodeSet>, EnumerateStats) {
     let mut stats = EnumerateStats::default();
     let mut results: Vec<NodeSet> = Vec::new();
     let mut visited: HashSet<NodeSet> = HashSet::new();
@@ -331,13 +263,15 @@ fn enumerate_generic(dfg: &Dfg, opts: EnumerateOptions) -> (Vec<NodeSet>, Enumer
     (results, stats)
 }
 
-/// Two-word bitset fast path for DFGs of at most 128 nodes.
+/// Bitset path for DFGs of at most [`MAX_FAST_NODES`] nodes.
 ///
-/// Mirrors [`enumerate_generic`] decision for decision: same seeds, same
-/// LIFO frontier, same ascending-id neighbour order, same accept/repair/
-/// drop logic — only the set representation changes, from heap-allocated
-/// [`NodeSet`]s cloned per growth step to inline `[u64; 2]` words with
-/// precomputed adjacency and transitive ancestor/descendant masks.
+/// Mirrors [`enumerate_connected_reference`] decision for decision: same
+/// seeds, same LIFO frontier, same ascending-id neighbour order, same
+/// accept/repair/drop logic — only the set representation changes, from
+/// heap-allocated [`NodeSet`]s cloned per growth step to inline
+/// `[u64; W]` words with precomputed adjacency and transitive
+/// ancestor/descendant masks. `W` is chosen per DFG, so a small block
+/// pays for two words, not sixteen.
 mod fast {
     use super::{EnumerateOptions, EnumerateStats, FnvWords};
     use rtise_ir::dfg::{Dfg, NodeId};
@@ -346,53 +280,51 @@ mod fast {
     use std::collections::HashSet;
     use std::hash::BuildHasherDefault;
 
-    /// Words per shape; DFGs above `MAX_FAST_NODES` use the generic path.
-    const WORDS: usize = 2;
-    /// Largest DFG the fast path handles.
-    pub(super) const MAX_FAST_NODES: usize = WORDS * 64;
+    /// Widest shape, in words; larger DFGs use the generic walk.
+    const MAX_WORDS: usize = 16;
+    /// Largest DFG the bitset path handles.
+    pub(super) const MAX_FAST_NODES: usize = MAX_WORDS * 64;
 
-    /// An inline node subset of a ≤128-node DFG.
-    type Shape = [u64; WORDS];
-
-    const EMPTY: Shape = [0; WORDS];
+    /// An inline node subset of a DFG of at most `64 * W` nodes.
+    type Shape<const W: usize> = [u64; W];
 
     fn bit(id: usize) -> (usize, u64) {
         (id / 64, 1u64 << (id % 64))
     }
 
-    fn contains(s: &Shape, id: usize) -> bool {
+    fn contains<const W: usize>(s: &Shape<W>, id: usize) -> bool {
         let (w, m) = bit(id);
         s[w] & m != 0
     }
 
-    fn insert(s: &mut Shape, id: usize) {
+    fn insert<const W: usize>(s: &mut Shape<W>, id: usize) {
         let (w, m) = bit(id);
         s[w] |= m;
     }
 
-    fn len(s: &Shape) -> usize {
+    fn len<const W: usize>(s: &Shape<W>) -> usize {
         s.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    fn is_empty(s: &Shape) -> bool {
+    fn is_empty<const W: usize>(s: &Shape<W>) -> bool {
         s.iter().all(|&w| w == 0)
     }
 
-    fn union(a: &Shape, b: &Shape) -> Shape {
+    fn union<const W: usize>(a: &Shape<W>, b: &Shape<W>) -> Shape<W> {
         std::array::from_fn(|i| a[i] | b[i])
     }
 
-    fn minus(a: &Shape, b: &Shape) -> Shape {
+    fn minus<const W: usize>(a: &Shape<W>, b: &Shape<W>) -> Shape<W> {
         std::array::from_fn(|i| a[i] & !b[i])
     }
 
-    fn is_subset(a: &Shape, b: &Shape) -> bool {
+    fn is_subset<const W: usize>(a: &Shape<W>, b: &Shape<W>) -> bool {
         a.iter().zip(b).all(|(x, y)| x & !y == 0)
     }
 
     /// Iterates member ids in ascending order.
-    fn iter_bits(s: Shape) -> impl Iterator<Item = usize> {
-        (0..WORDS).flat_map(move |w| {
+    fn iter_bits<const W: usize>(s: Shape<W>) -> impl Iterator<Item = usize> {
+        (0..W).flat_map(move |w| {
             let mut bits = s[w];
             std::iter::from_fn(move || {
                 if bits == 0 {
@@ -406,37 +338,37 @@ mod fast {
     }
 
     /// Per-node masks precomputed once per enumeration call.
-    struct Masks {
+    struct Masks<const W: usize> {
         n: usize,
         /// `is_ci_valid` nodes (hull members may be constants).
-        valid: Shape,
+        valid: Shape<W>,
         /// Growable nodes: CI-valid and not pseudo.
-        grow: Shape,
+        grow: Shape<W>,
         /// Adjacent growable nodes (args ∪ consumers, filtered by `grow`).
-        adj: Vec<Shape>,
+        adj: Vec<Shape<W>>,
         /// Non-constant direct arguments (for the input-port count).
-        in_nc: Vec<Shape>,
+        in_nc: Vec<Shape<W>>,
         /// All direct consumers (for the output-port count).
-        out_any: Vec<Shape>,
+        out_any: Vec<Shape<W>>,
         /// Transitive ancestors, excluding the node itself.
-        anc: Vec<Shape>,
+        anc: Vec<Shape<W>>,
         /// Transitive descendants, excluding the node itself.
-        desc: Vec<Shape>,
+        desc: Vec<Shape<W>>,
     }
 
-    impl Masks {
-        fn build(dfg: &Dfg) -> Masks {
+    impl<const W: usize> Masks<W> {
+        fn build(dfg: &Dfg) -> Masks<W> {
             let n = dfg.len();
-            debug_assert!(n <= MAX_FAST_NODES);
+            debug_assert!(n <= W * 64);
             let mut m = Masks {
                 n,
-                valid: EMPTY,
-                grow: EMPTY,
-                adj: vec![EMPTY; n],
-                in_nc: vec![EMPTY; n],
-                out_any: vec![EMPTY; n],
-                anc: vec![EMPTY; n],
-                desc: vec![EMPTY; n],
+                valid: [0; W],
+                grow: [0; W],
+                adj: vec![[0; W]; n],
+                in_nc: vec![[0; W]; n],
+                out_any: vec![[0; W]; n],
+                anc: vec![[0; W]; n],
+                desc: vec![[0; W]; n],
             };
             for id in 0..n {
                 let k = dfg.kind(NodeId(id));
@@ -476,8 +408,8 @@ mod fast {
         }
 
         /// Union of a per-node mask over the members of `s`.
-        fn fold(&self, s: &Shape, table: &[Shape]) -> Shape {
-            let mut acc = EMPTY;
+        fn fold(&self, s: &Shape<W>, table: &[Shape<W>]) -> Shape<W> {
+            let mut acc = [0; W];
             for id in iter_bits(*s) {
                 acc = union(&acc, &table[id]);
             }
@@ -488,31 +420,31 @@ mod fast {
         /// when some node outside it is both reachable from a member and
         /// an ancestor of a member (it then closes an escape path, which
         /// is what [`Dfg::is_convex`]'s forward/backward sweep detects).
-        fn is_convex(&self, s: &Shape) -> bool {
+        fn is_convex(&self, s: &Shape<W>) -> bool {
             let desc_u = self.fold(s, &self.desc);
             let anc_u = self.fold(s, &self.anc);
             let mut escape = desc_u;
-            for i in 0..WORDS {
+            for i in 0..W {
                 escape[i] &= anc_u[i] & !s[i];
             }
-            escape == EMPTY
+            escape == [0; W]
         }
 
-        fn io_fits(&self, s: &Shape, max_in: usize, max_out: usize) -> bool {
+        fn io_fits(&self, s: &Shape<W>, max_in: usize, max_out: usize) -> bool {
             let inputs = minus(&self.fold(s, &self.in_nc), s);
             if len(&inputs) > max_in {
                 return false;
             }
             let mut outputs = 0usize;
             for id in iter_bits(*s) {
-                if minus(&self.out_any[id], s) != EMPTY {
+                if minus(&self.out_any[id], s) != [0; W] {
                     outputs += 1;
                 }
             }
             outputs <= max_out
         }
 
-        fn is_feasible(&self, s: &Shape, max_in: usize, max_out: usize) -> bool {
+        fn is_feasible(&self, s: &Shape<W>, max_in: usize, max_out: usize) -> bool {
             !is_empty(s)
                 && is_subset(s, &self.valid)
                 && self.io_fits(s, max_in, max_out)
@@ -523,16 +455,16 @@ mod fast {
         /// outside node that is both a descendant and an ancestor of the
         /// hull; `None` if the closure needs a CI-invalid node or grows
         /// past `max_nodes`.
-        fn convex_hull(&self, s: &Shape, max_nodes: usize) -> Option<Shape> {
+        fn convex_hull(&self, s: &Shape<W>, max_nodes: usize) -> Option<Shape<W>> {
             let mut hull = *s;
             loop {
                 let desc_u = self.fold(&hull, &self.desc);
                 let anc_u = self.fold(&hull, &self.anc);
                 let mut need = desc_u;
-                for i in 0..WORDS {
+                for i in 0..W {
                     need[i] &= anc_u[i] & !hull[i];
                 }
-                if need == EMPTY {
+                if need == [0; W] {
                     return Some(hull);
                 }
                 if !is_subset(&need, &self.valid) {
@@ -545,24 +477,42 @@ mod fast {
             }
         }
 
-        fn to_node_set(&self, s: &Shape) -> NodeSet {
+        fn to_node_set(&self, s: &Shape<W>) -> NodeSet {
             NodeSet::from_words(self.n, &s[..self.n.div_ceil(64)])
         }
     }
 
+    /// Runs the bitset enumeration on two words up to 128 nodes and on
+    /// [`MAX_WORDS`] beyond; `dfg` must have at most [`MAX_FAST_NODES`]
+    /// nodes. The suite's blocks are either ≤ 128 nodes or des3's 584, so
+    /// a middle width would be compiled code no workload runs.
     pub(super) fn enumerate(dfg: &Dfg, opts: EnumerateOptions) -> (Vec<NodeSet>, EnumerateStats) {
-        let masks = Masks::build(dfg);
+        if dfg.len() <= 128 {
+            enumerate_words::<2>(dfg, opts)
+        } else {
+            enumerate_words::<MAX_WORDS>(dfg, opts)
+        }
+    }
+
+    // Kept out of line: with the widths inlined into the dispatch above,
+    // the two-word path measured ~10% slower than a lone two-word copy.
+    #[inline(never)]
+    fn enumerate_words<const W: usize>(
+        dfg: &Dfg,
+        opts: EnumerateOptions,
+    ) -> (Vec<NodeSet>, EnumerateStats) {
+        let masks = Masks::<W>::build(dfg);
         let mut stats = EnumerateStats::default();
         let mut results: Vec<NodeSet> = Vec::new();
-        let mut visited: HashSet<Shape, BuildHasherDefault<FnvWords>> = HashSet::default();
-        let mut frontier: Vec<Shape> = Vec::new();
+        let mut visited: HashSet<Shape<W>, BuildHasherDefault<FnvWords>> = HashSet::default();
+        let mut frontier: Vec<Shape<W>> = Vec::new();
         let max_visited = opts.max_candidates.saturating_mul(24).max(4_096);
 
         for seed in 0..masks.n {
             if !contains(&masks.grow, seed) || dfg.kind(NodeId(seed)) == OpKind::Const {
                 continue;
             }
-            let mut s = EMPTY;
+            let mut s = [0; W];
             insert(&mut s, seed);
             if visited.insert(s) {
                 frontier.push(s);
@@ -608,38 +558,6 @@ mod fast {
             }
         }
         (results, stats)
-    }
-
-    /// The maximal-MISO growth loop over masks: same worklist closure as
-    /// the generic version, with the all-consumers-inside test reduced to
-    /// one word-level subset check.
-    pub(super) fn maximal_miso_shapes(dfg: &Dfg) -> Vec<NodeSet> {
-        let masks = Masks::build(dfg);
-        let mut out = Vec::new();
-        let mut seen: HashSet<Shape, BuildHasherDefault<FnvWords>> = HashSet::default();
-        for root in 0..masks.n {
-            if !contains(&masks.grow, root) {
-                continue;
-            }
-            let mut set = EMPTY;
-            insert(&mut set, root);
-            let mut worklist = vec![root];
-            while let Some(m) = worklist.pop() {
-                for &p in dfg.args(NodeId(m)) {
-                    if contains(&set, p.0) || !contains(&masks.grow, p.0) {
-                        continue;
-                    }
-                    if is_subset(&masks.out_any[p.0], &set) {
-                        insert(&mut set, p.0);
-                        worklist.push(p.0);
-                    }
-                }
-            }
-            if len(&set) >= 2 && seen.insert(set) {
-                out.push(masks.to_node_set(&set));
-            }
-        }
-        out
     }
 }
 
@@ -1008,20 +926,27 @@ mod tests {
                 assert_eq!(fast, slow);
                 assert_eq!(fast_stats, slow_stats);
             }
-            assert_eq!(maximal_miso(g), maximal_miso_reference(g));
         }
+    }
+
+    /// An `ops`-long chain of immediate adds: `ops` + 3 nodes (input,
+    /// interned constant, output).
+    fn chain(ops: usize) -> Dfg {
+        let mut g = Dfg::new();
+        let mut prev = g.input(0);
+        for _ in 0..ops {
+            prev = g.bin_imm(OpKind::Add, prev, 1);
+        }
+        g.output(0, prev);
+        g
     }
 
     #[test]
     fn oversize_graphs_use_the_generic_path() {
-        // 129+ nodes forces the generic path through the public API.
-        let mut g = Dfg::new();
-        let mut prev = g.input(0);
-        for _ in 0..140 {
-            prev = g.bin_imm(OpKind::Add, prev, 1);
-        }
-        g.output(0, prev);
-        assert!(g.len() > 128);
+        // Past MAX_FAST_NODES forces the generic path through the public
+        // API.
+        let g = chain(1040);
+        assert!(g.len() > MAX_FAST_NODES);
         let opts = EnumerateOptions {
             max_candidates: 64,
             ..EnumerateOptions::default()
@@ -1032,27 +957,31 @@ mod tests {
         assert!(!maximal_miso(&g).is_empty());
     }
 
-    /// Satellite: crossing the enumeration wall is observable — the
+    /// Crossing the enumeration wall is observable — the
     /// `ise.enumerate.generic_path` counter fires exactly when a DFG is
-    /// too big for the bitset path, and never inside it.
+    /// too big for the bitset path, and never inside it, at any width.
     #[test]
     fn generic_path_fallback_is_counted() {
         let _iso = rtise_obs::isolate();
-        // Seeded construction: a 140-op chain (past the wall) and the
-        // 8-op diamond (inside it).
-        let mut big = Dfg::new();
-        let mut prev = big.input(0);
-        for _ in 0..140 {
-            prev = big.bin_imm(OpKind::Add, prev, 1);
-        }
-        big.output(0, prev);
+        // A 1043-node chain (past the wall), a 143-node chain (three
+        // words, once past the old two-word wall) and the 8-node diamond.
+        let big = chain(1040);
+        let mid = chain(140);
         assert!(big.len() > MAX_FAST_NODES);
+        assert!(mid.len() > 128);
         let opts = EnumerateOptions {
             max_candidates: 64,
             ..EnumerateOptions::default()
         };
         let scope = rtise_obs::Scope::new();
         let guard = scope.enter();
+        let _ = enumerate_connected_with_stats(&mid, opts);
+        let counters = scope.counters();
+        assert_eq!(
+            counters.get("ise.enumerate.generic_path"),
+            None,
+            "the 143-node chain takes the bitset path: {counters:?}"
+        );
         let _ = enumerate_connected_with_stats(&big, opts);
         let _ = enumerate_connected_with_stats(&diamond(), opts);
         drop(guard);
@@ -1060,23 +989,27 @@ mod tests {
         assert_eq!(
             counters.get("ise.enumerate.generic_path"),
             Some(&1),
-            "one fallback for the 141-node chain, none for the diamond: {counters:?}"
+            "one fallback for the 1043-node chain, none for the others: {counters:?}"
         );
-        assert_eq!(counters.get("ise.enumerate.calls"), Some(&2));
+        assert_eq!(counters.get("ise.enumerate.calls"), Some(&3));
     }
 
     #[test]
     fn backends_agree_where_they_overlap() {
         let g = diamond();
         let opts = EnumerateOptions::default();
-        let exact = enumerate_with_backend(&g, opts, EnumerateBackend::Exact);
-        let generic = enumerate_with_backend(&g, opts, EnumerateBackend::Generic);
-        let auto = enumerate_with_backend(&g, opts, EnumerateBackend::Auto);
-        assert_eq!(exact, generic, "fast path is bit-identical to generic");
-        assert_eq!(exact, auto, "auto picks exact inside the wall");
-        // The iterative backend returns a subset of the same feasible
+        let exact = enumerate_connected(&g, opts);
+        let (generic, _) = enumerate_connected_reference(&g, opts);
+        assert_eq!(exact, generic, "bitset path is bit-identical to generic");
+        // The iterative generator returns a subset of the same feasible
         // space (order differs: it ranks by gain).
-        let iter = enumerate_with_backend(&g, opts, EnumerateBackend::Iterative);
+        let iter = crate::iterative::iterative_candidates(
+            &g,
+            crate::iterative::IterativeOptions {
+                enumerate: opts,
+                ..Default::default()
+            },
+        );
         assert!(!iter.is_empty());
         let exact_set: HashSet<NodeSet> = exact.into_iter().collect();
         for c in &iter {
@@ -1085,19 +1018,6 @@ mod tests {
                 "iterative emitted {c:?} outside the exact space"
             );
         }
-        // Past the wall, auto switches to the iterative backend.
-        let mut big = Dfg::new();
-        let mut prev = big.input(0);
-        let other = big.input(1);
-        for i in 0..140 {
-            let k = if i % 2 == 0 { OpKind::Add } else { OpKind::Xor };
-            prev = big.bin(k, prev, other);
-        }
-        big.output(0, prev);
-        let auto_big = enumerate_with_backend(&big, opts, EnumerateBackend::Auto);
-        let iter_big = enumerate_with_backend(&big, opts, EnumerateBackend::Iterative);
-        assert_eq!(auto_big, iter_big);
-        assert!(!auto_big.is_empty());
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Anytime iterative candidate generation past the enumeration wall.
 //!
-//! Exact connected-convex enumeration (§2.3.1) is worst-case exponential
-//! and our bitset fast path stops at 128 nodes; beyond that, exhaustive
-//! identification is out of reach. This module implements the
-//! Kernighan–Lin-style iterative-improvement generator of ISEGEN
-//! (Biswas et al.): instead of enumerating every feasible cut, it *grows
-//! and reshapes* a small population of cuts under a gain-driven move
-//! rule, which scales to thousands of nodes while staying fully
+//! Exact connected-convex enumeration (§2.3.1) is worst-case exponential:
+//! the bitset path takes DFGs of up to 1024 nodes, but on large blocks its
+//! candidate and visited-shape caps cut it off long before the space is
+//! exhausted, so exhaustive identification is out of reach. This module
+//! implements the Kernighan–Lin-style iterative-improvement generator of
+//! ISEGEN (Biswas et al.): instead of enumerating every feasible cut, it
+//! *grows and reshapes* a small population of cuts under a gain-driven
+//! move rule, which scales to thousands of nodes while staying fully
 //! deterministic.
 //!
 //! The algorithm, per seed (seeds are gain-ranked single operations):
@@ -105,7 +106,7 @@ pub struct IterStats {
 }
 
 /// Generates custom-instruction candidates by iterative improvement; the
-/// backend of choice past the 128-node enumeration wall.
+/// anytime alternative where capped exact enumeration stops short.
 ///
 /// Deterministic: output is a pure function of (`dfg`, `opts`).
 pub fn iterative_candidates(dfg: &Dfg, opts: IterativeOptions) -> Vec<NodeSet> {

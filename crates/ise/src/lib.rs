@@ -27,8 +27,7 @@ pub mod select;
 pub use candidate::{harvest, CiCandidate, HarvestOptions};
 pub use configs::{ConfigCurve, ConfigPoint};
 pub use enumerate::{
-    enumerate_connected, enumerate_disconnected, enumerate_with_backend, maximal_miso,
-    EnumerateBackend, EnumerateOptions, MAX_FAST_NODES,
+    enumerate_connected, enumerate_disconnected, maximal_miso, EnumerateOptions, MAX_FAST_NODES,
 };
 pub use iterative::{
     iterative_candidates, iterative_candidates_with_stats, IterStats, IterativeOptions,

@@ -4,8 +4,9 @@
 //! identical batch of seeded instances from [`rtise_fuzz::gen`]: the
 //! retained `*_reference` implementation where one exists, the exact
 //! enumerator for the iterative generator, and the certified call of the
-//! same search for `ise_bnb`, which has one implementation. A "size" is
-//! the knob that dominates each kernel's work: task count for the
+//! same search for `ise_bnb`, which has one implementation. `miso` also
+//! has one implementation and times it on both sides. A "size" is the
+//! knob that dominates each kernel's work: task count for the
 //! schedulability DPs, variable count for the ILP, DFG node count for
 //! enumeration, candidate-pool size for the ISE knapsack.
 
@@ -408,23 +409,16 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 m,
             )
         }
+        // One implementation, timed on both sides: the points keep
+        // tracking MaxMISO against the committed baselines.
         "miso" => {
             let dfgs: Vec<Dfg> = (0..BATCH).map(|_| dfg_at_least(&mut rng, size)).collect();
-            measure_cell(
-                size,
-                &mut || {
-                    for dfg in &dfgs {
-                        let _ =
-                            black_box(rtise_ise::enumerate::maximal_miso_reference(black_box(dfg)));
-                    }
-                },
-                &mut || {
-                    for dfg in &dfgs {
-                        let _ = black_box(rtise_ise::maximal_miso(black_box(dfg)));
-                    }
-                },
-                m,
-            )
+            let mut run = || {
+                for dfg in &dfgs {
+                    let _ = black_box(rtise_ise::maximal_miso(black_box(dfg)));
+                }
+            };
+            measure_cell(size, &mut run.clone(), &mut run, m)
         }
         // The one ISE selection search, plain against certified: the
         // ratio is the cost of recording an optimality certificate.
@@ -454,9 +448,8 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
             )
         }
         // The anytime iterative generator against the exact bitset
-        // enumerator, inside the 128-node wall where both apply. The
-        // iterative path trades completeness for bounded work, so its
-        // win grows with the DFG.
+        // enumerator on small DFGs. The iterative path trades
+        // completeness for bounded work, so its win grows with the DFG.
         "ise_iter_small" => {
             let dfgs: Vec<Dfg> = (0..BATCH).map(|_| dfg_at_least(&mut rng, size)).collect();
             let eopts = bench_enumerate_options();
@@ -479,9 +472,10 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 m,
             )
         }
-        // Past the wall (500-2000 nodes) only the generic growth path
-        // still applies as a reference; its candidate cap is lowered so
-        // the visited-shape bound keeps it finite, while the iterative
+        // On 500-2000-node DFGs the reference is the generic growth walk
+        // (the only exact path past 1024 nodes, kept at every size so the
+        // points compare across baselines); its candidate cap is lowered
+        // so the visited-shape bound keeps it finite, while the iterative
         // path runs its normal anytime budget.
         "ise_iter_large" => {
             let dfgs: Vec<Dfg> = (0..BATCH).map(|_| gen::large_dfg(&mut rng, size)).collect();

@@ -54,9 +54,9 @@ pub const SELECT_EDF_SUMMARY: &str = "select.edf.solve.summary";
 /// is visible in the artifact itself.
 pub const TRACE_DROPPED: &str = "trace.dropped_events";
 
-/// Candidate enumeration fell off the ≤128-node bitset fast path onto
-/// the generic exponential walk (the "enumeration wall"); carries the
-/// DFG's node count.
+/// Candidate enumeration fell off the bitset path onto the generic
+/// exponential walk because the DFG has more than 1024 nodes (the
+/// "enumeration wall"); carries the DFG's node count.
 pub const ISE_ENUM_GENERIC_PATH: &str = "ise.enumerate.generic_path";
 
 /// Iterative (Kernighan–Lin-style) candidate generation: per-call root
