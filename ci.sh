@@ -251,4 +251,29 @@ sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'; then
 fi
 echo "    every TCP response certified clean"
 
+echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2, cold then warm store)"
+# The memo answers repeats from bytes rendered once and stamped with each
+# caller's id; a warm store answers every distinct request from disk. Both
+# passes must write exactly the same 1000 lines.
+CARGO_TARGET_DIR=target cargo build --offline --release -q \
+  --manifest-path e2ebench/probe/Cargo.toml
+target/release/e2eprobe stream --seed 42 --requests 1000 | cut -f3 > target/serve-stream-42.jsonl
+STDIN_STORE=target/ci-serve-stdin-store
+rm -rf "$STDIN_STORE"
+for PASS in cold warm; do
+  target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
+    < target/serve-stream-42.jsonl > "target/serve-stdin-$PASS.jsonl"
+done
+LINES=$(wc -l < target/serve-stdin-cold.jsonl)
+if [ "$LINES" -ne 1000 ]; then
+  echo "FAIL: cold --stdin pass wrote $LINES response lines, expected 1000"
+  exit 1
+fi
+if ! cmp -s target/serve-stdin-cold.jsonl target/serve-stdin-warm.jsonl; then
+  echo "FAIL: warm-store --stdin output differs from the cold pass"
+  cmp target/serve-stdin-cold.jsonl target/serve-stdin-warm.jsonl | head -5
+  exit 1
+fi
+echo "    cold and warm --stdin passes wrote identical bytes"
+
 echo "CI OK"

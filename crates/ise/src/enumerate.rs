@@ -562,8 +562,13 @@ mod fast {
 }
 
 /// FNV-1a hasher specialized for hashing raw shape words: small state, no
-/// allocation, and good dispersion over sparse bitsets — the visited set
-/// is the hottest map in enumeration.
+/// allocation — the visited set is the hottest map in enumeration.
+///
+/// `Hash` for `[u64; W]` hands the shape over as one byte slice (after an
+/// 8-byte length), so `write` folds it in 8 bytes at a time as words. An
+/// FNV multiply only carries low bits upward, and hashbrown picks buckets
+/// by the low bits, so `finish` folds the high half of a full 64×64-bit
+/// product back into the low one.
 #[derive(Clone)]
 struct FnvWords(u64);
 
@@ -575,11 +580,16 @@ impl Default for FnvWords {
 
 impl Hasher for FnvWords {
     fn finish(&self) -> u64 {
-        self.0
+        let product = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15;
+        (product >> 64) as u64 ^ product as u64
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }

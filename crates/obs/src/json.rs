@@ -67,19 +67,12 @@ impl Value {
     /// Renders compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
     }
 
-    /// Renders human-readable JSON indented by two spaces per level.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String) {
+    /// Appends the [`render`](Value::render) of this value to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -91,7 +84,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push(']');
             }
@@ -103,11 +96,19 @@ impl Value {
                     }
                     write_str(out, k);
                     out.push(':');
-                    v.write(out);
+                    v.render_into(out);
                 }
                 out.push('}');
             }
         }
+    }
+
+    /// Renders human-readable JSON indented by two spaces per level.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
     }
 
     fn write_pretty(&self, out: &mut String, depth: usize) {
@@ -134,7 +135,7 @@ impl Value {
                 indent(out, depth);
                 out.push('}');
             }
-            other => other.write(out),
+            other => other.render_into(out),
         }
     }
 }
@@ -179,10 +180,30 @@ fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null"); // JSON has no NaN/Inf
     } else if n == n.trunc() && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
+        write_int(out, n as i64);
     } else {
         let _ = write!(out, "{n}");
     }
+}
+
+/// `write!(out, "{v}")` through a stack buffer: no formatter call.
+fn write_int(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 fn write_str(out: &mut String, s: &str) {
@@ -418,11 +439,23 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        let digits_start = self.pos;
+        let mut int = 0u64;
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
+        }
+        // A plain integer of at most 15 digits is below 2⁵³, so it is an
+        // exact f64 and equals what `str::parse` returns (-0 included).
+        if (1..=15).contains(&(self.pos - digits_start))
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            let n = int as f64;
+            return Ok(Value::Num(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -471,6 +504,82 @@ mod tests {
         assert_eq!(Value::from(1_234_567_890u64).render(), "1234567890");
         assert_eq!(Value::Num(0.5).render(), "0.5");
         assert_eq!(Value::Num(f64::NAN).render(), "null");
+    }
+
+    /// The integer fast paths agree bit for bit with the formatter and
+    /// `str::parse` they skip: renders equal `format!("{}", n as i64)`,
+    /// parses equal `text.parse::<f64>()`, at the 15/16-digit edge, around
+    /// 2⁵³, for -0, leading zeros, fractions and exponents.
+    #[test]
+    fn integer_fast_paths_match_the_std_paths() {
+        let edge = 1u64 << 53;
+        let mut texts: Vec<String> = [
+            "0",
+            "-0",
+            "00",
+            "-00",
+            "007",
+            "-0007",
+            "1",
+            "-1",
+            "0.0",
+            "-0.0",
+            "1.5",
+            "-2.50",
+            "1e3",
+            "1E3",
+            "-1e-3",
+            "2.5e+2",
+            "0e0",
+            "123456789012345",
+            "-123456789012345",
+            "999999999999999",
+            "1000000000000000",
+            "-999999999999999",
+            "9999999999999999",
+            "0000000000000001",
+            "00000000000000012",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        for n in [edge - 1, edge, edge + 1] {
+            texts.push(n.to_string());
+            texts.push(format!("-{n}"));
+        }
+        let mut rng = crate::Rng::new(0x001e_6e75);
+        for _ in 0..2000 {
+            let digits = rng.gen_range(1..=17usize);
+            let mut t: String = (0..digits)
+                .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                .collect();
+            if rng.gen_bool(0.5) {
+                t.insert(0, '-');
+            }
+            texts.push(t);
+        }
+        for text in &texts {
+            let want: f64 = text.parse().expect("valid number");
+            let got = parse(text).expect("parses").as_f64().expect("a number");
+            assert_eq!(got.to_bits(), want.to_bits(), "parse {text:?}");
+        }
+
+        let mut nums = vec![0.0, -0.0, 9e15 - 1.0, -(9e15 - 1.0), 9e15, 0.5, -1.25];
+        for t in &texts {
+            nums.push(t.parse().expect("valid number"));
+        }
+        for n in [edge - 1, edge, edge + 1] {
+            nums.push(n as f64);
+            nums.push(-(n as f64));
+        }
+        for n in nums {
+            let want = if n == n.trunc() && n.abs() < 9e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            };
+            assert_eq!(Value::Num(n).render(), want, "render {n:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   version that still fits.
 
 use crate::model::{HotLoop, ReconfigProblem, Solution};
-use crate::spatial::{spatial_select, spatial_select_hw};
+use crate::spatial::{spatial_select, spatial_select_hw, SpatialTable};
 use rtise_graphpart::{partition as kway, Graph};
 use std::collections::HashMap;
 
@@ -31,13 +31,16 @@ pub fn iterative_partition(problem: &ReconfigProblem, seed: u64) -> Solution {
     let max_gain: u64 = problem.loops.iter().map(|l| l.best().gain).sum();
     let mut stagnant = 0usize;
     let mut cells = CellMemo::new();
+    // Phase 1's DP, filled once for the largest virtual fabric any k
+    // asks for.
+    let refs: Vec<&HotLoop> = problem.loops.iter().collect();
+    let global = SpatialTable::build(&refs, problem.max_area.saturating_mul(n.max(1) as u64));
 
     for k in 1..=n.max(1) {
         // Phase 1: global spatial partitioning over a virtual k·MaxA
         // fabric.
-        let refs: Vec<&HotLoop> = problem.loops.iter().collect();
         let budget = problem.max_area.saturating_mul(k as u64);
-        let (global_versions, global_gain, _) = spatial_select(&refs, budget);
+        let (global_versions, global_gain, _) = global.select(budget);
 
         // Phase 2: temporal partitioning of the selected loops (vertex
         // weight = selected version area) and the CIS-agnostic variant
@@ -164,10 +167,11 @@ fn temporal_with_weights(
 ///
 /// Moves are scored in place. A loop's reconfiguration count depends only
 /// on whether it is in software or in which configuration, not on its
-/// hardware version, so each loop needs `k + 1` trace walks; raw gain and
-/// per-configuration areas are running totals. A move fits only if every
-/// configuration is within `MaxA` afterwards, as [`Solution::fits`]
-/// checks; the start itself may be over budget.
+/// hardware version, and [`placement_counts`] gets all `k + 1` of them in
+/// one trace walk; raw gain and per-configuration areas are running
+/// totals. A move fits only if every configuration is within `MaxA`
+/// afterwards, as [`Solution::fits`] checks; the start itself may be over
+/// budget.
 fn polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
     let n = problem.loops.len();
     let max_area = problem.max_area;
@@ -189,10 +193,7 @@ fn polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
                 area[cur_c] -= cur.area;
             }
             let others_fit = area.iter().all(|&a| a <= max_area);
-            let in_sw = reconfigurations_with(problem, sol, i, None);
-            let in_cfg: Vec<u64> = (0..k)
-                .map(|c| reconfigurations_with(problem, sol, i, Some(c)))
-                .collect();
+            let (in_sw, in_cfg) = placement_counts(problem, sol, i, k);
             let mut best: Option<(i64, usize, usize)> = None;
             for (cfg, &in_c) in in_cfg.iter().enumerate() {
                 for (j, v) in problem.loops[i].versions().iter().enumerate() {
@@ -227,29 +228,57 @@ fn polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
     }
 }
 
-/// [`Solution::reconfigurations`] with loop `i` moved to software (`None`)
-/// or into configuration `Some(c)`, the rest of `sol` unchanged.
-fn reconfigurations_with(
+/// [`Solution::reconfigurations`] with loop `i` moved to software, and
+/// with it in each configuration `0..k`, the rest of `sol` (hardware loops
+/// in configurations below `k`) unchanged, from one trace walk.
+///
+/// With `i` left out, the hardware loops of the trace give the software
+/// count. Each maximal run of `i` sits between the configurations `p`
+/// before it and `q` after it (either may be absent). Placing `i` in `c`
+/// replaces that run's `[p ≠ q]` transition with `[p ≠ c] + [c ≠ q]`, so
+/// `count(c) = in_sw + #runs with p − #runs with p = c + #runs with q −
+/// #runs with q = c − #runs with p ≠ q`.
+fn placement_counts(
     problem: &ReconfigProblem,
     sol: &Solution,
     i: usize,
-    place: Option<usize>,
-) -> u64 {
+    k: usize,
+) -> (u64, Vec<u64>) {
+    let mut in_sw = 0u64;
+    let (mut with_p, mut with_q, mut p_ne_q) = (0u64, 0u64, 0u64);
+    let (mut p_is, mut q_is) = (vec![0u64; k], vec![0u64; k]);
     let mut loaded: Option<usize> = None;
-    let mut count = 0;
+    // `Some(p)` while a run of `i` is open.
+    let mut open_run: Option<Option<usize>> = None;
     for &l in &problem.trace {
-        let cfg = match (l == i, sol.version[l]) {
-            (true, _) => place,
-            (false, 0) => None,
-            (false, _) => Some(sol.config[l]),
-        };
-        let Some(cfg) = cfg else { continue };
+        if l == i {
+            if open_run.is_none() {
+                open_run = Some(loaded);
+                if let Some(p) = loaded {
+                    with_p += 1;
+                    p_is[p] += 1;
+                }
+            }
+            continue;
+        }
+        if sol.version[l] == 0 {
+            continue;
+        }
+        let cfg = sol.config[l];
+        if let Some(p) = open_run.take() {
+            with_q += 1;
+            q_is[cfg] += 1;
+            p_ne_q += u64::from(p.is_some_and(|p| p != cfg));
+        }
         if loaded.is_some_and(|cur| cur != cfg) {
-            count += 1;
+            in_sw += 1;
         }
         loaded = Some(cfg);
     }
-    count
+    let in_cfg = (0..k)
+        .map(|c| in_sw + with_p - p_is[c] + with_q - q_is[c] - p_ne_q)
+        .collect();
+    (in_sw, in_cfg)
 }
 
 /// Phase 3: per configuration, re-select versions optimally under the real
@@ -711,6 +740,39 @@ mod tests {
             over_budget_starts > 100,
             "only {over_budget_starts} over-budget starts"
         );
+    }
+
+    /// One walk gives every placement's count that a walk of the moved
+    /// solution gives.
+    #[test]
+    fn placement_counts_match_a_walk_per_placement() {
+        use rtise_obs::Rng;
+        let mut rng = Rng::new(0x0c0_4e75);
+        for p in seeded_instances(1..=8, 2) {
+            let n = p.loops.len();
+            for k in 1..=n {
+                let sol = Solution {
+                    version: p
+                        .loops
+                        .iter()
+                        .map(|l| rng.gen_range(0..l.versions().len()))
+                        .collect(),
+                    config: (0..n).map(|_| rng.gen_range(0..k)).collect(),
+                };
+                for i in 0..n {
+                    let moved = |version: usize, config: usize| {
+                        let mut m = sol.clone();
+                        m.version[i] = version;
+                        m.config[i] = config;
+                        m.reconfigurations(&p)
+                    };
+                    let (in_sw, in_cfg) = placement_counts(&p, &sol, i, k);
+                    assert_eq!(in_sw, moved(0, 0), "n {n}, k {k}, loop {i}");
+                    let want: Vec<u64> = (0..k).map(|c| moved(1, c)).collect();
+                    assert_eq!(in_cfg, want, "n {n}, k {k}, loop {i}");
+                }
+            }
+        }
     }
 
     /// The per-subset memo returns the unmemoized search's whole solution,

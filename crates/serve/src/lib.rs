@@ -14,7 +14,7 @@
 //!   deterministic for a given request.
 //! - [`server`] — answers each request on the thread that read it, with
 //!   in-flight dedup (identical concurrent requests share one
-//!   computation), a bounded memo of finished responses, at most `jobs`
+//!   computation), a bounded memo of rendered response lines, at most `jobs`
 //!   computations at once, and the sharded content-addressed artifact
 //!   store in [`rtise_bench::store`] behind it; cached responses are
 //!   re-certified on load and corrupt entries recomputed.

@@ -99,22 +99,36 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
         jobs: cfg.jobs,
         cache_dir: cfg.cache_dir.clone(),
     });
-    let (responses, traces) = serve_from_lanes(&server, &requests, cfg);
+    let (lines, traces) = serve_from_lanes(&server, &requests, cfg);
     let counters = server.counters();
     let wall_ms = timer.elapsed_ms();
 
-    // Independent re-certification of every response.
+    // Independent re-certification of every response line, parsed back.
     let mut failures = Vec::new();
-    for (req, resp) in requests.iter().zip(&responses) {
-        let d = rtise::check::serve::check_response(resp);
-        if !d.is_clean() {
+    let mut responses = Vec::with_capacity(lines.len());
+    for (req, line) in requests.iter().zip(&lines) {
+        let (resp, failure) = match rtise_obs::json::parse(line) {
+            Ok(resp) => {
+                let d = rtise::check::serve::check_response(&resp);
+                let failure = (!d.is_clean()).then(|| {
+                    d.render()
+                        .lines()
+                        .next()
+                        .unwrap_or("(no detail)")
+                        .to_string()
+                });
+                (resp, failure)
+            }
+            Err(e) => (Value::Null, Some(format!("response is not JSON: {e}"))),
+        };
+        if let Some(detail) = failure {
             failures.push(format!(
-                "request {} ({}): {}",
+                "request {} ({}): {detail}",
                 req.id,
-                dedup_key(&req.kind),
-                d.render().lines().next().unwrap_or("(no detail)")
+                dedup_key(&req.kind)
             ));
         }
+        responses.push(resp);
     }
 
     // Per-family stats in submission order (Hist's exact tier is
@@ -238,13 +252,13 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
 }
 
 /// Serves `requests` from `jobs.min(requests).max(1)` scoped lanes that
-/// claim request indices in stream order. Returns the responses in
+/// claim request indices in stream order. Returns the response lines in
 /// stream order and, when tracing, each lane's `worker-<i>` scope.
 fn serve_from_lanes(
     server: &Server,
     requests: &[Request],
     cfg: &LoadtestConfig,
-) -> (Vec<Value>, Vec<(String, Scope)>) {
+) -> (Vec<String>, Vec<(String, Scope)>) {
     let next = AtomicUsize::new(0);
     let lane = |i: usize| {
         let trace = cfg

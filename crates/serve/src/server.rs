@@ -2,14 +2,19 @@
 //! optional disk-backed response store, answered on the caller's thread.
 //!
 //! [`Server::serve`] runs on whichever thread read the request — the
-//! stdin loop, a TCP connection, or a load-test lane. Identical
-//! concurrent requests (same [dedup key](crate::proto::dedup_key)) share
-//! one slot: the first caller for a key computes and fills it, later
-//! callers wait on the in-flight slot (`serve.dedup.hit`) or read its
-//! finished result (`serve.memo.hit`). The computing caller consults the
-//! sharded artifact store first (`cache.response.*` counters) and
-//! persists fresh successful responses back, so a warm store answers
-//! most of a repeated workload without touching a solver.
+//! stdin loop, a TCP connection, or a load-test lane — and returns the
+//! response line. Identical concurrent requests (same
+//! [dedup key](crate::proto::dedup_key)) share one slot: the first caller
+//! for a key computes and fills it, later callers wait on the in-flight
+//! slot (`serve.dedup.hit`) or read its finished result
+//! (`serve.memo.hit`). The computing caller consults the sharded artifact
+//! store first (`cache.response.*` counters) and persists fresh
+//! successful responses back, so a warm store answers most of a repeated
+//! workload without touching a solver.
+//!
+//! A slot holds its response rendered once, split around the `id` value
+//! (`Rendered`); every caller gets those bytes with its own id
+//! written in between, with no document clone and no second render.
 //!
 //! The memo holds at most [`MAX_SLOTS`] slots: an insert that would pass
 //! the cap first drops every finished slot (`serve.memo.evicted`), never
@@ -60,24 +65,85 @@ impl ServerConfig {
     }
 }
 
-/// One shared result slot: the response template (id normalized to 0)
-/// once ready.
+/// A response rendered once, split at its top-level `id` value: `head`,
+/// an id, then `tail` is byte for byte the [`Value::render`] of the
+/// response after [`engine::set_field`] stamped that id into it — in
+/// place where the response has an `id` member, appended last where it
+/// has none. `tail` is `None` only for a non-object, which `set_field`
+/// leaves as it is.
+#[derive(Debug)]
+struct Rendered {
+    head: String,
+    tail: Option<String>,
+}
+
+impl Rendered {
+    fn new(response: &Value) -> Self {
+        let Value::Obj(pairs) = response else {
+            return Rendered {
+                head: response.render(),
+                tail: None,
+            };
+        };
+        let at = pairs.iter().position(|(k, _)| k == "id");
+        let before = &pairs[..at.unwrap_or(pairs.len())];
+        let after = at.map_or(&[][..], |i| &pairs[i + 1..]);
+        let member = |out: &mut String, (key, val): &(String, Value)| {
+            Value::from(key.as_str()).render_into(out);
+            out.push(':');
+            val.render_into(out);
+        };
+        let mut head = String::from("{");
+        for pair in before {
+            member(&mut head, pair);
+            head.push(',');
+        }
+        head.push_str("\"id\":");
+        let mut tail = String::new();
+        for pair in after {
+            tail.push(',');
+            member(&mut tail, pair);
+        }
+        tail.push('}');
+        Rendered {
+            head,
+            tail: Some(tail),
+        }
+    }
+
+    /// The response line for a caller's `id`, without the newline (its
+    /// capacity has room for one).
+    fn stamp(&self, id: u64) -> String {
+        let Some(tail) = &self.tail else {
+            return self.head.clone();
+        };
+        let mut line = String::with_capacity(self.head.len() + 20 + tail.len() + 1);
+        line.push_str(&self.head);
+        Value::from(id).render_into(&mut line);
+        line.push_str(tail);
+        line
+    }
+}
+
+/// One shared result slot: the rendered response once ready.
 #[derive(Default)]
 struct Slot {
-    ready: Mutex<Option<Value>>,
+    ready: Mutex<Option<Arc<Rendered>>>,
     cond: Condvar,
 }
 
 impl Slot {
-    fn wait(&self) -> Value {
+    fn wait(&self) -> Arc<Rendered> {
         let mut ready = self.ready.lock().expect("slot poisoned");
-        while ready.is_none() {
+        loop {
+            if let Some(rendered) = &*ready {
+                return Arc::clone(rendered);
+            }
             ready = self.cond.wait(ready).expect("slot poisoned");
         }
-        ready.clone().expect("checked above")
     }
 
-    fn fill(&self, response: Value) {
+    fn fill(&self, response: Arc<Rendered>) {
         *self.ready.lock().expect("slot poisoned") = Some(response);
         self.cond.notify_all();
     }
@@ -109,15 +175,14 @@ impl Server {
         }
     }
 
-    /// Answers one request on the calling thread, stamped with its id.
-    /// Blocks while an identical request is in flight, or while `jobs`
-    /// other computations run.
+    /// Answers one request on the calling thread: the rendered response
+    /// line, stamped with the request's id, without the newline. Blocks
+    /// while an identical request is in flight, or while `jobs` other
+    /// computations run.
     #[must_use]
-    pub fn serve(&self, req: &Request) -> Value {
+    pub fn serve(&self, req: &Request) -> String {
         let key = dedup_key(&req.kind);
-        let mut response = self.resolve(&key, || self.compute(&key, req));
-        engine::set_field(&mut response, "id", req.id.into());
-        response
+        self.resolve(&key, || self.compute(&key, req)).stamp(req.id)
     }
 
     /// The server's own counters: `serve.*` plus the response store's
@@ -127,10 +192,10 @@ impl Server {
         self.scope.counters()
     }
 
-    /// The response for `key`: the first caller runs `compute` (under a
-    /// permit, panics caught) and fills the shared slot; later callers
-    /// wait on or read that slot.
-    fn resolve(&self, key: &str, compute: impl FnOnce() -> Value) -> Value {
+    /// The rendered response for `key`: the first caller runs `compute`
+    /// (under a permit, panics caught), renders its result once and fills
+    /// the shared slot; later callers wait on or read that slot.
+    fn resolve(&self, key: &str, compute: impl FnOnce() -> Value) -> Arc<Rendered> {
         let slot = {
             let _obs = self.scope.enter();
             let mut slots = self.slots.lock().expect("slots poisoned");
@@ -165,8 +230,9 @@ impl Server {
             rtise_obs::record("serve.panics", 1);
             engine::error_response(0, "internal error: request computation panicked")
         });
-        slot.fill(response.clone());
-        response
+        let rendered = Arc::new(Rendered::new(&response));
+        slot.fill(Arc::clone(&rendered));
+        rendered
     }
 
     fn take_permit(&self) {
@@ -183,8 +249,8 @@ impl Server {
     }
 
     /// Computes one distinct request: disk store first, then execution,
-    /// then persist. The stored/served template always carries id 0;
-    /// [`Server::serve`] stamps the caller's id.
+    /// then persist. A stored entry always carries id 0; [`Server::serve`]
+    /// stamps the caller's id into the rendered slot.
     ///
     /// The server's scope is entered around the store traffic and the
     /// `serve.exec` count only. The computation runs outside it, in the
@@ -263,19 +329,19 @@ pub fn serve_lines(
 ) -> std::io::Result<()> {
     let mut buf = Vec::new();
     while let Some(fits) = read_capped_line(&mut reader, &mut buf)? {
-        let response = match std::str::from_utf8(&buf) {
+        let mut out = match std::str::from_utf8(&buf) {
             _ if !fits => engine::error_response(
                 0,
                 &format!("request line longer than {MAX_LINE_BYTES} bytes"),
-            ),
-            Err(_) => engine::error_response(0, "request line is not valid UTF-8"),
+            )
+            .render(),
+            Err(_) => engine::error_response(0, "request line is not valid UTF-8").render(),
             Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => match crate::proto::parse(line) {
                 Ok(req) => server.serve(&req),
-                Err(msg) => engine::error_response(line_request_id(line), &msg),
+                Err(msg) => engine::error_response(line_request_id(line), &msg).render(),
             },
         };
-        let mut out = response.render();
         out.push('\n');
         writer.write_all(out.as_bytes())?;
         writer.flush()?;
@@ -510,6 +576,47 @@ mod tests {
         ])
     }
 
+    /// The line `resolve` answers with for `ok_response(tag)`, id 0.
+    fn ok_line(tag: u64) -> String {
+        ok_response(tag).render()
+    }
+
+    /// A rendered slot stamped with any id is the render of the document
+    /// `set_field` stamps: `id` first, in the middle, last, repeated,
+    /// absent, past 2⁵³, and a non-object.
+    #[test]
+    fn a_stamped_slot_renders_like_the_stamped_document() {
+        let member = |k: &str, v: Value| (k.to_string(), v);
+        let docs = [
+            ok_response(3),
+            Value::Obj(vec![
+                member("ok", Value::Bool(true)),
+                member("id", 5u64.into()),
+                member("s", "a\"b".into()),
+            ]),
+            Value::Obj(vec![
+                member("ok", Value::Bool(false)),
+                member("id", 0u64.into()),
+            ]),
+            Value::Obj(vec![
+                member("id", 1u64.into()),
+                member("x", Value::Null),
+                member("id", 2u64.into()),
+            ]),
+            Value::Obj(vec![member("ok", Value::Bool(true))]),
+            Value::Obj(vec![]),
+            Value::Arr(vec![1u64.into()]),
+        ];
+        for doc in &docs {
+            let rendered = Rendered::new(doc);
+            for id in [0, 7, 1 << 53, (1 << 53) + 1, u64::MAX] {
+                let mut stamped = doc.clone();
+                engine::set_field(&mut stamped, "id", id.into());
+                assert_eq!(rendered.stamp(id), stamped.render(), "{doc:?} id {id}");
+            }
+        }
+    }
+
     /// Polls the server's counters until `name` reaches `want`: the only
     /// way to know a second caller has attached to an in-flight slot.
     fn await_counter(server: &Server, name: &str, want: u64) {
@@ -520,18 +627,18 @@ mod tests {
         }
     }
 
-    /// Runs `resolve(key, compute)` on its own thread; the answer arrives
-    /// on the returned channel. A caller stuck forever shows up as a
-    /// `recv_timeout` failure instead of a hung test.
+    /// Runs `resolve(key, compute)` on its own thread; the answer, stamped
+    /// with id 0, arrives on the returned channel. A caller stuck forever
+    /// shows up as a `recv_timeout` failure instead of a hung test.
     fn resolve_on_thread(
         server: &Arc<Server>,
         key: &'static str,
         compute: impl FnOnce() -> Value + Send + 'static,
-    ) -> mpsc::Receiver<Value> {
+    ) -> mpsc::Receiver<String> {
         let (tx, rx) = mpsc::channel();
         let server = Arc::clone(server);
         std::thread::spawn(move || {
-            let _ = tx.send(server.resolve(key, compute));
+            let _ = tx.send(server.resolve(key, compute).stamp(0));
         });
         rx
     }
@@ -572,10 +679,10 @@ mod tests {
         let b = waiter
             .recv_timeout(ANSWER_TIMEOUT)
             .expect("waiter answered");
-        assert_eq!(a, ok_response(7));
+        assert_eq!(a, ok_line(7));
         assert_eq!(b, a, "the waiter got the owner's result");
 
-        let c = server.resolve("k", || ok_response(9));
+        let c = server.resolve("k", || ok_response(9)).stamp(0);
         assert_eq!(c, a, "a finished result answers from the memo");
         assert_eq!(computed.load(Ordering::SeqCst), 1, "one computation");
         let counters = server.counters();
@@ -603,7 +710,8 @@ mod tests {
         await_counter(&server, "serve.dedup.hit", 1);
         release_tx.send(()).expect("owner waiting");
         for (who, rx) in [("owner", owner), ("waiter", waiter)] {
-            let resp = rx.recv_timeout(ANSWER_TIMEOUT).expect(who);
+            let line = rx.recv_timeout(ANSWER_TIMEOUT).expect(who);
+            let resp = rtise_obs::json::parse(&line).expect("response is JSON");
             assert_eq!(resp.get("ok"), Some(&Value::Bool(false)), "{who}");
             let error = resp.get("error").and_then(Value::as_str).unwrap_or("");
             assert!(error.contains("panicked"), "{who}: {error}");
@@ -614,7 +722,7 @@ mod tests {
         let resp = next
             .recv_timeout(ANSWER_TIMEOUT)
             .expect("the permit came back");
-        assert_eq!(resp, ok_response(2));
+        assert_eq!(resp, ok_line(2));
     }
 
     /// A panicking computation holding the only permit returns it, so
@@ -640,12 +748,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         release_tx.send(()).expect("owner waiting");
         let resp = owner.recv_timeout(ANSWER_TIMEOUT).expect("owner answered");
-        assert_eq!(resp.get("ok"), Some(&Value::Bool(false)));
+        assert!(resp.contains("\"ok\":false"), "{resp}");
         for (i, rx) in queued.into_iter().enumerate() {
             let resp = rx
                 .recv_timeout(ANSWER_TIMEOUT)
                 .expect("a queued caller got the permit");
-            assert_eq!(resp, ok_response(i as u64));
+            assert_eq!(resp, ok_line(i as u64));
         }
         assert_eq!(server.counters().get("serve.panics"), Some(&1));
     }
@@ -668,13 +776,15 @@ mod tests {
             .expect("owner computes");
         let computed = AtomicUsize::new(0);
         let fill = |i: usize| {
-            server.resolve(&format!("k{i}"), || {
-                computed.fetch_add(1, Ordering::SeqCst);
-                ok_response(i as u64 + 1)
-            })
+            server
+                .resolve(&format!("k{i}"), || {
+                    computed.fetch_add(1, Ordering::SeqCst);
+                    ok_response(i as u64 + 1)
+                })
+                .stamp(0)
         };
         for i in 0..=MAX_SLOTS {
-            assert_eq!(fill(i), ok_response(i as u64 + 1));
+            assert_eq!(fill(i), ok_line(i as u64 + 1));
             assert!(server.slots.lock().expect("slots").len() <= MAX_SLOTS);
         }
         assert!(server
@@ -690,16 +800,12 @@ mod tests {
         release_tx.send(()).expect("owner waiting");
         for rx in [owner, waiter] {
             let resp = rx.recv_timeout(ANSWER_TIMEOUT).expect("answered");
-            assert_eq!(
-                resp,
-                ok_response(0),
-                "one computation for the in-flight key"
-            );
+            assert_eq!(resp, ok_line(0), "one computation for the in-flight key");
         }
 
         let computed_before = computed.load(Ordering::SeqCst);
-        assert_eq!(fill(0), ok_response(1), "a dropped key recomputes");
-        assert_eq!(fill(0), ok_response(1), "and is memoized again");
+        assert_eq!(fill(0), ok_line(1), "a dropped key recomputes");
+        assert_eq!(fill(0), ok_line(1), "and is memoized again");
         assert_eq!(computed.load(Ordering::SeqCst), computed_before + 1);
     }
 

@@ -4,10 +4,12 @@
 //! private `resolve` in `server.rs`.
 
 use rtise_obs::json::Value;
-use rtise_serve::engine::ResponseArtifact;
+use rtise_serve::engine::{self, ResponseArtifact};
 use rtise_serve::loadtest::{self, LoadtestConfig};
-use rtise_serve::proto::{self, dedup_key};
-use rtise_serve::server::{Server, ServerConfig, STORE_TAG};
+use rtise_serve::proto::{self, dedup_key, ReconfigReq, ReqKind};
+use rtise_serve::server::{serve_lines, Server, ServerConfig, STORE_TAG};
+use rtise_serve::traffic;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -55,10 +57,7 @@ fn finished_results_are_served_from_the_memo() {
     let counters = server.counters();
     assert_eq!(counters.get("serve.exec"), Some(&1));
     assert_eq!(counters.get("serve.memo.hit"), Some(&1));
-    assert_eq!(
-        first.get("checksum").and_then(Value::as_str),
-        second.get("checksum").and_then(Value::as_str)
-    );
+    assert_eq!(first, second, "the memo answers with the same bytes");
 }
 
 #[test]
@@ -98,8 +97,7 @@ fn corrupt_store_entries_are_evicted_and_recomputed() {
     assert_eq!(counters.get("cache.response.evict"), Some(&1));
     assert_eq!(counters.get("serve.exec"), Some(&1));
     assert_eq!(
-        clean.get("checksum").and_then(Value::as_str),
-        recomputed.get("checksum").and_then(Value::as_str),
+        clean, recomputed,
         "recomputation reproduces the certified result"
     );
 
@@ -112,7 +110,153 @@ fn corrupt_store_entries_are_evicted_and_recomputed() {
     let counters = server.counters();
     assert_eq!(counters.get("cache.response.hit"), Some(&1));
     assert_eq!(counters.get("serve.exec"), None, "no solve on a warm hit");
+    assert_eq!(warm, clean, "the store answers with the computed bytes");
+    let warm = rtise_obs::json::parse(&warm).expect("response is JSON");
     assert!(rtise::check::serve::check_response(&warm).is_clean());
+}
+
+/// Renders a request as the wire line `proto::parse` reads back.
+fn request_line(request: &proto::Request) -> String {
+    let mut fields: Vec<(&str, Value)> = vec![
+        ("id", request.id.into()),
+        ("kind", request.kind.name().into()),
+    ];
+    let names =
+        |kernels: &[String]| Value::Arr(kernels.iter().map(|k| k.as_str().into()).collect());
+    match &request.kind {
+        ReqKind::Curve { kernel, level } => {
+            fields.push(("kernel", kernel.as_str().into()));
+            fields.push(("level", level.as_str().into()));
+        }
+        ReqKind::SelectEdf {
+            kernels,
+            u0_pct,
+            budget,
+            level,
+        }
+        | ReqKind::SelectRms {
+            kernels,
+            u0_pct,
+            budget,
+            level,
+        } => {
+            fields.push(("kernels", names(kernels)));
+            fields.push(("u0_pct", (*u0_pct).into()));
+            fields.push(("budget", (*budget).into()));
+            fields.push(("level", level.as_str().into()));
+        }
+        ReqKind::Ilp { seed } => fields.push(("seed", (*seed).into())),
+        ReqKind::Reconfig(ReconfigReq::Jpeg {
+            fabric_pct,
+            reconfig_cost,
+            level,
+        }) => {
+            fields.push(("problem", "jpeg".into()));
+            fields.push(("fabric_pct", (*fabric_pct).into()));
+            fields.push(("reconfig_cost", (*reconfig_cost).into()));
+            fields.push(("level", level.as_str().into()));
+        }
+        ReqKind::Reconfig(ReconfigReq::Synthetic { n, seed }) => {
+            fields.push(("problem", "synthetic".into()));
+            fields.push(("n", (*n).into()));
+            fields.push(("seed", (*seed).into()));
+        }
+    }
+    let line = Value::obj(fields).render();
+    assert_eq!(&req(&line), request, "request line round-trips");
+    line
+}
+
+/// The response lines `serve_lines` writes for `input`.
+fn serve_text(server: &Server, input: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    serve_lines(server, input.as_bytes(), &mut out).expect("in-memory I/O");
+    let text = String::from_utf8(out).expect("UTF-8 responses");
+    text.lines().map(String::from).collect()
+}
+
+/// `doc` with its id set by `engine::set_field`, rendered.
+fn stamped(doc: &Value, id: u64) -> String {
+    let mut doc = doc.clone();
+    engine::set_field(&mut doc, "id", id.into());
+    doc.render()
+}
+
+/// Byte-identity oracle for the rendered memo: every line `serve_lines`
+/// writes for the seed-42 stream is `engine::execute` of its request with
+/// the request's id stamped and rendered — from a cold memo, from the warm
+/// memo of the same server, and from a fresh server over the warm store.
+/// A valid store entry whose `id` member is not first is stamped in
+/// place.
+#[test]
+fn served_lines_are_the_stamped_execution_of_every_request() {
+    let requests = traffic::generate(42, 1000);
+    let input: String = requests.iter().map(|r| request_line(r) + "\n").collect();
+    let mut executed: HashMap<String, Value> = HashMap::new();
+    let want: Vec<String> = requests
+        .iter()
+        .map(|r| {
+            let doc = executed
+                .entry(dedup_key(&r.kind))
+                .or_insert_with(|| engine::execute(r));
+            stamped(doc, r.id)
+        })
+        .collect();
+
+    let dir = tmp_dir("oracle");
+    let config = ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::new(2)
+    };
+    let server = Server::new(config.clone());
+    for pass in ["cold memo", "warm memo"] {
+        let got = serve_text(&server, &input);
+        assert_eq!(got.len(), want.len(), "{pass}");
+        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "{pass}: request {i}");
+        }
+    }
+    let warm = Server::new(config.clone());
+    let got = serve_text(&warm, &input);
+    assert_eq!(got, want, "warm store");
+    assert_eq!(
+        warm.counters().get("serve.exec"),
+        None,
+        "every line from the store"
+    );
+
+    // A store entry with `id` third, under a key the stream never asks.
+    let request = req(r#"{"id": 0, "kind": "ilp", "seed": 100000}"#);
+    let Value::Obj(mut pairs) = engine::execute(&request) else {
+        panic!("a response is an object");
+    };
+    let id = pairs.remove(0);
+    pairs.insert(2, id);
+    let reordered = Value::Obj(pairs);
+    rtise_bench::store::store(
+        &dir,
+        STORE_TAG,
+        &dedup_key(&request.kind),
+        &ResponseArtifact(reordered.clone()),
+        &Default::default(),
+        &Default::default(),
+    )
+    .expect("store entry written");
+    let server = Server::new(config);
+    let got = serve_text(
+        &server,
+        "{\"id\": 31, \"kind\": \"ilp\", \"seed\": 100000}\n\
+         {\"id\": 32, \"kind\": \"ilp\", \"seed\": 100000}\n",
+    );
+    assert_eq!(got, [stamped(&reordered, 31), stamped(&reordered, 32)]);
+    assert!(
+        got[0].starts_with("{\"ok\":true,\"kind\":\"ilp\",\"id\":31,"),
+        "{}",
+        got[0]
+    );
+    let counters = server.counters();
+    assert_eq!(counters.get("cache.response.hit"), Some(&1));
+    assert_eq!(counters.get("serve.memo.hit"), Some(&1));
 }
 
 #[test]
@@ -252,8 +396,9 @@ fn traced_server_records_request_events_and_keeps_solver_work_out_of_its_counter
             r#"{"id": 3, "kind": "ilp", "seed": 3}"#,
             r#"{"id": 4, "kind": "ilp", "seed": 4}"#,
         ] {
-            let resp = server.serve(&req(line));
-            assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "{resp:?}");
+            let line = server.serve(&req(line));
+            let resp = rtise_obs::json::parse(&line).expect("response is JSON");
+            assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "{line}");
         }
     }
     let counters = server.counters();
