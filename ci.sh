@@ -251,29 +251,53 @@ sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'; then
 fi
 echo "    every TCP response certified clean"
 
-echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2, cold then warm store)"
+echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2, cold, warm and re-indented store)"
 # The memo answers repeats from bytes rendered once and stamped with each
-# caller's id; a warm store answers every distinct request from disk. Both
-# passes must write exactly the same 1000 lines.
+# caller's id; a warm store answers every distinct request from disk. A
+# copy of the warm store re-indented by another JSON writer must answer
+# from disk too: entry checksums cover compact renders, not file bytes.
+# All three passes must write exactly the same 1000 lines, and neither
+# store pass may discard an entry (a recompute would give the same bytes
+# and hide the reject).
 CARGO_TARGET_DIR=target cargo build --offline --release -q \
   --manifest-path e2ebench/probe/Cargo.toml
 target/release/e2eprobe stream --seed 42 --requests 1000 | cut -f3 > target/serve-stream-42.jsonl
 STDIN_STORE=target/ci-serve-stdin-store
-rm -rf "$STDIN_STORE"
-for PASS in cold warm; do
-  target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
-    < target/serve-stream-42.jsonl > "target/serve-stdin-$PASS.jsonl"
-done
+REINDENTED_STORE=target/ci-serve-stdin-store-reindented
+rm -rf "$STDIN_STORE" "$REINDENTED_STORE"
+target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
+  < target/serve-stream-42.jsonl > target/serve-stdin-cold.jsonl
+target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
+  < target/serve-stream-42.jsonl > target/serve-stdin-warm.jsonl 2> target/serve-stdin-warm.err
+cp -r "$STDIN_STORE" "$REINDENTED_STORE"
+python3 - "$REINDENTED_STORE" <<'PY'
+import json, pathlib, sys
+for path in pathlib.Path(sys.argv[1]).rglob("*.json"):
+    with open(path) as f:
+        doc = json.load(f)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+PY
+target/release/serve --stdin --jobs 2 --cache-dir "$REINDENTED_STORE" \
+  < target/serve-stream-42.jsonl > target/serve-stdin-reindented.jsonl \
+  2> target/serve-stdin-reindented.err
 LINES=$(wc -l < target/serve-stdin-cold.jsonl)
 if [ "$LINES" -ne 1000 ]; then
   echo "FAIL: cold --stdin pass wrote $LINES response lines, expected 1000"
   exit 1
 fi
-if ! cmp -s target/serve-stdin-cold.jsonl target/serve-stdin-warm.jsonl; then
-  echo "FAIL: warm-store --stdin output differs from the cold pass"
-  cmp target/serve-stdin-cold.jsonl target/serve-stdin-warm.jsonl | head -5
-  exit 1
-fi
-echo "    cold and warm --stdin passes wrote identical bytes"
+for PASS in warm reindented; do
+  if ! cmp -s target/serve-stdin-cold.jsonl "target/serve-stdin-$PASS.jsonl"; then
+    echo "FAIL: $PASS-store --stdin output differs from the cold pass"
+    cmp target/serve-stdin-cold.jsonl "target/serve-stdin-$PASS.jsonl" | head -5
+    exit 1
+  fi
+  if grep -q discarding "target/serve-stdin-$PASS.err"; then
+    echo "FAIL: the $PASS-store --stdin pass discarded store entries"
+    grep discarding "target/serve-stdin-$PASS.err" | head -5
+    exit 1
+  fi
+done
+echo "    cold, warm and re-indented-store --stdin passes wrote identical bytes"
 
 echo "CI OK"

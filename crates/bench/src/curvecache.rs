@@ -69,12 +69,12 @@ impl Artifact for ConfigCurve {
         ])
     }
 
-    fn decode(payload: &Value) -> Result<Self, String> {
+    fn decode(payload: Value, _rendered: &str) -> Result<Self, String> {
         let kernel = payload
             .get("kernel")
             .and_then(Value::as_str)
             .ok_or("malformed kernel")?;
-        let base_cycles = field_u64(payload, "base_cycles")?;
+        let base_cycles = field_u64(&payload, "base_cycles")?;
         let mut points = Vec::new();
         for p in payload
             .get("points")
@@ -282,7 +282,9 @@ mod tests {
         store(&dir, "toy", &opts, &curve(), &counters(), &hists()).expect("store");
         // A value edit that keeps the JSON valid still trips the checksum.
         let text = std::fs::read_to_string(&path).expect("read");
-        std::fs::write(&path, text.replace("\"cycles\": 70", "\"cycles\": 69")).expect("write");
+        let doctored = text.replace("\"cycles\":70", "\"cycles\":69");
+        assert_ne!(doctored, text, "the edit must hit the stored curve");
+        std::fs::write(&path, doctored).expect("write");
         assert!(load(&dir, "toy", &opts).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -99,7 +99,7 @@ impl Artifact for ReconfigProblem {
         ])
     }
 
-    fn decode(payload: &Value) -> Result<Self, String> {
+    fn decode(payload: Value, _rendered: &str) -> Result<Self, String> {
         let mut loops = Vec::new();
         for l in payload
             .get("loops")
@@ -148,8 +148,8 @@ impl Artifact for ReconfigProblem {
         let problem = ReconfigProblem {
             loops,
             trace,
-            max_area: field_u64(payload, "max_area")?,
-            reconfig_cost: field_u64(payload, "reconfig_cost")?,
+            max_area: field_u64(&payload, "max_area")?,
+            reconfig_cost: field_u64(&payload, "reconfig_cost")?,
         };
         // Independent re-validation of trace index ranges.
         problem.validate().map_err(|e| e.to_string())?;
@@ -313,7 +313,9 @@ mod tests {
         store(&dir, &key, &problem(), &counters(), &hists()).expect("store");
         // A value edit that keeps the JSON valid still trips the checksum.
         let text = std::fs::read_to_string(&path).expect("read");
-        std::fs::write(&path, text.replace("\"gain\": 120", "\"gain\": 121")).expect("write");
+        let doctored = text.replace("\"gain\":120", "\"gain\":121");
+        assert_ne!(doctored, text, "the edit must hit the stored problem");
+        std::fs::write(&path, doctored).expect("write");
         assert!(load(&dir, &key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -17,12 +17,19 @@
 //! stay lock-free: a rename either installs a complete entry or leaves
 //! the old one, so a concurrent reader never observes a torn document.
 //!
-//! Envelope: every entry is one JSON document
+//! Envelope: every entry is one compact JSON document
 //! `{format, family, key, payload, counters, hists, checksum}` — the
 //! counters and histograms recorded while the artifact was generated
 //! ride along so a later hit can [`attribute`](rtise_obs::registry::attribute)
 //! identical work to its consumers, and the checksum (FNV-1a over all
-//! content fields) guards truncation and bit rot.
+//! content fields) guards truncation and bit rot. The checksum covers the
+//! canonical compact renders of the fields, not the file's bytes, so an
+//! entry loads in any layout: the compact text this build writes, the
+//! indented text earlier builds wrote, or a copy re-indented by another
+//! tool. A load parses the entry once and renders its payload once; the
+//! family's decoder receives that render (the bytes just hashed) and owns
+//! the payload, and [`load_with`] hands the render on to a caller that
+//! serves it.
 //!
 //! Trust model: [`load`] re-checks the format version, family, and full
 //! key string, the content checksum, and finally the family's own
@@ -34,10 +41,11 @@
 //! `cache.<family>.*` counters and histograms.
 
 use rtise::check::diag::{Code, Diagnostics, Location};
-use rtise_obs::fnv1a;
 use rtise_obs::json::{parse, Value};
 use rtise_obs::Hist;
+use rtise_obs::{fnv1a, Fnv1a};
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -72,12 +80,15 @@ pub trait Artifact: Sized {
     fn encode(&self) -> Value;
 
     /// Decodes a payload and independently re-certifies it; the returned
-    /// error string names what failed (reported as `STORE004`).
+    /// error string names what failed (reported as `STORE004`). The
+    /// payload is the decoder's to keep; `rendered` is its compact
+    /// [`render`](Value::render), the bytes the entry checksum covered,
+    /// for a decoder that re-hashes part of them.
     ///
     /// # Errors
     ///
     /// Any structural or semantic problem with the payload.
-    fn decode(payload: &Value) -> Result<Self, String>;
+    fn decode(payload: Value, rendered: &str) -> Result<Self, String>;
 }
 
 /// The full key of an entry: format version, family, and the caller's
@@ -103,16 +114,22 @@ pub fn entry_path<A: Artifact>(dir: &Path, tag: &str, key: &str) -> PathBuf {
         .join(format!("{tag}-{hash:016x}.json"))
 }
 
-fn checksum(family: &str, key: &str, payload: &Value, counters: &Value, hists: &Value) -> u64 {
-    fnv1a(
-        format!(
-            "{family}|{FORMAT_VERSION}|{key}|{}|{}|{}",
-            payload.render(),
-            counters.render(),
-            hists.render()
-        )
-        .as_bytes(),
-    )
+/// FNV-1a over `family|FORMAT_VERSION|key|payload|counters|hists`, each
+/// of the last three a compact render (`payload` comes rendered), hashed
+/// piece by piece.
+fn checksum(family: &str, key: &str, payload: &str, counters: &Value, hists: &Value) -> u64 {
+    let mut rest = String::new();
+    counters.render_into(&mut rest);
+    rest.push('|');
+    hists.render_into(&mut rest);
+    let version = FORMAT_VERSION.to_string();
+    let mut hasher = Fnv1a::new();
+    for piece in [family, &version, key, payload] {
+        hasher.write(piece.as_bytes());
+        hasher.write(b"|");
+    }
+    hasher.write(rest.as_bytes());
+    hasher.finish()
 }
 
 /// Histograms as a JSON object of full bucket encodings
@@ -152,7 +169,13 @@ pub fn encode_envelope<A: Artifact>(
     let full = full_key::<A>(key);
     let counters_json = Value::from(counters);
     let hists_value = hists_json(hists);
-    let sum = checksum(A::FAMILY, &full, &payload, &counters_json, &hists_value);
+    let sum = checksum(
+        A::FAMILY,
+        &full,
+        &payload.render(),
+        &counters_json,
+        &hists_value,
+    );
     Value::obj(vec![
         ("format", u64::from(FORMAT_VERSION).into()),
         ("family", A::FAMILY.into()),
@@ -194,7 +217,7 @@ pub fn store<A: Artifact>(
         .lock()
         .expect("shard writer lock poisoned");
     std::fs::create_dir_all(path.parent().expect("entry path has a shard dir"))?;
-    write_atomic(&path, &doc.render_pretty())
+    write_atomic(&path, &doc.render())
 }
 
 /// Writes `text` to `path` through a `*.tmp.<pid>` sibling and an atomic
@@ -220,10 +243,22 @@ fn malformed(d: &mut Diagnostics, what: &str) {
 /// Validates one entry document against the expected key and decodes the
 /// artifact. Returns the decoded entry (when clean) plus the diagnostics
 /// — every reject maps to a stable `STORE…` code, which the seeded
-/// mutation tests assert on.
+/// mutation tests assert on. Any layout of the document validates: the
+/// checksum covers compact renders of its members, not the file's bytes.
 pub fn validate<A: Artifact>(text: &str, key: &str) -> (Option<Entry<A>>, Diagnostics) {
+    validate_with(text, key, |artifact: A, _| artifact)
+}
+
+/// [`validate`], handing the decoded artifact and its payload's compact
+/// render — the bytes the checksum covered — to `map`, whose value takes
+/// the artifact's place in the entry.
+fn validate_with<A: Artifact, T>(
+    text: &str,
+    key: &str,
+    map: impl FnOnce(A, String) -> T,
+) -> (Option<Entry<T>>, Diagnostics) {
     let mut d = Diagnostics::new();
-    let doc = match parse(text) {
+    let mut doc = match parse(text) {
         Ok(doc) => doc,
         Err(e) => {
             d.error(
@@ -271,7 +306,7 @@ pub fn validate<A: Artifact>(text: &str, key: &str) -> (Option<Entry<A>>, Diagno
         );
         return (None, d);
     }
-    let Some(payload) = doc.get("payload") else {
+    let Some(payload) = take_member(&mut doc, "payload") else {
         malformed(&mut d, "payload");
         return (None, d);
     };
@@ -291,7 +326,8 @@ pub fn validate<A: Artifact>(text: &str, key: &str) -> (Option<Entry<A>>, Diagno
         malformed(&mut d, "checksum");
         return (None, d);
     };
-    if claimed != checksum(A::FAMILY, &full, payload, counters_json, hists_value) {
+    let rendered = payload.render();
+    if claimed != checksum(A::FAMILY, &full, &rendered, counters_json, hists_value) {
         d.error(
             Code::STORE003,
             Location::Global,
@@ -300,7 +336,7 @@ pub fn validate<A: Artifact>(text: &str, key: &str) -> (Option<Entry<A>>, Diagno
         return (None, d);
     }
 
-    let artifact = match A::decode(payload) {
+    let artifact = match A::decode(payload, &rendered) {
         Ok(a) => a,
         Err(e) => {
             d.error(
@@ -330,7 +366,15 @@ pub fn validate<A: Artifact>(text: &str, key: &str) -> (Option<Entry<A>>, Diagno
         malformed(&mut d, "hists");
         return (None, d);
     };
-    (Some((artifact, counters, hists)), d)
+    (Some((map(artifact, rendered), counters, hists)), d)
+}
+
+/// Moves the first `key` member — the one [`Value::get`] finds — out of
+/// an object, leaving `null` in its place.
+fn take_member(doc: &mut Value, key: &str) -> Option<Value> {
+    let Value::Obj(pairs) = doc else { return None };
+    let (_, value) = pairs.iter_mut().find(|(k, _)| k == key)?;
+    Some(std::mem::replace(value, Value::Null))
 }
 
 /// A decoded artifact plus the counters and histograms its generation
@@ -341,8 +385,11 @@ pub type Entry<A> = (A, BTreeMap<String, u64>, BTreeMap<String, Hist>);
 /// tell us.
 #[must_use]
 pub fn entry_age_ms(path: &Path) -> Option<u64> {
-    let modified = std::fs::metadata(path).ok()?.modified().ok()?;
-    let age = modified.elapsed().ok()?;
+    age_ms(&std::fs::metadata(path).ok()?)
+}
+
+fn age_ms(meta: &std::fs::Metadata) -> Option<u64> {
+    let age = meta.modified().ok()?.elapsed().ok()?;
     Some(u64::try_from(age.as_millis()).unwrap_or(u64::MAX))
 }
 
@@ -362,11 +409,29 @@ pub fn contains<A: Artifact>(dir: &Path, tag: &str, key: &str) -> bool {
 /// telemetry. Readers take no lock: the atomic-rename write protocol
 /// guarantees they see complete documents.
 pub fn load<A: Artifact>(dir: &Path, tag: &str, key: &str) -> Option<Entry<A>> {
+    load_with(dir, tag, key, |artifact: A, _| artifact)
+}
+
+/// [`load`], with the hit mapped by `map` from the decoded artifact and
+/// its payload's compact render, the bytes the entry checksum covered; a
+/// caller that serves those bytes takes them here instead of rendering
+/// the artifact again.
+pub fn load_with<A: Artifact, T>(
+    dir: &Path,
+    tag: &str,
+    key: &str,
+    map: impl FnOnce(A, String) -> T,
+) -> Option<Entry<T>> {
     let path = entry_path::<A>(dir, tag, key);
     let prefix = format!("cache.{}", A::FAMILY);
-    let age_ms = entry_age_ms(&path);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
+    // One open: the age and the bytes come from the same file.
+    let read = std::fs::File::open(&path).and_then(|mut file| {
+        let age = file.metadata().ok().as_ref().and_then(age_ms);
+        let mut text = String::new();
+        file.read_to_string(&mut text).map(|_| (text, age))
+    });
+    let (text, age) = match read {
+        Ok(read) => read,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             rtise_obs::record(&format!("{prefix}.miss"), 1);
             return None;
@@ -377,15 +442,15 @@ pub fn load<A: Artifact>(dir: &Path, tag: &str, key: &str) -> Option<Entry<A>> {
                 A::FAMILY,
                 path.display()
             );
-            evict(&path, &prefix, age_ms);
+            evict(&path, &prefix, entry_age_ms(&path));
             return None;
         }
     };
-    let (entry, diags) = validate::<A>(&text, key);
+    let (entry, diags) = validate_with::<A, T>(&text, key, map);
     match entry {
         Some(entry) => {
             rtise_obs::record(&format!("{prefix}.hit"), 1);
-            if let Some(age) = age_ms {
+            if let Some(age) = age {
                 rtise_obs::observe(&format!("{prefix}.entry_age_ms"), age);
             }
             Some(entry)
@@ -398,7 +463,7 @@ pub fn load<A: Artifact>(dir: &Path, tag: &str, key: &str) -> Option<Entry<A>> {
                 diags.render().trim_end()
             );
             // Remove the bad entry so the recomputed artifact replaces it.
-            evict(&path, &prefix, age_ms);
+            evict(&path, &prefix, age);
             None
         }
     }
@@ -454,7 +519,7 @@ mod tests {
             )])
         }
 
-        fn decode(payload: &Value) -> Result<Self, String> {
+        fn decode(payload: Value, _rendered: &str) -> Result<Self, String> {
             let arr = payload
                 .get("values")
                 .and_then(Value::as_arr)
@@ -504,6 +569,49 @@ mod tests {
         // A different key misses even with the same tag.
         assert!(load::<Staircase>(&dir, "toy", "k2").is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The store writes the compact render of the envelope, and any
+    /// layout of the same document — the pretty text older builds wrote,
+    /// or a re-indented copy — validates to the same entry: the checksum
+    /// covers compact renders of the members, not the file's bytes.
+    #[test]
+    fn every_layout_of_an_envelope_validates_to_the_same_entry() {
+        let dir = tmp_dir("layouts");
+        let art = Staircase(vec![2, 4]);
+        store(&dir, "toy", "k", &art, &counters(), &hists()).expect("store");
+        let envelope = encode_envelope::<Staircase>("k", art.encode(), &counters(), &hists());
+        let written = std::fs::read_to_string(entry_path::<Staircase>(&dir, "toy", "k"));
+        assert_eq!(written.expect("entry"), envelope.render(), "compact entry");
+
+        let compact = envelope.render();
+        let pretty = envelope.render_pretty();
+        let spaced = compact.replace(',', " ,\n    ").replace(':', " : ");
+        assert_ne!(spaced, compact);
+        let want = (art, counters(), hists());
+        for text in [&compact, &pretty, &spaced] {
+            let (entry, d) = validate::<Staircase>(text, "k");
+            assert!(d.is_clean(), "{text}: {}", d.render());
+            assert_eq!(entry, Some(want.clone()), "{text}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The envelope checksum of a fixed entry, computed by the build that
+    /// hashed one `format!`-joined string: streaming the pieces through
+    /// one hasher must not move it, or every stored entry would miss.
+    #[test]
+    fn a_fixed_envelope_keeps_its_checksum() {
+        let envelope = encode_envelope::<Staircase>(
+            "k",
+            Staircase(vec![2, 4]).encode(),
+            &counters(),
+            &hists(),
+        );
+        assert_eq!(
+            envelope.get("checksum").and_then(Value::as_str),
+            Some("27a14941abc91d74")
+        );
     }
 
     /// Names in `dir` that look like a writer's temp file.

@@ -20,8 +20,8 @@ use crate::cert;
 use crate::diag::{Code, Diagnostics, Location};
 use rtise_ilp::{Cmp, Model, Sense, Solution as IlpSolution};
 use rtise_ise::configs::{ConfigCurve, ConfigPoint};
-use rtise_obs::fnv1a;
 use rtise_obs::json::Value;
+use rtise_obs::Fnv1a;
 use rtise_reconfig::{CisVersion, HotLoop, ReconfigProblem, Solution as ReconfigSolution};
 use rtise_select::edf::EdfSelection;
 use rtise_select::rms::RmsSelection;
@@ -36,7 +36,19 @@ pub const KINDS: [&str; 5] = ["curve", "select_edf", "select_rms", "ilp", "recon
 /// same computation share one checksum.
 #[must_use]
 pub fn response_checksum(kind: &str, work: u64, result: &Value) -> u64 {
-    fnv1a(format!("{kind}|{work}|{}", result.render()).as_bytes())
+    rendered_checksum(kind, work, &result.render())
+}
+
+/// [`response_checksum`] of an already rendered result, hashed piece by
+/// piece.
+fn rendered_checksum(kind: &str, work: u64, result: &str) -> u64 {
+    let mut hasher = Fnv1a::new();
+    for piece in [kind, &work.to_string()] {
+        hasher.write(piece.as_bytes());
+        hasher.write(b"|");
+    }
+    hasher.write(result.as_bytes());
+    hasher.finish()
 }
 
 fn as_bool(v: &Value) -> Option<bool> {
@@ -567,6 +579,16 @@ fn check_reconfig_result(d: &mut Diagnostics, result: &Value) {
 /// clean: refusing a malformed request is correct behavior.
 #[must_use]
 pub fn check_response(doc: &Value) -> Diagnostics {
+    let result = doc.get("result").map(Value::render).unwrap_or_default();
+    check_rendered_response(doc, &result)
+}
+
+/// [`check_response`] given `result`, the compact
+/// [`render`](Value::render) of `doc`'s `result` member (the first, as
+/// [`Value::get`] finds it), which the checksum is computed over instead
+/// of a fresh render. `result` is not read when `doc` has no such member.
+#[must_use]
+pub fn check_rendered_response(doc: &Value, result: &str) -> Diagnostics {
     let mut d = Diagnostics::new();
     if !matches!(doc, Value::Obj(_)) {
         d.error(Code::SRV001, Location::Global, "response is not an object");
@@ -613,7 +635,7 @@ pub fn check_response(doc: &Value) -> Diagnostics {
     let Some(work) = field_u64(&mut d, doc, "work") else {
         return d;
     };
-    let Some(result) = doc.get("result") else {
+    let Some(result_doc) = doc.get("result") else {
         d.error(Code::SRV001, Location::Global, "result payload missing");
         return d;
     };
@@ -625,7 +647,7 @@ pub fn check_response(doc: &Value) -> Diagnostics {
         d.error(Code::SRV001, Location::Global, "checksum missing");
         return d;
     };
-    if claimed != response_checksum(kind, work, result) {
+    if claimed != rendered_checksum(kind, work, result) {
         d.error(
             Code::SRV003,
             Location::Global,
@@ -634,11 +656,11 @@ pub fn check_response(doc: &Value) -> Diagnostics {
         return d;
     }
     match kind {
-        "curve" => check_curve_result(&mut d, result),
-        "select_edf" => check_select_edf_result(&mut d, result),
-        "select_rms" => check_select_rms_result(&mut d, result),
-        "ilp" => check_ilp_result(&mut d, result),
-        "reconfig" => check_reconfig_result(&mut d, result),
+        "curve" => check_curve_result(&mut d, result_doc),
+        "select_edf" => check_select_edf_result(&mut d, result_doc),
+        "select_rms" => check_select_rms_result(&mut d, result_doc),
+        "ilp" => check_ilp_result(&mut d, result_doc),
+        "reconfig" => check_reconfig_result(&mut d, result_doc),
         _ => unreachable!("kind membership checked above"),
     }
     d
@@ -682,6 +704,18 @@ mod tests {
             ("result", result),
             ("checksum", format!("{sum:016x}").into()),
         ])
+    }
+
+    /// The streamed checksum hashes the bytes the joined string did, so
+    /// responses certified before keep their checksums.
+    #[test]
+    fn response_checksum_hashes_kind_work_and_the_rendered_result() {
+        let result = curve_result();
+        let joined = format!("curve|42|{}", result.render());
+        assert_eq!(
+            response_checksum("curve", 42, &result),
+            rtise_obs::fnv1a(joined.as_bytes())
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,6 +104,43 @@ impl Value {
         }
     }
 
+    /// Byte range of the value of the first `key` member — the one
+    /// [`get`](Value::get) finds — in this object's [`render`](Value::render).
+    /// Measured by rendering the members before it and the value itself,
+    /// so it suits a small member followed by large ones. `None` for a
+    /// non-object or a missing key.
+    pub fn member_range(&self, key: &str) -> Option<Range<usize>> {
+        let mut scratch = String::new();
+        let (start, value, _) = self.member_start(key, &mut scratch)?;
+        scratch.clear();
+        value.render_into(&mut scratch);
+        Some(start..start + scratch.len())
+    }
+
+    /// [`member_range`](Value::member_range) measured from both ends: the
+    /// members before the value and those after it in a render `len`
+    /// bytes long, never the value itself, so it suits a large member
+    /// among small ones. `None` also when `len` is too short to be this
+    /// object's render.
+    pub fn member_range_around(&self, key: &str, len: usize) -> Option<Range<usize>> {
+        let mut scratch = String::new();
+        let (start, _, after) = self.member_start(key, &mut scratch)?;
+        let end = len.checked_sub(members_len(after, &mut scratch) + 1)?;
+        (end >= start).then_some(start..end)
+    }
+
+    /// The byte offset at which the first `key` member's value starts in
+    /// the compact render, that value, and the members after it.
+    fn member_start(&self, key: &str, scratch: &mut String) -> Option<(usize, &Value, &Members)> {
+        let Value::Obj(pairs) = self else { return None };
+        let i = pairs.iter().position(|(k, _)| k == key)?;
+        let before = members_len(&pairs[..i], scratch);
+        scratch.clear();
+        write_str(scratch, key);
+        // `{`, the members before with their commas, the key and `:`.
+        Some((1 + before + scratch.len() + 1, &pairs[i].1, &pairs[i + 1..]))
+    }
+
     /// Renders human-readable JSON indented by two spaces per level.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
@@ -170,6 +208,23 @@ impl From<&BTreeMap<String, u64>> for Value {
     }
 }
 
+/// The members of an object, in order.
+type Members = [(String, Value)];
+
+/// Compact render length of object members, each as `"key":value` plus
+/// the comma that separates it from a neighbour.
+fn members_len(pairs: &Members, scratch: &mut String) -> usize {
+    pairs
+        .iter()
+        .map(|(k, v)| {
+            scratch.clear();
+            write_str(scratch, k);
+            v.render_into(scratch);
+            scratch.len() + 2
+        })
+        .sum()
+}
+
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -179,7 +234,7 @@ fn indent(out: &mut String, depth: usize) {
 fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null"); // JSON has no NaN/Inf
-    } else if n == n.trunc() && n.abs() < 9e15 {
+    } else if n.abs() < 9e15 && (n as i64) as f64 == n {
         write_int(out, n as i64);
     } else {
         let _ = write!(out, "{n}");
@@ -206,9 +261,18 @@ fn write_int(out: &mut String, v: i64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
+/// Whether a string byte must be written as an escape.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
+    // Every escaped byte is ASCII, so the plain prefix ends on a char
+    // boundary; most strings are plain throughout.
+    let plain = s.bytes().position(needs_escape).unwrap_or(s.len());
+    out.push_str(&s[..plain]);
+    for c in s[plain..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -580,6 +644,154 @@ mod tests {
             };
             assert_eq!(Value::Num(n).render(), want, "render {n:?}");
         }
+    }
+
+    /// The escaping path `write_str` skips for plain strings, char by char.
+    fn escaped_reference(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// The render `write_num`'s integer test replaces: `n == n.trunc()`
+    /// and the formatter.
+    fn num_reference(n: f64) -> String {
+        if !n.is_finite() {
+            "null".into()
+        } else if n == n.trunc() && n.abs() < 9e15 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    /// The render fast paths — a plain string pushed whole, the integer
+    /// test by `as i64` round trip — give the bytes of the escaping path
+    /// and of `format!`: control characters, quotes, backslashes,
+    /// non-ASCII, -0, ±(2⁵³ ± 1), values around 9e15, NaN/±inf and 2000
+    /// seeded strings and numbers.
+    #[test]
+    fn render_fast_paths_match_the_escaping_and_format_paths() {
+        let mut strings: Vec<String> = [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c",
+            "\u{0}",
+            "\u{1f}",
+            " \u{7f}",
+            "\n\r\t\u{8}\u{c}",
+            "caf\u{e9}",
+            "\u{65e5}\u{672c}",
+            "\u{1f600}\"",
+            "tail\n",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        let alphabet = [
+            'a',
+            'Z',
+            '0',
+            ' ',
+            '"',
+            '\\',
+            '\n',
+            '\u{1}',
+            '\u{1f}',
+            '\u{e9}',
+            '\u{1f600}',
+        ];
+        let mut rng = crate::Rng::new(0x5eed_57e5);
+        for _ in 0..2000 {
+            let len = rng.gen_range(0..12usize);
+            strings.push(
+                (0..len)
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect(),
+            );
+        }
+        for text in &strings {
+            let v = Value::Str(text.clone());
+            assert_eq!(v.render(), escaped_reference(text), "render {text:?}");
+            assert_eq!(parse(&v.render()).expect("parse"), v);
+        }
+
+        let edge = (1u64 << 53) as f64;
+        let mut nums = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -1.25,
+            1e300,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for base in [edge, 9e15] {
+            for delta in [-2.0, -1.0, 0.0, 1.0, 2.0] {
+                nums.push(base + delta);
+                nums.push(-(base + delta));
+            }
+            nums.push(f64::from_bits(base.to_bits() - 1));
+            nums.push(f64::from_bits(base.to_bits() + 1));
+        }
+        for _ in 0..2000 {
+            nums.push(match rng.gen_range(0..3u32) {
+                0 => f64::from_bits(rng.next_u64()),
+                1 => (rng.next_u64() >> rng.gen_range(0..64u32)) as f64,
+                _ => (rng.next_f64() - 0.5) * 2e16,
+            });
+        }
+        for n in nums {
+            assert_eq!(Value::Num(n).render(), num_reference(n), "render {n:?}");
+        }
+    }
+
+    /// Member ranges measured from either side point at the member's
+    /// render: first of a repeated key, first, middle and last members,
+    /// escaped keys, and a non-object or a missing key.
+    #[test]
+    fn member_ranges_slice_the_member_render() {
+        let doc = Value::Obj(vec![
+            ("id".into(), 7u64.into()),
+            ("k\"ey".into(), Value::Arr(vec!["x,y}".into(), Value::Null])),
+            ("result".into(), Value::obj(vec![("a", 1.5.into())])),
+            ("id".into(), 8u64.into()),
+            ("last".into(), Value::Bool(true)),
+        ]);
+        let text = doc.render();
+        for key in ["id", "k\"ey", "result", "last"] {
+            let want = doc.get(key).expect("member").render();
+            let small = doc.member_range(key).expect("small range");
+            let around = doc.member_range_around(key, text.len()).expect("range");
+            assert_eq!(&text[small.clone()], want, "{key}");
+            assert_eq!(small, around, "{key}");
+        }
+        assert_eq!(doc.member_range("missing"), None);
+        assert_eq!(Value::Arr(vec![]).member_range_around("id", 2), None);
+        assert_eq!(doc.member_range_around("result", 10), None, "too short");
+        let single = Value::obj(vec![("id", 1u64.into())]);
+        assert_eq!(
+            single.member_range_around("id", single.render().len()),
+            Some(6..7)
+        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod rng;
 pub mod scope;
 
 pub use certlog::BoundedLog;
-pub use hash::fnv1a;
+pub use hash::{fnv1a, Fnv1a};
 pub use hist::Hist;
 pub use registry::{attribute, attribute_hists, observe, observe_hist, record, CounterScope};
 pub use report::Timer;

@@ -11,7 +11,7 @@
 //! servings share one certified document.
 
 use crate::proto::{ReconfigReq, ReqKind, Request};
-use rtise::check::serve::{check_response, response_checksum};
+use rtise::check::serve::{check_rendered_response, response_checksum};
 use rtise_bench::store::Artifact;
 use rtise_obs::json::Value;
 use rtise_obs::Scope;
@@ -332,8 +332,11 @@ pub fn execute(req: &Request) -> Value {
 /// A complete response document as an artifact-store entry (family
 /// `response`), keyed by the request's [dedup key](crate::proto::dedup_key)
 /// with the id normalized to 0. Decoding re-runs the full
-/// [`check_response`] certification, so a corrupted or forged store entry
-/// is evicted and recomputed instead of served.
+/// [`check_response`](rtise::check::serve::check_response) certification,
+/// so a corrupted or forged store entry is evicted and recomputed instead
+/// of served. The response checksum is taken over the `result` bytes of
+/// the payload render the store already hashed, and the decoded document
+/// is the store's own, not a copy.
 pub struct ResponseArtifact(pub Value);
 
 impl Artifact for ResponseArtifact {
@@ -343,10 +346,19 @@ impl Artifact for ResponseArtifact {
         self.0.clone()
     }
 
-    fn decode(payload: &Value) -> Result<Self, String> {
-        let d = check_response(payload);
+    fn decode(payload: Value, rendered: &str) -> Result<Self, String> {
+        let result = payload
+            .member_range_around("result", rendered.len())
+            .and_then(|range| rendered.get(range))
+            .unwrap_or_default();
+        debug_assert_eq!(
+            result,
+            payload.get("result").map(Value::render).unwrap_or_default(),
+            "the result slice of the payload render"
+        );
+        let d = check_rendered_response(&payload, result);
         if d.is_clean() {
-            Ok(ResponseArtifact(payload.clone()))
+            Ok(ResponseArtifact(payload))
         } else {
             Err(format!(
                 "stored response fails re-certification: {}",
@@ -360,6 +372,7 @@ impl Artifact for ResponseArtifact {
 mod tests {
     use super::*;
     use crate::proto::{parse, Level};
+    use rtise::check::serve::check_response;
 
     fn run(line: &str) -> Value {
         execute(&parse(line).expect("request parses"))

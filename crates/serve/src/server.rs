@@ -12,9 +12,13 @@
 //! successful responses back, so a warm store answers most of a repeated
 //! workload without touching a solver.
 //!
-//! A slot holds its response rendered once, split around the `id` value
-//! (`Rendered`); every caller gets those bytes with its own id
-//! written in between, with no document clone and no second render.
+//! A slot holds its response rendered once, with the byte range of its
+//! `id` value (`Rendered`); every caller gets those bytes with its own id
+//! written over that range, with no document clone and no second render.
+//! A store hit is cut from the render the entry checksum was computed
+//! over, so a warm-store response is rendered once in all: the store
+//! hashes that render, the certifier hashes its `result` bytes, and the
+//! slot serves it.
 //!
 //! The memo holds at most [`MAX_SLOTS`] slots: an insert that would pass
 //! the cap first drops every finished slot (`serve.memo.evicted`), never
@@ -33,6 +37,7 @@ use rtise_obs::json::Value;
 use rtise_obs::Scope;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -65,62 +70,59 @@ impl ServerConfig {
     }
 }
 
-/// A response rendered once, split at its top-level `id` value: `head`,
-/// an id, then `tail` is byte for byte the [`Value::render`] of the
-/// response after [`engine::set_field`] stamped that id into it — in
-/// place where the response has an `id` member, appended last where it
-/// has none. `tail` is `None` only for a non-object, which `set_field`
-/// leaves as it is.
+/// A response rendered once, with the byte range of its top-level `id`
+/// value: `text` with an id written over `id` is byte for byte the
+/// [`Value::render`] of the response after [`engine::set_field`] stamped
+/// that id into it — in place where the response has an `id` member (the
+/// first, which `set_field` replaces), inserted last where it has none.
+/// `id` is `None` only for a non-object, which `set_field` leaves as it
+/// is.
 #[derive(Debug)]
 struct Rendered {
-    head: String,
-    tail: Option<String>,
+    text: String,
+    id: Option<Range<usize>>,
 }
 
 impl Rendered {
     fn new(response: &Value) -> Self {
+        Rendered::cut(response, response.render())
+    }
+
+    /// The slot for `response` from `rendered`, its compact render: only
+    /// the members up to `id` are rendered again to find where it is.
+    fn cut(response: &Value, mut rendered: String) -> Self {
         let Value::Obj(pairs) = response else {
             return Rendered {
-                head: response.render(),
-                tail: None,
+                text: rendered,
+                id: None,
             };
         };
-        let at = pairs.iter().position(|(k, _)| k == "id");
-        let before = &pairs[..at.unwrap_or(pairs.len())];
-        let after = at.map_or(&[][..], |i| &pairs[i + 1..]);
-        let member = |out: &mut String, (key, val): &(String, Value)| {
-            Value::from(key.as_str()).render_into(out);
-            out.push(':');
-            val.render_into(out);
-        };
-        let mut head = String::from("{");
-        for pair in before {
-            member(&mut head, pair);
-            head.push(',');
-        }
-        head.push_str("\"id\":");
-        let mut tail = String::new();
-        for pair in after {
-            tail.push(',');
-            member(&mut tail, pair);
-        }
-        tail.push('}');
+        let id = response.member_range("id").unwrap_or_else(|| {
+            rendered.pop(); // the closing brace
+            if !pairs.is_empty() {
+                rendered.push(',');
+            }
+            rendered.push_str("\"id\":");
+            let at = rendered.len();
+            rendered.push('}');
+            at..at
+        });
         Rendered {
-            head,
-            tail: Some(tail),
+            text: rendered,
+            id: Some(id),
         }
     }
 
     /// The response line for a caller's `id`, without the newline (its
     /// capacity has room for one).
     fn stamp(&self, id: u64) -> String {
-        let Some(tail) = &self.tail else {
-            return self.head.clone();
+        let Some(range) = &self.id else {
+            return self.text.clone();
         };
-        let mut line = String::with_capacity(self.head.len() + 20 + tail.len() + 1);
-        line.push_str(&self.head);
+        let mut line = String::with_capacity(self.text.len() + 20 + 1);
+        line.push_str(&self.text[..range.start]);
         Value::from(id).render_into(&mut line);
-        line.push_str(tail);
+        line.push_str(&self.text[range.end..]);
         line
     }
 }
@@ -193,9 +195,9 @@ impl Server {
     }
 
     /// The rendered response for `key`: the first caller runs `compute`
-    /// (under a permit, panics caught), renders its result once and fills
-    /// the shared slot; later callers wait on or read that slot.
-    fn resolve(&self, key: &str, compute: impl FnOnce() -> Value) -> Arc<Rendered> {
+    /// (under a permit, panics caught) and fills the shared slot with its
+    /// result; later callers wait on or read that slot.
+    fn resolve(&self, key: &str, compute: impl FnOnce() -> Rendered) -> Arc<Rendered> {
         let slot = {
             let _obs = self.scope.enter();
             let mut slots = self.slots.lock().expect("slots poisoned");
@@ -225,12 +227,14 @@ impl Server {
         self.take_permit();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
         self.return_permit();
-        let response = outcome.unwrap_or_else(|_| {
+        let rendered = Arc::new(outcome.unwrap_or_else(|_| {
             let _obs = self.scope.enter();
             rtise_obs::record("serve.panics", 1);
-            engine::error_response(0, "internal error: request computation panicked")
-        });
-        let rendered = Arc::new(Rendered::new(&response));
+            Rendered::new(&engine::error_response(
+                0,
+                "internal error: request computation panicked",
+            ))
+        }));
         slot.fill(Arc::clone(&rendered));
         rendered
     }
@@ -250,14 +254,15 @@ impl Server {
 
     /// Computes one distinct request: disk store first, then execution,
     /// then persist. A stored entry always carries id 0; [`Server::serve`]
-    /// stamps the caller's id into the rendered slot.
+    /// stamps the caller's id into the rendered slot, which a store hit
+    /// cuts from the payload render the store validated.
     ///
     /// The server's scope is entered around the store traffic and the
     /// `serve.exec` count only. The computation runs outside it, in the
     /// request's own scope nested under the caller's, so
     /// [`Server::counters`] never sees solver work while a caller's trace
     /// scope still receives the request's events.
-    fn compute(&self, key: &str, req: &Request) -> Value {
+    fn compute(&self, key: &str, req: &Request) -> Rendered {
         {
             let _obs = self.scope.enter();
             if let Some(dir) = &self.cache_dir {
@@ -265,9 +270,12 @@ impl Server {
                 // re-certification (see `ResponseArtifact::decode`);
                 // corrupt entries were evicted and fall through to
                 // recomputation.
-                if let Some((artifact, _, _)) = store::load::<ResponseArtifact>(dir, STORE_TAG, key)
-                {
-                    return artifact.0;
+                let hit =
+                    store::load_with(dir, STORE_TAG, key, |artifact: ResponseArtifact, text| {
+                        Rendered::cut(&artifact.0, text)
+                    });
+                if let Some((rendered, _, _)) = hit {
+                    return rendered;
                 }
             }
             rtise_obs::record("serve.exec", 1);
@@ -281,7 +289,7 @@ impl Server {
         if ok {
             if let Some(dir) = &self.cache_dir {
                 let _obs = self.scope.enter();
-                let artifact = ResponseArtifact(response.clone());
+                let artifact = ResponseArtifact(response);
                 let empty_counters = std::collections::BTreeMap::new();
                 let empty_hists = std::collections::BTreeMap::new();
                 if let Err(e) = store::store(
@@ -294,9 +302,10 @@ impl Server {
                 ) {
                     eprintln!("serve: failed to persist response for {key:?}: {e}");
                 }
+                response = artifact.0;
             }
         }
-        response
+        Rendered::new(&response)
     }
 }
 
@@ -617,6 +626,90 @@ mod tests {
         }
     }
 
+    /// A store hit certifies and serves from the payload render instead of
+    /// rendering again. For every distinct seed-42 response, stored with
+    /// id 0, and for forged documents — `id` not first, `result` last,
+    /// `id` or `result` repeated, an extra member, error responses — the
+    /// certifier fed the `result` slice of the render gives the
+    /// diagnostics of `check_response`, decoding accepts exactly the clean
+    /// ones, and the slot cut from the render stamps the bytes of the
+    /// stamped document.
+    #[test]
+    fn store_hits_certify_and_serve_the_checksummed_render() {
+        use crate::proto::dedup_key;
+        use rtise::check::serve::{check_rendered_response, check_response};
+        use rtise_bench::store::Artifact;
+
+        let mut seen = std::collections::HashSet::new();
+        let mut docs: Vec<Value> = crate::traffic::generate(42, 1000)
+            .into_iter()
+            .filter(|r| seen.insert(dedup_key(&r.kind)))
+            .map(|r| {
+                let mut doc = engine::execute(&r);
+                engine::set_field(&mut doc, "id", 0u64.into());
+                doc
+            })
+            .collect();
+        assert!(docs.len() > 200, "{} distinct responses", docs.len());
+
+        let Value::Obj(base) = docs[0].clone() else {
+            panic!("a response is an object");
+        };
+        type Members = Vec<(String, Value)>;
+        let member = |k: &str, v: Value| (k.to_string(), v);
+        let with = |edit: &dyn Fn(&mut Members)| {
+            let mut pairs = base.clone();
+            edit(&mut pairs);
+            Value::Obj(pairs)
+        };
+        docs.extend([
+            with(&|p| {
+                let id = p.remove(0);
+                p.insert(2, id);
+            }),
+            with(&|p| {
+                let at = p.iter().position(|(k, _)| k == "result").expect("result");
+                let result = p.remove(at);
+                p.push(result);
+            }),
+            with(&|p| p.push(member("id", 5u64.into()))),
+            with(&|p| p.insert(0, member("id", "first".into()))),
+            with(&|p| p.push(member("result", Value::Null))),
+            with(&|p| p.insert(1, member("result", Value::Arr(vec![])))),
+            with(&|p| p.insert(3, member("note", "a\"b,c}".into()))),
+            engine::error_response(3, "unknown kernel \"nope\""),
+            engine::error_response(0, ""),
+            Value::obj(vec![
+                ("id", 0u64.into()),
+                ("ok", Value::Bool(false)),
+                ("error", "failed".into()),
+                ("result", Value::Null),
+            ]),
+        ]);
+
+        for doc in &docs {
+            let text = doc.render();
+            let result = doc
+                .member_range_around("result", text.len())
+                .map_or("", |range| &text[range]);
+            let want = check_response(doc);
+            assert_eq!(
+                check_rendered_response(doc, result).render(),
+                want.render(),
+                "{text}"
+            );
+            let decoded = ResponseArtifact::decode(doc.clone(), &text);
+            assert_eq!(decoded.is_ok(), want.is_clean(), "{text}");
+
+            let slot = Rendered::cut(doc, text.clone());
+            for id in [0, 31, u64::MAX] {
+                let mut stamped = doc.clone();
+                engine::set_field(&mut stamped, "id", id.into());
+                assert_eq!(slot.stamp(id), stamped.render(), "{text} id {id}");
+            }
+        }
+    }
+
     /// Polls the server's counters until `name` reaches `want`: the only
     /// way to know a second caller has attached to an in-flight slot.
     fn await_counter(server: &Server, name: &str, want: u64) {
@@ -638,7 +731,8 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let server = Arc::clone(server);
         std::thread::spawn(move || {
-            let _ = tx.send(server.resolve(key, compute).stamp(0));
+            let rendered = server.resolve(key, || Rendered::new(&compute()));
+            let _ = tx.send(rendered.stamp(0));
         });
         rx
     }
@@ -682,7 +776,9 @@ mod tests {
         assert_eq!(a, ok_line(7));
         assert_eq!(b, a, "the waiter got the owner's result");
 
-        let c = server.resolve("k", || ok_response(9)).stamp(0);
+        let c = server
+            .resolve("k", || Rendered::new(&ok_response(9)))
+            .stamp(0);
         assert_eq!(c, a, "a finished result answers from the memo");
         assert_eq!(computed.load(Ordering::SeqCst), 1, "one computation");
         let counters = server.counters();
@@ -779,7 +875,7 @@ mod tests {
             server
                 .resolve(&format!("k{i}"), || {
                     computed.fetch_add(1, Ordering::SeqCst);
-                    ok_response(i as u64 + 1)
+                    Rendered::new(&ok_response(i as u64 + 1))
                 })
                 .stamp(0)
         };
@@ -825,7 +921,7 @@ mod tests {
                         peak.fetch_max(now, Ordering::SeqCst);
                         std::thread::sleep(Duration::from_millis(20));
                         running.fetch_sub(1, Ordering::SeqCst);
-                        ok_response(i as u64)
+                        Rendered::new(&ok_response(i as u64))
                     })
                 });
             }

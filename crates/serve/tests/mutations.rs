@@ -147,6 +147,9 @@ fn seeded_response_corruption_never_passes_or_panics() {
     assert!(rejected >= 32, "only {rejected}/64 corruptions rejected");
 }
 
+/// Every reject maps to its stable `STORE…` code in both entry layouts:
+/// the compact text the store writes and the pretty text older builds
+/// wrote, which must still load.
 #[test]
 fn seeded_store_entry_corruption_maps_to_stable_store_codes() {
     use rtise_bench::store::{encode_envelope, validate};
@@ -157,34 +160,79 @@ fn seeded_store_entry_corruption_maps_to_stable_store_codes() {
     let empty = BTreeMap::new();
     let envelope =
         encode_envelope::<ResponseArtifact>("ilp|s1", template.clone(), &empty, &BTreeMap::new());
-    let text = envelope.render_pretty();
-    let (entry, d) = validate::<ResponseArtifact>(&text, "ilp|s1");
-    assert!(
-        entry.is_some() && d.is_clean(),
-        "baseline entry clean: {}",
-        d.render()
-    );
+    for (layout, text, colon) in [
+        ("compact", envelope.render(), ":"),
+        ("pretty", envelope.render_pretty(), ": "),
+    ] {
+        let (entry, d) = validate::<ResponseArtifact>(&text, "ilp|s1");
+        assert!(
+            entry.is_some() && d.is_clean(),
+            "{layout}: baseline entry clean: {}",
+            d.render()
+        );
 
-    // STORE001: not JSON at all.
+        // STORE001: not JSON at all.
+        let (entry, d) = validate::<ResponseArtifact>(&text[..text.len() / 2], "ilp|s1");
+        assert!(entry.is_none() && d.has(Code::STORE001), "{layout}");
+
+        // STORE005: format version from the future.
+        let future = text.replacen(
+            &format!("\"format\"{colon}3"),
+            &format!("\"format\"{colon}99"),
+            1,
+        );
+        assert_ne!(future, text, "{layout}: the edit must hit the format");
+        let (entry, d) = validate::<ResponseArtifact>(&future, "ilp|s1");
+        assert!(
+            entry.is_none() && d.has(Code::STORE005),
+            "{layout}: {}",
+            d.render()
+        );
+
+        // STORE002: served under the wrong key.
+        let (entry, d) = validate::<ResponseArtifact>(&text, "ilp|s2");
+        assert!(entry.is_none() && d.has(Code::STORE002), "{layout}");
+
+        // STORE003: payload no longer matches the envelope checksum.
+        let doctored = text.replacen(
+            &format!("\"seed\"{colon}1"),
+            &format!("\"seed\"{colon}2"),
+            1,
+        );
+        assert_ne!(doctored, text, "{layout}: the edit must hit the seed");
+        let (entry, d) = validate::<ResponseArtifact>(&doctored, "ilp|s1");
+        assert!(
+            entry.is_none() && d.has(Code::STORE003),
+            "{layout}: {}",
+            d.render()
+        );
+
+        // Seeded sweep: random byte corruption must never validate as a
+        // *different* document.
+        let mut rng = Rng::new(0xcafe_f00d);
+        for _ in 0..32 {
+            let mut bytes = text.clone().into_bytes();
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] = bytes[at].wrapping_add(1 + rng.gen_range(0..7u64) as u8);
+            let Ok(doctored) = String::from_utf8(bytes) else {
+                continue;
+            };
+            let (entry, d) = validate::<ResponseArtifact>(&doctored, "ilp|s1");
+            if let Some((artifact, _, _)) = entry {
+                assert!(d.is_clean());
+                assert_eq!(
+                    artifact.0.render(),
+                    base_with_zero_id_render(&base),
+                    "{layout}: accepted entry must decode to the original content"
+                );
+            } else {
+                assert!(!d.is_clean(), "{layout}: rejected entry must say why");
+            }
+        }
+    }
+
     let (entry, d) = validate::<ResponseArtifact>("{truncated", "ilp|s1");
     assert!(entry.is_none() && d.has(Code::STORE001));
-
-    // STORE005: format version from the future.
-    let (entry, d) = validate::<ResponseArtifact>(
-        &text.replacen("\"format\": 3", "\"format\": 99", 1),
-        "ilp|s1",
-    );
-    assert!(entry.is_none() && d.has(Code::STORE005), "{}", d.render());
-
-    // STORE002: served under the wrong key.
-    let (entry, d) = validate::<ResponseArtifact>(&text, "ilp|s2");
-    assert!(entry.is_none() && d.has(Code::STORE002));
-
-    // STORE003: payload no longer matches the envelope checksum.
-    let doctored = text.replacen("\"seed\": 1", "\"seed\": 2", 1);
-    assert_ne!(doctored, text);
-    let (entry, d) = validate::<ResponseArtifact>(&doctored, "ilp|s1");
-    assert!(entry.is_none() && d.has(Code::STORE003), "{}", d.render());
 
     // STORE004: checksum-consistent envelope around a response that
     // fails re-certification (forged work ⇒ response checksum dead).
@@ -193,30 +241,9 @@ fn seeded_store_entry_corruption_maps_to_stable_store_codes() {
     engine::set_field(&mut forged, "work", Value::Num(work + 1.0));
     let forged_env =
         encode_envelope::<ResponseArtifact>("ilp|s1", forged, &empty, &BTreeMap::new());
-    let (entry, d) = validate::<ResponseArtifact>(&forged_env.render_pretty(), "ilp|s1");
-    assert!(entry.is_none() && d.has(Code::STORE004), "{}", d.render());
-
-    // Seeded sweep: random byte corruption must never validate as a
-    // *different* document.
-    let mut rng = Rng::new(0xcafe_f00d);
-    for _ in 0..32 {
-        let mut bytes = text.clone().into_bytes();
-        let at = rng.gen_range(0..bytes.len());
-        bytes[at] = bytes[at].wrapping_add(1 + rng.gen_range(0..7u64) as u8);
-        let Ok(doctored) = String::from_utf8(bytes) else {
-            continue;
-        };
-        let (entry, d) = validate::<ResponseArtifact>(&doctored, "ilp|s1");
-        if let Some((artifact, _, _)) = entry {
-            assert!(d.is_clean());
-            assert_eq!(
-                artifact.0.render(),
-                base_with_zero_id_render(&base),
-                "accepted entry must decode to the original content"
-            );
-        } else {
-            assert!(!d.is_clean(), "rejected entry must say why");
-        }
+    for text in [forged_env.render(), forged_env.render_pretty()] {
+        let (entry, d) = validate::<ResponseArtifact>(&text, "ilp|s1");
+        assert!(entry.is_none() && d.has(Code::STORE004), "{}", d.render());
     }
 }
 

@@ -78,7 +78,7 @@ fn corrupt_store_entries_are_evicted_and_recomputed() {
 
     // Doctor the entry on disk: checksum mismatch (STORE003 on load).
     let text = std::fs::read_to_string(&path).expect("entry readable");
-    let doctored = text.replace("\"work\": ", "\"work\": 1");
+    let doctored = text.replace("\"work\":", "\"work\":1");
     assert_ne!(text, doctored, "mutation applied");
     std::fs::write(&path, doctored).expect("write doctored entry");
 
