@@ -168,31 +168,14 @@ if ! grep -Eq '"solver\.fuzz\.ilp\.cert_replay_large": *[1-9]' target/fuzz-smoke
   exit 1
 fi
 echo "    fuzz certified >12-variable ILP instances by certificate replay"
-# The iterative differential oracle must have run: it regenerates each DFG
-# from (seed, ops), runs the KL improver twice (determinism), certifies
-# every emitted cut, and on <=128-node instances checks the iterative gain
-# never beats the certified exact optimum.
-if ! grep -Eq '"solver\.ise\.iterative\.calls": *[1-9]' target/fuzz-smoke.json; then
-  echo "FAIL: fuzz campaign never exercised the iterative ISE generator"
-  exit 1
-fi
-echo "    fuzz exercised the iterative generator under the exact-optimum oracle"
-
-echo "==> iterative smoke (dedicated iter campaign, every emitted cut certified)"
-cargo run --offline --release -p rtise-fuzz --bin fuzz -- \
-  --seed 11 --iters 12 --family iter --jobs 4 --json target/fuzz-iter.json
-if ! grep -Eq '"solver\.ise\.iterative\.accepted": *[1-9]' target/fuzz-iter.json; then
-  echo "FAIL: dedicated iterative campaign accepted no candidates"
-  exit 1
-fi
-echo "    iterative generator produced certified candidates past 128 nodes"
 
 echo "==> bench smoke (same sweep as the committed baseline, fewer samples)"
 cargo run --offline --release -p rtise-perf --bin bench -- \
-  --smoke --out target/artifacts/bench-smoke.json --baseline BENCH_8.json
+  --smoke --out target/artifacts/bench-smoke.json --baseline BENCH_9.json
 # --baseline validates both documents' schemas and fails on any (kernel,
-# size) point regressing past 2.5x the committed BENCH_8.json figure;
-# BENCH_8 is BENCH_7 without the retired *_par kernels (every remaining
+# size) point regressing past 2.5x the committed BENCH_9.json figure;
+# BENCH_9 is BENCH_8 without the two retired iterative-generator kernels,
+# and BENCH_8 is BENCH_7 without the retired *_par kernels (every remaining
 # point is byte-for-byte BENCH_7's).
 
 echo "==> serve smoke (seeded 1000-request loadtest, 4 lanes, cold then warm store)"

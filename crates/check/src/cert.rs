@@ -239,30 +239,6 @@ pub fn check_ci_candidate(
     d
 }
 
-/// Checks a whole batch of candidate cuts against one `dfg`: every cut
-/// passes [`check_candidate_set`], and no cut appears twice in the batch
-/// (`CAND006`). The iterative generator promises deduplicated output, so
-/// a duplicate here means its `seen` set (or a caller's merge) is broken.
-pub fn check_candidate_cuts(
-    dfg: &Dfg,
-    cuts: &[NodeSet],
-    max_in: usize,
-    max_out: usize,
-) -> Diagnostics {
-    let mut d = Diagnostics::new();
-    for (which, cut) in cuts.iter().enumerate() {
-        d.merge(check_candidate_set(dfg, cut, max_in, max_out, which));
-        if let Some(first) = cuts[..which].iter().position(|earlier| earlier == cut) {
-            d.error(
-                Code::CAND006,
-                Location::Candidate(which),
-                format!("duplicate of candidate {first} — batches must be deduplicated"),
-            );
-        }
-    }
-    d
-}
-
 // ---------------------------------------------------------------------------
 // Intra-task selection and configuration curves
 // ---------------------------------------------------------------------------
@@ -1290,28 +1266,6 @@ mod tests {
         assert!(check_candidate_set(&g, &g.empty_set(), 4, 2, 0).has(Code::CAND004));
         // Legal candidate: clean.
         assert!(check_candidate_set(&g, &set, 4, 2, 0).is_clean());
-    }
-
-    #[test]
-    fn batch_check_flags_duplicates_and_per_cut_defects() {
-        let g = diamond();
-        let add: NodeSet = [NodeId(2)].into_iter().collect();
-        let pair: NodeSet = [NodeId(2), NodeId(3)].into_iter().collect();
-        assert!(check_candidate_cuts(&g, &[add.clone(), pair.clone()], 4, 2).is_clean());
-
-        // A repeated cut is CAND006, located at the *second* occurrence.
-        let d = check_candidate_cuts(&g, &[add.clone(), pair.clone(), add.clone()], 4, 2);
-        assert!(d.has(Code::CAND006));
-        assert_eq!(d.count(Code::CAND006), 1);
-
-        // Per-cut defects still surface alongside the duplicate scan.
-        let non_convex: NodeSet = [NodeId(2), NodeId(5)].into_iter().collect();
-        let d = check_candidate_cuts(&g, &[non_convex, add.clone(), add], 4, 2);
-        assert!(d.has(Code::CAND002));
-        assert!(d.has(Code::CAND006));
-
-        // The empty batch is vacuously clean.
-        assert!(check_candidate_cuts(&g, &[], 4, 2).is_clean());
     }
 
     #[test]

@@ -147,14 +147,13 @@ pub enum Code {
     /// A serve error response is malformed (missing or empty error
     /// message, or contradictory success fields).
     SRV005,
-    /// A candidate batch contains the same cut twice (appended late;
-    /// lives with the other CANDxxx codes in reports).
-    CAND006,
+    // CAND006 (a duplicate cut in a candidate batch) is retired with the
+    // batch checker; the code is not reused.
 }
 
 impl Code {
     /// All codes, for documentation tables and exhaustiveness tests.
-    pub const ALL: [Code; 50] = [
+    pub const ALL: [Code; 49] = [
         Code::IR001,
         Code::IR002,
         Code::IR003,
@@ -204,7 +203,6 @@ impl Code {
         Code::SRV003,
         Code::SRV004,
         Code::SRV005,
-        Code::CAND006,
     ];
 
     /// The stable textual form, e.g. `"IR003"`.
@@ -259,7 +257,6 @@ impl Code {
             Code::SRV003 => "SRV003",
             Code::SRV004 => "SRV004",
             Code::SRV005 => "SRV005",
-            Code::CAND006 => "CAND006",
         }
     }
 
@@ -315,7 +312,6 @@ impl Code {
             Code::SRV003 => "response checksum mismatch",
             Code::SRV004 => "response result fails re-certification",
             Code::SRV005 => "error response malformed",
-            Code::CAND006 => "candidate batch contains a duplicate cut",
         }
     }
 }
@@ -547,7 +543,7 @@ mod tests {
     fn codes_render_stably() {
         assert_eq!(Code::IR003.as_str(), "IR003");
         assert_eq!(Code::CAND003.to_string(), "CAND003");
-        assert_eq!(Code::ALL.len(), 50);
+        assert_eq!(Code::ALL.len(), 49);
         assert_eq!(Code::STORE003.as_str(), "STORE003");
         assert_eq!(Code::SRV004.to_string(), "SRV004");
         for c in Code::ALL {

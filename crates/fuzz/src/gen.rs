@@ -159,10 +159,10 @@ pub fn dfg(rng: &mut Rng, opts: &DfgOptions) -> Dfg {
     g
 }
 
-/// Generates a large layered DAG with roughly `ops` operation nodes —
-/// the 500–2000-node regime where capped exact enumeration covers a
-/// sliver of the space and the iterative generator is the practical
-/// one. Nodes are appended in layers of 4–12; operands are drawn mostly
+/// Generates a large layered DAG with roughly `ops` operation nodes; the
+/// enumeration-width differential test pads it to exact sizes on both
+/// sides of the bitset enumerator's 128- and 1024-node widths. Nodes are
+/// appended in layers of 4–12; operands are drawn mostly
 /// from the previous few layers (deep critical paths, high locality)
 /// with occasional long-range edges, plus the same sprinkle of
 /// immediates and CI-illegal `Load`s as [`dfg`]. Always well-formed.
@@ -214,62 +214,6 @@ pub fn large_dfg(rng: &mut Rng, ops: usize) -> Dfg {
         g.output(slot, v);
     }
     g
-}
-
-/// Stitches the full benchmark-kernel suite into one composed
-/// [`Program`]: every kernel's blocks are appended with their block ids
-/// offset, `Return`s of all but the last kernel are rewired to jump to
-/// the next kernel's entry, and loop bounds carry over. The result is a
-/// realistic many-hundred-node whole-application workload (the shape the
-/// iterative generator exists for) plus a random per-block
-/// execution-count profile.
-pub fn composed_program(rng: &mut Rng) -> (Program, Vec<u64>) {
-    let suite = rtise_kernels::suite();
-    let n_vars = suite
-        .iter()
-        .map(|k| k.program.n_vars)
-        .max()
-        .expect("kernel suite is non-empty");
-    let mem_size = suite.iter().map(|k| k.program.mem_size).max().unwrap_or(0);
-    let mut p = Program::new("composed", n_vars, mem_size);
-    let total_blocks: usize = suite.iter().map(|k| k.program.blocks.len()).sum();
-    let mut offset = 0usize;
-    for (ki, k) in suite.iter().enumerate() {
-        let last_kernel = ki + 1 == suite.len();
-        let n = k.program.blocks.len();
-        for block in &k.program.blocks {
-            let remap = |b: BlockId| BlockId(b.0 + offset);
-            let terminator = match block.terminator {
-                Terminator::Jump(t) => Terminator::Jump(remap(t)),
-                Terminator::Branch {
-                    cond,
-                    then_block,
-                    else_block,
-                } => Terminator::Branch {
-                    cond,
-                    then_block: remap(then_block),
-                    else_block: remap(else_block),
-                },
-                // All but the last kernel fall through to the next
-                // kernel's entry block.
-                Terminator::Return if !last_kernel => Terminator::Jump(BlockId(offset + n)),
-                Terminator::Return => Terminator::Return,
-            };
-            p.add_block(BasicBlock {
-                name: format!("{}_{}", k.name, block.name),
-                dfg: block.dfg.clone(),
-                terminator,
-            });
-        }
-        for (&header, &bound) in &k.program.loop_bounds {
-            p.loop_bounds.insert(BlockId(header.0 + offset), bound);
-        }
-        offset += n;
-    }
-    let exec: Vec<u64> = (0..total_blocks)
-        .map(|_| rng.gen_range(1..=1000u64))
-        .collect();
-    (p, exec)
 }
 
 /// Generates a well-formed multi-block [`Program`] (blocks chained by
@@ -506,19 +450,6 @@ mod tests {
             rtise_check::ir::check_dfg(&a).render(),
             rtise_check::ir::check_dfg(&b).render()
         );
-    }
-
-    #[test]
-    fn composed_kernel_program_is_well_formed() {
-        let mut rng = Rng::new(7);
-        let (p, exec) = composed_program(&mut rng);
-        assert_eq!(exec.len(), p.blocks.len());
-        assert!(p.validate().is_ok(), "{:?}", p.validate());
-        let d = rtise_check::ir::check_program(&p);
-        assert!(d.is_clean(), "{}", d.render());
-        // The whole-suite workload really is many hundreds of nodes.
-        let total: usize = p.blocks.iter().map(|b| b.dfg.len()).sum();
-        assert!(total > 500, "composed suite only has {total} nodes");
     }
 
     #[test]

@@ -55,11 +55,8 @@ pub const DIFF_CERT_REPLAY: &str = "DIFF008";
 // DIFF009 (parallel solver core vs its serial twin) is retired with the
 // parallel cores; the code is not reused, so old repros citing it stay
 // unambiguous.
-/// The anytime iterative generator broke its contract: it beat the exact
-/// enumerator's certified optimum on a small DFG, emitted a cut outside
-/// the exact candidate space, or diverged between two identical runs
-/// (it is specified byte-deterministic per seed and budget).
-pub const DIFF_ITER_EXACT: &str = "DIFF010";
+// DIFF010 (the Kernighan–Lin ISE generator vs the exact enumerator) is
+// retired with the generator; the code is not reused.
 /// A solver returned an error on an instance it must accept.
 pub const SOLVE_ERROR: &str = "SOLVE001";
 
@@ -114,22 +111,17 @@ pub enum Family {
     Pareto,
     /// Multilevel k-way graph partitioning.
     Partition,
-    /// Anytime iterative ISE generation (KL-style) + exact differential
-    /// on DFGs of at most `ITER_EXACT_MAX_NODES` (128) nodes, where exact
-    /// enumeration completes uncapped; feasibility certification past it.
-    Iter,
 }
 
 impl Family {
     /// Every family, in harness execution order.
-    pub const ALL: [Family; 7] = [
+    pub const ALL: [Family; 6] = [
         Family::Cand,
         Family::Edf,
         Family::Rms,
         Family::Ilp,
         Family::Pareto,
         Family::Partition,
-        Family::Iter,
     ];
 
     /// Stable lowercase name used by `--family` and reports.
@@ -141,7 +133,6 @@ impl Family {
             Family::Ilp => "ilp",
             Family::Pareto => "pareto",
             Family::Partition => "partition",
-            Family::Iter => "iter",
         }
     }
 
@@ -197,14 +188,6 @@ pub enum Instance {
         k: usize,
         /// Seed forwarded to the randomized partitioner.
         seed: u64,
-    },
-    /// An iterative ISE-generation instance. Stores the generator inputs
-    /// (not the graph) so shrinking is just "fewer operations".
-    Iter {
-        /// Seed regenerating the DFG and salting the iterative search.
-        seed: u64,
-        /// Approximate operation-node count handed to [`gen::large_dfg`].
-        ops: usize,
     },
     /// A candidate-pipeline instance.
     Cand {
@@ -264,22 +247,6 @@ impl Instance {
                     seed: rng.next_u64(),
                 }
             }
-            Family::Iter => {
-                // Two regimes: graphs of at most ITER_EXACT_MAX_NODES
-                // (128) nodes, where exhaustive enumeration supplies the
-                // optimum differential, and graphs well past it, where
-                // feasibility certification and determinism are the
-                // oracle.
-                let ops = if rng.gen_bool(0.7) {
-                    rng.gen_range(4..=100usize)
-                } else {
-                    rng.gen_range(200..=700usize)
-                };
-                Instance::Iter {
-                    seed: rng.next_u64(),
-                    ops,
-                }
-            }
             Family::Cand => {
                 let (program, exec) = gen::program(rng, &gen::DfgOptions::default(), 2);
                 let opts = gen::harvest_options(rng);
@@ -302,7 +269,6 @@ impl Instance {
             Instance::Ilp { .. } => Family::Ilp,
             Instance::Pareto { .. } => Family::Pareto,
             Instance::Partition { .. } => Family::Partition,
-            Instance::Iter { .. } => Family::Iter,
             Instance::Cand { .. } => Family::Cand,
         }
     }
@@ -316,7 +282,6 @@ impl Instance {
             Instance::Ilp { model } => model.num_vars() + model.num_rows(),
             Instance::Pareto { items, .. } => items.len(),
             Instance::Partition { graph, k, .. } => graph.len() + k,
-            Instance::Iter { ops, .. } => *ops,
             Instance::Cand { program, .. } => program.blocks.iter().map(|b| b.dfg.len()).sum(),
         }
     }
@@ -357,7 +322,6 @@ impl Instance {
             Instance::Partition { graph, k, seed } => {
                 format!("{} vertices, k={k}, seed={seed}", graph.len())
             }
-            Instance::Iter { seed, ops } => format!("~{ops} op(s), seed={seed}"),
             Instance::Cand {
                 program,
                 exec,
@@ -382,7 +346,6 @@ impl Instance {
             Instance::Ilp { model } => ilp_findings(model),
             Instance::Pareto { base, items, eps } => pareto_findings(*base, items, *eps),
             Instance::Partition { graph, k, seed } => partition_findings(graph, *k, *seed),
-            Instance::Iter { seed, ops } => iter_findings(*seed, *ops),
             Instance::Cand {
                 program,
                 exec,
@@ -415,26 +378,6 @@ impl Instance {
                 out
             }
             Instance::Partition { graph, k, seed } => shrink_partition(graph, *k, *seed),
-            Instance::Iter { seed, ops } => {
-                // Halving first gets big graphs under ITER_EXACT_MAX_NODES fast (the
-                // differential oracle is strongest there); the -1 step
-                // makes the result 1-minimal.
-                let mut out = Vec::new();
-                for smaller in [*ops / 2, *ops - 1] {
-                    if smaller >= 1
-                        && smaller < *ops
-                        && !out
-                            .iter()
-                            .any(|i| matches!(i, Instance::Iter { ops: o, .. } if *o == smaller))
-                    {
-                        out.push(Instance::Iter {
-                            seed: *seed,
-                            ops: smaller,
-                        });
-                    }
-                }
-                out
-            }
             Instance::Cand {
                 program,
                 exec,
@@ -1097,80 +1040,6 @@ pub fn cand_findings(
     out
 }
 
-/// Largest DFG on which the iter family runs the exact differential: in
-/// this regime exhaustive enumeration at the family's options completes
-/// uncapped, while the 200–700-op instances would only hit the visited
-/// cap after millions of shapes.
-const ITER_EXACT_MAX_NODES: usize = 128;
-
-/// Iter family: anytime iterative ISE generation. Every emitted cut is
-/// independently certified (legal, convex, within ports, batch
-/// deduplicated); two identical runs must agree byte-for-byte; and on
-/// DFGs of at most `ITER_EXACT_MAX_NODES` (128) nodes, where exhaustive
-/// enumeration completes uncapped, every iterative cut must lie inside
-/// the exact candidate space and never beat the exact optimum gain.
-pub fn iter_findings(seed: u64, ops: usize) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut rng = Rng::new(seed);
-    let g = gen::large_dfg(&mut rng, ops);
-    push_diags(&mut out, rtise_check::ir::check_dfg(&g));
-    let eopts = rtise_ise::EnumerateOptions {
-        max_in: 4,
-        max_out: 2,
-        max_candidates: 100_000,
-        max_nodes: 6,
-    };
-    let iopts = rtise_ise::IterativeOptions {
-        enumerate: eopts,
-        seeds: 24,
-        max_passes: 3,
-        move_budget: 8_000,
-        seed,
-    };
-    let (cuts, stats) = rtise_ise::iterative_candidates_with_stats(&g, iopts);
-    push_diags(
-        &mut out,
-        cert::check_candidate_cuts(&g, &cuts, eopts.max_in, eopts.max_out),
-    );
-    let (again, stats2) = rtise_ise::iterative_candidates_with_stats(&g, iopts);
-    if again != cuts || stats2 != stats {
-        out.push(Finding::new(
-            DIFF_ITER_EXACT,
-            format!(
-                "two identical runs diverged: {} vs {} cut(s), stats {stats:?} vs {stats2:?}",
-                cuts.len(),
-                again.len()
-            ),
-        ));
-    }
-    if g.len() <= ITER_EXACT_MAX_NODES {
-        let (exact, estats) = rtise_ise::enumerate::enumerate_connected_with_stats(&g, eopts);
-        if !estats.hit_candidate_cap && !estats.hit_visited_cap {
-            let hw = HwModel::default();
-            let gain = |c: &rtise_ir::NodeSet| g.sw_latency(c).saturating_sub(hw.ci_cycles(&g, c));
-            let best_exact = exact.iter().map(&gain).max().unwrap_or(0);
-            for c in &cuts {
-                if !exact.contains(c) {
-                    out.push(Finding::new(
-                        DIFF_ITER_EXACT,
-                        format!("iterative cut {c:?} is outside the exact candidate space"),
-                    ));
-                }
-                if gain(c) > best_exact {
-                    out.push(Finding::new(
-                        DIFF_ITER_EXACT,
-                        format!(
-                            "iterative cut {c:?} gains {}, beating the exact optimum {best_exact}",
-                            gain(c)
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
 fn exhaustive_selection_gain(cands: &[CiCandidate], budget: u64) -> u64 {
     let n = cands.len();
     let mut best = 0u64;
@@ -1204,6 +1073,7 @@ mod tests {
             assert_eq!(Family::parse(f.name()), Some(f));
         }
         assert_eq!(Family::parse("nope"), None);
+        assert_eq!(Family::parse("iter"), None);
     }
 
     #[test]

@@ -50,7 +50,6 @@
 
 pub mod cfg;
 pub mod dfg;
-pub mod dot;
 pub mod hw;
 pub mod nodeset;
 pub mod op;

@@ -80,20 +80,6 @@ impl NodeSet {
         was
     }
 
-    /// Flips a node's membership. Returns `true` if the node is present
-    /// *after* the toggle — the primitive move of Kernighan–Lin-style
-    /// iterative improvement over cuts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of capacity.
-    pub fn toggle(&mut self, id: NodeId) -> bool {
-        assert!(id.0 < self.capacity, "node id {} out of capacity", id.0);
-        let (w, b) = (id.0 / 64, id.0 % 64);
-        self.words[w] ^= 1 << b;
-        self.words[w] & (1 << b) != 0
-    }
-
     /// Membership test.
     pub fn contains(&self, id: NodeId) -> bool {
         id.0 < self.capacity && self.words[id.0 / 64] & (1 << (id.0 % 64)) != 0
@@ -279,16 +265,6 @@ mod tests {
         assert!(s.remove(NodeId(129)));
         assert!(!s.remove(NodeId(129)));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn toggle_flips_membership() {
-        let mut s = NodeSet::with_capacity(130);
-        assert!(s.toggle(NodeId(129)), "absent -> present");
-        assert!(s.contains(NodeId(129)));
-        assert!(!s.toggle(NodeId(129)), "present -> absent");
-        assert!(!s.contains(NodeId(129)));
-        assert!(s.is_empty());
     }
 
     #[test]

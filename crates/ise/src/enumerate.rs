@@ -43,8 +43,7 @@ impl Default for EnumerateOptions {
 
 /// Largest DFG the bitset path handles: 1024 nodes, shapes of up to 16
 /// words. Every suite block fits (des3's 584-node block is the largest);
-/// past it, enumeration falls back to the generic walk, and the
-/// [`crate::iterative`] generator is the anytime alternative.
+/// past it, enumeration falls back to the generic walk.
 pub const MAX_FAST_NODES: usize = fast::MAX_FAST_NODES;
 
 /// Enumerates the maximal MISO pattern rooted at every sink of `dfg`.
@@ -652,8 +651,8 @@ pub fn enumerate_disconnected(
 
 /// The convex closure of `set`: adds every valid node lying on a path
 /// between two members. Returns `None` if the closure needs an invalid node
-/// or exceeds `max_nodes`. Shared with the iterative backend's repair step.
-pub(crate) fn convex_hull(dfg: &Dfg, set: &NodeSet, max_nodes: usize) -> Option<NodeSet> {
+/// or exceeds `max_nodes`.
+fn convex_hull(dfg: &Dfg, set: &NodeSet, max_nodes: usize) -> Option<NodeSet> {
     let mut hull = set.clone();
     loop {
         // Nodes outside the hull reachable from it...
@@ -1011,23 +1010,6 @@ mod tests {
         let exact = enumerate_connected(&g, opts);
         let (generic, _) = enumerate_connected_reference(&g, opts);
         assert_eq!(exact, generic, "bitset path is bit-identical to generic");
-        // The iterative generator returns a subset of the same feasible
-        // space (order differs: it ranks by gain).
-        let iter = crate::iterative::iterative_candidates(
-            &g,
-            crate::iterative::IterativeOptions {
-                enumerate: opts,
-                ..Default::default()
-            },
-        );
-        assert!(!iter.is_empty());
-        let exact_set: HashSet<NodeSet> = exact.into_iter().collect();
-        for c in &iter {
-            assert!(
-                exact_set.contains(c),
-                "iterative emitted {c:?} outside the exact space"
-            );
-        }
     }
 
     #[test]

@@ -20,7 +20,6 @@
 pub mod candidate;
 pub mod configs;
 pub mod enumerate;
-pub mod iterative;
 pub mod metaheuristics;
 pub mod select;
 
@@ -28,9 +27,6 @@ pub use candidate::{harvest, CiCandidate, HarvestOptions};
 pub use configs::{ConfigCurve, ConfigPoint};
 pub use enumerate::{
     enumerate_connected, enumerate_disconnected, maximal_miso, EnumerateOptions, MAX_FAST_NODES,
-};
-pub use iterative::{
-    iterative_candidates, iterative_candidates_with_stats, IterStats, IterativeOptions,
 };
 pub use metaheuristics::{genetic_select, simulated_annealing_select, GaOptions, SaOptions};
 pub use select::{

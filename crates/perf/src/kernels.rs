@@ -2,10 +2,10 @@
 //!
 //! Each kernel times its optimized entry point against a second path on an
 //! identical batch of seeded instances from [`rtise_fuzz::gen`]: the
-//! retained `*_reference` implementation where one exists, the exact
-//! enumerator for the iterative generator, and the certified call of the
-//! same search for `ise_bnb`, which has one implementation. `miso` also
-//! has one implementation and times it on both sides. A "size" is the
+//! retained `*_reference` implementation where one exists, and the
+//! certified call of the same search for `ise_bnb`, which has one
+//! implementation. `miso` also has one implementation and times it on
+//! both sides. A "size" is the
 //! knob that dominates each kernel's work: task count for the
 //! schedulability DPs, variable count for the ILP, DFG node count for
 //! enumeration, candidate-pool size for the ISE knapsack.
@@ -31,8 +31,6 @@ pub const KERNELS: &[&str] = &[
     "enumerate",
     "miso",
     "ise_bnb",
-    "ise_iter_small",
-    "ise_iter_large",
 ];
 
 /// Instances measured together per (kernel, size): one timed sample solves
@@ -50,8 +48,6 @@ pub fn sizes(kernel: &str) -> &'static [usize] {
         "enumerate" => &[12, 24, 48],
         "miso" => &[12, 24, 48, 96],
         "ise_bnb" => &[8, 14, 20, 26],
-        "ise_iter_small" => &[12, 24, 48],
-        "ise_iter_large" => &[500, 1000, 2000],
         _ => &[],
     }
 }
@@ -209,20 +205,6 @@ fn bench_enumerate_options() -> EnumerateOptions {
         max_out: 2,
         max_candidates: 4096,
         max_nodes: 12,
-    }
-}
-
-/// Iterative-generator envelope for the `ise_iter_*` pair: the same port
-/// budget as the exact enumeration benchmarks with a bounded anytime
-/// move budget, so the 2000-node sweep stays in milliseconds per
-/// instance.
-fn bench_iterative_options(enumerate: EnumerateOptions) -> rtise_ise::IterativeOptions {
-    rtise_ise::IterativeOptions {
-        enumerate,
-        seeds: 16,
-        max_passes: 3,
-        move_budget: 6_000,
-        seed: 0xB7,
     }
 }
 
@@ -447,63 +429,6 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 m,
             )
         }
-        // The anytime iterative generator against the exact bitset
-        // enumerator on small DFGs. The iterative path trades
-        // completeness for bounded work, so its win grows with the DFG.
-        "ise_iter_small" => {
-            let dfgs: Vec<Dfg> = (0..BATCH).map(|_| dfg_at_least(&mut rng, size)).collect();
-            let eopts = bench_enumerate_options();
-            let iopts = bench_iterative_options(eopts);
-            measure_cell(
-                size,
-                &mut || {
-                    for dfg in &dfgs {
-                        let _ = black_box(rtise_ise::enumerate::enumerate_connected_with_stats(
-                            black_box(dfg),
-                            eopts,
-                        ));
-                    }
-                },
-                &mut || {
-                    for dfg in &dfgs {
-                        let _ = black_box(rtise_ise::iterative_candidates(black_box(dfg), iopts));
-                    }
-                },
-                m,
-            )
-        }
-        // On 500-2000-node DFGs the reference is the generic growth walk
-        // (the only exact path past 1024 nodes, kept at every size so the
-        // points compare across baselines); its candidate cap is lowered
-        // so the visited-shape bound keeps it finite, while the iterative
-        // path runs its normal anytime budget.
-        "ise_iter_large" => {
-            let dfgs: Vec<Dfg> = (0..BATCH).map(|_| gen::large_dfg(&mut rng, size)).collect();
-            let eopts = EnumerateOptions {
-                max_in: 4,
-                max_out: 2,
-                max_candidates: 256,
-                max_nodes: 8,
-            };
-            let iopts = bench_iterative_options(eopts);
-            measure_cell(
-                size,
-                &mut || {
-                    for dfg in &dfgs {
-                        let _ = black_box(rtise_ise::enumerate::enumerate_connected_reference(
-                            black_box(dfg),
-                            eopts,
-                        ));
-                    }
-                },
-                &mut || {
-                    for dfg in &dfgs {
-                        let _ = black_box(rtise_ise::iterative_candidates(black_box(dfg), iopts));
-                    }
-                },
-                m,
-            )
-        }
         other => panic!("unknown benchmark kernel {other:?}"),
     }
 }
@@ -556,7 +481,6 @@ mod tests {
             "enumerate",
             "miso",
             "ise_bnb",
-            "ise_iter_small",
         ] {
             let point = run_size(kernel, sizes(kernel)[0], 1, &tiny());
             assert!(

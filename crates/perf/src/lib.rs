@@ -1,11 +1,11 @@
 //! rtise-perf: offline microbenchmark harness for the solver kernels.
 //!
 //! Each solver kernel is timed against a second path — its retained
-//! `*_reference` implementation, the exact enumerator (for the iterative
-//! generator), or the certified call of the same search (for `ise_bnb`) —
-//! on identical seeded inputs (drawn from [`rtise_fuzz::gen`], the same
-//! distributions the fuzz campaigns explore), and the harness emits a
-//! versioned BENCH JSON document — the repo's performance trajectory. The design goals, in order:
+//! `*_reference` implementation, or the certified call of the same search
+//! (for `ise_bnb`) — on identical seeded inputs (drawn from
+//! [`rtise_fuzz::gen`], the same distributions the fuzz campaigns
+//! explore), and the harness emits a versioned BENCH JSON document — the
+//! repo's performance trajectory. The design goals, in order:
 //!
 //! 1. **Offline.** No criterion, no external crates: `std::time::Instant`,
 //!    warmup plus a fixed number of timed batch executions, median

@@ -59,21 +59,8 @@ pub const TRACE_DROPPED: &str = "trace.dropped_events";
 /// "enumeration wall"); carries the DFG's node count.
 pub const ISE_ENUM_GENERIC_PATH: &str = "ise.enumerate.generic_path";
 
-/// Iterative (Kernighan–Lin-style) candidate generation: per-call root
-/// span.
-pub const ISE_ITER_SOLVE: &str = "ise.iter.solve";
-/// Iterative generation: one improvement pass over one seed cut
-/// finished; carries the committed move count and the best gain.
-pub const ISE_ITER_PASS: &str = "ise.iter.pass";
-/// Iterative generation: a non-convex working cut was repaired to its
-/// convex hull.
-pub const ISE_ITER_REPAIR: &str = "ise.iter.repair";
-/// Iterative generation: a seed cut stopped improving and its pass loop
-/// exited early.
-pub const ISE_ITER_PLATEAU: &str = "ise.iter.plateau";
-/// Iterative generation: pinned per-call roll-up (passes, moves,
-/// repairs, plateau exits, accepted cuts).
-pub const ISE_ITER_SUMMARY: &str = "ise.iter.summary";
+// The five `ise.iter.*` codes (the Kernighan–Lin ISE generator's spans
+// and events) are retired with the generator; the names are not reused.
 
 /// Every code above, for docs and exhaustiveness tests.
 pub const ALL: &[&str] = &[
@@ -97,11 +84,6 @@ pub const ALL: &[&str] = &[
     SELECT_EDF_SUMMARY,
     TRACE_DROPPED,
     ISE_ENUM_GENERIC_PATH,
-    ISE_ITER_SOLVE,
-    ISE_ITER_PASS,
-    ISE_ITER_REPAIR,
-    ISE_ITER_PLATEAU,
-    ISE_ITER_SUMMARY,
 ];
 
 #[cfg(test)]
@@ -120,6 +102,6 @@ mod tests {
             );
             assert!(seen.insert(code), "{code} duplicated");
         }
-        assert_eq!(ALL.len(), 25);
+        assert_eq!(ALL.len(), 20);
     }
 }
