@@ -125,17 +125,17 @@ if ! cmp -s target/artifacts/reproduce-jobs4.trace.json target/artifacts/reprodu
 fi
 echo "    --jobs 1 and --jobs 4 give byte-identical reports and traces"
 
-echo "==> panic-safety regression gates (pool callback, serve computation panic)"
+echo "==> panic-safety regression gates (lane runner callback, serve computation panic)"
 # cargo test above already runs these; naming them here keeps the gates
 # from silently disappearing if the suites are reorganised. The grep on
 # the pass count makes a renamed (and therefore unmatched) test a failure.
-cargo test --offline --release -q -p rtise-bench --lib -- --exact \
-  pool::tests::panicking_callback_does_not_poison_the_pool \
+cargo test --offline --release -q -p rtise-obs --lib -- --exact \
+  lanes::tests::panicking_on_ready_does_not_poison_the_run \
   | grep -q "1 passed"
 cargo test --offline --release -q -p rtise-serve --lib -- --exact \
   server::tests::a_panicking_computation_answers_every_waiter_and_the_server_keeps_serving \
   | grep -q "1 passed"
-echo "    pool survives panicking callbacks; serve answers every waiter of a panicked request"
+echo "    lane runner survives panicking callbacks; serve answers every waiter of a panicked request"
 
 echo "==> reconfig equivalence gates (in-place polish, memoized exhaustive search)"
 # Each test compares the optimized partitioner with a test-only copy of the

@@ -1,19 +1,6 @@
-//! Regenerates the paper's tables and figures.
-//!
-//! Usage:
-//!
-//! ```text
-//! reproduce                          # run every experiment in paper order
-//! reproduce fig3_3 tab6_1            # run the named ones
-//! reproduce --list                   # list experiment ids
-//! reproduce --jobs 4                 # run experiments on 4 workers
-//! reproduce --json out.json fig3_2   # also write a machine-readable report
-//! reproduce --trace-out t.json       # export a chrome://tracing span trace
-//! reproduce --trace-clock virtual    # deterministic trace timestamps
-//! reproduce --check tab6_1           # also certify each experiment's artifacts
-//! reproduce --cache-dir .cache       # persist curves somewhere specific
-//! reproduce --no-cache               # disable the on-disk curve cache
-//! ```
+//! Regenerates the paper's tables and figures: every experiment in paper
+//! order, or the ids named as operands. The flags are [`FLAGS`]; README's
+//! `reproduce` flag table explains each.
 //!
 //! Experiments run on a worker pool (`--jobs N`, defaulting to every
 //! available core; `--jobs 1` reproduces the historical serial harness).
@@ -26,72 +13,36 @@
 //! Every experiment runs to completion even if an earlier one fails; the
 //! harness prints per-experiment wall time and ends with an
 //! `N ok / M failed` summary, exiting nonzero if anything failed.
-//! Unknown experiment ids are rejected up front with exit code 2 and a
-//! nearest-id suggestion.
+//! Usage errors exit 2 before anything runs: an unknown flag, a flag
+//! without its value, `--jobs 0`, or an unknown experiment id (with a
+//! nearest-id suggestion).
 
 use rtise_bench::pool::{run_pool, CertOutcome, ExperimentOutcome};
+use rtise_obs::args::Args;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-const USAGE: &str = "supported: --list, --jobs <n>, --json <path>, \
-                     --trace-out <path>, --trace-clock <real|virtual>, --check, \
-                     --cache-dir <dir>, --no-cache";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg} ({USAGE})");
-    std::process::exit(2);
-}
+const FLAGS: &str = "--list, --jobs N, --json PATH, --trace-out PATH, \
+                     --trace-clock real|virtual, --check, --cache-dir DIR, --no-cache";
 
 fn main() {
-    let mut json_path: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_clock = rtise_trace::Clock::Real;
-    let mut check = false;
-    let mut jobs: Option<usize> = None;
-    let mut cache_dir: Option<PathBuf> = Some(PathBuf::from("target/curve-cache"));
-    let mut ids: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--list" => {
-                for (id, _) in rtise_bench::ALL {
-                    println!("{id}");
-                }
-                return;
-            }
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(p),
-                None => usage_error("--json requires a path argument"),
-            },
-            "--jobs" => match args.next().map(|n| n.parse::<usize>()) {
-                Some(Ok(0)) => usage_error(
-                    "--jobs 0 is not a worker count — did you mean --jobs 1 for the serial \
-                     harness? (omit --jobs to use every core)",
-                ),
-                Some(Ok(n)) => jobs = Some(n),
-                _ => usage_error("--jobs requires a worker count >= 1"),
-            },
-            "--cache-dir" => match args.next() {
-                Some(p) => cache_dir = Some(PathBuf::from(p)),
-                None => usage_error("--cache-dir requires a path argument"),
-            },
-            "--no-cache" => cache_dir = None,
-            "--trace-out" => match args.next() {
-                Some(p) => trace_out = Some(p),
-                None => usage_error("--trace-out requires a path argument"),
-            },
-            "--trace-clock" => match args.next().as_deref() {
-                Some("real") => trace_clock = rtise_trace::Clock::Real,
-                Some("virtual") => trace_clock = rtise_trace::Clock::Virtual,
-                _ => usage_error("--trace-clock requires `real` or `virtual`"),
-            },
-            "--check" => check = true,
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown flag {other:?}"));
-            }
-            other => ids.push(other.to_string()),
+    let args = Args::parse("reproduce [FLAG]... [ID]...", FLAGS);
+    if args.has("--list") {
+        for (id, _) in rtise_bench::ALL {
+            println!("{id}");
         }
+        return;
     }
+    let json_path = args.value("--json").map(str::to_string);
+    let trace_out = args.value("--trace-out").map(PathBuf::from);
+    let trace_clock = args
+        .clock("--trace-clock")
+        .unwrap_or(rtise_trace::Clock::Real);
+    let check = args.has("--check");
+    let jobs = args.jobs().unwrap_or_else(rtise_obs::lanes::default_jobs);
+    let cache_dir = (!args.has("--no-cache"))
+        .then(|| PathBuf::from(args.value("--cache-dir").unwrap_or("target/curve-cache")));
+    let mut ids = args.operands().to_vec();
     if ids.is_empty() {
         ids = rtise_bench::ALL
             .iter()
@@ -103,16 +54,14 @@ fn main() {
     // worse, report an empty run as success).
     for id in &ids {
         if !rtise_bench::ALL.iter().any(|(name, _)| name == id) {
-            eprintln!(
+            args.fail(format!(
                 "unknown experiment {id:?} — did you mean {:?}? (use --list to see all ids)",
                 rtise_bench::nearest_id(id)
-            );
-            std::process::exit(2);
+            ));
         }
     }
 
     rtise_bench::set_cache_dir(cache_dir);
-    let jobs = jobs.unwrap_or_else(rtise_bench::pool::default_jobs);
     let parallel = jobs > 1 && ids.len() > 1;
 
     let total = rtise_obs::Timer::start();
@@ -186,24 +135,10 @@ fn main() {
         // Merge per-experiment scopes in paper order — one track each, so
         // the exported document is independent of the worker count.
         let doc = rtise_trace::chrome::chrome_trace(&scopes);
-        let diags = rtise::check::trace::check_chrome_trace(&doc);
-        if !diags.is_clean() {
-            eprintln!("trace artifact failed the chrome-trace schema check:");
-            for line in diags.render().lines() {
-                eprintln!("    {line}");
-            }
-            failed += 1;
-        }
-        match std::fs::write(&path, doc.render_pretty()) {
-            Ok(()) => {
-                let events = doc
-                    .get("traceEvents")
-                    .and_then(rtise_obs::json::Value::as_arr)
-                    .map_or(0, <[rtise_obs::json::Value]>::len);
-                println!("wrote trace to {path} ({events} events)");
-            }
+        match rtise::check::trace::write_checked_trace(&path, &doc) {
+            Ok(events) => println!("wrote trace to {} ({events} events)", path.display()),
             Err(e) => {
-                eprintln!("failed to write {path}: {e}");
+                eprintln!("{e}");
                 failed += 1;
             }
         }

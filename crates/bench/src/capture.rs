@@ -4,11 +4,11 @@
 //! so the `reproduce` harness can embed each experiment's result series
 //! into its JSON report without re-plumbing every experiment function.
 //!
-//! Capture has two modes: [`begin`] keeps echoing to stdout (the serial
-//! harness streams results live), while [`begin_quiet`] buffers only —
-//! the worker-pool harness runs experiments concurrently and replays each
-//! buffer in paper order once its turn comes, so interleaved runs still
-//! print clean reports.
+//! Capture has two modes: by default [`begin`] keeps echoing to stdout
+//! (one lane streams results live), while a quiet capture buffers only —
+//! several lanes run experiments concurrently and the harness replays
+//! each buffer in paper order once its turn comes, so interleaved runs
+//! still print clean reports.
 
 use std::cell::RefCell;
 
@@ -23,26 +23,11 @@ thread_local! {
 }
 
 /// Starts capturing subsequent [`out!`](crate::out)/[`outp!`](crate::outp)
-/// output on this thread (clearing any previous capture) while still
-/// echoing to stdout.
-pub fn begin() {
-    STATE.with(|s| {
-        *s.borrow_mut() = Capture {
-            buf: Some(String::new()),
-            quiet: false,
-        };
-    });
-}
-
-/// Like [`begin`], but suppresses the stdout echo: output is only
-/// buffered, for ordered replay by a concurrent harness.
-pub fn begin_quiet() {
-    STATE.with(|s| {
-        *s.borrow_mut() = Capture {
-            buf: Some(String::new()),
-            quiet: true,
-        };
-    });
+/// output on this thread (clearing any previous capture), echoing it to
+/// stdout unless `quiet`.
+pub fn begin(quiet: bool) {
+    let buf = Some(String::new());
+    STATE.with(|s| *s.borrow_mut() = Capture { buf, quiet });
 }
 
 /// Stops capturing and returns the captured output as lines.
@@ -94,7 +79,7 @@ macro_rules! outp {
 mod tests {
     #[test]
     fn capture_collects_lines_and_partial_prints() {
-        super::begin();
+        super::begin(false);
         outp!("a = {}", 1);
         out!(", b = {}", 2);
         out!("second");
@@ -107,7 +92,7 @@ mod tests {
 
     #[test]
     fn quiet_capture_still_buffers() {
-        super::begin_quiet();
+        super::begin(true);
         out!("buffered only");
         assert_eq!(super::take(), vec!["buffered only".to_string()]);
     }

@@ -149,11 +149,7 @@ pub fn run_observed_traced(
     let Some((_, f)) = ALL.iter().find(|(name, _)| *name == id) else {
         return Err(format!("unknown experiment {id:?}"));
     };
-    if quiet {
-        capture::begin_quiet();
-    } else {
-        capture::begin();
-    }
+    capture::begin(quiet);
     let scope = trace_clock.map_or_else(rtise_obs::Scope::new, rtise_obs::Scope::with_clock);
     let timer = rtise_obs::Timer::start();
     let ok = {

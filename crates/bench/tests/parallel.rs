@@ -8,7 +8,7 @@
 //! runs unoptimized.
 
 use rtise_bench::pool::run_pool;
-use rtise_obs::json::{parse, Value};
+use rtise_obs::json::parse;
 use std::process::Command;
 use std::sync::Mutex;
 
@@ -67,36 +67,11 @@ fn reproduce(args: &[&str]) -> std::process::Output {
         .expect("spawn reproduce")
 }
 
-/// Parses a report, dropping the fields that legitimately vary between
-/// runs (wall times and disk-cache traffic).
+/// Parses a report and drops the fields that legitimately vary between
+/// runs (wall times and disk-cache traffic), as `trace canon` does.
 fn canonical_report(path: &std::path::Path) -> String {
     let doc = parse(&std::fs::read_to_string(path).expect("read report")).expect("parse report");
-    let Value::Obj(pairs) = doc else {
-        panic!("report is not an object")
-    };
-    let pairs = pairs
-        .into_iter()
-        .filter(|(k, _)| k != "total_wall_ms" && k != "cache")
-        .map(|(k, v)| {
-            if k != "experiments" {
-                return (k, v);
-            }
-            let Value::Arr(experiments) = v else {
-                panic!("experiments is not an array")
-            };
-            let stripped = experiments
-                .into_iter()
-                .map(|e| {
-                    let Value::Obj(fields) = e else {
-                        panic!("experiment is not an object")
-                    };
-                    Value::Obj(fields.into_iter().filter(|(k, _)| k != "wall_ms").collect())
-                })
-                .collect();
-            (k, Value::Arr(stripped))
-        })
-        .collect();
-    Value::Obj(pairs).render_pretty()
+    rtise_trace::view::canon_report(&doc, &[]).render_pretty()
 }
 
 /// Satellite: `reproduce --json` output (minus wall-time fields) is
@@ -357,6 +332,27 @@ fn jobs_zero_is_an_explicit_usage_error() {
     // Non-numeric worker counts stay rejected too.
     let out = reproduce(&["--jobs", "many"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// The command-line contract: every usage error exits 2, and the first
+/// line of stderr names what was wrong.
+#[test]
+fn usage_errors_exit_2_and_name_the_flag() {
+    for (args, named) in [
+        (
+            &["--definitely-not-a-flag"][..],
+            "\"--definitely-not-a-flag\"",
+        ),
+        (&["fig3_2", "--json"], "--json requires a value"),
+        (&["--jobs", "0", "fig3_2"], "--jobs 0"),
+        (&["--trace-clock", "wall"], "--trace-clock"),
+    ] {
+        let out = reproduce(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(named), "{args:?}: {stderr}");
+    }
 }
 
 /// The suggestion helper itself, on the exact typo from the issue.

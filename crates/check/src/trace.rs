@@ -8,11 +8,13 @@
 //! (TRACE002) with a known phase (TRACE003), numeric non-negative
 //! `ts`/`pid`/`tid` (TRACE004), and balanced `B`/`E` duration events
 //! per `(pid, tid)` track (TRACE005). CI runs it over every trace
-//! smoke artifact.
+//! smoke artifact, and [`write_checked_trace`] — the one way a binary
+//! writes a trace — runs it before every write.
 
 use crate::diag::{Code, Diagnostics, Location};
 use rtise_obs::json::Value;
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Phases this workspace emits plus the common ones other tools write;
 /// anything else is flagged as TRACE003.
@@ -108,6 +110,29 @@ pub fn check_chrome_trace(doc: &Value) -> Diagnostics {
     d
 }
 
+/// Schema-checks a Chrome Trace document with [`check_chrome_trace`] and
+/// writes it, pretty-printed, to `path`; returns its event count. A
+/// document with findings is not written: the error carries the rendered
+/// diagnostics, or the write failure, for the caller to report in its own
+/// words.
+pub fn write_checked_trace(path: &Path, doc: &Value) -> Result<usize, String> {
+    let diags = check_chrome_trace(doc);
+    if !diags.is_clean() {
+        let mut msg = "trace artifact failed the chrome-trace schema check:".to_string();
+        for line in diags.render().lines() {
+            msg.push_str("\n    ");
+            msg.push_str(line);
+        }
+        return Err(msg);
+    }
+    std::fs::write(path, doc.render_pretty())
+        .map_err(|e| format!("cannot write trace to {}: {e}", path.display()))?;
+    Ok(doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .map_or(0, <[Value]>::len))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,5 +194,25 @@ mod tests {
             ]}"#,
         );
         assert_eq!(d.count(Code::TRACE005), 2);
+    }
+
+    #[test]
+    fn only_clean_traces_are_written() {
+        let dir = std::env::temp_dir().join(format!("rtise-check-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let event = |ph| {
+            format!(r#"{{"traceEvents":[{{"name":"x","ph":"{ph}","pid":1,"tid":1,"ts":0}}]}}"#)
+        };
+        let clean = parse(&event("i")).expect("parses");
+        assert_eq!(write_checked_trace(&dir.join("clean.json"), &clean), Ok(1));
+        let written = std::fs::read_to_string(dir.join("clean.json")).expect("written");
+        assert_eq!(parse(&written).expect("reparses"), clean);
+        let err = write_checked_trace(
+            &dir.join("dirty.json"),
+            &parse(&event("Z")).expect("parses"),
+        );
+        assert!(err.expect_err("dirty trace refused").contains("TRACE003"));
+        assert!(!dir.join("dirty.json").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

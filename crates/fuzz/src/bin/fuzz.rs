@@ -1,80 +1,51 @@
-//! Certificate-driven fuzzing campaign driver.
-//!
-//! ```text
-//! fuzz [--seed N] [--iters N] [--family NAME|all] [--jobs N] [--json PATH]
-//!      [--trace-out PATH] [--list]
-//! ```
+//! Certificate-driven fuzzing campaign driver; its flags are [`FLAGS`].
 //!
 //! Runs `--iters` seeded cases per family, solves each instance with the
 //! real pipeline, certifies every solution via `rtise-check`, and
 //! cross-checks independent solvers against each other. Any failure is
 //! greedily minimized and reported with a one-line repro command. Exits
-//! non-zero if any diagnostic was found.
+//! 1 if any diagnostic was found, and 2 on a usage error (an unknown flag
+//! or family, a flag without its value, `--jobs 0`).
 
 use rtise_fuzz::{run, Family, FuzzConfig};
+use rtise_obs::args::Args;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fuzz [--seed N] [--iters N] [--family NAME|all] [--jobs N] [--json PATH] \
-         [--trace-out PATH] [--list]\n\
-         families: {} (default: all)",
-        Family::ALL
-            .iter()
-            .map(|f| f.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::process::exit(2);
-}
+const FLAGS: &str = "--seed N, --iters N, --family NAME|all, --jobs N, --json PATH, \
+                     --trace-out PATH, --list";
 
 fn main() -> ExitCode {
-    let mut cfg = FuzzConfig::default();
-    let mut json_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.seed = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--iters" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.iters = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--family" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                if v == "all" {
-                    cfg.families = Family::ALL.to_vec();
-                } else {
-                    match Family::parse(&v) {
-                        Some(f) => cfg.families = vec![f],
-                        None => usage(),
-                    }
-                }
-            }
-            "--jobs" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cfg.jobs = v.parse().unwrap_or_else(|_| usage());
-                if cfg.jobs == 0 {
-                    usage();
-                }
-            }
-            "--json" => json_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace-out" => {
-                trace_path = Some(args.next().unwrap_or_else(|| usage()));
-                cfg.trace = Some(rtise_trace::Clock::Real);
-            }
-            "--list" => {
-                for f in Family::ALL {
-                    println!("{}", f.name());
-                }
-                return ExitCode::SUCCESS;
-            }
-            _ => usage(),
-        }
+    let families = Family::ALL.map(Family::name).join(", ");
+    let args = Args::parse(
+        &format!("fuzz [FLAG]...\nfamilies: {families} (default: all)"),
+        FLAGS,
+    );
+    if let Some(extra) = args.operands().first() {
+        args.fail(format!("unexpected argument {extra:?}"));
     }
+    if args.has("--list") {
+        for f in Family::ALL {
+            println!("{}", f.name());
+        }
+        return ExitCode::SUCCESS;
+    }
+    let defaults = FuzzConfig::default();
+    let trace_path = args.value("--trace-out").map(PathBuf::from);
+    let cfg = FuzzConfig {
+        seed: args.parsed("--seed").unwrap_or(defaults.seed),
+        iters: args.parsed("--iters").unwrap_or(defaults.iters),
+        families: match args.value("--family") {
+            None | Some("all") => defaults.families,
+            Some(name) => match Family::parse(name) {
+                Some(f) => vec![f],
+                None => args.fail(format!("unknown family {name:?} for --family")),
+            },
+        },
+        jobs: args.jobs().unwrap_or(defaults.jobs),
+        trace: trace_path.as_ref().map(|_| rtise_trace::Clock::Real),
+    };
+    let json_path = args.value("--json");
 
     let outcome = run(&cfg);
     println!(
@@ -115,7 +86,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = json_path {
         let json = outcome.to_json().render_pretty();
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write report to {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -124,16 +95,11 @@ fn main() -> ExitCode {
 
     if let Some(path) = trace_path {
         let doc = rtise_trace::chrome::chrome_trace(&outcome.trace);
-        let diags = rtise_check::trace::check_chrome_trace(&doc);
-        if !diags.is_clean() {
-            eprintln!("trace artifact failed the chrome-trace schema check:\n{diags}");
+        if let Err(e) = rtise_check::trace::write_checked_trace(&path, &doc) {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        if let Err(e) = std::fs::write(&path, doc.render_pretty()) {
-            eprintln!("cannot write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("chrome trace written to {path}");
+        println!("chrome trace written to {}", path.display());
     }
 
     if outcome.is_clean() {

@@ -1,7 +1,9 @@
 //! Layer 3: the fuzzing campaign driver.
 //!
 //! Runs `iters` cases per family, certifies every solution, minimizes any
-//! failure and reports a one-line reproduction command. Progress and
+//! failure and reports a one-line reproduction command. A family's cases
+//! fan out over `jobs` lanes of the shared [`rtise_obs::lanes`] runner;
+//! minimization stays serial, in case order. Progress and
 //! throughput are reported as an obs-JSON tree: one child per family
 //! with case/failure counters and an instances/sec gauge, plus the
 //! solver-side counters (DP cells, B&B nodes, …) the campaign provoked.
@@ -9,6 +11,7 @@
 use crate::minimize::minimize;
 use crate::oracle::{Family, Instance};
 use rtise_obs::json::Value;
+use rtise_obs::lanes::lanes;
 use rtise_obs::{Rng, Scope, Timer};
 use std::collections::BTreeMap;
 
@@ -26,8 +29,9 @@ pub struct FuzzConfig {
     /// case *index*, so any worker count runs the identical case set and
     /// reports failures in the identical (family, case-index) order.
     pub jobs: usize,
-    /// When `Some`, every sweep lane's scope also stores solver spans and
-    /// search-tree events on this clock, surfaced as
+    /// When `Some`, every sweep lane's scope also stores a span per case
+    /// and the solver spans and search-tree events under it, on this
+    /// clock, surfaced as
     /// [`FuzzOutcome::trace`]. Tracing never feeds the
     /// deterministic obs report — `--json` is identical with it on or off.
     pub trace: Option<rtise_trace::Clock>,
@@ -216,60 +220,34 @@ const MAX_SHRINK_ATTEMPTS: u64 = 4_000;
 /// minimization: `(case index, case seed, instance, findings, first code)`.
 type RawFailure = (u64, u64, Instance, u64, String);
 
-/// Sweeps one family's cases over `jobs` workers, returning the failing
-/// cases sorted by case index plus each worker's lane scope, labelled
-/// `family/wN`. Each case derives its seed from its index alone, and each
-/// worker records into its own lane, which the caller attributes to the
-/// campaign — so the case set, the failure order, and the counter totals
-/// are all independent of the worker count (only per-case wall times
-/// vary).
+/// Sweeps one family's cases on the lanes of [`rtise_obs::lanes::lanes`],
+/// returning the failing cases in case-index order plus each lane's
+/// scope, labelled `family/wN`. Each case derives its seed from its index
+/// alone, and each lane records into its own scope, which the caller
+/// attributes to the campaign — so the case set, the failure order, and
+/// the counter totals are all independent of the worker count (only
+/// per-case wall times vary). A traced case runs inside a span named
+/// after the family.
 fn sweep_family(family: Family, cfg: &FuzzConfig) -> (Vec<RawFailure>, Vec<(String, Scope)>) {
-    let run_case = |i: u64| -> Option<RawFailure> {
+    let lane = |w: usize| {
+        let scope = cfg.trace.map_or_else(Scope::new, Scope::with_clock);
+        (format!("{}/w{w}", family.name()), scope)
+    };
+    // Every case holds a result slot until the sweep ends, so a clean case
+    // costs one pointer-sized `None`, whatever `--iters` asks for.
+    let run_case = |i: usize| -> Option<Box<RawFailure>> {
+        let _span = cfg.trace.map(|_| rtise_trace::span(family.name()));
+        let i = i as u64;
         let cs = case_seed(cfg.seed, i);
         let mut rng = Rng::new(cs);
         let instance = Instance::generate(family, &mut rng);
         let findings = instance.run();
-        findings
-            .first()
-            .map(|f| (i, cs, instance, findings.len() as u64, f.code.clone()))
+        let first = findings.first();
+        first.map(|f| Box::new((i, cs, instance, findings.len() as u64, f.code.clone())))
     };
-    let jobs = cfg.jobs.max(1).min(cfg.iters.max(1) as usize);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let (mut found, lanes) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let (run_case, next) = (&run_case, &next);
-                s.spawn(move || {
-                    let lane = cfg.trace.map_or_else(Scope::new, Scope::with_clock);
-                    let found = {
-                        let _guard = lane.enter();
-                        let _span = cfg
-                            .trace
-                            .map(|_| rtise_trace::span(family.name().to_string()));
-                        let mut found = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= cfg.iters {
-                                break found;
-                            }
-                            found.extend(run_case(i));
-                        }
-                    };
-                    (found, (format!("{}/w{w}", family.name()), lane))
-                })
-            })
-            .collect();
-        let mut found = Vec::new();
-        let mut lanes = Vec::new();
-        for h in handles {
-            let (f, lane) = h.join().expect("fuzz worker panicked");
-            found.extend(f);
-            lanes.push(lane);
-        }
-        (found, lanes)
-    });
-    found.sort_by_key(|f| f.0);
-    (found, lanes)
+    let iters = usize::try_from(cfg.iters).expect("--iters fits in memory");
+    let (found, scopes) = lanes(cfg.jobs, iters, Some(&lane), run_case, |_, _| {});
+    (found.into_iter().flatten().map(|f| *f).collect(), scopes)
 }
 
 /// Runs a fuzzing campaign.
@@ -372,9 +350,7 @@ mod tests {
         let cfg = FuzzConfig {
             seed: 7,
             iters: 8,
-            families: Family::ALL.to_vec(),
-            jobs: 1,
-            trace: None,
+            ..FuzzConfig::default()
         };
         let a = run(&cfg);
         let b = run(&cfg);
@@ -406,9 +382,7 @@ mod tests {
         let mut cfg = FuzzConfig {
             seed: 0xF00D,
             iters: 12,
-            families: Family::ALL.to_vec(),
-            jobs: 1,
-            trace: None,
+            ..FuzzConfig::default()
         };
         let serial = run(&cfg);
         cfg.jobs = 4;

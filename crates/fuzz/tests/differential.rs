@@ -139,19 +139,14 @@ fn every_enumeration_width_matches_the_generic_reference() {
             cases.push((format!("seeded {nodes}-node DFG"), dfg, small));
         }
     }
-    std::thread::scope(|scope| {
-        for lane in 0..2 {
-            let cases = &cases;
-            scope.spawn(move || {
-                for (label, dfg, opts) in cases.iter().skip(lane).step_by(2) {
-                    assert_eq!(
-                        enumerate_connected_with_stats(dfg, *opts),
-                        enumerate_connected_reference(dfg, *opts),
-                        "{label} ({} nodes): bitset enumeration diverges from the generic path",
-                        dfg.len()
-                    );
-                }
-            });
-        }
-    });
+    let check = |i: usize| {
+        let (label, dfg, opts) = &cases[i];
+        assert_eq!(
+            enumerate_connected_with_stats(dfg, *opts),
+            enumerate_connected_reference(dfg, *opts),
+            "{label} ({} nodes): bitset enumeration diverges from the generic path",
+            dfg.len()
+        );
+    };
+    rtise_obs::lanes::lanes(2, cases.len(), None, check, |_, _| {});
 }

@@ -40,6 +40,12 @@
 //! * [`rng`] — a SplitMix64 PRNG with range/bool/shuffle helpers, the
 //!   in-repo replacement for the `rand` crate used by the randomized
 //!   algorithms (multilevel partitioning) and the randomized tests.
+//! * [`args`] — [`Args`](args::Args), the one command-line parser of the
+//!   workspace's binaries and the owner of their usage-error policy
+//!   (exit code 2, the offending flag named).
+//! * [`lanes`] — [`lanes()`](lanes::lanes), the one way work fans out to
+//!   threads: `jobs` lanes claim indices in order, each in an optional
+//!   labelled scope, and results stream back in index order.
 //!
 //! # Example
 //!
@@ -58,10 +64,12 @@
 //! assert_eq!(scope.events().len(), 2); // span begin + end
 //! ```
 
+pub mod args;
 pub mod certlog;
 pub mod hash;
 pub mod hist;
 pub mod json;
+pub mod lanes;
 pub mod registry;
 pub mod report;
 pub mod rng;

@@ -116,6 +116,7 @@ pub fn attribute_hists(hists: &BTreeMap<String, Hist>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::lanes;
     use crate::scope::isolate;
 
     // Every test enters its own scope, so tests stay independent even
@@ -143,21 +144,14 @@ mod tests {
     #[test]
     fn concurrent_adds_do_not_lose_updates() {
         let scope = Scope::new();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let scope = scope.clone();
-                std::thread::spawn(move || {
-                    let _g = scope.enter();
-                    for _ in 0..1000 {
-                        record("test.registry.mt", 1);
-                        observe("test.registry.mt", 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("thread");
-        }
+        let clone = |_| (String::new(), scope.clone());
+        let add = |_| {
+            for _ in 0..1000 {
+                record("test.registry.mt", 1);
+                observe("test.registry.mt", 1);
+            }
+        };
+        lanes(8, 8, Some(&clone), add, |_, _| {});
         assert_eq!(scope.counters()["test.registry.mt"], 8000);
         assert_eq!(scope.hists()["test.registry.mt"].count(), 8000);
     }
@@ -192,20 +186,9 @@ mod tests {
     #[test]
     fn scope_extends_across_threads_via_clone() {
         let scope = Scope::new();
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let scope = scope.clone();
-                std::thread::spawn(move || {
-                    let _g = scope.enter();
-                    for _ in 0..500 {
-                        record("test.scope.fanout", 1);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("worker");
-        }
+        let clone = |_| (String::new(), scope.clone());
+        let add = |_| (0..500).for_each(|_| record("test.scope.fanout", 1));
+        lanes(4, 4, Some(&clone), add, |_, _| {});
         assert_eq!(scope.counters()["test.scope.fanout"], 2000);
     }
 
@@ -221,32 +204,17 @@ mod tests {
         let key = "test.scope.stress";
         let merged = Scope::new();
         let scopes: Vec<Scope> = (0..SCOPES).map(|_| Scope::new()).collect();
-        let workers: Vec<_> = scopes
-            .iter()
-            .flat_map(|scope| {
-                let merged = &merged;
-                (0..THREADS).map(move |_| {
-                    let (merged, scope) = (merged.clone(), scope.clone());
-                    std::thread::spawn(move || {
-                        let _m = merged.enter();
-                        let _g = scope.enter();
-                        for _ in 0..INCREMENTS {
-                            record(key, 1);
-                        }
-                    })
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("stress worker");
-        }
+        let clone = |_| (String::new(), merged.clone());
+        let add = |i: usize| {
+            let _g = scopes[i % SCOPES].enter();
+            (0..INCREMENTS).for_each(|_| record(key, 1));
+        };
+        let workers = SCOPES * THREADS;
+        lanes(workers, workers, Some(&clone), add, |_, _| {});
         for scope in &scopes {
             assert_eq!(scope.counters()[key], THREADS as u64 * INCREMENTS);
         }
-        assert_eq!(
-            merged.counters()[key],
-            (SCOPES * THREADS) as u64 * INCREMENTS
-        );
+        assert_eq!(merged.counters()[key], workers as u64 * INCREMENTS);
     }
 
     #[test]

@@ -376,6 +376,7 @@ pub fn summary(name: impl Into<Cow<'static, str>>, args: &[(&'static str, u64)])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::lanes;
     use crate::registry::{observe, record};
 
     /// [`enabled`] reads a process-wide count, so every test here that
@@ -536,22 +537,13 @@ mod tests {
     fn scope_extends_across_threads_via_clone() {
         let _serial = serial();
         let scope = Scope::with_clock(Clock::Real);
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let scope = scope.clone();
-                std::thread::spawn(move || {
-                    let _g = scope.enter();
-                    let _s = span("worker");
-                    instant("work");
-                    for _ in 0..500 {
-                        record("test.merged.fanout", 1);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("worker");
-        }
+        let clone = |_| (String::new(), scope.clone());
+        let work = |_| {
+            let _s = span("worker");
+            instant("work");
+            (0..500).for_each(|_| record("test.merged.fanout", 1));
+        };
+        lanes(4, 4, Some(&clone), work, |_, _| {});
         let events = scope.events();
         assert_eq!(events.len(), 12); // 4 × (B + i + E)
         let ts: Vec<u64> = events.iter().map(|e| e.ts).collect();
@@ -578,26 +570,16 @@ mod tests {
                 }
             })
             .collect();
-        let workers: Vec<_> = inners
-            .iter()
-            .map(|inner| {
-                let (outer, inner) = (outer.clone(), inner.clone());
-                std::thread::spawn(move || {
-                    let _o = outer.enter();
-                    for _ in 0..INCREMENTS {
-                        record(key, 1);
-                    }
-                    let _i = inner.enter();
-                    for _ in 0..INCREMENTS {
-                        record(key, 2);
-                        observe(key, 1);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().expect("worker");
-        }
+        let clone = |_| (String::new(), outer.clone());
+        let work = |w: usize| {
+            (0..INCREMENTS).for_each(|_| record(key, 1));
+            let _i = inners[w].enter();
+            for _ in 0..INCREMENTS {
+                record(key, 2);
+                observe(key, 1);
+            }
+        };
+        lanes(WORKERS, WORKERS, Some(&clone), work, |_, _| {});
         for inner in &inners {
             assert_eq!(inner.counters()[key], 2 * INCREMENTS);
             assert_eq!(inner.hists()[key].count(), INCREMENTS);

@@ -1,70 +1,46 @@
-//! Solver-kernel benchmark driver.
-//!
-//! ```text
-//! bench [--smoke] [--seed N] [--out PATH] [--baseline PATH] [--factor X]
-//!       [--trace-out PATH] [--list]
-//! ```
+//! Solver-kernel benchmark driver; its flags are [`FLAGS`].
 //!
 //! Sweeps every kernel pair over its input sizes, prints a summary table,
 //! and writes the versioned BENCH JSON to `--out` (stdout otherwise).
 //! With `--baseline`, compares the fresh run against a committed
 //! `BENCH_N.json` and exits non-zero when any (kernel, size) point is more
-//! than `--factor` (default 2.5) times slower. `--smoke` keeps the same
+//! than [`REGRESSION_FACTOR`]
+//! (2.5) times slower, plus a 2 µs noise floor. `--smoke` keeps the same
 //! sweep but takes fewer samples, so CI can gate cheaply against a
 //! full-mode baseline. `--trace-out` records a real-clock Chrome Trace of
 //! the whole sweep — one track per kernel, solver search-tree events
-//! included — schema-checked before it is written.
+//! included — schema-checked before it is written. Usage errors (an
+//! unknown flag, a flag without its value) exit 2.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use rtise_obs::args::Args;
 use rtise_perf::kernels::{run_kernel, sizes, KERNELS};
 use rtise_perf::measure::MeasureOptions;
-use rtise_perf::report;
+use rtise_perf::report::{self, REGRESSION_FACTOR};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench [--smoke] [--seed N] [--out PATH] [--baseline PATH] [--factor X] \
-         [--trace-out PATH] [--list]\n\
-         kernels: {}",
-        KERNELS.join(", ")
-    );
-    std::process::exit(2);
-}
+const FLAGS: &str = "--smoke, --seed N, --out PATH, --baseline PATH, --trace-out PATH, --list";
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut seed = 5u64;
-    let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut factor = 2.5f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                seed = v.parse().unwrap_or_else(|_| usage());
-            }
-            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--baseline" => baseline_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace-out" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--factor" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                factor = v.parse().unwrap_or_else(|_| usage());
-                if !(factor.is_finite() && factor >= 1.0) {
-                    usage();
-                }
-            }
-            "--list" => {
-                for k in KERNELS {
-                    println!("{k} {:?}", sizes(k));
-                }
-                return ExitCode::SUCCESS;
-            }
-            _ => usage(),
-        }
+    let args = Args::parse(
+        &format!("bench [FLAG]...\nkernels: {}", KERNELS.join(", ")),
+        FLAGS,
+    );
+    if let Some(extra) = args.operands().first() {
+        args.fail(format!("unexpected argument {extra:?}"));
     }
+    if args.has("--list") {
+        for k in KERNELS {
+            println!("{k} {:?}", sizes(k));
+        }
+        return ExitCode::SUCCESS;
+    }
+    let smoke = args.has("--smoke");
+    let seed: u64 = args.parsed("--seed").unwrap_or(5);
+    let out_path = args.value("--out");
+    let baseline_path = args.value("--baseline");
+    let trace_path = args.value("--trace-out").map(PathBuf::from);
 
     let (mode, m) = if smoke {
         ("smoke", MeasureOptions::smoke())
@@ -121,48 +97,38 @@ fn main() -> ExitCode {
 
     if let Some(path) = trace_path {
         let trace_doc = rtise_trace::chrome::chrome_trace(&trace_scopes);
-        let diags = rtise_check::trace::check_chrome_trace(&trace_doc);
-        if !diags.is_clean() {
-            eprintln!("trace artifact failed the chrome-trace schema check:\n{diags}");
+        if let Err(e) = rtise_check::trace::write_checked_trace(&path, &trace_doc) {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        if let Err(e) = std::fs::write(&path, trace_doc.render_pretty()) {
-            eprintln!("cannot write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("chrome trace written to {path}");
+        println!("chrome trace written to {}", path.display());
     }
 
     if let Some(path) = baseline_path {
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match rtise_obs::json::parse(&src) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("baseline {path} is not valid JSON: {e:?}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match report::compare(&doc, &baseline, factor) {
+        let baseline = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))
+            .and_then(|src| {
+                let parsed = rtise_obs::json::parse(&src);
+                parsed.map_err(|e| format!("baseline {path} is not valid JSON: {e:?}"))
+            });
+        let compared = baseline.and_then(|baseline| {
+            report::compare(&doc, &baseline).map_err(|e| format!("baseline comparison failed: {e}"))
+        });
+        match compared {
             Ok(regressions) if regressions.is_empty() => {
-                println!("no regression beyond {factor}x vs {path}");
+                println!("no regression beyond {REGRESSION_FACTOR}x vs {path}");
             }
             Ok(regressions) => {
                 for r in &regressions {
                     eprintln!(
-                        "REGRESSION {} size {}: {:.1} ns/op vs baseline {:.1} ns/op ({:.2}x > {factor}x)",
+                        "REGRESSION {} size {}: {:.1} ns/op vs baseline {:.1} ns/op ({:.2}x > {REGRESSION_FACTOR}x)",
                         r.kernel, r.size, r.current_ns, r.baseline_ns, r.ratio
                     );
                 }
                 return ExitCode::FAILURE;
             }
             Err(e) => {
-                eprintln!("baseline comparison failed: {e}");
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         }

@@ -22,8 +22,8 @@
 //!    timing to the amount of search work actually performed.
 //!
 //! The `bench` binary drives the sweep, renders the report, and — given
-//! `--baseline BENCH_N.json` — fails when any kernel regresses past a
-//! configurable factor at a matching (kernel, size) point.
+//! `--baseline BENCH_N.json` — fails when any kernel regresses past
+//! [`report::REGRESSION_FACTOR`] at a matching (kernel, size) point.
 
 pub mod kernels;
 pub mod measure;

@@ -3,7 +3,8 @@
 //!
 //! The committed `BENCH_N.json` files form the repo's performance
 //! trajectory; CI regenerates a smoke-mode document with the same sweep
-//! and fails when any (kernel, size) point regresses past a factor. Both
+//! and fails when any (kernel, size) point regresses past
+//! [`REGRESSION_FACTOR`] (2.5x, plus a 2 µs noise floor). Both
 //! sides of that comparison go through [`validate`] first, so a corrupted
 //! or hand-doctored baseline is an error, never a silent pass.
 
@@ -144,6 +145,11 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
+/// How many times slower than its baseline a point may run before
+/// [`compare`] flags it (on top of [`NOISE_FLOOR_NS`]). One bound for
+/// every kernel and size; the `bench --baseline` gate reads it here.
+pub const REGRESSION_FACTOR: f64 = 2.5;
+
 /// Absolute slack added to every regression threshold. Sub-microsecond
 /// cells jitter by whole multiples under scheduler/frequency noise; a
 /// purely multiplicative gate on them would flake. Two microseconds is
@@ -184,10 +190,10 @@ fn opt_ns_by_size(kernel: &Value) -> Result<Vec<(u64, f64)>, String> {
 
 /// Compares a current run against a committed baseline: every (kernel,
 /// size) point of the baseline must exist in the current run (schema
-/// drift fails loudly) and its optimized ns/op may be at most `factor`
-/// times the baseline value plus [`NOISE_FLOOR_NS`]. Both documents are
+/// drift fails loudly) and its optimized ns/op may be at most
+/// [`REGRESSION_FACTOR`] times the baseline value plus [`NOISE_FLOOR_NS`]. Both documents are
 /// [`validate`]d first.
-pub fn compare(current: &Value, baseline: &Value, factor: f64) -> Result<Vec<Regression>, String> {
+pub fn compare(current: &Value, baseline: &Value) -> Result<Vec<Regression>, String> {
     validate(current).map_err(|e| format!("current run: {e}"))?;
     validate(baseline).map_err(|e| format!("baseline: {e}"))?;
     let mut regressions = Vec::new();
@@ -211,7 +217,7 @@ pub fn compare(current: &Value, baseline: &Value, factor: f64) -> Result<Vec<Reg
                 .find(|(s, _)| *s == size)
                 .ok_or_else(|| format!("kernel {name} size {size} missing from current run"))?;
             let ratio = current_ns / baseline_ns.max(f64::MIN_POSITIVE);
-            if *current_ns > factor * baseline_ns + NOISE_FLOOR_NS {
+            if *current_ns > REGRESSION_FACTOR * baseline_ns + NOISE_FLOOR_NS {
                 regressions.push(Regression {
                     kernel: name.clone(),
                     size,
@@ -298,13 +304,13 @@ mod tests {
         let baseline = set_format(stripped, 1);
         validate(&baseline).expect("v1 document must validate");
         assert!(
-            compare(&sample_report(200_000.0), &baseline, 2.5)
+            compare(&sample_report(200_000.0), &baseline)
                 .expect("cross-format comparison")
                 .is_empty(),
             "2x inside a 2.5x budget is not a regression"
         );
         let regressions =
-            compare(&sample_report(300_000.0), &baseline, 2.5).expect("cross-format comparison");
+            compare(&sample_report(300_000.0), &baseline).expect("cross-format comparison");
         assert_eq!(regressions.len(), 1);
         assert!(
             validate(&set_format(sample_report(100.0), 3)).is_err(),
@@ -347,7 +353,7 @@ mod tests {
     fn comparison_flags_regressions_and_schema_drift() {
         let baseline = sample_report(100_000.0);
         assert!(
-            compare(&sample_report(200_000.0), &baseline, 2.5)
+            compare(&sample_report(200_000.0), &baseline)
                 .expect("comparable")
                 .is_empty(),
             "2x inside a 2.5x budget is not a regression"
@@ -355,13 +361,13 @@ mod tests {
         // The noise floor shields microsecond-scale jitter but not real
         // regressions.
         assert!(
-            compare(&sample_report(2_100.0), &sample_report(100.0), 2.5)
+            compare(&sample_report(2_100.0), &sample_report(100.0))
                 .expect("comparable")
                 .is_empty(),
             "sub-noise-floor deltas are not regressions"
         );
 
-        let regressions = compare(&sample_report(300_000.0), &baseline, 2.5).expect("comparable");
+        let regressions = compare(&sample_report(300_000.0), &baseline).expect("comparable");
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].kernel, "edf_dp");
         assert_eq!(regressions[0].size, 4);
@@ -387,6 +393,6 @@ mod tests {
                 }],
             )],
         );
-        assert!(compare(&renamed, &baseline, 2.5).is_err());
+        assert!(compare(&renamed, &baseline).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! The in-process load-test harness: drive a seeded synthetic workload
-//! through a real [`Server`] from `jobs` client lanes and emit a
-//! deterministic obs-JSON report.
+//! through a real [`Server`] from `jobs` client lanes (the shared
+//! [`rtise_obs::lanes`] runner, one `worker-<i>` trace scope per lane)
+//! and emit a deterministic obs-JSON report.
 //!
 //! The report is **byte-identical at any lane count**. Everything in it
 //! derives from the request stream and the responses, never from
@@ -16,15 +17,15 @@
 //! independently provable.
 
 use crate::engine::ResponseArtifact;
-use crate::proto::{dedup_key, Request};
+use crate::proto::dedup_key;
 use crate::server::{Server, ServerConfig, STORE_TAG};
 use crate::traffic;
 use rtise_bench::store;
 use rtise_obs::json::Value;
+use rtise_obs::lanes::{lanes, LaneScope};
 use rtise_obs::{Hist, Scope};
 use std::collections::{BTreeMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of buckets in the cache-hit-over-time curve.
 const HIT_CURVE_BUCKETS: usize = 20;
@@ -99,7 +100,12 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
         jobs: cfg.jobs,
         cache_dir: cfg.cache_dir.clone(),
     });
-    let (lines, traces) = serve_from_lanes(&server, &requests, cfg);
+    // `--jobs` client lanes claim requests in stream order; responses come
+    // back in stream order, with each lane's `worker-<i>` trace scope.
+    let worker = |i: usize| (format!("worker-{i}"), Scope::with_clock(cfg.trace_clock));
+    let serve = |k: usize| server.serve(&requests[k]);
+    let trace = cfg.trace_out.as_ref().map(|_| &worker as LaneScope);
+    let (lines, traces) = lanes(cfg.jobs, requests.len(), trace, serve, |_, _| {});
     let counters = server.counters();
     let wall_ms = timer.elapsed_ms();
 
@@ -220,18 +226,10 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
     let mut trace_ok = true;
     if let Some(path) = &cfg.trace_out {
         let doc = rtise_trace::chrome::chrome_trace(&traces);
-        let diags = rtise::check::trace::check_chrome_trace(&doc);
-        if !diags.is_clean() {
-            eprintln!("loadtest: trace failed the chrome-trace schema check:");
-            for line in diags.render().lines() {
-                eprintln!("    {line}");
-            }
-            trace_ok = false;
-        }
-        match std::fs::write(path, doc.render_pretty()) {
-            Ok(()) => eprintln!("loadtest: wrote trace to {}", path.display()),
+        match rtise::check::trace::write_checked_trace(path, &doc) {
+            Ok(_) => eprintln!("loadtest: wrote trace to {}", path.display()),
             Err(e) => {
-                eprintln!("loadtest: failed to write {}: {e}", path.display());
+                eprintln!("loadtest: {e}");
                 trace_ok = false;
             }
         }
@@ -249,49 +247,4 @@ pub fn run(cfg: &LoadtestConfig) -> LoadtestOutcome {
         trace_ok,
         hit_rate_pct,
     }
-}
-
-/// Serves `requests` from `jobs.min(requests).max(1)` scoped lanes that
-/// claim request indices in stream order. Returns the response lines in
-/// stream order and, when tracing, each lane's `worker-<i>` scope.
-fn serve_from_lanes(
-    server: &Server,
-    requests: &[Request],
-    cfg: &LoadtestConfig,
-) -> (Vec<String>, Vec<(String, Scope)>) {
-    let next = AtomicUsize::new(0);
-    let lane = |i: usize| {
-        let trace = cfg
-            .trace_out
-            .as_ref()
-            .map(|_| Scope::with_clock(cfg.trace_clock));
-        let mut answered = Vec::new();
-        {
-            let _trace = trace.as_ref().map(Scope::enter);
-            loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(req) = requests.get(k) else {
-                    break;
-                };
-                answered.push((k, server.serve(req)));
-            }
-        }
-        (answered, trace.map(|scope| (format!("worker-{i}"), scope)))
-    };
-    let lanes = cfg.jobs.min(requests.len()).max(1);
-    let results: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..lanes).map(|i| s.spawn(move || lane(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load-test lane panicked"))
-            .collect()
-    });
-    let mut answered = Vec::with_capacity(requests.len());
-    let mut traces = Vec::new();
-    for (lane_answers, trace) in results {
-        answered.extend(lane_answers);
-        traces.extend(trace);
-    }
-    answered.sort_by_key(|&(k, _)| k);
-    (answered.into_iter().map(|(_, r)| r).collect(), traces)
 }

@@ -357,15 +357,10 @@ fn tcp_connections_get_every_response_in_order_without_delayed_ack_stalls() {
     std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
 
     let addr = addr.as_str();
-    let mut latencies: Vec<Duration> = std::thread::scope(|s| {
-        let workers: Vec<_> = (1..=2)
-            .map(|conn| s.spawn(move || drive_connection(addr, conn, 30)))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("client thread"))
-            .collect()
-    });
+    let drive = |conn: usize| drive_connection(addr, conn as u64 + 1, 30);
+    let mut latencies = rtise_obs::lanes::lanes(2, 2, None, drive, |_, _| {})
+        .0
+        .concat();
     drop(serve);
     latencies.sort_unstable();
     let median = latencies[latencies.len() / 2];

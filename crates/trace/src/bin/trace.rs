@@ -14,58 +14,49 @@
 //! be byte-identical regardless of `--jobs`, cache state, or tracing.
 //! `--drop-output` additionally strips the captured stdout of the named
 //! experiments — the running-time tables print measured milliseconds,
-//! which is wall-clock data like `wall_ms` itself.
+//! which is wall-clock data like `wall_ms` itself. Usage errors (an
+//! unknown command or flag, a flag without its value, `--drop-output`
+//! outside `canon`) exit 2.
 
+use rtise_obs::args::Args;
 use rtise_obs::json::parse;
 use rtise_trace::view;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: trace <summary|flame> FILE | trace canon FILE [--drop-output id,id,...]";
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, path, drop_output) = match args.as_slice() {
-        [cmd, path] => (cmd.as_str(), path.as_str(), String::new()),
-        [cmd, path, flag, ids] if cmd == "canon" && flag == "--drop-output" => {
-            (cmd.as_str(), path.as_str(), ids.clone())
-        }
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let args = Args::parse("trace summary|flame|canon FILE", "--drop-output ID,...");
+    let [cmd, path] = args.operands() else {
+        args.fail("expected a command and a FILE");
     };
-    let drop_output: Vec<&str> = drop_output.split(',').filter(|s| !s.is_empty()).collect();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("trace: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+    if !matches!(cmd.as_str(), "summary" | "flame" | "canon") {
+        args.fail(format!("unknown command {cmd:?}"));
+    }
+    let drop_output = args.value("--drop-output");
+    if drop_output.is_some() && cmd != "canon" {
+        args.fail("--drop-output applies to canon only");
+    }
+    let drop_output: Vec<&str> = drop_output
+        .unwrap_or_default()
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .collect();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let rendered = text.and_then(|text| {
+        let doc = parse(&text).map_err(|e| e.to_string())?;
+        match cmd.as_str() {
+            "summary" => view::summary_lines(&doc).map(|lines| lines.join("\n") + "\n"),
+            "flame" => view::flame_lines(&doc).map(|lines| lines.join("\n") + "\n"),
+            _ => Ok(view::canon_report(&doc, &drop_output).render_pretty()),
         }
-    };
-    let doc = match parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("trace: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rendered = match cmd {
-        "summary" => view::summary_lines(&doc).map(|lines| lines.join("\n") + "\n"),
-        "flame" => view::flame_lines(&doc).map(|lines| lines.join("\n") + "\n"),
-        "canon" => Ok(view::canon_report(&doc, &drop_output).render_pretty()),
-        other => {
-            eprintln!("trace: unknown command {other:?}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+        .map_err(|e| format!("{path}: {e}"))
+    });
     match rendered {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("trace: {path}: {e}");
+            eprintln!("trace: {e}");
             ExitCode::FAILURE
         }
     }
