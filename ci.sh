@@ -62,15 +62,17 @@ echo "    ILP/ISE/RMS searches certified optimal by certificate replay"
 echo "==> warm-cache second pass (must hit the curve cache)"
 cargo run --offline --release -p rtise-bench --bin reproduce -- \
   --check --jobs 4 --cache-dir "$CACHE_DIR" --json target/artifacts/reproduce-warm.json
-if ! grep -q '"misses": 0' target/artifacts/reproduce-warm.json; then
-  echo "FAIL: warm pass recomputed curves (cache misses > 0)"
-  exit 1
-fi
-if grep -q '"hits": 0' target/artifacts/reproduce-warm.json; then
-  echo "FAIL: warm pass never read the curve cache"
-  exit 1
-fi
-echo "    warm pass served every curve from $CACHE_DIR"
+# Every artifact the cold pass stored is read back exactly once (the
+# in-process memo answers repeats) and none is regenerated.
+python3 - target/artifacts/reproduce-cold.json target/artifacts/reproduce-warm.json <<'PY'
+import json, sys
+cold, warm = (json.load(open(path))["cache"] for path in sys.argv[1:3])
+if warm["misses"] != 0:
+    sys.exit(f"FAIL: warm pass recomputed {warm['misses']} artifacts (cache misses > 0)")
+if cold["stores"] == 0 or warm["hits"] != cold["stores"]:
+    sys.exit(f"FAIL: warm pass read {warm['hits']} entries, cold pass stored {cold['stores']}")
+print(f"    warm pass read all {warm['hits']} stored artifacts once, recomputed none")
+PY
 # target/artifacts/ is the CI artifact directory: both JSON reports are
 # uploaded by the pipeline for offline inspection.
 

@@ -11,31 +11,15 @@
 //! checker — and delegates sharding, checksums, atomic writes, eviction,
 //! and the `cache.curve.*` telemetry to the shared store core.
 
-use crate::store::{self, Artifact};
+use crate::store::{u64_field, Artifact};
 use rtise::ise::configs::{ConfigCurve, ConfigPoint};
 use rtise::workbench::CurveOptions;
 use rtise_obs::json::Value;
-use rtise_obs::Hist;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 /// The logical key of a curve: kernel plus the full option set. The
 /// store prefixes the format version and family.
 pub fn options_key(kernel: &str, opts: &CurveOptions) -> String {
     format!("{kernel}|{opts:?}")
-}
-
-/// Path of the entry for `kernel` under `dir`.
-pub fn entry_path(dir: &Path, kernel: &str, opts: &CurveOptions) -> PathBuf {
-    store::entry_path::<ConfigCurve>(dir, kernel, &options_key(kernel, opts))
-}
-
-fn field_u64(doc: &Value, key: &'static str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("malformed {key}"))
 }
 
 impl Artifact for ConfigCurve {
@@ -74,7 +58,7 @@ impl Artifact for ConfigCurve {
             .get("kernel")
             .and_then(Value::as_str)
             .ok_or("malformed kernel")?;
-        let base_cycles = field_u64(&payload, "base_cycles")?;
+        let base_cycles = u64_field(&payload, "base_cycles")?;
         let mut points = Vec::new();
         for p in payload
             .get("points")
@@ -87,16 +71,15 @@ impl Artifact for ConfigCurve {
                 .ok_or("malformed selection")?
                 .iter()
                 .map(|v| {
-                    v.as_f64()
-                        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
+                    v.as_u64()
                         .map(|n| n as usize)
                         .ok_or_else(|| "malformed selection".to_string())
                 })
                 .collect::<Result<Vec<usize>, String>>()?;
             points.push(ConfigPoint {
-                area: field_u64(p, "area")?,
-                cycles: field_u64(p, "cycles")?,
-                gain: field_u64(p, "gain")?,
+                area: u64_field(p, "area")?,
+                cycles: u64_field(p, "cycles")?,
+                gain: u64_field(p, "gain")?,
                 selection,
             });
         }
@@ -115,57 +98,21 @@ impl Artifact for ConfigCurve {
         }
         Ok(curve)
     }
-}
 
-/// Writes the entry for `(kernel, opts)` under `dir` through the sharded
-/// store (single-writer shard lock, atomic tmp+rename).
-///
-/// # Errors
-///
-/// Propagates filesystem errors; the cache is an optimization, so callers
-/// downgrade them to warnings.
-pub fn store(
-    dir: &Path,
-    kernel: &str,
-    opts: &CurveOptions,
-    curve: &ConfigCurve,
-    counters: &BTreeMap<String, u64>,
-    hists: &BTreeMap<String, Hist>,
-) -> std::io::Result<()> {
-    store::store(
-        dir,
-        kernel,
-        &options_key(kernel, opts),
-        curve,
-        counters,
-        hists,
-    )
-}
-
-/// Loads the entry for `(kernel, opts)` from `dir`. Returns `None` on a
-/// plain miss and on any rejected entry (see [`store::load`]); a loaded
-/// curve whose recorded kernel disagrees with the request is rejected
-/// too. Traffic feeds the global `cache.curve.*` telemetry.
-pub fn load(dir: &Path, kernel: &str, opts: &CurveOptions) -> Option<store::Entry<ConfigCurve>> {
-    let entry = store::load::<ConfigCurve>(dir, kernel, &options_key(kernel, opts))?;
-    if entry.0.name != kernel {
-        // The key covers the kernel, so this means a forged payload: the
-        // envelope was consistent but names a different task.
-        eprintln!(
-            "warning: curve store entry for {kernel} contains curve {:?}; recomputing",
-            entry.0.name
-        );
-        let path = entry_path(dir, kernel, opts);
-        store::evict(&path, "cache.curve", store::entry_age_ms(&path));
-        return None;
+    /// The key covers the kernel, so a curve naming another task is a
+    /// forged payload.
+    fn belongs_to(&self, kernel: &str) -> bool {
+        self.name == kernel
     }
-    Some(entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtise_obs::Rng;
+    use crate::store::{self, entry_path, load};
+    use rtise_obs::{Hist, Rng};
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
     fn curve() -> ConfigCurve {
         ConfigCurve::from_saved(
@@ -220,20 +167,34 @@ mod tests {
     fn round_trips_curve_counters_and_hists() {
         let dir = tmp_dir("roundtrip");
         let opts = CurveOptions::fast();
-        store(&dir, "toy", &opts, &curve(), &counters(), &hists()).expect("store");
-        let (loaded, attrib, attrib_hists) = load(&dir, "toy", &opts).expect("hit");
+        store::store(
+            &dir,
+            "toy",
+            &options_key("toy", &opts),
+            &curve(),
+            &counters(),
+            &hists(),
+        )
+        .expect("store");
+        let (loaded, attrib, attrib_hists) =
+            load::<ConfigCurve>(&dir, "toy", &options_key("toy", &opts)).expect("hit");
         assert_eq!(loaded, curve());
         assert_eq!(attrib, counters());
         assert_eq!(attrib_hists, hists());
         // Different options miss (content-addressed key).
-        assert!(load(&dir, "toy", &CurveOptions::thorough()).is_none());
+        assert!(
+            load::<ConfigCurve>(&dir, "toy", &options_key("toy", &CurveOptions::thorough()))
+                .is_none()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_entry_is_a_plain_miss() {
         let dir = tmp_dir("miss");
-        assert!(load(&dir, "toy", &CurveOptions::fast()).is_none());
+        assert!(
+            load::<ConfigCurve>(&dir, "toy", &options_key("toy", &CurveOptions::fast())).is_none()
+        );
     }
 
     /// Satellite regression: seeded truncations and bit flips of a valid
@@ -243,10 +204,18 @@ mod tests {
     fn corrupted_entries_fall_back_to_recompute() {
         let dir = tmp_dir("corrupt");
         let opts = CurveOptions::fast();
-        let path = entry_path(&dir, "toy", &opts);
+        let path = entry_path::<ConfigCurve>(&dir, "toy", &options_key("toy", &opts));
         let mut rng = Rng::new(0x5eed_cafe);
         for case in 0..64u32 {
-            store(&dir, "toy", &opts, &curve(), &counters(), &hists()).expect("store");
+            store::store(
+                &dir,
+                "toy",
+                &options_key("toy", &opts),
+                &curve(),
+                &counters(),
+                &hists(),
+            )
+            .expect("store");
             let pristine = std::fs::read(&path).expect("read");
             let mut bytes = pristine.clone();
             if case % 2 == 0 {
@@ -263,7 +232,7 @@ mod tests {
             }
             std::fs::write(&path, &bytes).expect("corrupt");
             assert!(
-                load(&dir, "toy", &opts).is_none(),
+                load::<ConfigCurve>(&dir, "toy", &options_key("toy", &opts)).is_none(),
                 "case {case}: corrupted entry must miss"
             );
             assert!(
@@ -278,14 +247,22 @@ mod tests {
     fn doctored_but_parseable_entries_are_rejected() {
         let dir = tmp_dir("doctored");
         let opts = CurveOptions::fast();
-        let path = entry_path(&dir, "toy", &opts);
-        store(&dir, "toy", &opts, &curve(), &counters(), &hists()).expect("store");
+        let path = entry_path::<ConfigCurve>(&dir, "toy", &options_key("toy", &opts));
+        store::store(
+            &dir,
+            "toy",
+            &options_key("toy", &opts),
+            &curve(),
+            &counters(),
+            &hists(),
+        )
+        .expect("store");
         // A value edit that keeps the JSON valid still trips the checksum.
         let text = std::fs::read_to_string(&path).expect("read");
         let doctored = text.replace("\"cycles\":70", "\"cycles\":69");
         assert_ne!(doctored, text, "the edit must hit the stored curve");
         std::fs::write(&path, doctored).expect("write");
-        assert!(load(&dir, "toy", &opts).is_none());
+        assert!(load::<ConfigCurve>(&dir, "toy", &options_key("toy", &opts)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -298,16 +275,16 @@ mod tests {
         let opts = CurveOptions::fast();
         let mut other = curve();
         other.name = "other".into();
-        let doc = crate::store::encode_envelope::<ConfigCurve>(
+        let doc = store::encode_envelope::<ConfigCurve>(
             &options_key("toy", &opts),
             other.encode(),
             &counters(),
             &hists(),
         );
-        let path = entry_path(&dir, "toy", &opts);
+        let path = entry_path::<ConfigCurve>(&dir, "toy", &options_key("toy", &opts));
         std::fs::create_dir_all(path.parent().expect("shard dir")).expect("dir");
         std::fs::write(&path, doc.render_pretty()).expect("write");
-        assert!(load(&dir, "toy", &opts).is_none());
+        assert!(load::<ConfigCurve>(&dir, "toy", &options_key("toy", &opts)).is_none());
         assert!(!path.exists(), "forged entry must be evicted");
         let _ = std::fs::remove_dir_all(&dir);
     }

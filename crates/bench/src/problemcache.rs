@@ -12,13 +12,10 @@
 //! and delegates sharding, checksums, atomic writes, eviction, and the
 //! `cache.problem.*` telemetry to the shared store core.
 
-use crate::store::{self, Artifact};
+use crate::store::{u64_field, Artifact};
 use rtise::reconfig::{CisVersion, HotLoop, ReconfigProblem};
 use rtise::workbench::CurveOptions;
 use rtise_obs::json::Value;
-use rtise_obs::Hist;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 /// Every input that determines a generated base problem (the
 /// `workbench::reconfig_problem` argument list).
@@ -43,19 +40,6 @@ pub fn options_key(key: &ProblemKey<'_>) -> String {
         "{}|nv{}|a{}|r{}|{:?}",
         key.kernel, key.n_versions, key.max_area, key.reconfig_cost, key.opts
     )
-}
-
-/// Path of the entry for `key` under `dir`.
-pub fn entry_path(dir: &Path, key: &ProblemKey<'_>) -> PathBuf {
-    store::entry_path::<ReconfigProblem>(dir, key.kernel, &options_key(key))
-}
-
-fn field_u64(doc: &Value, key: &'static str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("malformed {key}"))
 }
 
 impl Artifact for ReconfigProblem {
@@ -117,8 +101,8 @@ impl Artifact for ReconfigProblem {
                 .ok_or("malformed versions")?
             {
                 versions.push(CisVersion {
-                    area: field_u64(v, "area")?,
-                    gain: field_u64(v, "gain")?,
+                    area: u64_field(v, "area")?,
+                    gain: u64_field(v, "gain")?,
                 });
             }
             // Re-validation: a stored table must round-trip through the
@@ -139,17 +123,13 @@ impl Artifact for ReconfigProblem {
             .and_then(Value::as_arr)
             .ok_or("malformed trace")?
         {
-            let n = t
-                .as_f64()
-                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-                .ok_or("malformed trace")?;
-            trace.push(n as usize);
+            trace.push(t.as_u64().ok_or("malformed trace")? as usize);
         }
         let problem = ReconfigProblem {
             loops,
             trace,
-            max_area: field_u64(&payload, "max_area")?,
-            reconfig_cost: field_u64(&payload, "reconfig_cost")?,
+            max_area: u64_field(&payload, "max_area")?,
+            reconfig_cost: u64_field(&payload, "reconfig_cost")?,
         };
         // Independent re-validation of trace index ranges.
         problem.validate().map_err(|e| e.to_string())?;
@@ -157,34 +137,13 @@ impl Artifact for ReconfigProblem {
     }
 }
 
-/// Writes the entry for `key` under `dir` through the sharded store
-/// (single-writer shard lock, atomic tmp+rename).
-///
-/// # Errors
-///
-/// Propagates filesystem errors; the cache is an optimization, so callers
-/// downgrade them to warnings.
-pub fn store(
-    dir: &Path,
-    key: &ProblemKey<'_>,
-    problem: &ReconfigProblem,
-    counters: &BTreeMap<String, u64>,
-    hists: &BTreeMap<String, Hist>,
-) -> std::io::Result<()> {
-    store::store(dir, key.kernel, &options_key(key), problem, counters, hists)
-}
-
-/// Loads the entry for `key` from `dir`. Returns `None` on a plain miss
-/// and on any rejected entry (see [`store::load`]). Traffic feeds the
-/// global `cache.problem.*` telemetry.
-pub fn load(dir: &Path, key: &ProblemKey<'_>) -> Option<store::Entry<ReconfigProblem>> {
-    store::load::<ReconfigProblem>(dir, key.kernel, &options_key(key))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtise_obs::Rng;
+    use crate::store::{self, entry_path, load};
+    use rtise_obs::{Hist, Rng};
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
     fn problem() -> ReconfigProblem {
         ReconfigProblem {
@@ -246,25 +205,34 @@ mod tests {
     #[test]
     fn round_trips_problem_counters_and_hists() {
         let dir = tmp_dir("roundtrip");
-        store(&dir, &key("toy"), &problem(), &counters(), &hists()).expect("store");
-        let (loaded, attrib, attrib_hists) = load(&dir, &key("toy")).expect("hit");
+        store::store(
+            &dir,
+            "toy",
+            &options_key(&key("toy")),
+            &problem(),
+            &counters(),
+            &hists(),
+        )
+        .expect("store");
+        let (loaded, attrib, attrib_hists) =
+            load::<ReconfigProblem>(&dir, "toy", &options_key(&key("toy"))).expect("hit");
         assert_problems_equal(&loaded, &problem());
         assert_eq!(attrib, counters());
         assert_eq!(attrib_hists, hists());
         // Different generation inputs miss (the key covers them all).
         let mut thorough = key("toy");
         thorough.opts = CurveOptions::thorough();
-        assert!(load(&dir, &thorough).is_none());
+        assert!(load::<ReconfigProblem>(&dir, "toy", &options_key(&thorough)).is_none());
         let mut more_versions = key("toy");
         more_versions.n_versions = 3;
-        assert!(load(&dir, &more_versions).is_none());
+        assert!(load::<ReconfigProblem>(&dir, "toy", &options_key(&more_versions)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_entry_is_a_plain_miss() {
         let dir = tmp_dir("miss");
-        assert!(load(&dir, &key("toy")).is_none());
+        assert!(load::<ReconfigProblem>(&dir, "toy", &options_key(&key("toy"))).is_none());
     }
 
     /// Seeded truncations and bit flips of a valid entry must always fall
@@ -274,10 +242,18 @@ mod tests {
     fn corrupted_entries_fall_back_to_recompute() {
         let dir = tmp_dir("corrupt");
         let key = key("toy");
-        let path = entry_path(&dir, &key);
+        let path = entry_path::<ReconfigProblem>(&dir, "toy", &options_key(&key));
         let mut rng = Rng::new(0x9b1e_cafe);
         for case in 0..64u32 {
-            store(&dir, &key, &problem(), &counters(), &hists()).expect("store");
+            store::store(
+                &dir,
+                "toy",
+                &options_key(&key),
+                &problem(),
+                &counters(),
+                &hists(),
+            )
+            .expect("store");
             let pristine = std::fs::read(&path).expect("read");
             let mut bytes = pristine.clone();
             if case % 2 == 0 {
@@ -294,7 +270,7 @@ mod tests {
             }
             std::fs::write(&path, &bytes).expect("corrupt");
             assert!(
-                load(&dir, &key).is_none(),
+                load::<ReconfigProblem>(&dir, "toy", &options_key(&key)).is_none(),
                 "case {case}: corrupted entry must miss"
             );
             assert!(
@@ -309,14 +285,22 @@ mod tests {
     fn doctored_but_parseable_entries_are_rejected() {
         let dir = tmp_dir("doctored");
         let key = key("toy");
-        let path = entry_path(&dir, &key);
-        store(&dir, &key, &problem(), &counters(), &hists()).expect("store");
+        let path = entry_path::<ReconfigProblem>(&dir, "toy", &options_key(&key));
+        store::store(
+            &dir,
+            "toy",
+            &options_key(&key),
+            &problem(),
+            &counters(),
+            &hists(),
+        )
+        .expect("store");
         // A value edit that keeps the JSON valid still trips the checksum.
         let text = std::fs::read_to_string(&path).expect("read");
         let doctored = text.replace("\"gain\":120", "\"gain\":121");
         assert_ne!(doctored, text, "the edit must hit the stored problem");
         std::fs::write(&path, doctored).expect("write");
-        assert!(load(&dir, &key).is_none());
+        assert!(load::<ReconfigProblem>(&dir, "toy", &options_key(&key)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -349,23 +333,37 @@ mod tests {
             ("max_area", 9u64.into()),
             ("reconfig_cost", 1000u64.into()),
         ]);
-        let doc = crate::store::encode_envelope::<ReconfigProblem>(
+        let doc = store::encode_envelope::<ReconfigProblem>(
             &options_key(&key),
             payload,
             &counters(),
             &hists(),
         );
-        let path = entry_path(&dir, &key);
+        let path = entry_path::<ReconfigProblem>(&dir, "toy", &options_key(&key));
         std::fs::create_dir_all(path.parent().expect("shard dir")).expect("dir");
         std::fs::write(&path, doc.render_pretty()).expect("write");
-        assert!(load(&dir, &key).is_none(), "denormalized table must miss");
+        assert!(
+            load::<ReconfigProblem>(&dir, "toy", &options_key(&key)).is_none(),
+            "denormalized table must miss"
+        );
 
         // An out-of-range trace index survives the checksum but not
         // `ReconfigProblem::validate`.
         let mut bad_trace = problem();
         bad_trace.trace = vec![0, 7];
-        store(&dir, &key, &bad_trace, &counters(), &hists()).expect("store");
-        assert!(load(&dir, &key).is_none(), "bad trace index must miss");
+        store::store(
+            &dir,
+            "toy",
+            &options_key(&key),
+            &bad_trace,
+            &counters(),
+            &hists(),
+        )
+        .expect("store");
+        assert!(
+            load::<ReconfigProblem>(&dir, "toy", &options_key(&key)).is_none(),
+            "bad trace index must miss"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,13 +1,16 @@
 //! Sharded, content-addressed on-disk artifact store.
 //!
 //! This is the common core behind every persistent cache in the
-//! workspace: configuration curves ([`curvecache`](crate::curvecache)),
+//! workspace: configuration curves ([`curvecache`](crate::curvecache)) and
 //! reconfiguration base problems ([`problemcache`](crate::problemcache)),
-//! and `rtise-serve`'s memoized responses all store through it. An
-//! artifact family plugs in by implementing [`Artifact`]: a family name,
-//! a JSON payload encoding, and a decoder that *independently
-//! re-certifies* what it reconstructs (the store never trusts bytes it
-//! read back).
+//! both through the one in-process memo behind
+//! [`cached_curve_with`](crate::cached_curve_with) and
+//! [`cached_jpeg_problem_with`](crate::cached_jpeg_problem_with), and
+//! `rtise-serve`'s memoized responses all call [`store`] and [`load`]
+//! directly with the family's key. An artifact family plugs in by
+//! implementing [`Artifact`]: a family name, a JSON payload encoding, and
+//! a decoder that *independently re-certifies* what it reconstructs (the
+//! store never trusts bytes it read back).
 //!
 //! Layout: entries live in `N_SHARDS` shard directories
 //! (`shard-00/ … shard-07/`) under the store root, assigned by the FNV-1a
@@ -89,6 +92,15 @@ pub trait Artifact: Sized {
     ///
     /// Any structural or semantic problem with the payload.
     fn decode(payload: Value, rendered: &str) -> Result<Self, String>;
+
+    /// Whether a decoded artifact may be served under `tag`, its entry's
+    /// filename prefix. The key covers the tag, so `false` means a forged
+    /// payload: a checksum-consistent envelope around another subject's
+    /// artifact, which [`load`] evicts. Families whose payload does not
+    /// name its subject keep the default.
+    fn belongs_to(&self, _tag: &str) -> bool {
+        true
+    }
 }
 
 /// The full key of an entry: format version, family, and the caller's
@@ -232,6 +244,14 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     written
 }
 
+/// The unsigned integer member `key` of a payload object, for family
+/// decoders; the error names the member.
+pub(crate) fn u64_field(doc: &Value, key: &str) -> Result<u64, String> {
+    doc.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("malformed {key}"))
+}
+
 fn malformed(d: &mut Diagnostics, what: &str) {
     d.error(
         Code::STORE001,
@@ -269,12 +289,7 @@ fn validate_with<A: Artifact, T>(
             return (None, d);
         }
     };
-    let format = doc
-        .get("format")
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64);
-    match format {
+    match doc.get("format").and_then(Value::as_u64) {
         None => {
             malformed(&mut d, "format");
             return (None, d);
@@ -353,14 +368,11 @@ fn validate_with<A: Artifact, T>(
         return (None, d);
     };
     for (k, v) in pairs {
-        let Some(n) = v
-            .as_f64()
-            .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        else {
+        let Some(n) = v.as_u64() else {
             malformed(&mut d, "counters");
             return (None, d);
         };
-        counters.insert(k.clone(), n as u64);
+        counters.insert(k.clone(), n);
     }
     let Some(hists) = hists_from_json(hists_value) else {
         malformed(&mut d, "hists");
@@ -383,8 +395,7 @@ pub type Entry<A> = (A, BTreeMap<String, u64>, BTreeMap<String, Hist>);
 
 /// Age of the on-disk entry in milliseconds, when the filesystem can
 /// tell us.
-#[must_use]
-pub fn entry_age_ms(path: &Path) -> Option<u64> {
+fn entry_age_ms(path: &Path) -> Option<u64> {
     age_ms(&std::fs::metadata(path).ok()?)
 }
 
@@ -402,9 +413,10 @@ pub fn contains<A: Artifact>(dir: &Path, tag: &str, key: &str) -> bool {
 
 /// Loads the entry for `(tag, key)` from `dir`. Returns `None` on a
 /// plain miss (no entry) and also on any rejected entry — truncated or
-/// bit-flipped files, key/family/version mismatches, and payloads that
-/// fail the family's re-certification all warn on stderr (with their
-/// `STORE…` code) and fall back to recomputation instead of panicking.
+/// bit-flipped files, key/family/version mismatches, payloads that fail
+/// the family's re-certification (all with their `STORE…` code), and
+/// artifacts that do not [belong](Artifact::belongs_to) to `tag` warn on
+/// stderr and fall back to recomputation instead of panicking.
 /// Hits, misses, and evictions feed the global `cache.<family>.*`
 /// telemetry. Readers take no lock: the atomic-rename write protocol
 /// guarantees they see complete documents.
@@ -446,14 +458,25 @@ pub fn load_with<A: Artifact, T>(
             return None;
         }
     };
-    let (entry, diags) = validate_with::<A, T>(&text, key, map);
+    let (entry, diags) =
+        validate_with::<A, _>(&text, key, |artifact, rendered| (artifact, rendered));
     match entry {
-        Some(entry) => {
+        Some(((artifact, rendered), counters, hists)) if artifact.belongs_to(tag) => {
             rtise_obs::record(&format!("{prefix}.hit"), 1);
             if let Some(age) = age {
                 rtise_obs::observe(&format!("{prefix}.entry_age_ms"), age);
             }
-            Some(entry)
+            Some((map(artifact, rendered), counters, hists))
+        }
+        Some(_) => {
+            eprintln!(
+                "warning: {} store entry {} holds an artifact of another subject than {tag:?}; \
+                 recomputing",
+                A::FAMILY,
+                path.display()
+            );
+            evict(&path, &prefix, age);
+            None
         }
         None => {
             eprintln!(
@@ -475,7 +498,7 @@ pub fn load_with<A: Artifact, T>(
 /// counted under `{prefix}.evict_failed` and warned about once per
 /// process — a rejected entry that cannot be removed would otherwise be
 /// re-validated and re-warned on every load, silently.
-pub fn evict(path: &Path, prefix: &str, age_ms: Option<u64>) {
+fn evict(path: &Path, prefix: &str, age_ms: Option<u64>) {
     match std::fs::remove_file(path) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -526,11 +549,7 @@ mod tests {
                 .ok_or("values missing")?;
             let mut values = Vec::new();
             for v in arr {
-                let n = v
-                    .as_f64()
-                    .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-                    .ok_or("non-integer value")?;
-                values.push(n as u64);
+                values.push(v.as_u64().ok_or("non-integer value")?);
             }
             if values.windows(2).any(|w| w[0] >= w[1]) {
                 return Err("values are not strictly increasing".into());

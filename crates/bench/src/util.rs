@@ -1,41 +1,42 @@
-//! Shared plumbing: configuration-curve caching (curve generation is the
-//! expensive front-end step every experiment reuses).
+//! Shared plumbing: the memo over the artifact store for the expensive
+//! front-end steps every experiment reuses — configuration curves and the
+//! Ch. 6 JPEG base problem.
 //!
-//! Caching happens at two levels. In-process, each `(kernel, options)`
-//! pair owns an `Arc<OnceLock>` slot, so concurrent experiments computing
-//! the same curve block on one computation instead of serializing *all*
-//! curve work behind a map-wide lock. On disk (opt-in via
-//! [`set_cache_dir`]), finished curves persist across harness runs in the
-//! content-addressed [`curvecache`](crate::curvecache) format.
+//! Both families go through one function, [`memoized`]. In-process, each
+//! key owns an `Arc<OnceLock>` slot in its family's map, so concurrent
+//! requesters of one artifact block on one computation instead of
+//! serializing *all* generation behind a map-wide lock. On disk (opt-in
+//! via [`set_cache_dir`]), finished artifacts persist across harness runs
+//! in the sharded [`store`](mod@crate::store), keyed by the family's key
+//! function ([`curvecache::options_key`], [`problemcache::options_key`]).
 //!
 //! Counter attribution is what keeps `reproduce --json` deterministic
-//! across worker counts and cache states: the generation counters of a
-//! curve are captured in an isolated [`Scope`](rtise_obs::Scope)
+//! across worker counts and cache states: the generation counters of an
+//! artifact are captured in an isolated [`Scope`](rtise_obs::Scope)
 //! (so the first requester is not specially charged) and *replayed* into
 //! the scopes of every consumer via [`rtise_obs::attribute`] —
-//! each experiment sees the same deltas whether it computed the curve,
-//! raced another worker for it, or read it back from disk.
+//! each experiment sees the same deltas whether it generated the
+//! artifact, raced another worker for it, or read it back from disk.
 
 use crate::curvecache;
 use crate::problemcache::{self, ProblemKey};
+use crate::store::{self, Artifact, Entry};
 use rtise::ise::configs::ConfigCurve;
 use rtise::reconfig::ReconfigProblem;
 use rtise::select::task::{periods_for_utilization, TaskSpec};
 use rtise::workbench::{reconfig_problem, task_curve, CurveOptions};
-use rtise_obs::{Clock, Hist, Scope};
-use std::collections::{BTreeMap, HashMap};
+use rtise_obs::{Clock, Scope};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// A memoized artifact plus the counters and histograms its generation
-/// recorded.
-type Memo<T> = Arc<OnceLock<(T, BTreeMap<String, u64>, BTreeMap<String, Hist>)>>;
+/// One artifact family's memo: per store key, a slot holding the artifact
+/// plus the counters and histograms its generation recorded.
+type Memo<A> = Mutex<BTreeMap<String, Arc<OnceLock<Entry<A>>>>>;
 
-static CURVES: OnceLock<Mutex<HashMap<String, Memo<ConfigCurve>>>> = OnceLock::new();
-/// The JPEG base-problem memo, keyed like [`CURVES`] so an options
-/// override never aliases with the default-options problem.
-static JPEG_PROBLEM: Mutex<Option<(String, Memo<ReconfigProblem>)>> = Mutex::new(None);
+static CURVES: Memo<ConfigCurve> = Mutex::new(BTreeMap::new());
+static JPEG_PROBLEMS: Memo<ReconfigProblem> = Mutex::new(BTreeMap::new());
 
 /// When set, each fresh curve/problem generation runs in a scope with
 /// this clock, collected in [`GEN_TRACES`] keyed by artifact
@@ -87,10 +88,8 @@ pub fn set_curve_options_override(opts: Option<CurveOptions>) {
 /// disk cache is untouched. Lets tests exercise cold-vs-warm disk
 /// behavior within one process.
 pub fn clear_curve_memo() {
-    if let Some(map) = CURVES.get() {
-        map.lock().expect("curve memo poisoned").clear();
-    }
-    *JPEG_PROBLEM.lock().expect("jpeg memo poisoned") = None;
+    CURVES.lock().expect("curve memo poisoned").clear();
+    JPEG_PROBLEMS.lock().expect("jpeg memo poisoned").clear();
 }
 
 /// Arms (or, with `None`, disarms) tracing of memoized curve/problem
@@ -118,7 +117,7 @@ pub fn take_generation_traces() -> Vec<(String, Scope)> {
 /// [`set_generation_trace_clock`] is armed, with a span named `track` —
 /// and files a clocked scope under `track`. Returns the artifact with
 /// the counters and histograms it recorded.
-fn generate<T>(track: String, f: impl FnOnce() -> T) -> Produced<T> {
+fn generate<T>(track: String, f: impl FnOnce() -> T) -> Entry<T> {
     let scope = GEN_TRACE_CLOCK
         .lock()
         .expect("gen trace clock poisoned")
@@ -136,6 +135,62 @@ fn generate<T>(track: String, f: impl FnOnce() -> T) -> Produced<T> {
             .push((track, scope));
     }
     (artifact, counters, hists)
+}
+
+/// The artifact stored under `(tag, key)`, produced at most once per
+/// process: the first requester of a key claims its slot in `memo`,
+/// reads the store entry (when [`set_cache_dir`] is active) or runs
+/// `make` on the generation track `<family>/<tag>`, and writes a fresh
+/// artifact back. Every requester — first, racing or later — is charged
+/// the generation counters and histograms via
+/// [`attribute`](rtise_obs::attribute), identically on memo hits, disk
+/// hits, and fresh generations.
+fn memoized<A: Artifact + Clone>(
+    memo: &Memo<A>,
+    tag: &str,
+    key: String,
+    make: impl FnOnce() -> A,
+) -> A {
+    let slot = Arc::clone(
+        memo.lock()
+            .expect("artifact memo poisoned")
+            .entry(key.clone())
+            .or_default(),
+    );
+    // Produce outside the map lock: only requesters of *this* key wait.
+    let (artifact, counters, hists) = slot.get_or_init(|| {
+        // Detach from the requester's scopes: generation work is
+        // attributed uniformly to every consumer, not specially to
+        // whoever got here first, through counters and histograms.
+        // Events detach too — generation spans would pin the work to the
+        // racing winner and make per-experiment traces depend on
+        // scheduling.
+        let _iso = rtise_obs::isolate();
+        let dir = cache_dir();
+        if let Some(dir) = &dir {
+            if let Some(entry) = store::load(dir, tag, &key) {
+                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                return entry;
+            }
+            CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+        }
+        let (artifact, counters, hists) = generate(format!("{}/{tag}", A::FAMILY), make);
+        if let Some(dir) = &dir {
+            match store::store(dir, tag, &key, &artifact, &counters, &hists) {
+                Ok(()) => {
+                    CACHE_STORES.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => eprintln!(
+                    "warning: could not write {} cache entry for {tag}: {e}",
+                    A::FAMILY
+                ),
+            }
+        }
+        (artifact, counters, hists)
+    });
+    rtise_obs::attribute(counters);
+    rtise_obs::attribute_hists(hists);
+    artifact.clone()
 }
 
 fn curve_options() -> CurveOptions {
@@ -170,65 +225,17 @@ pub fn cached_curve(name: &str) -> ConfigCurve {
 /// Panics if the kernel is unknown or fails validation, as for
 /// [`cached_curve`]; callers with untrusted kernel names validate first.
 pub fn cached_curve_with(name: &str, opts: &CurveOptions) -> ConfigCurve {
-    let opts = *opts;
-    let slot = {
-        let map = CURVES.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = map.lock().expect("curve memo poisoned");
-        Arc::clone(map.entry(curvecache::options_key(name, &opts)).or_default())
-    };
-    // Compute outside the map lock: only requesters of *this* curve wait.
-    let (curve, counters, hists) = slot.get_or_init(|| produce_curve(name, &opts));
-    rtise_obs::attribute(counters);
-    rtise_obs::attribute_hists(hists);
-    curve.clone()
-}
-
-type Produced<T> = (T, BTreeMap<String, u64>, BTreeMap<String, Hist>);
-
-fn produce_curve(name: &str, opts: &CurveOptions) -> Produced<ConfigCurve> {
-    // Detach from the requester's scopes: generation work is attributed
-    // uniformly to every consumer, not specially to whoever got here
-    // first, through counters and histograms. Events detach too —
-    // generation spans would pin the work to the racing winner and make
-    // per-experiment traces depend on scheduling.
-    let _iso = rtise_obs::isolate();
-    if let Some(dir) = cache_dir() {
-        if let Some(entry) = curvecache::load(&dir, name, opts) {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return entry;
-        }
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-    let (curve, counters, hists) = generate(format!("curve/{name}"), || {
+    memoized(&CURVES, name, curvecache::options_key(name, opts), || {
         task_curve(name, *opts).unwrap_or_else(|e| panic!("curve for {name}: {e}"))
-    });
-    if let Some(dir) = cache_dir() {
-        match curvecache::store(&dir, name, opts, &curve, &counters, &hists) {
-            Ok(()) => {
-                CACHE_STORES.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => eprintln!("warning: could not write curve cache entry for {name}: {e}"),
-        }
-    }
-    (curve, counters, hists)
-}
-
-fn jpeg_problem_key(opts: &CurveOptions) -> ProblemKey<'static> {
-    ProblemKey {
-        kernel: "jpeg",
-        n_versions: 4,
-        max_area: 0,
-        reconfig_cost: 0,
-        opts: *opts,
-    }
+    })
 }
 
 /// The JPEG case-study base problem (Ch. 6 and the architecture-taxonomy
-/// extension), memoized process-wide — and, when [`set_cache_dir`] is
-/// active, persisted across runs in the content-addressed
-/// [`problemcache`](crate::problemcache) format — with the same
-/// scoped-counter attribution as [`cached_curve`]. Callers clone and then
-/// adjust `max_area` / `reconfig_cost`.
+/// extension), memoized process-wide per option set — and, when
+/// [`set_cache_dir`] is active, persisted across runs in the
+/// [`problemcache`](crate::problemcache) family of the store — with the
+/// same scoped-counter attribution as [`cached_curve`]. Callers clone and
+/// then adjust `max_area` / `reconfig_cost`.
 ///
 /// # Panics
 ///
@@ -245,58 +252,28 @@ pub fn cached_jpeg_problem() -> ReconfigProblem {
 ///
 /// Panics if the JPEG kernel fails to build — a build problem, as above.
 pub fn cached_jpeg_problem_with(opts: &CurveOptions) -> ReconfigProblem {
-    let key = jpeg_problem_key(opts);
-    let memo_key = problemcache::options_key(&key);
-    let slot = {
-        let mut memo = JPEG_PROBLEM.lock().expect("jpeg memo poisoned");
-        match memo.as_ref() {
-            Some((k, slot)) if *k == memo_key => Arc::clone(slot),
-            _ => {
-                let slot = Memo::<ReconfigProblem>::default();
-                *memo = Some((memo_key, Arc::clone(&slot)));
-                slot
-            }
-        }
+    let key = ProblemKey {
+        kernel: "jpeg",
+        n_versions: 4,
+        max_area: 0,
+        reconfig_cost: 0,
+        opts: *opts,
     };
-    // Compute outside the memo lock, as for curves.
-    let (problem, counters, hists) = slot.get_or_init(|| produce_jpeg_problem(&key));
-    rtise_obs::attribute(counters);
-    rtise_obs::attribute_hists(hists);
-    problem.clone()
-}
-
-fn produce_jpeg_problem(key: &ProblemKey<'_>) -> Produced<ReconfigProblem> {
-    // Detach from the requester's scopes, exactly as in `produce_curve`.
-    let _iso = rtise_obs::isolate();
-    if let Some(dir) = cache_dir() {
-        if let Some(entry) = problemcache::load(&dir, key) {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return entry;
-        }
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-    let (problem, counters, hists) = generate(format!("problem/{}", key.kernel), || {
-        reconfig_problem(
-            key.kernel,
-            key.n_versions,
-            key.max_area,
-            key.reconfig_cost,
-            key.opts,
-        )
-        .expect("jpeg problem")
-    });
-    if let Some(dir) = cache_dir() {
-        match problemcache::store(&dir, key, &problem, &counters, &hists) {
-            Ok(()) => {
-                CACHE_STORES.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => eprintln!(
-                "warning: could not write problem cache entry for {}: {e}",
-                key.kernel
-            ),
-        }
-    }
-    (problem, counters, hists)
+    memoized(
+        &JPEG_PROBLEMS,
+        key.kernel,
+        problemcache::options_key(&key),
+        || {
+            reconfig_problem(
+                key.kernel,
+                key.n_versions,
+                key.max_area,
+                key.reconfig_cost,
+                key.opts,
+            )
+            .expect("jpeg problem")
+        },
+    )
 }
 
 /// Task specs for a named set at initial utilization `u0`, using cached

@@ -130,7 +130,11 @@ fn disk_cache_is_transparent_and_corruption_safe() {
 
     // Corrupt the entry on disk: the next cold read must warn, recompute,
     // and still produce the identical report.
-    let entry = rtise_bench::curvecache::entry_path(&dir, "g721_decode", &opts);
+    let entry = rtise_bench::store::entry_path::<rtise::ise::configs::ConfigCurve>(
+        &dir,
+        "g721_decode",
+        &rtise_bench::curvecache::options_key("g721_decode", &opts),
+    );
     let bytes = std::fs::read(&entry).expect("cache entry exists");
     std::fs::write(&entry, &bytes[..bytes.len() / 2]).expect("truncate entry");
     rtise_bench::clear_curve_memo();
@@ -194,6 +198,55 @@ fn jpeg_problem_disk_cache_is_transparent() {
     );
 
     rtise_bench::set_curve_options_override(None);
+    rtise_bench::set_cache_dir(None);
+    rtise_bench::clear_curve_memo();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The JPEG problem memo is keyed by options like the curve memo: a
+/// request under options A, then B, then A again reads A from the memo
+/// instead of the store, returns the first problem, and charges the
+/// caller the same generation counters as the first request.
+#[test]
+fn jpeg_problem_memo_keeps_every_option_set() {
+    let _config = lock_config();
+    let dir = std::env::temp_dir().join(format!("rtise-problem-memo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    rtise_bench::set_cache_dir(Some(dir.clone()));
+    rtise_bench::clear_curve_memo();
+    rtise_bench::reset_cache_stats();
+
+    let a = rtise::workbench::CurveOptions::fast();
+    let b = rtise::workbench::CurveOptions { n_budgets: 4, ..a };
+    let mut calls = Vec::new();
+    for opts in [a, b, a] {
+        let scope = rtise_obs::Scope::new();
+        let problem = {
+            let _guard = scope.enter();
+            rtise_bench::cached_jpeg_problem_with(&opts)
+        };
+        calls.push((problem, scope.counters(), scope.hists()));
+    }
+    assert_eq!(
+        rtise_bench::cache_stats(),
+        (0, 2, 2),
+        "two generations and stores; the repeat of A is a memo hit"
+    );
+    let (first, third) = (&calls[0], &calls[2]);
+    assert_eq!(third.0.loops, first.0.loops, "A's problem diverges");
+    assert_eq!(third.0.trace, first.0.trace);
+    assert_eq!(third.0.max_area, first.0.max_area);
+    assert_eq!(third.0.reconfig_cost, first.0.reconfig_cost);
+    assert_eq!(third.1, first.1, "A's attributed counters diverge");
+    assert_eq!(third.2, first.2, "A's attributed histograms diverge");
+    for (problem, counters, _) in &calls {
+        assert!(!problem.loops.is_empty());
+        assert!(
+            !counters.is_empty(),
+            "every caller is charged the generation"
+        );
+    }
+
     rtise_bench::set_cache_dir(None);
     rtise_bench::clear_curve_memo();
     let _ = std::fs::remove_dir_all(&dir);

@@ -59,10 +59,7 @@ fn as_bool(v: &Value) -> Option<bool> {
 }
 
 fn field_u64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<u64> {
-    let v = doc
-        .get(key)
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0);
+    let v = doc.get(key).and_then(Value::as_u64);
     if v.is_none() {
         d.error(
             Code::SRV001,
@@ -70,7 +67,7 @@ fn field_u64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<u64> {
             format!("required field {key:?} is missing or not an unsigned integer"),
         );
     }
-    v.map(|n| n as u64)
+    v
 }
 
 fn field_i64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<i64> {
@@ -91,10 +88,7 @@ fn field_i64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<i64> {
 fn u64_arr(doc: &Value, key: &str) -> Option<Vec<u64>> {
     let mut out = Vec::new();
     for v in doc.get(key).and_then(Value::as_arr)? {
-        let n = v
-            .as_f64()
-            .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)?;
-        out.push(n as u64);
+        out.push(v.as_u64()?);
     }
     Some(out)
 }
@@ -107,9 +101,7 @@ fn decode_curve(doc: &Value, name_key: &str) -> Result<ConfigCurve, String> {
         .ok_or_else(|| format!("curve {name_key} missing"))?;
     let base_cycles = doc
         .get("base_cycles")
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
+        .and_then(Value::as_u64)
         .ok_or("curve base_cycles missing")?;
     let mut points = Vec::new();
     for p in doc
@@ -121,9 +113,7 @@ fn decode_curve(doc: &Value, name_key: &str) -> Result<ConfigCurve, String> {
         for (slot, key) in nums.iter_mut().zip(["area", "cycles", "gain"]) {
             *slot = p
                 .get(key)
-                .and_then(Value::as_f64)
-                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-                .map(|n| n as u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("curve point {key} missing"))?;
         }
         let selection = u64_arr(p, "selection")
@@ -414,10 +404,7 @@ fn check_ilp_result(d: &mut Diagnostics, result: &Value) {
                 d.error(Code::SRV001, Location::Row(r), "ilp term is not a pair");
                 return;
             };
-            let idx = pair[0]
-                .as_f64()
-                .filter(|x| x.is_finite() && *x >= 0.0 && x.fract() == 0.0)
-                .map(|x| x as usize);
+            let idx = pair[0].as_u64().map(|x| x as usize);
             let coeff = pair[1]
                 .as_f64()
                 .filter(|x| x.is_finite() && x.fract() == 0.0 && x.abs() < 9.0e15)
@@ -506,22 +493,13 @@ fn check_reconfig_result(d: &mut Diagnostics, result: &Value) {
             return;
         };
         for v in version_arr {
-            let area = v
-                .get("area")
-                .and_then(Value::as_f64)
-                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0);
-            let gain = v
-                .get("gain")
-                .and_then(Value::as_f64)
-                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0);
+            let area = v.get("area").and_then(Value::as_u64);
+            let gain = v.get("gain").and_then(Value::as_u64);
             let (Some(area), Some(gain)) = (area, gain) else {
                 d.error(Code::SRV001, Location::Loop(i), "loop version malformed");
                 return;
             };
-            versions.push(CisVersion {
-                area: area as u64,
-                gain: gain as u64,
-            });
+            versions.push(CisVersion { area, gain });
         }
         loops.push(HotLoop::new(name, &versions));
     }

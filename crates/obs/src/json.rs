@@ -49,6 +49,15 @@ impl Value {
         }
     }
 
+    /// The number as a `u64`, if this is a finite, non-negative, integral
+    /// [`Value::Num`]; `-0` reads as 0 and values past `u64::MAX`
+    /// saturate (an `as` cast).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
+            .map(|n| n as u64)
+    }
+
     /// The string, if this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -829,6 +838,49 @@ mod tests {
         assert!(parse(&objects).is_err());
         let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(parse(&deepest).is_ok());
+    }
+
+    /// `as_u64` agrees with its definition written out — finite,
+    /// non-negative, integral, then an `as` cast — at -0, around 2⁵³,
+    /// past `u64::MAX`, on fractions, NaN, the infinities and negatives.
+    #[test]
+    fn as_u64_matches_the_unsigned_filter() {
+        let old = |v: &Value| {
+            v.as_f64()
+                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
+                .map(|n| n as u64)
+        };
+        let edge = (1u64 << 53) as f64;
+        let nums = [
+            0.0,
+            -0.0,
+            1.0,
+            edge - 1.0,
+            edge,
+            edge + 1.0,
+            edge + 2.0,
+            1e300,
+            f64::MAX,
+            0.5,
+            2.25,
+            -0.5,
+            -1.0,
+            -edge,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        for n in nums {
+            let v = Value::Num(n);
+            assert_eq!(v.as_u64(), old(&v), "{n:?}");
+        }
+        assert_eq!(Value::Num(-0.0).as_u64(), Some(0));
+        assert_eq!(Value::Num(edge + 2.0).as_u64(), Some((1 << 53) + 2));
+        assert_eq!(Value::Num(1e300).as_u64(), Some(u64::MAX));
+        for v in [Value::Null, Value::Str("1".into()), Value::Bool(true)] {
+            assert_eq!(v.as_u64(), None);
+        }
     }
 
     #[test]

@@ -180,9 +180,7 @@ pub fn dedup_key(kind: &ReqKind) -> String {
 
 fn get_u64(doc: &Value, key: &str) -> Result<u64, String> {
     doc.get(key)
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("field {key:?} is missing or not an unsigned integer"))
 }
 

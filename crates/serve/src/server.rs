@@ -4,10 +4,11 @@
 //! [`Server::serve`] runs on whichever thread read the request — the
 //! stdin loop, a TCP connection, or a load-test lane — and returns the
 //! response line. Identical concurrent requests (same
-//! [dedup key](crate::proto::dedup_key)) share one slot: the first caller
-//! for a key computes and fills it, later callers wait on the in-flight
-//! slot (`serve.dedup.hit`) or read its finished result
-//! (`serve.memo.hit`). The computing caller consults the sharded artifact
+//! [dedup key](crate::proto::dedup_key)) share one slot, a std `OnceLock`:
+//! the caller that initializes it computes and fills it, every other
+//! caller blocks on the in-flight slot (`serve.dedup.hit`) or reads its
+//! finished result (`serve.memo.hit`), as the slot was when the caller
+//! looked the key up. The computing caller consults the sharded artifact
 //! store first (`cache.response.*` counters) and persists fresh
 //! successful responses back, so a warm store answers most of a repeated
 //! workload without touching a solver.
@@ -39,7 +40,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Store tag (filename prefix) for response entries.
 pub const STORE_TAG: &str = "resp";
@@ -128,33 +129,12 @@ impl Rendered {
 }
 
 /// One shared result slot: the rendered response once ready.
-#[derive(Default)]
-struct Slot {
-    ready: Mutex<Option<Arc<Rendered>>>,
-    cond: Condvar,
-}
-
-impl Slot {
-    fn wait(&self) -> Arc<Rendered> {
-        let mut ready = self.ready.lock().expect("slot poisoned");
-        loop {
-            if let Some(rendered) = &*ready {
-                return Arc::clone(rendered);
-            }
-            ready = self.cond.wait(ready).expect("slot poisoned");
-        }
-    }
-
-    fn fill(&self, response: Arc<Rendered>) {
-        *self.ready.lock().expect("slot poisoned") = Some(response);
-        self.cond.notify_all();
-    }
-}
+type Slot = Arc<OnceLock<Arc<Rendered>>>;
 
 /// The exploration server; share it by reference (or `Arc`) between the
 /// threads that read requests.
 pub struct Server {
-    slots: Mutex<HashMap<String, Arc<Slot>>>,
+    slots: Mutex<HashMap<String, Slot>>,
     cache_dir: Option<PathBuf>,
     /// The server's own counters; entered only around dedup, store and
     /// bookkeeping work, never around a request's computation.
@@ -194,49 +174,51 @@ impl Server {
         self.scope.counters()
     }
 
-    /// The rendered response for `key`: the first caller runs `compute`
-    /// (under a permit, panics caught) and fills the shared slot with its
-    /// result; later callers wait on or read that slot.
+    /// The rendered response for `key`: the caller that initializes the
+    /// shared slot runs its `compute` (under a permit, panics caught) and
+    /// fills it with the result; every other caller waits on or reads
+    /// that slot.
     fn resolve(&self, key: &str, compute: impl FnOnce() -> Rendered) -> Arc<Rendered> {
         let slot = {
             let _obs = self.scope.enter();
             let mut slots = self.slots.lock().expect("slots poisoned");
-            if let Some(slot) = slots.get(key) {
-                let slot = Arc::clone(slot);
-                let done = slot.ready.lock().expect("slot poisoned").is_some();
+            if let Some(slot) = slots.get(key).map(Arc::clone) {
                 drop(slots);
                 rtise_obs::record(
-                    if done {
+                    if slot.get().is_some() {
                         "serve.memo.hit"
                     } else {
                         "serve.dedup.hit"
                     },
                     1,
                 );
-                return slot.wait();
+                slot
+            } else {
+                if slots.len() >= MAX_SLOTS {
+                    let before = slots.len();
+                    slots.retain(|_, slot| slot.get().is_none());
+                    rtise_obs::record("serve.memo.evicted", (before - slots.len()) as u64);
+                }
+                let slot = Slot::default();
+                slots.insert(key.to_string(), Arc::clone(&slot));
+                slot
             }
-            if slots.len() >= MAX_SLOTS {
-                let before = slots.len();
-                slots.retain(|_, slot| slot.ready.lock().expect("slot poisoned").is_none());
-                rtise_obs::record("serve.memo.evicted", (before - slots.len()) as u64);
-            }
-            let slot = Arc::new(Slot::default());
-            slots.insert(key.to_string(), Arc::clone(&slot));
-            slot
         };
-        self.take_permit();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
-        self.return_permit();
-        let rendered = Arc::new(outcome.unwrap_or_else(|_| {
-            let _obs = self.scope.enter();
-            rtise_obs::record("serve.panics", 1);
-            Rendered::new(&engine::error_response(
-                0,
-                "internal error: request computation panicked",
-            ))
-        }));
-        slot.fill(Arc::clone(&rendered));
-        rendered
+        // The initializer never unwinds: a panicking computation fills
+        // the slot with an error response, which every waiter gets.
+        Arc::clone(slot.get_or_init(|| {
+            self.take_permit();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute));
+            self.return_permit();
+            Arc::new(outcome.unwrap_or_else(|_| {
+                let _obs = self.scope.enter();
+                rtise_obs::record("serve.panics", 1);
+                Rendered::new(&engine::error_response(
+                    0,
+                    "internal error: request computation panicked",
+                ))
+            }))
+        }))
     }
 
     fn take_permit(&self) {
@@ -402,9 +384,8 @@ fn read_capped_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Re
 fn line_request_id(line: &str) -> u64 {
     rtise_obs::json::parse(line)
         .ok()
-        .and_then(|doc| doc.get("id").and_then(Value::as_f64))
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map_or(0, |n| n as u64)
+        .and_then(|doc| doc.get("id").and_then(Value::as_u64))
+        .unwrap_or(0)
 }
 
 /// Binds `addr` and serves each connection on its own thread, which also
