@@ -236,22 +236,33 @@ sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'; then
 fi
 echo "    every TCP response certified clean"
 
-echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2, cold, warm and re-indented store)"
+echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2 and 1, cold, warm and re-indented store)"
 # The memo answers repeats from bytes rendered once and stamped with each
 # caller's id; a warm store answers every distinct request from disk. A
 # copy of the warm store re-indented by another JSON writer must answer
 # from disk too: entry checksums cover compact renders, not file bytes.
-# All three passes must write exactly the same 1000 lines, and neither
-# store pass may discard an entry (a recompute would give the same bytes
-# and hide the reject).
+# A cold --jobs 1 pass on a store of its own computes the piped lines one
+# at a time, where --jobs 2 computes them two at a time; its output and
+# its store must match the --jobs 2 pass's.
+# All four passes must write exactly the same 1000 lines, and no pass
+# after the first may discard an entry (a recompute would give the same
+# bytes and hide the reject).
 CARGO_TARGET_DIR=target cargo build --offline --release -q \
   --manifest-path e2ebench/probe/Cargo.toml
 target/release/e2eprobe stream --seed 42 --requests 1000 | cut -f3 > target/serve-stream-42.jsonl
 STDIN_STORE=target/ci-serve-stdin-store
+SERIAL_STORE=target/ci-serve-stdin-store-serial
 REINDENTED_STORE=target/ci-serve-stdin-store-reindented
-rm -rf "$STDIN_STORE" "$REINDENTED_STORE"
+rm -rf "$STDIN_STORE" "$SERIAL_STORE" "$REINDENTED_STORE"
 target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
   < target/serve-stream-42.jsonl > target/serve-stdin-cold.jsonl
+target/release/serve --stdin --jobs 1 --cache-dir "$SERIAL_STORE" \
+  < target/serve-stream-42.jsonl > target/serve-stdin-serial.jsonl 2> target/serve-stdin-serial.err
+if ! diff -r "$STDIN_STORE" "$SERIAL_STORE" > /dev/null; then
+  echo "FAIL: the cold --jobs 1 and --jobs 2 passes wrote different stores"
+  diff -r "$STDIN_STORE" "$SERIAL_STORE" | head -5
+  exit 1
+fi
 target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
   < target/serve-stream-42.jsonl > target/serve-stdin-warm.jsonl 2> target/serve-stdin-warm.err
 cp -r "$STDIN_STORE" "$REINDENTED_STORE"
@@ -271,18 +282,18 @@ if [ "$LINES" -ne 1000 ]; then
   echo "FAIL: cold --stdin pass wrote $LINES response lines, expected 1000"
   exit 1
 fi
-for PASS in warm reindented; do
+for PASS in serial warm reindented; do
   if ! cmp -s target/serve-stdin-cold.jsonl "target/serve-stdin-$PASS.jsonl"; then
-    echo "FAIL: $PASS-store --stdin output differs from the cold pass"
+    echo "FAIL: $PASS --stdin output differs from the cold pass"
     cmp target/serve-stdin-cold.jsonl "target/serve-stdin-$PASS.jsonl" | head -5
     exit 1
   fi
   if grep -q discarding "target/serve-stdin-$PASS.err"; then
-    echo "FAIL: the $PASS-store --stdin pass discarded store entries"
+    echo "FAIL: the $PASS --stdin pass discarded store entries"
     grep discarding "target/serve-stdin-$PASS.err" | head -5
     exit 1
   fi
 done
-echo "    cold, warm and re-indented-store --stdin passes wrote identical bytes"
+echo "    cold --jobs 2 and --jobs 1, warm and re-indented-store --stdin passes wrote identical bytes and stores"
 
 echo "CI OK"

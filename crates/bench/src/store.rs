@@ -6,8 +6,9 @@
 //! both through the one in-process memo behind
 //! [`cached_curve_with`](crate::cached_curve_with) and
 //! [`cached_jpeg_problem_with`](crate::cached_jpeg_problem_with), and
-//! `rtise-serve`'s memoized responses all call [`store`] and [`load`]
-//! directly with the family's key. An artifact family plugs in by
+//! `rtise-serve`'s memoized responses all call [`store`] (or
+//! [`store_rendered`], with a render in hand) and [`load`] directly with
+//! the family's key. An artifact family plugs in by
 //! implementing [`Artifact`]: a family name, a JSON payload encoding, and
 //! a decoder that *independently re-certifies* what it reconstructs (the
 //! store never trusts bytes it read back).
@@ -178,16 +179,24 @@ pub fn encode_envelope<A: Artifact>(
     counters: &BTreeMap<String, u64>,
     hists: &BTreeMap<String, Hist>,
 ) -> Value {
+    let rendered = payload.render();
+    envelope::<A>(key, &rendered, payload, counters, hists)
+}
+
+/// The envelope for the payload whose compact render is `rendered`, with
+/// `payload` in its place: the checksum covers `rendered` whatever
+/// `payload` holds.
+fn envelope<A: Artifact>(
+    key: &str,
+    rendered: &str,
+    payload: Value,
+    counters: &BTreeMap<String, u64>,
+    hists: &BTreeMap<String, Hist>,
+) -> Value {
     let full = full_key::<A>(key);
     let counters_json = Value::from(counters);
     let hists_value = hists_json(hists);
-    let sum = checksum(
-        A::FAMILY,
-        &full,
-        &payload.render(),
-        &counters_json,
-        &hists_value,
-    );
+    let sum = checksum(A::FAMILY, &full, rendered, &counters_json, &hists_value);
     Value::obj(vec![
         ("format", u64::from(FORMAT_VERSION).into()),
         ("family", A::FAMILY.into()),
@@ -221,7 +230,35 @@ pub fn store<A: Artifact>(
     counters: &BTreeMap<String, u64>,
     hists: &BTreeMap<String, Hist>,
 ) -> std::io::Result<()> {
-    let doc = encode_envelope::<A>(key, artifact.encode(), counters, hists);
+    store_rendered::<A>(dir, tag, key, &artifact.encode().render(), counters, hists)
+}
+
+/// [`store`] for an artifact whose encoding the caller has already
+/// rendered: `payload` is the compact [`render`](Value::render) of
+/// [`Artifact::encode`]. The entry is that render inside the envelope's,
+/// the bytes [`store`] writes, with no second render of the payload.
+///
+/// # Errors
+///
+/// Propagates filesystem errors, as [`store`] does.
+///
+/// # Panics
+///
+/// Panics if the shard lock is poisoned (a writer panicked mid-store).
+pub fn store_rendered<A: Artifact>(
+    dir: &Path,
+    tag: &str,
+    key: &str,
+    payload: &str,
+    counters: &BTreeMap<String, u64>,
+    hists: &BTreeMap<String, Hist>,
+) -> std::io::Result<()> {
+    let doc = envelope::<A>(key, payload, Value::Null, counters, hists);
+    let mut text = doc.render();
+    let null = doc
+        .member_range("payload")
+        .expect("an envelope has a payload");
+    text.replace_range(null, payload);
     let path = entry_path::<A>(dir, tag, key);
     let shard = shard_of::<A>(key);
     rtise_obs::record(&format!("cache.{}.store", A::FAMILY), 1);
@@ -229,7 +266,7 @@ pub fn store<A: Artifact>(
         .lock()
         .expect("shard writer lock poisoned");
     std::fs::create_dir_all(path.parent().expect("entry path has a shard dir"))?;
-    write_atomic(&path, &doc.render())
+    write_atomic(&path, &text)
 }
 
 /// Writes `text` to `path` through a `*.tmp.<pid>` sibling and an atomic

@@ -40,8 +40,10 @@ pub fn response_checksum(kind: &str, work: u64, result: &Value) -> u64 {
 }
 
 /// [`response_checksum`] of an already rendered result, hashed piece by
-/// piece.
-fn rendered_checksum(kind: &str, work: u64, result: &str) -> u64 {
+/// piece: `result` is the compact [`render`](Value::render) of the
+/// result, for a caller that already holds it.
+#[must_use]
+pub fn rendered_checksum(kind: &str, work: u64, result: &str) -> u64 {
     let mut hasher = Fnv1a::new();
     for piece in [kind, &work.to_string()] {
         hasher.write(piece.as_bytes());

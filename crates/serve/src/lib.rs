@@ -12,12 +12,13 @@
 //! - [`proto`]/[`engine`] — the wire protocol and a pure request →
 //!   response executor whose `work` field (solver-counter sum) is
 //!   deterministic for a given request.
-//! - [`server`] — answers each request on the thread that read it, with
-//!   in-flight dedup (identical concurrent requests share one
-//!   computation), a bounded memo of rendered response lines, at most `jobs`
-//!   computations at once, and the sharded content-addressed artifact
-//!   store in [`rtise_bench::store`] behind it; cached responses are
-//!   re-certified on load and corrupt entries recomputed.
+//! - [`server`] — answers a lone request on the thread that read it and
+//!   the lines a client has already sent up to `jobs` at once, in request
+//!   order, with in-flight dedup (identical concurrent requests share one
+//!   computation), a bounded memo of rendered response lines, at most
+//!   `jobs` computations at once, and the sharded content-addressed
+//!   artifact store in [`rtise_bench::store`] behind it; cached responses
+//!   are re-certified on load and corrupt entries recomputed.
 //! - [`traffic`]/[`loadtest`] — a seeded Zipf workload generator and an
 //!   in-process load test whose obs-JSON report is byte-identical at any
 //!   lane count.

@@ -254,9 +254,150 @@ fn served_lines_are_the_stamped_execution_of_every_request() {
         "{}",
         got[0]
     );
+    // The two lines arrive in one batch, so the second may find the
+    // first in flight (a dedup hit) or finished (a memo hit); either way
+    // the store is read once.
     let counters = server.counters();
+    let hit = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(hit("serve.memo.hit") + hit("serve.dedup.hit"), 1);
     assert_eq!(counters.get("cache.response.hit"), Some(&1));
-    assert_eq!(counters.get("serve.memo.hit"), Some(&1));
+}
+
+/// A reader whose every `fill_buf` holds at most one line, as the stream
+/// of a client that sends each request after the previous answer.
+struct LineAtATime<'a>(&'a [u8]);
+
+impl std::io::Read for LineAtATime<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.fill_buf()?;
+        let n = chunk.len().min(buf.len());
+        buf[..n].copy_from_slice(&chunk[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for LineAtATime<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        let end = self
+            .0
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(self.0.len(), |i| i + 1);
+        Ok(&self.0[..end])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.0 = &self.0[n..];
+    }
+}
+
+/// The seed-42 stream with a blank, a malformed, an over-long and an
+/// invalid UTF-8 line after every 97th request.
+fn stream_with_bad_lines() -> Vec<u8> {
+    let over_long = format!(
+        "{{\"id\": 6, \"kind\": \"ilp\", \"seed\": 3}}{}\n",
+        " ".repeat(rtise_serve::server::MAX_LINE_BYTES)
+    );
+    let mut input = Vec::new();
+    for (i, request) in traffic::generate(42, 1000).iter().enumerate() {
+        input.extend_from_slice((request_line(request) + "\n").as_bytes());
+        if i % 97 == 0 {
+            input.extend_from_slice(b"\n  \n{\"id\": 9, \"kind\": \"no_such_kind\"}\n");
+            input.extend_from_slice(over_long.as_bytes());
+            input.extend_from_slice(b"{\"id\": 1, \"kind\": \"\xff\"}\r\n");
+        }
+    }
+    input
+}
+
+/// Pipelined lines give the same bytes whether they compute on 1, 2 or 4
+/// lanes, and whether they arrive all at once or one per read.
+#[test]
+fn pipelined_lines_give_the_same_bytes_at_every_lane_count_and_read_size() {
+    let input = stream_with_bad_lines();
+    let serve = |jobs: usize, reader: &mut dyn BufRead| {
+        let mut out = Vec::new();
+        serve_lines(&Server::new(ServerConfig::new(jobs)), reader, &mut out)
+            .expect("in-memory I/O");
+        out
+    };
+    let want = serve(1, &mut input.as_slice());
+    let lines = want.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!(lines, 1000 + 3 * 11, "one answer per non-blank line");
+    for jobs in [2, 4] {
+        assert!(serve(jobs, &mut input.as_slice()) == want, "jobs {jobs}");
+    }
+    assert!(
+        serve(2, &mut LineAtATime(&input)) == want,
+        "one line per read"
+    );
+}
+
+/// A slow request ahead of fast ones in one batch is still answered
+/// first: answers leave in request order.
+#[test]
+fn a_slow_line_ahead_of_fast_ones_is_answered_first() {
+    let mut input = String::from(
+        "{\"id\": 0, \"kind\": \"reconfig\", \"problem\": \"synthetic\", \"n\": 10, \"seed\": 5}\n",
+    );
+    for id in 1..=8 {
+        input += &format!("{{\"id\": {id}, \"kind\": \"ilp\", \"seed\": {id}}}\n");
+    }
+    let got = serve_text(&Server::new(ServerConfig::new(2)), &input);
+    let ids: Vec<_> = got
+        .iter()
+        .map(|line| {
+            let resp = rtise_obs::json::parse(line).expect("response is JSON");
+            assert_eq!(resp.get("ok"), Some(&Value::Bool(true)), "{line}");
+            resp.get("id").and_then(Value::as_u64)
+        })
+        .collect();
+    assert_eq!(ids, (0..=8).map(Some).collect::<Vec<_>>());
+}
+
+/// Records the thread of every `write` call.
+#[derive(Default)]
+struct ThreadRecorder(Vec<std::thread::ThreadId>);
+
+impl Write for ThreadRecorder {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.push(std::thread::current().id());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Lines that arrive one per read are each answered on the reading
+/// thread, as is a batch at `jobs` 1; a batch at `jobs` 2 is answered
+/// from its lanes.
+#[test]
+fn lone_lines_are_answered_on_the_reading_thread() {
+    let input: String = (0..6)
+        .map(|id| {
+            format!(
+                "{{\"id\": {id}, \"kind\": \"ilp\", \"seed\": {}}}\n",
+                id % 3
+            )
+        })
+        .collect();
+    let me = std::thread::current().id();
+    let writers = |jobs: usize, reader: &mut dyn BufRead| {
+        let mut recorder = ThreadRecorder::default();
+        serve_lines(&Server::new(ServerConfig::new(jobs)), reader, &mut recorder)
+            .expect("in-memory I/O");
+        assert_eq!(recorder.0.len(), 6, "one write per response");
+        recorder.0
+    };
+    let closed_loop = writers(2, &mut LineAtATime(input.as_bytes()));
+    assert!(closed_loop.iter().all(|&t| t == me), "closed loop");
+    let serial = writers(1, &mut input.as_bytes());
+    assert!(serial.iter().all(|&t| t == me), "jobs 1");
+    let lanes = writers(2, &mut input.as_bytes());
+    assert!(lanes.iter().all(|&t| t != me), "a batch on lanes");
 }
 
 #[test]
