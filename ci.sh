@@ -236,11 +236,14 @@ sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'; then
 fi
 echo "    every TCP response certified clean"
 
-echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2 and 1, cold, warm and re-indented store)"
+echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2 and 1, cold, warm, re-indented and float-rewritten store)"
 # The memo answers repeats from bytes rendered once and stamped with each
 # caller's id; a warm store answers every distinct request from disk. A
 # copy of the warm store re-indented by another JSON writer must answer
 # from disk too: entry checksums cover compact renders, not file bytes.
+# So must a copy with every integer rewritten as a float and no
+# whitespace: compact, but not the render, so a load must not serve its
+# bytes as they are.
 # A cold --jobs 1 pass on a store of its own computes the piped lines one
 # at a time, where --jobs 2 computes them two at a time; its output and
 # its store must match the --jobs 2 pass's.
@@ -253,7 +256,8 @@ target/release/e2eprobe stream --seed 42 --requests 1000 | cut -f3 > target/serv
 STDIN_STORE=target/ci-serve-stdin-store
 SERIAL_STORE=target/ci-serve-stdin-store-serial
 REINDENTED_STORE=target/ci-serve-stdin-store-reindented
-rm -rf "$STDIN_STORE" "$SERIAL_STORE" "$REINDENTED_STORE"
+FLOATS_STORE=target/ci-serve-stdin-store-floats
+rm -rf "$STDIN_STORE" "$SERIAL_STORE" "$REINDENTED_STORE" "$FLOATS_STORE"
 target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
   < target/serve-stream-42.jsonl > target/serve-stdin-cold.jsonl
 target/release/serve --stdin --jobs 1 --cache-dir "$SERIAL_STORE" \
@@ -277,12 +281,24 @@ PY
 target/release/serve --stdin --jobs 2 --cache-dir "$REINDENTED_STORE" \
   < target/serve-stream-42.jsonl > target/serve-stdin-reindented.jsonl \
   2> target/serve-stdin-reindented.err
+cp -r "$STDIN_STORE" "$FLOATS_STORE"
+python3 - "$FLOATS_STORE" <<'PY'
+import json, pathlib, sys
+for path in pathlib.Path(sys.argv[1]).rglob("*.json"):
+    with open(path) as f:
+        doc = json.load(f, parse_int=float)
+    with open(path, "w") as f:
+        json.dump(doc, f, separators=(",", ":"))
+PY
+target/release/serve --stdin --jobs 2 --cache-dir "$FLOATS_STORE" \
+  < target/serve-stream-42.jsonl > target/serve-stdin-floats.jsonl \
+  2> target/serve-stdin-floats.err
 LINES=$(wc -l < target/serve-stdin-cold.jsonl)
 if [ "$LINES" -ne 1000 ]; then
   echo "FAIL: cold --stdin pass wrote $LINES response lines, expected 1000"
   exit 1
 fi
-for PASS in serial warm reindented; do
+for PASS in serial warm reindented floats; do
   if ! cmp -s target/serve-stdin-cold.jsonl "target/serve-stdin-$PASS.jsonl"; then
     echo "FAIL: $PASS --stdin output differs from the cold pass"
     cmp target/serve-stdin-cold.jsonl "target/serve-stdin-$PASS.jsonl" | head -5
@@ -294,6 +310,6 @@ for PASS in serial warm reindented; do
     exit 1
   fi
 done
-echo "    cold --jobs 2 and --jobs 1, warm and re-indented-store --stdin passes wrote identical bytes and stores"
+echo "    cold --jobs 2 and --jobs 1, warm, re-indented- and float-store --stdin passes wrote identical bytes and stores"
 
 echo "CI OK"

@@ -30,10 +30,17 @@
 //! canonical compact renders of the fields, not the file's bytes, so an
 //! entry loads in any layout: the compact text this build writes, the
 //! indented text earlier builds wrote, or a copy re-indented by another
-//! tool. A load parses the entry once and renders its payload once; the
-//! family's decoder receives that render (the bytes just hashed) and owns
-//! the payload, and [`load_with`] hands the render on to a caller that
-//! serves it.
+//! tool. A load parses the entry once. The parser tells whether the text
+//! is byte for byte the compact render of what it parsed
+//! ([`parse_compact`]), as every entry this build writes is: then the
+//! payload's render is the slice of the text the payload takes, and the
+//! load renders nothing. An entry in any other layout (indented,
+//! re-spaced, numbers written as floats, other escapes) has its payload
+//! rendered once. Either way the checksum covers that render, the
+//! family's decoder receives it and owns the payload, and [`load_with`]
+//! hands the render on to a caller that serves it. Raw bytes that merely
+//! match the checksum prove nothing: a forged entry carries a checksum
+//! of its own bytes, so only the parser's proof lets a load serve them.
 //!
 //! Trust model: [`load`] re-checks the format version, family, and full
 //! key string, the content checksum, and finally the family's own
@@ -45,9 +52,10 @@
 //! `cache.<family>.*` counters and histograms.
 
 use rtise::check::diag::{Code, Diagnostics, Location};
-use rtise_obs::json::{parse, Value};
+use rtise_obs::json::{parse_compact, Value};
 use rtise_obs::Hist;
 use rtise_obs::{fnv1a, Fnv1a};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -87,7 +95,8 @@ pub trait Artifact: Sized {
     /// error string names what failed (reported as `STORE004`). The
     /// payload is the decoder's to keep; `rendered` is its compact
     /// [`render`](Value::render), the bytes the entry checksum covered,
-    /// for a decoder that re-hashes part of them.
+    /// for a decoder that re-hashes part of them: a slice of the entry's
+    /// own text when that text is compact, else rendered for the load.
     ///
     /// # Errors
     ///
@@ -308,15 +317,17 @@ pub fn validate<A: Artifact>(text: &str, key: &str) -> (Option<Entry<A>>, Diagno
 
 /// [`validate`], handing the decoded artifact and its payload's compact
 /// render — the bytes the checksum covered — to `map`, whose value takes
-/// the artifact's place in the entry.
-fn validate_with<A: Artifact, T>(
-    text: &str,
+/// the artifact's place in the entry. When `text` is itself a compact
+/// render ([`parse_compact`]), that render is a slice of it; any other
+/// layout has its payload rendered.
+fn validate_with<'a, A: Artifact, T>(
+    text: &'a str,
     key: &str,
-    map: impl FnOnce(A, String) -> T,
+    map: impl FnOnce(A, Cow<'a, str>) -> T,
 ) -> (Option<Entry<T>>, Diagnostics) {
     let mut d = Diagnostics::new();
-    let mut doc = match parse(text) {
-        Ok(doc) => doc,
+    let (mut doc, compact) = match parse_compact(text) {
+        Ok(parsed) => parsed,
         Err(e) => {
             d.error(
                 Code::STORE001,
@@ -378,7 +389,16 @@ fn validate_with<A: Artifact, T>(
         malformed(&mut d, "checksum");
         return (None, d);
     };
-    let rendered = payload.render();
+    // A compact text is its document's render, so the payload's render
+    // is the range the payload member takes in it. Measured from both
+    // ends, it renders only the small members around the payload.
+    let within = if compact {
+        doc.member_range_around("payload", text.len())
+            .and_then(|range| text.get(range))
+    } else {
+        None
+    };
+    let rendered = within.map_or_else(|| Cow::Owned(payload.render()), Cow::Borrowed);
     if claimed != checksum(A::FAMILY, &full, &rendered, counters_json, hists_value) {
         d.error(
             Code::STORE003,
@@ -462,22 +482,29 @@ pub fn load<A: Artifact>(dir: &Path, tag: &str, key: &str) -> Option<Entry<A>> {
 }
 
 /// [`load`], with the hit mapped by `map` from the decoded artifact and
-/// its payload's compact render, the bytes the entry checksum covered; a
-/// caller that serves those bytes takes them here instead of rendering
-/// the artifact again.
+/// its payload's compact render, the bytes the entry checksum covered,
+/// borrowed from the entry's text when that text is compact; a caller
+/// that serves those bytes takes them here instead of rendering the
+/// artifact again.
 pub fn load_with<A: Artifact, T>(
     dir: &Path,
     tag: &str,
     key: &str,
-    map: impl FnOnce(A, String) -> T,
+    map: impl FnOnce(A, Cow<'_, str>) -> T,
 ) -> Option<Entry<T>> {
     let path = entry_path::<A>(dir, tag, key);
     let prefix = format!("cache.{}", A::FAMILY);
-    // One open: the age and the bytes come from the same file.
-    let read = std::fs::File::open(&path).and_then(|mut file| {
-        let age = file.metadata().ok().as_ref().and_then(age_ms);
+    // One open and one `fstat`: the age and the buffer size come from the
+    // same metadata. Reading through `Take` skips the size probe (an
+    // `fstat` and an `lseek`) of `File::read_to_string`; it still reads to
+    // the end of the file.
+    let read = std::fs::File::open(&path).and_then(|file| {
+        let meta = file.metadata().ok();
+        let len = meta.as_ref().map_or(0, std::fs::Metadata::len);
         let mut text = String::new();
-        file.read_to_string(&mut text).map(|_| (text, age))
+        text.try_reserve(usize::try_from(len).unwrap_or(usize::MAX))?;
+        file.take(u64::MAX).read_to_string(&mut text)?;
+        Ok((text, meta.as_ref().and_then(age_ms)))
     });
     let (text, age) = match read {
         Ok(read) => read,

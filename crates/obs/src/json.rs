@@ -331,25 +331,56 @@ pub const MAX_DEPTH: usize = 128;
 /// [`ParseError`] with the byte offset of the first offending character,
 /// including the first array or object nested past [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, ParseError> {
+    parse_compact(src).map(|(value, _)| value)
+}
+
+/// [`parse`], also telling whether `src` is byte for byte the
+/// [`render`](Value::render) of the value it parses to.
+///
+/// The flag is `true` only when `src` holds
+/// - no whitespace outside strings,
+/// - no escape but `\"`, `\\`, `\n`, `\r` and `\t`, and
+/// - no number but plain integers of at most 15 digits, with no leading
+///   zero and no `-0`.
+///
+/// Such a text is its value's render, token by token: `render` writes no
+/// whitespace; `null`, `true` and `false` come back as written; a string
+/// run holds no `"`, `\` or control byte and is written back as is,
+/// while those five escapes decode to the five characters `render`
+/// writes as exactly those escapes (every other control character it
+/// writes as `\u00XX`, which the rule refuses); such an integer is below
+/// 9e15, so `render` writes it without exponent, fraction or leading
+/// zero, as its digits after a `-` when negative; and arrays and objects
+/// are `[`/`{`, their members joined by `,` (a key, `:`, its value),
+/// then `]`/`}`, every member kept in order, repeated keys included. The
+/// rule is conservative: `false` does not mean the text is not a render.
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn parse_compact(src: &str) -> Result<(Value, bool), ParseError> {
     let mut p = Parser {
-        bytes: src.as_bytes(),
+        src,
         pos: 0,
         depth: 0,
+        compact: true,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return Err(p.err("trailing characters"));
     }
-    Ok(v)
+    Ok((v, p.compact))
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// Whether the text read so far passes [`parse_compact`]'s rule.
+    compact: bool,
 }
 
 impl Parser<'_> {
@@ -358,17 +389,21 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
+        let start = self.pos;
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
+        }
+        if self.pos != start {
+            self.compact = false;
         }
     }
 
     fn eat(&mut self, token: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(token.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(token.as_bytes()) {
             self.pos += token.len();
             Ok(())
         } else {
@@ -462,14 +497,13 @@ impl Parser<'_> {
         self.pos += 1;
         let mut out = String::new();
         loop {
+            // A run stops at an ASCII byte, so it starts and ends on char
+            // boundaries of `src`, which is UTF-8 already.
             let start = self.pos;
             while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -482,31 +516,37 @@ impl Parser<'_> {
                     match esc {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
+                        other => {
+                            self.compact = false;
+                            out.push(self.rare_escape(other)?);
                         }
-                        _ => return Err(self.err("unknown escape")),
                     }
                 }
                 _ => return Err(self.err("unterminated string")),
             }
+        }
+    }
+
+    /// The character an escape other than the five [`Value::render`]
+    /// writes stands for; `pos` is just past the escape letter.
+    fn rare_escape(&mut self, esc: u8) -> Result<char, ParseError> {
+        match esc {
+            b'/' => Ok('/'),
+            b'b' => Ok('\u{8}'),
+            b'f' => Ok('\u{c}'),
+            b'u' => {
+                let hex = self
+                    .src
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                self.pos += 4;
+                char::from_u32(code).ok_or_else(|| self.err("surrogate \\u escape"))
+            }
+            _ => Err(self.err("unknown escape")),
         }
     }
 
@@ -524,12 +564,16 @@ impl Parser<'_> {
         }
         // A plain integer of at most 15 digits is below 2⁵³, so it is an
         // exact f64 and equals what `str::parse` returns (-0 included).
-        if (1..=15).contains(&(self.pos - digits_start))
-            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
-        {
+        let digits = self.pos - digits_start;
+        if (1..=15).contains(&digits) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            // `render` writes no leading zero and no `-0`.
+            if (digits > 1 && self.src.as_bytes()[digits_start] == b'0') || (negative && int == 0) {
+                self.compact = false;
+            }
             let n = int as f64;
             return Ok(Value::Num(if negative { -n } else { n }));
         }
+        self.compact = false;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
@@ -545,9 +589,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8"))?;
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("malformed number"))
     }
@@ -801,6 +844,159 @@ mod tests {
             single.member_range_around("id", single.render().len()),
             Some(6..7)
         );
+    }
+
+    /// Characters a generated string draws from: one of every escape
+    /// class `render` writes (named, `\u00XX`), bytes that stay plain
+    /// (`/`, space, DEL, digits) and non-ASCII.
+    const STRING_ALPHABET: [char; 16] = [
+        'a',
+        '1',
+        '0',
+        ' ',
+        '/',
+        '"',
+        '\\',
+        '\n',
+        '\r',
+        '\t',
+        '\u{8}',
+        '\u{1f}',
+        '\u{7f}',
+        '\u{e9}',
+        '\u{65e5}',
+        '\u{1f600}',
+    ];
+
+    fn random_string(rng: &mut crate::Rng) -> String {
+        (0..rng.gen_range(0..6usize))
+            .map(|_| STRING_ALPHABET[rng.gen_range(0..STRING_ALPHABET.len())])
+            .collect()
+    }
+
+    /// An integer-valued or fractional number: 0, -0, small ones, ±15
+    /// and ±16 digits, integers past 2⁵³ and floats.
+    fn random_number(rng: &mut crate::Rng) -> f64 {
+        let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+        sign * match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => rng.gen_range(0..1000u64) as f64,
+            2 => rng.gen_range(100_000_000_000_000..1_000_000_000_000_000u64) as f64,
+            3 => rng.gen_range(1_000_000_000_000_000..9_000_000_000_000_000u64) as f64,
+            4 => (rng.next_u64() >> rng.gen_range(0..11u32)) as f64,
+            _ => (rng.next_f64() - 0.5) * 10f64.powi(rng.gen_range(0..20i32) - 6),
+        }
+    }
+
+    /// A value nested at most `depth` arrays or objects deep.
+    fn random_value(rng: &mut crate::Rng, depth: usize) -> Value {
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.gen_range(0..kinds) {
+            0 => [Value::Null, Value::Bool(false), Value::Bool(true)][rng.gen_range(0..3usize)]
+                .clone(),
+            1 => Value::Num(random_number(rng)),
+            2 | 3 => Value::Str(random_string(rng)),
+            4 => Value::Arr(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Obj(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Whether `parse_compact`'s rule recognizes `v.render()`: its numbers
+    /// render as integers of at most 15 digits, and its strings hold no
+    /// control character `render` writes as `\u00XX`.
+    fn render_passes_the_rule(v: &Value) -> bool {
+        let plain = |s: &str| s.chars().all(|c| c >= ' ' || "\n\r\t".contains(c));
+        match v {
+            Value::Null | Value::Bool(_) => true,
+            Value::Num(n) => n.fract() == 0.0 && n.abs() < 1e15,
+            Value::Str(s) => plain(s),
+            Value::Arr(items) => items.iter().all(render_passes_the_rule),
+            Value::Obj(pairs) => pairs
+                .iter()
+                .all(|(k, v)| plain(k) && render_passes_the_rule(v)),
+        }
+    }
+
+    /// One seeded edit of a render that keeps or changes its value but
+    /// leaves a layout `render` never writes, or an edited value's render:
+    /// whitespace, a number as `N.0`/`Ne0`/`0N`/`-N` or past 15 digits, a
+    /// character as `\u00XX`, `/` as `\/`, `\n` as `\u000a`, `\u00XX`
+    /// with uppercase hex.
+    fn mutate(text: &str, rng: &mut crate::Rng) -> String {
+        let at = |rng: &mut crate::Rng, pred: &dyn Fn(u8) -> bool| {
+            let spots: Vec<usize> = (0..text.len())
+                .filter(|&i| pred(text.as_bytes()[i]))
+                .collect();
+            (!spots.is_empty()).then(|| spots[rng.gen_range(0..spots.len())])
+        };
+        let splice =
+            |i: usize, cut: usize, with: &str| format!("{}{with}{}", &text[..i], &text[i + cut..]);
+        let digit = |b: u8| b.is_ascii_digit();
+        let edit = match rng.gen_range(0..10u32) {
+            0 => at(rng, &|b| b.is_ascii()).map(|i| splice(i, 0, " ")),
+            1 => at(rng, &|b| b.is_ascii()).map(|i| splice(i, 0, "\n")),
+            2 => at(rng, &digit).map(|i| splice(i + 1, 0, ".0")),
+            3 => at(rng, &digit).map(|i| splice(i + 1, 0, "e0")),
+            4 => at(rng, &digit).map(|i| splice(i, 0, "0")),
+            5 => at(rng, &digit).map(|i| splice(i, 0, "-")),
+            6 => at(rng, &digit).map(|i| splice(i, 0, "1234567890123")),
+            7 => at(rng, &|b| b.is_ascii_alphanumeric())
+                .map(|i| splice(i, 1, &format!("\\u{:04x}", text.as_bytes()[i]))),
+            8 => at(rng, &|b| b == b'/').map(|i| splice(i, 1, "\\/")),
+            _ => text
+                .find("\\n")
+                .map(|i| splice(i, 2, "\\u000a"))
+                .or_else(|| text.find("\\u001f").map(|i| splice(i, 6, "\\u001F"))),
+        };
+        edit.unwrap_or_else(|| text.to_string())
+    }
+
+    /// `parse_compact` on seeded values and seeded edits of their renders:
+    /// every render parses back equal, flagged compact exactly when the
+    /// rule covers it, and every text flagged compact — edited or not — is
+    /// the render of what it parses to.
+    #[test]
+    fn a_text_flagged_compact_is_the_render_of_its_value() {
+        let mut rng = crate::Rng::new(0xc0_4ac7);
+        let (mut flagged, mut edited_flagged, mut edited_not) = (0, 0, 0);
+        for _ in 0..3000 {
+            let value = random_value(&mut rng, 3);
+            let text = value.render();
+            let (back, compact) = parse_compact(&text).expect("a render parses");
+            assert_eq!(back, value, "{text}");
+            assert_eq!(compact, render_passes_the_rule(&value), "{text}");
+            flagged += usize::from(compact);
+            for _ in 0..4 {
+                let edited = mutate(&text, &mut rng);
+                let Ok((parsed, compact)) = parse_compact(&edited) else {
+                    continue;
+                };
+                if compact {
+                    assert_eq!(
+                        edited,
+                        parsed.render(),
+                        "flagged compact: {text} -> {edited}"
+                    );
+                    edited_flagged += usize::from(edited != text);
+                } else {
+                    edited_not += 1;
+                }
+            }
+        }
+        assert!(flagged > 1000, "{flagged} renders flagged compact");
+        assert!(
+            edited_flagged > 500,
+            "{edited_flagged} edits flagged compact"
+        );
+        assert!(edited_not > 2000, "{edited_not} edits flagged not compact");
     }
 
     #[test]

@@ -23,12 +23,15 @@
 //! A slot holds its response rendered once, with the byte range of its
 //! `id` value (`Rendered`); every caller gets those bytes with its own id
 //! written over that range, with no document clone and no second render.
-//! A store hit is cut from the render the entry checksum was computed
-//! over, so a warm-store response is rendered once in all: the store
-//! hashes that render, the certifier hashes its `result` bytes, and the
-//! slot serves it. A fresh response is rendered once too: its checksum
-//! covers the `result` bytes of that render, the store entry is written
-//! around it, and the slot is cut from it.
+//! A store hit is cut from the payload bytes the entry checksum was
+//! computed over. For a compact entry, as every entry this build writes
+//! is, those are a slice of the file the store read, which its parser
+//! proved to be the payload's render, so a warm-store response is not
+//! rendered at all: the store hashes that slice, the certifier hashes
+//! its `result` bytes, and the slot serves it. An entry in another layout
+//! has its payload rendered once. A fresh response is rendered once: its
+//! checksum covers the `result` bytes of that render, the store entry is
+//! written around it, and the slot is cut from it.
 //!
 //! The memo holds at most [`MAX_SLOTS`] slots: an insert that would pass
 //! the cap first drops every finished slot (`serve.memo.evicted`), never
@@ -276,7 +279,7 @@ impl Server {
                 // recomputation.
                 let hit =
                     store::load_with(dir, STORE_TAG, key, |artifact: ResponseArtifact, text| {
-                        Rendered::cut(&artifact.0, text)
+                        Rendered::cut(&artifact.0, text.into_owned())
                     });
                 if let Some((rendered, _, _)) = hit {
                     return rendered;

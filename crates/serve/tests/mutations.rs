@@ -5,9 +5,10 @@
 use rtise::check::serve::{check_response, response_checksum};
 use rtise::check::Code;
 use rtise_obs::json::Value;
-use rtise_obs::Rng;
+use rtise_obs::{fnv1a, Rng};
 use rtise_serve::engine::{self, ResponseArtifact};
 use rtise_serve::proto;
+use rtise_serve::server::{Server, ServerConfig, STORE_TAG};
 use std::collections::BTreeMap;
 
 fn response(line: &str) -> Value {
@@ -152,7 +153,7 @@ fn seeded_response_corruption_never_passes_or_panics() {
 /// wrote, which must still load.
 #[test]
 fn seeded_store_entry_corruption_maps_to_stable_store_codes() {
-    use rtise_bench::store::{encode_envelope, validate};
+    use rtise_bench::store::{encode_envelope, entry_path, validate};
 
     let base = response(r#"{"id": 0, "kind": "ilp", "seed": 1}"#);
     let mut template = base.clone();
@@ -236,7 +237,7 @@ fn seeded_store_entry_corruption_maps_to_stable_store_codes() {
 
     // STORE004: checksum-consistent envelope around a response that
     // fails re-certification (forged work ⇒ response checksum dead).
-    let mut forged = template;
+    let mut forged = template.clone();
     let work = forged.get("work").and_then(Value::as_f64).expect("work");
     engine::set_field(&mut forged, "work", Value::Num(work + 1.0));
     let forged_env =
@@ -245,6 +246,113 @@ fn seeded_store_entry_corruption_maps_to_stable_store_codes() {
         let (entry, d) = validate::<ResponseArtifact>(&text, "ilp|s1");
         assert!(entry.is_none() && d.has(Code::STORE004), "{}", d.render());
     }
+
+    // Compact but not canonical: every integer written as `N.0`, and a
+    // counters key written with `\/` after the payload. The checksum
+    // covers the canonical render, so each loads, and a server answers
+    // with the canonical bytes, not the file's. A checksum over the
+    // file's own bytes proves nothing about them: STORE003.
+    let request = proto::parse(r#"{"id": 5, "kind": "ilp", "seed": 1}"#).expect("request parses");
+    let canonical = Server::new(ServerConfig::new(1)).serve(&request);
+    let counters = BTreeMap::from([("serve/x".to_string(), 1u64)]);
+    let slashed =
+        encode_envelope::<ResponseArtifact>("ilp|s1", template, &counters, &BTreeMap::new());
+    for (case, text) in [
+        integers_as_floats(&envelope.render()),
+        slashed.render().replace("serve/x", "serve\\/x"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert!(!text.contains(char::is_whitespace), "case {case}: compact");
+        let (entry, d) = validate::<ResponseArtifact>(&text, "ilp|s1");
+        assert!(
+            entry.is_some() && d.is_clean(),
+            "case {case}: {}",
+            d.render()
+        );
+
+        let dir =
+            std::env::temp_dir().join(format!("rtise-noncanon-{}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = entry_path::<ResponseArtifact>(&dir, STORE_TAG, "ilp|s1");
+        std::fs::create_dir_all(path.parent().expect("shard dir")).expect("shard dir");
+        std::fs::write(&path, &text).expect("write entry");
+        let server = Server::new(ServerConfig {
+            jobs: 1,
+            cache_dir: Some(dir.clone()),
+        });
+        assert_eq!(server.serve(&request), canonical, "case {case}");
+        assert_eq!(
+            server.counters().get("cache.response.hit"),
+            Some(&1),
+            "case {case}"
+        );
+        assert!(path.exists(), "case {case}: a loaded entry stays");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let raw = raw_checksum(&text);
+        assert_ne!(
+            Some(raw.as_str()),
+            envelope.get("checksum").and_then(Value::as_str)
+        );
+        let claimed = format!("\"checksum\":\"{raw}\"");
+        let at = text.rfind("\"checksum\":").expect("checksum member");
+        let forged = format!("{}{claimed}}}", &text[..at]);
+        let (entry, d) = validate::<ResponseArtifact>(&forged, "ilp|s1");
+        assert!(
+            entry.is_none() && d.has(Code::STORE003),
+            "case {case}: {}",
+            d.render()
+        );
+    }
+}
+
+/// `text`, a compact render, with every number outside strings written
+/// with a `.0` fraction: still compact, but not a render, which writes
+/// integers bare.
+fn integers_as_floats(text: &str) -> String {
+    let mut out = String::new();
+    let (mut in_string, mut escaped) = (false, false);
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        out.push(c);
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+        } else if c == '"' {
+            in_string = true;
+        } else if c.is_ascii_digit() && !chars.peek().is_some_and(char::is_ascii_digit) {
+            out.push_str(".0");
+        }
+    }
+    assert_ne!(out, text, "the entry holds numbers");
+    out
+}
+
+/// The envelope checksum of a compact `ilp|s1` response entry computed
+/// over the entry's own bytes: `family|version|key|payload|counters|hists`
+/// with each of the last three as written, not rendered. The envelope's
+/// members follow the payload, which has a `checksum` of its own, so each
+/// is found from the end.
+fn raw_checksum(text: &str) -> String {
+    let member = |name: &str, next: &str| {
+        let start = text.rfind(&format!("\"{name}\":")).expect("member") + name.len() + 3;
+        let end = text.rfind(&format!(",\"{next}\":")).expect("next member");
+        &text[start..end]
+    };
+    let joined = format!(
+        "response|3|v3|response|ilp|s1|{}|{}|{}",
+        member("payload", "counters"),
+        member("counters", "hists"),
+        member("hists", "checksum")
+    );
+    format!("{:016x}", fnv1a(joined.as_bytes()))
 }
 
 fn base_with_zero_id_render(base: &Value) -> String {

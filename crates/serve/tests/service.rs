@@ -9,9 +9,9 @@ use rtise_serve::loadtest::{self, LoadtestConfig};
 use rtise_serve::proto::{self, dedup_key, ReconfigReq, ReqKind};
 use rtise_serve::server::{serve_lines, Server, ServerConfig, STORE_TAG};
 use rtise_serve::traffic;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -511,6 +511,116 @@ fn tcp_connections_get_every_response_in_order_without_delayed_ack_stalls() {
         "median repeat latency {median:?} over {} requests",
         latencies.len()
     );
+}
+
+/// Every file under `dir` with its bytes and modification time, by path
+/// relative to `dir`.
+fn store_files(dir: &Path) -> BTreeMap<PathBuf, (Vec<u8>, std::time::SystemTime)> {
+    let mut files = BTreeMap::new();
+    for shard in std::fs::read_dir(dir).expect("read store") {
+        for entry in std::fs::read_dir(shard.expect("shard").path()).expect("read shard") {
+            let path = entry.expect("entry").path();
+            let modified = std::fs::metadata(&path).and_then(|m| m.modified());
+            files.insert(
+                path.strip_prefix(dir)
+                    .expect("under the store")
+                    .to_path_buf(),
+                (
+                    std::fs::read(&path).expect("read entry"),
+                    modified.expect("mtime"),
+                ),
+            );
+        }
+    }
+    files
+}
+
+/// Starts `serve --stdin --jobs 2 --cache-dir dir`, feeding it `input`
+/// from a thread of its own.
+fn spawn_stdin_serve(
+    dir: &Path,
+    input: &str,
+) -> (std::process::Child, std::thread::JoinHandle<()>) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--stdin", "--jobs", "2", "--cache-dir"])
+        .arg(dir)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let input = input.to_string();
+    let feeder = std::thread::spawn(move || stdin.write_all(input.as_bytes()).expect("feed serve"));
+    (child, feeder)
+}
+
+/// The stdout and stderr of a `spawn_stdin_serve` process that exited 0.
+fn finish(child: std::process::Child, feeder: std::thread::JoinHandle<()>) -> (String, String) {
+    let out = child.wait_with_output().expect("serve exits");
+    feeder.join().expect("feeder thread");
+    assert!(out.status.success(), "serve failed: {out:?}");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("UTF-8 output");
+    (text(out.stdout), text(out.stderr))
+}
+
+/// Two `serve --stdin` processes filling one fresh store at once. Shard
+/// locks are per process, so the two write the same entries side by side
+/// while reading them back, and only the write protocol — a temp file
+/// renamed over the entry — keeps every entry either absent or whole,
+/// which a load that serves the bytes it read relies on. Both must
+/// answer what one process answers cold, leave the store that one
+/// writes, and a third, warm process must answer from that store alone:
+/// no entry discarded, none rewritten.
+#[test]
+fn two_processes_filling_one_store_answer_as_one_process_does() {
+    let input: String = traffic::generate(42, 200)
+        .iter()
+        .map(|request| request_line(request) + "\n")
+        .collect();
+    let single = tmp_dir("one-process");
+    let (child, feeder) = spawn_stdin_serve(&single, &input);
+    let (cold, _) = finish(child, feeder);
+    assert_eq!(cold.lines().count(), 200);
+
+    let shared = tmp_dir("two-processes");
+    let first = spawn_stdin_serve(&shared, &input);
+    let second = spawn_stdin_serve(&shared, &input);
+    for (out, err) in [finish(first.0, first.1), finish(second.0, second.1)] {
+        assert!(
+            out == cold,
+            "a racing process answered differently; stderr: {err}"
+        );
+        assert!(!err.contains("discarding"), "{err}");
+    }
+    let written = store_files(&shared);
+    assert!(written.len() > 50, "{} entries", written.len());
+    let bytes = |files: &BTreeMap<PathBuf, (Vec<u8>, _)>| {
+        files
+            .iter()
+            .map(|(path, (text, _))| (path.clone(), text.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bytes(&written),
+        bytes(&store_files(&single)),
+        "the shared store"
+    );
+
+    let (child, feeder) = spawn_stdin_serve(&shared, &input);
+    let (warm, err) = finish(child, feeder);
+    assert!(
+        warm == cold,
+        "the warm pass answered differently; stderr: {err}"
+    );
+    assert!(!err.contains("discarding"), "{err}");
+    assert!(
+        written == store_files(&shared),
+        "the warm pass rewrote entries"
+    );
+    for dir in [single, shared] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// A traced caller keeps the two kinds of observation apart: each
