@@ -149,6 +149,16 @@ cargo test --offline --release -q -p rtise-reconfig --lib -- --exact \
   | grep -q "2 passed"
 echo "    polish and exhaustive search match their references move for move"
 
+echo "==> certificate-replay gate (nine forgery classes over the ILP, ISE and RMS replays)"
+# The suite forges verified-clean ILP, ISE and RMS certificates and
+# asserts each rejection's code; its table test pins the code and the
+# exact rendered message of every check of the shared replay frame.
+# Named here for the same reason as the panic-safety gates above: the
+# exact pass count makes a renamed or dropped forgery class a failure.
+cargo test --offline --release -q -p rtise-check --test bnb_mutations \
+  | grep -q "test result: ok. 9 passed"
+echo "    every forged certificate is rejected with its pinned diagnostic"
+
 echo "==> enumeration equivalence gate (bitset path at both widths vs the generic walk)"
 # The test compares the bitset enumerator with the generic walk, results
 # and stats, on every suite block and on seeded DFGs on both sides of each

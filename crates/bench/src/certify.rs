@@ -9,7 +9,7 @@
 //! [`Diagnostics`]; any finding means a solver, model, or experiment
 //! harness bug.
 
-use crate::util::{cached_curve, set_max_area, specs_for};
+use crate::util::{cached_curve, specs_for};
 use crate::{ch3, ch4, ch7};
 use rtise::check::{bnb as bnbchk, cert, ir as irchk, Code, Diagnostics, Location};
 use rtise::fixtures::{EPSILONS_TABLE_4_2, TABLE_3_1, TABLE_4_1, TABLE_5_2};
@@ -160,7 +160,7 @@ fn certify_rms_optimality(specs: &[rtise::select::TaskSpec], budget: u64) -> Dia
 /// one representative task set and initial utilization.
 fn certify_task_sets(names: &[&str], u0: f64) -> Diagnostics {
     let specs = specs_for(names, u0);
-    let max_area = set_max_area(&specs);
+    let max_area = rtise::workbench::max_area(&specs);
     let mut d = Diagnostics::new();
     for pct in [0u64, 50, 100] {
         let budget = max_area * pct / 100;

@@ -1,6 +1,6 @@
 //! Chapter 3 experiments — the DATE 2007 paper's evaluation.
 
-use crate::util::{cached_curve, set_max_area, specs_for};
+use crate::util::{cached_curve, specs_for};
 use crate::{out, outp};
 use rtise::fixtures::{TABLE_3_1, UTILIZATION_FACTORS_CH3};
 use rtise::ir::hw::HwModel;
@@ -153,7 +153,7 @@ pub fn fig3_3() {
         out!("task set {}: {names:?}", set_idx + 1);
         for &u0 in &UTILIZATION_FACTORS_CH3 {
             let specs = specs_for(names, u0);
-            let max_area = set_max_area(&specs);
+            let max_area = rtise::workbench::max_area(&specs);
             outp!("  U0={u0:<5}");
             for pct in [0u64, 25, 50, 75, 100] {
                 let budget = max_area * pct / 100;
@@ -184,7 +184,7 @@ pub fn fig3_4() {
     for &u0 in &[0.8, 1.0] {
         let specs = specs_for(&names, u0);
         let n = specs.len();
-        let max_area = set_max_area(&specs);
+        let max_area = rtise::workbench::max_area(&specs);
         // Baseline: first schedulable solution without customization (or
         // the first schedulable customized one, per §3.2.2).
         let sw_u: f64 = specs.iter().map(|s| s.base_utilization()).sum();

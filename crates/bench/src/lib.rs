@@ -26,7 +26,7 @@ mod util;
 pub use util::{
     cache_stats, cached_curve, cached_curve_with, cached_jpeg_problem, cached_jpeg_problem_with,
     clear_curve_memo, reset_cache_stats, set_cache_dir, set_curve_options_override,
-    set_generation_trace_clock, take_generation_traces,
+    set_generation_trace_clock, specs_for_with, take_generation_traces,
 };
 
 /// All experiment ids in paper order.

@@ -279,7 +279,22 @@ pub fn cached_jpeg_problem_with(opts: &CurveOptions) -> ReconfigProblem {
 /// Task specs for a named set at initial utilization `u0`, using cached
 /// curves.
 pub fn specs_for(names: &[&str], u0: f64) -> Vec<TaskSpec> {
-    let curves: Vec<ConfigCurve> = names.iter().map(|n| cached_curve(n)).collect();
+    specs_for_with(names, u0, &curve_options())
+}
+
+/// Task specs for the named kernels with explicit curve options instead
+/// of the process-global override (the `rtise-serve` entry point, as for
+/// [`cached_curve_with`]): one memoized curve per kernel, periods sized
+/// so the *software* utilization is `u0`.
+///
+/// # Panics
+///
+/// Panics if a kernel is unknown, as for [`cached_curve_with`].
+pub fn specs_for_with(names: &[impl AsRef<str>], u0: f64, opts: &CurveOptions) -> Vec<TaskSpec> {
+    let curves: Vec<ConfigCurve> = names
+        .iter()
+        .map(|n| cached_curve_with(n.as_ref(), opts))
+        .collect();
     let bases: Vec<u64> = curves.iter().map(|c| c.base_cycles).collect();
     let periods = periods_for_utilization(&bases, u0);
     curves
@@ -287,9 +302,4 @@ pub fn specs_for(names: &[&str], u0: f64) -> Vec<TaskSpec> {
         .zip(periods)
         .map(|(c, p)| TaskSpec::new(c, p))
         .collect()
-}
-
-/// `Max_Area` of a set of specs.
-pub fn set_max_area(specs: &[TaskSpec]) -> u64 {
-    specs.iter().map(|s| s.curve.max_area()).sum()
 }

@@ -28,10 +28,28 @@
 //! Failures are reported as `CERTB001`–`CERTB006` diagnostics; a
 //! truncated log (`dropped > 0`) yields `CERTB006` and no optimality
 //! claim.
+//!
+//! # The replay frame
+//!
+//! The three certificates are one type, [`Certificate<E>`], replayed in
+//! one frame written once over the event type `E`: the `CERTB006`
+//! prologue; the problem re-derives its declared order and tables, and
+//! any other declared order is `CERTB001`; its walk draws every event
+//! from one cursor, which reports a log that ends early as `CERTB001`;
+//! events left after the root subtree are `CERTB001`; and the claimed
+//! outcome is compared with the replayed incumbent (`CERTB005`).
+//!
+//! A problem keeps only its rules, in its walk: branching, bounds,
+//! leaves and the incumbent rule. So a new event kind (a symmetry event,
+//! a new bound) is one new arm in one walk, and the frame is unchanged;
+//! a record every certificate gains (the open nodes of a search stopped
+//! at a work limit) is one new [`Certificate`] field and one new frame
+//! step, before the outcome comparison, for all three problems.
 
 use crate::diag::{Code, Diagnostics, Location};
 use rtise_ilp::{Cmp, IlpCertEvent, IlpCertificate, Model, Sense, Solution as IlpSolution};
 use rtise_ise::{CiCandidate, IseCertEvent, IseCertificate, Selection};
+use rtise_obs::Certificate;
 use rtise_select::rms::{RmsCertEvent, RmsCertificate, RmsSelection};
 use rtise_select::TaskSpec;
 
@@ -41,20 +59,174 @@ use rtise_select::TaskSpec;
 /// inflated enough to hide a better solution is still rejected.
 const RMS_BOUND_EPS: f64 = 1e-9;
 
+// ---------------------------------------------------------------------------
+// The replay frame
+// ---------------------------------------------------------------------------
+
 /// Stops a replay at the first broken justification: later events are
 /// relative to solver state the replayer can no longer trust.
 struct ReplayErr;
 
 type ReplayResult = Result<(), ReplayErr>;
 
+/// How one problem names, in the frame's messages, what it orders and
+/// what its search returns.
+struct Words {
+    /// What the declared order permutes.
+    item: &'static str,
+    /// The rule that declares the order.
+    rule: &'static str,
+    /// What a search returns.
+    outcome: &'static str,
+    /// What a leaf must be to become the incumbent.
+    leaf: &'static str,
+    /// The claim of a search that returns nothing.
+    refuted: &'static str,
+}
+
+/// The frame's cursor over a certificate's events, and the replay's
+/// diagnostics.
+struct Log<'a, E> {
+    events: &'a [E],
+    idx: usize,
+    d: Diagnostics,
+}
+
+impl<E: Copy> Log<'_, E> {
+    /// The event recorded for the next node, at `depth`.
+    fn next(&mut self, depth: usize) -> Result<E, ReplayErr> {
+        let Some(&event) = self.events.get(self.idx) else {
+            return Err(self.fail(
+                Code::CERTB001,
+                Location::Global,
+                format!(
+                    "event log exhausted at depth {depth}: the recorded tree is \
+                     smaller than the branching it declares"
+                ),
+            ));
+        };
+        self.idx += 1;
+        Ok(event)
+    }
+
+    /// Reports a broken justification; the replay stops there.
+    fn fail(&mut self, code: Code, location: Location, message: impl Into<String>) -> ReplayErr {
+        self.d.error(code, location, message);
+        ReplayErr
+    }
+}
+
+/// Replays `cert` in the frame the module doc describes. `prepare`
+/// re-derives the declared order and the problem's replay state, or
+/// reports why there is no search space and returns `None`; `walk`
+/// replays the root subtree; `judge` compares the claimed outcome with
+/// the walked state's incumbent through [`compare_outcome`].
+fn replay<'a, E: Copy, R>(
+    cert: &'a Certificate<E>,
+    words: &Words,
+    prepare: impl FnOnce(&mut Diagnostics) -> Option<(Vec<usize>, R)>,
+    walk: impl FnOnce(&mut R, &mut Log<'a, E>) -> ReplayResult,
+    judge: impl FnOnce(R, &mut Diagnostics),
+) -> Diagnostics {
+    let mut log = Log {
+        events: &cert.events,
+        idx: 0,
+        d: Diagnostics::new(),
+    };
+    if cert.dropped > 0 {
+        log.fail(
+            Code::CERTB006,
+            Location::Global,
+            format!(
+                "certificate truncated: {} event(s) dropped past the recording cap; \
+                 optimality is NOT proven",
+                cert.dropped
+            ),
+        );
+        return log.d;
+    }
+    let Some((order, mut state)) = prepare(&mut log.d) else {
+        return log.d;
+    };
+    if cert.order != order {
+        log.fail(
+            Code::CERTB001,
+            Location::Global,
+            format!(
+                "certificate {} order differs from the declared stable {} permutation",
+                words.item, words.rule
+            ),
+        );
+    } else if walk(&mut state, &mut log).is_ok() {
+        let left = cert.events.len() - log.idx;
+        if left > 0 {
+            log.fail(
+                Code::CERTB001,
+                Location::Global,
+                format!("{left} event(s) left over after the root subtree was fully replayed"),
+            );
+        } else {
+            judge(state, &mut log.d);
+        }
+    }
+    log.d
+}
+
+/// The frame's `CERTB005` step. The replay covered the whole space with
+/// every prune justified, so the final replayed incumbent `optimum` IS
+/// the optimum, and the `claimed` outcome must equal it; `None` on
+/// either side means no leaf. `differs` describes a claim and an optimum
+/// that disagree (`None` when they agree); `found` describes an optimum
+/// the claim denies.
+fn compare_outcome<C, B>(
+    d: &mut Diagnostics,
+    words: &Words,
+    claimed: Option<C>,
+    optimum: Option<B>,
+    differs: impl FnOnce(C, &B) -> Option<(String, String)>,
+    found: impl FnOnce(&B) -> String,
+) {
+    let message = match (claimed, optimum) {
+        (Some(claim), Some(best)) => {
+            let Some((claim, best)) = differs(claim, &best) else {
+                return;
+            };
+            format!(
+                "returned {} ({claim}) differs from the replayed optimum ({best})",
+                words.outcome
+            )
+        }
+        (Some(_), None) => format!(
+            "a {} was returned, but the replayed search reached no {} leaf",
+            words.outcome, words.leaf
+        ),
+        (None, Some(best)) => format!(
+            "claimed {}, but the replayed search found a feasible leaf with {}",
+            words.refuted,
+            found(&best)
+        ),
+        // Every prune justified and no leaf reached: the refutation is
+        // proven.
+        (None, None) => return,
+    };
+    d.error(Code::CERTB005, Location::Global, message);
+}
+
 // ---------------------------------------------------------------------------
 // ILP replay
 // ---------------------------------------------------------------------------
 
-struct IlpReplay<'a> {
-    events: &'a [IlpCertEvent],
-    idx: usize,
-    n: usize,
+const ILP: Words = Words {
+    item: "variable",
+    rule: "descending-|objective|",
+    outcome: "solution",
+    leaf: "feasible",
+    refuted: "infeasible",
+};
+
+struct IlpReplay {
+    /// The declared variable order.
+    order: Vec<usize>,
     /// Dense normalized coefficients per row, variables in `order`.
     coeff: Vec<Vec<i64>>,
     rhs: Vec<i64>,
@@ -63,39 +235,85 @@ struct IlpReplay<'a> {
     obj: Vec<i64>,
     obj_min_rem: Vec<i64>,
     lhs: Vec<i64>,
+    /// The current path's assignment, by original variable index.
     assign: Vec<bool>,
     best: Option<(i64, Vec<bool>)>,
-    d: Diagnostics,
 }
 
-impl IlpReplay<'_> {
-    fn next(&mut self, depth: usize) -> Result<IlpCertEvent, ReplayErr> {
-        match self.events.get(self.idx) {
-            Some(&e) => {
-                self.idx += 1;
-                Ok(e)
-            }
-            None => {
-                self.d.error(
+impl IlpReplay {
+    /// Re-derives the normalization the certificate is expressed in,
+    /// returning the declared variable order with the replay tables.
+    fn new(model: &Model, d: &mut Diagnostics) -> Option<(Vec<usize>, IlpReplay)> {
+        let n = model.num_vars();
+        let obj: Vec<i64> = match model.sense() {
+            Sense::Minimize => model.objective().to_vec(),
+            Sense::Maximize => model.objective().iter().map(|c| -c).collect(),
+        };
+        let mut le_rows: Vec<(Vec<(usize, i64)>, i64)> = Vec::new();
+        for i in 0..model.num_rows() {
+            let (terms, cmp, rhs) = model.row(i);
+            if let Some(&(v, _)) = terms.iter().find(|&&(v, _)| v >= n) {
+                d.error(
                     Code::CERTB001,
-                    Location::Global,
-                    format!(
-                        "event log exhausted at depth {depth}: the recorded tree is \
-                         smaller than the branching it declares"
-                    ),
+                    Location::Row(i),
+                    format!("model row {i} references variable {v} of {n}"),
                 );
-                Err(ReplayErr)
+                return None;
+            }
+            let negated = || (terms.iter().map(|&(v, c)| (v, -c)).collect(), -rhs);
+            match cmp {
+                Cmp::Le => le_rows.push((terms.to_vec(), rhs)),
+                Cmp::Ge => le_rows.push(negated()),
+                Cmp::Eq => {
+                    le_rows.push((terms.to_vec(), rhs));
+                    le_rows.push(negated());
+                }
             }
         }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| std::cmp::Reverse(obj[v].abs()));
+        let mut pos = vec![0usize; n];
+        for (i, &v) in order.iter().enumerate() {
+            pos[v] = i;
+        }
+        let m = le_rows.len();
+        let mut coeff = vec![vec![0i64; n]; m];
+        for (ri, (terms, _)) in le_rows.iter().enumerate() {
+            for &(v, c) in terms {
+                coeff[ri][pos[v]] += c;
+            }
+        }
+        let mut min_rem = vec![vec![0i64; n + 1]; m];
+        for (ri, row) in coeff.iter().enumerate() {
+            for depth in (0..n).rev() {
+                min_rem[ri][depth] = min_rem[ri][depth + 1] + row[depth].min(0);
+            }
+        }
+        let obj: Vec<i64> = order.iter().map(|&v| obj[v]).collect();
+        let mut obj_min_rem = vec![0i64; n + 1];
+        for depth in (0..n).rev() {
+            obj_min_rem[depth] = obj_min_rem[depth + 1] + obj[depth].min(0);
+        }
+        let replay = IlpReplay {
+            order: order.clone(),
+            coeff,
+            rhs: le_rows.iter().map(|&(_, r)| r).collect(),
+            min_rem,
+            obj,
+            obj_min_rem,
+            lhs: vec![0; m],
+            assign: vec![false; n],
+            best: None,
+        };
+        Some((order, replay))
     }
 
-    fn walk(&mut self, depth: usize, cur_obj: i64) -> ReplayResult {
-        let ev = self.next(depth)?;
-        match ev {
+    fn walk(&mut self, log: &mut Log<IlpCertEvent>, depth: usize, cur_obj: i64) -> ReplayResult {
+        match log.next(depth)? {
             IlpCertEvent::PruneInfeasible { row } => {
                 let ri = row as usize;
                 if ri >= self.rhs.len() {
-                    self.d.error(
+                    return Err(log.fail(
                         Code::CERTB003,
                         Location::Row(ri),
                         format!(
@@ -103,11 +321,10 @@ impl IlpReplay<'_> {
                              normalized system",
                             self.rhs.len()
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 if self.lhs[ri] + self.min_rem[ri][depth] <= self.rhs[ri] {
-                    self.d.error(
+                    return Err(log.fail(
                         Code::CERTB003,
                         Location::Row(ri),
                         format!(
@@ -116,22 +333,20 @@ impl IlpReplay<'_> {
                             self.lhs[ri] + self.min_rem[ri][depth],
                             self.rhs[ri]
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 Ok(())
             }
             IlpCertEvent::PruneBound => {
                 let Some((best, _)) = &self.best else {
-                    self.d.error(
+                    return Err(log.fail(
                         Code::CERTB002,
                         Location::Global,
                         format!("bound prune at depth {depth} with no incumbent to prune against"),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 };
                 if cur_obj + self.obj_min_rem[depth] < *best {
-                    self.d.error(
+                    return Err(log.fail(
                         Code::CERTB002,
                         Location::Global,
                         format!(
@@ -139,33 +354,30 @@ impl IlpReplay<'_> {
                              still beats incumbent {best}",
                             cur_obj + self.obj_min_rem[depth]
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 Ok(())
             }
             IlpCertEvent::Leaf => {
-                if depth != self.n {
-                    self.d.error(
+                if depth != self.order.len() {
+                    return Err(log.fail(
                         Code::CERTB001,
                         Location::Global,
                         format!(
                             "leaf event at depth {depth}, but the model has {} variable(s)",
-                            self.n
+                            self.order.len()
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 if let Some(ri) = (0..self.rhs.len()).find(|&ri| self.lhs[ri] > self.rhs[ri]) {
-                    self.d.error(
+                    return Err(log.fail(
                         Code::CERTB004,
                         Location::Row(ri),
                         format!(
                             "leaf assignment violates normalized row {ri}: {} > {}",
                             self.lhs[ri], self.rhs[ri]
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 if self.best.as_ref().is_none_or(|(b, _)| cur_obj < *b) {
                     self.best = Some((cur_obj, self.assign.clone()));
@@ -173,30 +385,29 @@ impl IlpReplay<'_> {
                 Ok(())
             }
             IlpCertEvent::Branch { first } => {
-                if depth >= self.n {
-                    self.d.error(
+                if depth >= self.order.len() {
+                    return Err(log.fail(
                         Code::CERTB001,
                         Location::Global,
                         format!(
                             "branch event at depth {depth}, but the model has only {} \
                              variable(s)",
-                            self.n
+                            self.order.len()
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 // Both children are generated by the replayer itself, in
                 // the recorded order — coverage of the subspace is
                 // structural, whatever value was tried first.
                 for val in [first, !first] {
-                    self.assign[depth] = val;
+                    self.assign[self.order[depth]] = val;
                     if val {
                         for ri in 0..self.rhs.len() {
                             self.lhs[ri] += self.coeff[ri][depth];
                         }
                     }
                     let next_obj = cur_obj + if val { self.obj[depth] } else { 0 };
-                    let r = self.walk(depth + 1, next_obj);
+                    let r = self.walk(log, depth + 1, next_obj);
                     if val {
                         for ri in 0..self.rhs.len() {
                             self.lhs[ri] -= self.coeff[ri][depth];
@@ -204,7 +415,7 @@ impl IlpReplay<'_> {
                     }
                     r?;
                 }
-                self.assign[depth] = false;
+                self.assign[self.order[depth]] = false;
                 Ok(())
             }
         }
@@ -225,175 +436,54 @@ pub fn check_ilp_certificate(
     solution: Option<&IlpSolution>,
     cert: &IlpCertificate,
 ) -> Diagnostics {
-    let mut d = Diagnostics::new();
-    if cert.dropped > 0 {
-        d.error(
-            Code::CERTB006,
-            Location::Global,
-            format!(
-                "certificate truncated: {} event(s) dropped past the recording cap; \
-                 optimality is NOT proven",
-                cert.dropped
-            ),
-        );
-        return d;
-    }
-    let n = model.num_vars();
-
-    // Re-derive the normalization the certificate is expressed in.
-    let obj: Vec<i64> = match model.sense() {
-        Sense::Minimize => model.objective().to_vec(),
-        Sense::Maximize => model.objective().iter().map(|c| -c).collect(),
-    };
-    let mut le_rows: Vec<(Vec<(usize, i64)>, i64)> = Vec::new();
-    for i in 0..model.num_rows() {
-        let (terms, cmp, rhs) = model.row(i);
-        for &(v, _) in terms {
-            if v >= n {
-                d.error(
-                    Code::CERTB001,
-                    Location::Row(i),
-                    format!("model row {i} references variable {v} of {n}"),
-                );
-                return d;
-            }
-        }
-        match cmp {
-            Cmp::Le => le_rows.push((terms.to_vec(), rhs)),
-            Cmp::Ge => le_rows.push((terms.iter().map(|&(v, c)| (v, -c)).collect(), -rhs)),
-            Cmp::Eq => {
-                le_rows.push((terms.to_vec(), rhs));
-                le_rows.push((terms.iter().map(|&(v, c)| (v, -c)).collect(), -rhs));
-            }
-        }
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(obj[v].abs()));
-    if cert.order != order {
-        d.error(
-            Code::CERTB001,
-            Location::Global,
-            "certificate variable order differs from the declared stable \
-             descending-|objective| permutation",
-        );
-        return d;
-    }
-    let mut pos = vec![0usize; n];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v] = i;
-    }
-    let m = le_rows.len();
-    let mut coeff = vec![vec![0i64; n]; m];
-    for (ri, (terms, _)) in le_rows.iter().enumerate() {
-        for &(v, c) in terms {
-            coeff[ri][pos[v]] += c;
-        }
-    }
-    let mut min_rem = vec![vec![0i64; n + 1]; m];
-    for (ri, row) in coeff.iter().enumerate() {
-        for depth in (0..n).rev() {
-            min_rem[ri][depth] = min_rem[ri][depth + 1] + row[depth].min(0);
-        }
-    }
-    let obj_ordered: Vec<i64> = order.iter().map(|&v| obj[v]).collect();
-    let mut obj_min_rem = vec![0i64; n + 1];
-    for depth in (0..n).rev() {
-        obj_min_rem[depth] = obj_min_rem[depth + 1] + obj_ordered[depth].min(0);
-    }
-    let rhs: Vec<i64> = le_rows.iter().map(|&(_, r)| r).collect();
-
-    let mut replay = IlpReplay {
-        events: &cert.events,
-        idx: 0,
-        n,
-        coeff,
-        rhs,
-        min_rem,
-        obj: obj_ordered,
-        obj_min_rem,
-        lhs: vec![0; m],
-        assign: vec![false; n],
-        best: None,
-        d,
-    };
-    if replay.walk(0, 0).is_err() {
-        return replay.d;
-    }
-    let mut d = replay.d;
-    if replay.idx != cert.events.len() {
-        d.error(
-            Code::CERTB001,
-            Location::Global,
-            format!(
-                "{} event(s) left over after the root subtree was fully replayed",
-                cert.events.len() - replay.idx
-            ),
-        );
-        return d;
-    }
-
-    // The replay covered the whole space with every prune justified, so
-    // the final replayed incumbent IS the optimum; compare the claim.
-    match (solution, replay.best) {
-        (Some(sol), Some((best_obj, assign))) => {
-            let mut values = vec![false; n];
-            for (depth, &v) in order.iter().enumerate() {
-                values[v] = assign[depth];
-            }
-            let objective = match model.sense() {
-                Sense::Minimize => best_obj,
-                Sense::Maximize => -best_obj,
-            };
-            if sol.objective != objective || sol.values != values {
-                d.error(
-                    Code::CERTB005,
-                    Location::Global,
-                    format!(
-                        "returned solution (objective {}) differs from the replayed \
-                         optimum (objective {objective})",
-                        sol.objective
-                    ),
-                );
-            }
-        }
-        (Some(_), None) => {
-            d.error(
-                Code::CERTB005,
-                Location::Global,
-                "a solution was returned, but the replayed search reached no feasible leaf",
+    replay(
+        cert,
+        &ILP,
+        |d| IlpReplay::new(model, d),
+        |replay, log| replay.walk(log, 0, 0),
+        |replay, d| {
+            compare_outcome(
+                d,
+                &ILP,
+                solution,
+                replay.best,
+                |sol, (best_obj, values)| {
+                    let objective = match model.sense() {
+                        Sense::Minimize => *best_obj,
+                        Sense::Maximize => -best_obj,
+                    };
+                    (sol.objective != objective || sol.values != *values).then(|| {
+                        (
+                            format!("objective {}", sol.objective),
+                            format!("objective {objective}"),
+                        )
+                    })
+                },
+                |(best_obj, _)| format!("normalized objective {best_obj}"),
             );
-        }
-        (None, Some((best_obj, _))) => {
-            d.error(
-                Code::CERTB005,
-                Location::Global,
-                format!(
-                    "claimed infeasible, but the replayed search found a feasible leaf \
-                     with normalized objective {best_obj}"
-                ),
-            );
-        }
-        // Every prune justified and no feasible leaf: infeasibility proven.
-        (None, None) => {}
-    }
-    d
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
 // ISE replay
 // ---------------------------------------------------------------------------
 
+const ISE: Words = Words {
+    item: "candidate",
+    rule: "descending gain/area",
+    outcome: "selection",
+    leaf: "feasible",
+    refuted: "infeasible",
+};
+
 struct IseReplay<'a> {
-    events: &'a [IseCertEvent],
-    idx: usize,
     cands: &'a [CiCandidate],
-    order: &'a [usize],
+    order: Vec<usize>,
     budget: u64,
     stack: Vec<usize>,
-    best_gain: u64,
-    best_area: u64,
-    best_chosen: Vec<usize>,
-    d: Diagnostics,
+    /// The incumbent: gain, area and the sorted chosen candidates.
+    best: (u64, u64, Vec<usize>),
 }
 
 impl IseReplay<'_> {
@@ -425,49 +515,37 @@ impl IseReplay<'_> {
                 .unwrap_or(0)
     }
 
-    fn walk(&mut self, depth: usize, area: u64, gain: u64) -> ReplayResult {
+    fn walk(
+        &mut self,
+        log: &mut Log<IseCertEvent>,
+        depth: usize,
+        area: u64,
+        gain: u64,
+    ) -> ReplayResult {
         // The solver's deterministic incumbent rule, applied at every node
         // entry: better gain, or equal gain at strictly smaller area.
-        if gain > self.best_gain || (gain == self.best_gain && area < self.best_area) {
-            self.best_gain = gain;
-            self.best_area = area;
-            self.best_chosen = self.stack.clone();
-            self.best_chosen.sort_unstable();
+        let (best_gain, best_area, _) = self.best;
+        if gain > best_gain || (gain == best_gain && area < best_area) {
+            let mut chosen = self.stack.clone();
+            chosen.sort_unstable();
+            self.best = (gain, area, chosen);
         }
         if depth == self.order.len() {
             return Ok(());
         }
-        let ev = match self.events.get(self.idx) {
-            Some(&e) => {
-                self.idx += 1;
-                e
-            }
-            None => {
-                self.d.error(
-                    Code::CERTB001,
-                    Location::Global,
-                    format!(
-                        "event log exhausted at depth {depth}: the recorded tree is \
-                         smaller than the branching it declares"
-                    ),
-                );
-                return Err(ReplayErr);
-            }
-        };
-        match ev {
+        match log.next(depth)? {
             IseCertEvent::PruneBound => {
                 let floor = self.bound_floor(depth, area, gain);
-                if floor > self.best_gain as u128 {
-                    self.d.error(
+                if floor > self.best.0 as u128 {
+                    return Err(log.fail(
                         Code::CERTB002,
                         Location::Global,
                         format!(
                             "bound prune at depth {depth} unjustified: exact relaxation \
                              floor {floor} still beats incumbent gain {}",
-                            self.best_gain
+                            self.best.0
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 Ok(())
             }
@@ -478,7 +556,7 @@ impl IseReplay<'_> {
                 let conflict = self.stack.iter().any(|&j| self.cands[j].conflicts_with(c));
                 let should_include = fits && !conflict && c.total_gain() > 0;
                 if include != should_include {
-                    self.d.error(
+                    return Err(log.fail(
                         Code::CERTB003,
                         Location::Candidate(i),
                         format!(
@@ -487,16 +565,15 @@ impl IseReplay<'_> {
                              requires include = {should_include}",
                             c.total_gain()
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 if include {
                     self.stack.push(i);
-                    let r = self.walk(depth + 1, area + c.area, gain + c.total_gain());
+                    let r = self.walk(log, depth + 1, area + c.area, gain + c.total_gain());
                     self.stack.pop();
                     r?;
                 }
-                self.walk(depth + 1, area, gain)
+                self.walk(log, depth + 1, area, gain)
             }
         }
     }
@@ -516,120 +593,128 @@ pub fn check_ise_certificate(
     sel: &Selection,
     cert: &IseCertificate,
 ) -> Diagnostics {
-    let mut d = Diagnostics::new();
-    if cert.dropped > 0 {
-        d.error(
-            Code::CERTB006,
-            Location::Global,
-            format!(
-                "certificate truncated: {} event(s) dropped past the recording cap; \
-                 optimality is NOT proven",
-                cert.dropped
-            ),
-        );
-        return d;
-    }
-    let mut order: Vec<usize> = (0..cands.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ga = cands[a].total_gain() as u128 * cands[b].area.max(1) as u128;
-        let gb = cands[b].total_gain() as u128 * cands[a].area.max(1) as u128;
-        gb.cmp(&ga)
-    });
-    if cert.order != order {
-        d.error(
-            Code::CERTB001,
-            Location::Global,
-            "certificate candidate order differs from the declared stable \
-             descending gain/area permutation",
-        );
-        return d;
-    }
-    let mut replay = IseReplay {
-        events: &cert.events,
-        idx: 0,
-        cands,
-        order: &order,
-        budget,
-        stack: Vec::new(),
-        best_gain: 0,
-        best_area: 0,
-        best_chosen: Vec::new(),
-        d,
-    };
-    if replay.walk(0, 0, 0).is_err() {
-        return replay.d;
-    }
-    let mut d = replay.d;
-    if replay.idx != cert.events.len() {
-        d.error(
-            Code::CERTB001,
-            Location::Global,
-            format!(
-                "{} event(s) left over after the root subtree was fully replayed",
-                cert.events.len() - replay.idx
-            ),
-        );
-        return d;
-    }
-    if sel.total_gain != replay.best_gain
-        || sel.total_area != replay.best_area
-        || sel.chosen != replay.best_chosen
-    {
-        d.error(
-            Code::CERTB005,
-            Location::Global,
-            format!(
-                "returned selection (gain {}, area {}) differs from the replayed \
-                 optimum (gain {}, area {})",
-                sel.total_gain, sel.total_area, replay.best_gain, replay.best_area
-            ),
-        );
-    }
-    d
+    let show = |&(gain, area, _): &(u64, u64, Vec<usize>)| format!("gain {gain}, area {area}");
+    replay(
+        cert,
+        &ISE,
+        |_| {
+            let mut order: Vec<usize> = (0..cands.len()).collect();
+            order.sort_by(|&a, &b| {
+                let ga = cands[a].total_gain() as u128 * cands[b].area.max(1) as u128;
+                let gb = cands[b].total_gain() as u128 * cands[a].area.max(1) as u128;
+                gb.cmp(&ga)
+            });
+            let replay = IseReplay {
+                cands,
+                order: order.clone(),
+                budget,
+                stack: Vec::new(),
+                best: (0, 0, Vec::new()),
+            };
+            Some((order, replay))
+        },
+        |replay, log| replay.walk(log, 0, 0, 0),
+        |replay, d| {
+            let claim = (sel.total_gain, sel.total_area, sel.chosen.clone());
+            compare_outcome(
+                d,
+                &ISE,
+                Some(claim),
+                Some(replay.best),
+                |claim, best| (claim != *best).then(|| (show(&claim), show(best))),
+                show,
+            );
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
 // RMS replay
 // ---------------------------------------------------------------------------
 
+const RMS: Words = Words {
+    item: "task",
+    rule: "non-decreasing-period",
+    outcome: "selection",
+    leaf: "schedulable",
+    refuted: "unschedulable",
+};
+
 struct RmsReplay<'a> {
-    events: &'a [RmsCertEvent],
-    idx: usize,
     specs: &'a [TaskSpec],
-    order: &'a [usize],
+    order: Vec<usize>,
     budget: u64,
-    periods: &'a [u64],
+    periods: Vec<u64>,
     /// Full-multiples scheduling points per depth: every `j·P_k ≤ P_i`
     /// with `k ≤ i` — the checker's own Theorem 1 formulation, a superset
     /// of the solver's reduced recursive set with an equivalent
     /// exists-a-point verdict.
-    points: &'a [Vec<u64>],
-    suffix_bound: &'a [f64],
+    points: Vec<Vec<u64>>,
+    suffix_bound: Vec<f64>,
     cycles: Vec<u64>,
     config: Vec<usize>,
     best: Option<(f64, Vec<usize>)>,
-    d: Diagnostics,
 }
 
-impl RmsReplay<'_> {
-    fn next(&mut self, depth: usize) -> Result<RmsCertEvent, ReplayErr> {
-        match self.events.get(self.idx) {
-            Some(&e) => {
-                self.idx += 1;
-                Ok(e)
-            }
-            None => {
-                self.d.error(
+impl<'a> RmsReplay<'a> {
+    /// Re-derives the priority order and the replay tables from the
+    /// specs, or reports why the task set has no search space.
+    fn new(
+        specs: &'a [TaskSpec],
+        budget: u64,
+        searched: bool,
+        d: &mut Diagnostics,
+    ) -> Option<(Vec<usize>, RmsReplay<'a>)> {
+        if specs.is_empty() {
+            if searched {
+                d.error(
                     Code::CERTB001,
                     Location::Global,
-                    format!(
-                        "event log exhausted at depth {depth}: the recorded tree is \
-                         smaller than the branching it declares"
-                    ),
+                    "empty task set admits no search tree",
                 );
-                Err(ReplayErr)
             }
+            return None;
         }
+        if specs.iter().any(|s| s.period == 0) {
+            d.error(
+                Code::CERTB001,
+                Location::Global,
+                "a task has a zero period; the search space is undefined",
+            );
+            return None;
+        }
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        order.sort_by_key(|&i| specs[i].period);
+        let periods: Vec<u64> = order.iter().map(|&i| specs[i].period).collect();
+        let points = (1..=order.len())
+            .map(|depth| crate::cert::scheduling_points(&periods[..depth]))
+            .collect();
+        // The per-depth utilization still achievable, area ignored — the
+        // same lower bound the solver prunes with, recomputed from the
+        // curves.
+        let mut suffix_bound = vec![0.0; specs.len() + 1];
+        for depth in (0..specs.len()).rev() {
+            let s = &specs[order[depth]];
+            let best_u = s
+                .curve
+                .points()
+                .iter()
+                .map(|p| p.cycles as f64 / s.period as f64)
+                .fold(f64::INFINITY, f64::min);
+            suffix_bound[depth] = suffix_bound[depth + 1] + best_u;
+        }
+        let replay = RmsReplay {
+            specs,
+            order: order.clone(),
+            budget,
+            periods,
+            points,
+            suffix_bound,
+            cycles: vec![0; specs.len()],
+            config: vec![0; specs.len()],
+            best: None,
+        };
+        Some((order, replay))
     }
 
     /// The exact per-task RMS test for the task at `depth` running
@@ -645,25 +730,30 @@ impl RmsReplay<'_> {
         })
     }
 
-    fn walk(&mut self, depth: usize, area: u64, util: f64) -> ReplayResult {
+    fn walk(
+        &mut self,
+        log: &mut Log<RmsCertEvent>,
+        depth: usize,
+        area: u64,
+        util: f64,
+    ) -> ReplayResult {
         if depth == self.order.len() {
             if self.best.as_ref().is_none_or(|(b, _)| util < *b) {
                 self.best = Some((util, self.config.clone()));
             }
             return Ok(());
         }
-        let first = self.next(depth)?;
+        let first = log.next(depth)?;
         if first == RmsCertEvent::PruneBound {
             let Some((b, _)) = &self.best else {
-                self.d.error(
+                return Err(log.fail(
                     Code::CERTB002,
                     Location::Global,
                     format!("bound prune at depth {depth} with no incumbent to prune against"),
-                );
-                return Err(ReplayErr);
+                ));
             };
             if util + self.suffix_bound[depth] < *b - RMS_BOUND_EPS {
-                self.d.error(
+                return Err(log.fail(
                     Code::CERTB002,
                     Location::Global,
                     format!(
@@ -671,8 +761,7 @@ impl RmsReplay<'_> {
                          still beats incumbent {b}",
                         util + self.suffix_bound[depth]
                     ),
-                );
-                return Err(ReplayErr);
+                ));
             }
             return Ok(());
         }
@@ -684,24 +773,23 @@ impl RmsReplay<'_> {
             let ev = if cfg_pos == 0 {
                 first
             } else {
-                self.next(depth)?
+                log.next(depth)?
             };
             let p = &spec.curve.points()[j];
             match ev {
                 RmsCertEvent::PruneBound => {
-                    self.d.error(
+                    return Err(log.fail(
                         Code::CERTB001,
                         Location::Task(ti),
                         format!(
                             "bound-prune event in the middle of depth {depth}'s \
                              configuration sweep"
                         ),
-                    );
-                    return Err(ReplayErr);
+                    ));
                 }
                 RmsCertEvent::CfgArea => {
                     if area + p.area <= self.budget {
-                        self.d.error(
+                        return Err(log.fail(
                             Code::CERTB003,
                             Location::Task(ti),
                             format!(
@@ -709,49 +797,46 @@ impl RmsReplay<'_> {
                                  fits budget {}",
                                 area, p.area, self.budget
                             ),
-                        );
-                        return Err(ReplayErr);
+                        ));
                     }
                 }
                 RmsCertEvent::CfgUnsched => {
                     if area + p.area > self.budget {
-                        self.d.error(
+                        return Err(log.fail(
                             Code::CERTB001,
                             Location::Task(ti),
                             format!(
                                 "configuration {j} recorded as unschedulable but it \
                                  exceeds the budget; events are out of order"
                             ),
-                        );
-                        return Err(ReplayErr);
+                        ));
                     }
                     if self.schedulable(depth, p.cycles) {
-                        self.d.error(
+                        return Err(log.fail(
                             Code::CERTB003,
                             Location::Task(ti),
                             format!(
                                 "schedulability prune of configuration {j} unjustified: \
                                  the exact scheduling-points test passes"
                             ),
-                        );
-                        return Err(ReplayErr);
+                        ));
                     }
                 }
                 RmsCertEvent::CfgRecurse => {
                     if area + p.area > self.budget || !self.schedulable(depth, p.cycles) {
-                        self.d.error(
+                        return Err(log.fail(
                             Code::CERTB004,
                             Location::Task(ti),
                             format!(
                                 "configuration {j} was recursed into, but the replay \
                                  finds it over budget or unschedulable"
                             ),
-                        );
-                        return Err(ReplayErr);
+                        ));
                     }
                     self.config[ti] = j;
                     self.cycles[depth] = p.cycles;
                     self.walk(
+                        log,
                         depth + 1,
                         area + p.area,
                         util + p.cycles as f64 / spec.period as f64,
@@ -779,150 +864,32 @@ pub fn check_rms_certificate(
     selection: Option<&RmsSelection>,
     cert: &RmsCertificate,
 ) -> Diagnostics {
-    let mut d = Diagnostics::new();
-    if cert.dropped > 0 {
-        d.error(
-            Code::CERTB006,
-            Location::Global,
-            format!(
-                "certificate truncated: {} event(s) dropped past the recording cap; \
-                 optimality is NOT proven",
-                cert.dropped
-            ),
-        );
-        return d;
-    }
-    if specs.is_empty() {
-        if !cert.events.is_empty() || selection.is_some() {
-            d.error(
-                Code::CERTB001,
-                Location::Global,
-                "empty task set admits no search tree",
+    let searched = !cert.events.is_empty() || selection.is_some();
+    replay(
+        cert,
+        &RMS,
+        |d| RmsReplay::new(specs, budget, searched, d),
+        |replay, log| replay.walk(log, 0, 0, 0.0),
+        |replay, d| {
+            compare_outcome(
+                d,
+                &RMS,
+                selection,
+                replay.best,
+                |sel, (util, config)| {
+                    (sel.assignment.config != *config
+                        || (sel.utilization - util).abs() > RMS_BOUND_EPS * util.max(1.0))
+                    .then(|| {
+                        (
+                            format!("utilization {}", sel.utilization),
+                            format!("utilization {util}"),
+                        )
+                    })
+                },
+                |(util, _)| format!("utilization {util}"),
             );
-        }
-        return d;
-    }
-    if specs.iter().any(|s| s.period == 0) {
-        d.error(
-            Code::CERTB001,
-            Location::Global,
-            "a task has a zero period; the search space is undefined",
-        );
-        return d;
-    }
-    let mut order: Vec<usize> = (0..specs.len()).collect();
-    order.sort_by_key(|&i| specs[i].period);
-    if cert.order != order {
-        d.error(
-            Code::CERTB001,
-            Location::Global,
-            "certificate task order differs from the declared stable \
-             non-decreasing-period permutation",
-        );
-        return d;
-    }
-    let periods: Vec<u64> = order.iter().map(|&i| specs[i].period).collect();
-    let points: Vec<Vec<u64>> = (0..order.len())
-        .map(|depth| {
-            let pi = periods[depth];
-            let mut pts: Vec<u64> = Vec::new();
-            for &pk in &periods[..=depth] {
-                let mut t = pk;
-                while t <= pi {
-                    pts.push(t);
-                    t += pk;
-                }
-            }
-            pts.sort_unstable();
-            pts.dedup();
-            pts
-        })
-        .collect();
-    // The per-depth utilization still achievable, area ignored — the same
-    // lower bound the solver prunes with, recomputed from the curves.
-    let best_u: Vec<f64> = specs
-        .iter()
-        .map(|s| {
-            s.curve
-                .points()
-                .iter()
-                .map(|p| p.cycles as f64 / s.period as f64)
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
-    let mut suffix_bound = vec![0.0; specs.len() + 1];
-    for depth in (0..specs.len()).rev() {
-        suffix_bound[depth] = suffix_bound[depth + 1] + best_u[order[depth]];
-    }
-
-    let mut replay = RmsReplay {
-        events: &cert.events,
-        idx: 0,
-        specs,
-        order: &order,
-        budget,
-        periods: &periods,
-        points: &points,
-        suffix_bound: &suffix_bound,
-        cycles: vec![0; specs.len()],
-        config: vec![0; specs.len()],
-        best: None,
-        d,
-    };
-    if replay.walk(0, 0, 0.0).is_err() {
-        return replay.d;
-    }
-    let mut d = replay.d;
-    if replay.idx != cert.events.len() {
-        d.error(
-            Code::CERTB001,
-            Location::Global,
-            format!(
-                "{} event(s) left over after the root subtree was fully replayed",
-                cert.events.len() - replay.idx
-            ),
-        );
-        return d;
-    }
-    match (selection, replay.best) {
-        (Some(sel), Some((util, config))) => {
-            if sel.assignment.config != config
-                || (sel.utilization - util).abs() > RMS_BOUND_EPS * util.max(1.0)
-            {
-                d.error(
-                    Code::CERTB005,
-                    Location::Global,
-                    format!(
-                        "returned selection (utilization {}) differs from the replayed \
-                         optimum (utilization {util})",
-                        sel.utilization
-                    ),
-                );
-            }
-        }
-        (Some(_), None) => {
-            d.error(
-                Code::CERTB005,
-                Location::Global,
-                "a selection was returned, but the replayed search reached no \
-                 schedulable leaf",
-            );
-        }
-        (None, Some((util, _))) => {
-            d.error(
-                Code::CERTB005,
-                Location::Global,
-                format!(
-                    "claimed unschedulable, but the replayed search found a feasible \
-                     leaf with utilization {util}"
-                ),
-            );
-        }
-        // Full refutation: every configuration everywhere was pruned with
-        // justification and no leaf was reached.
-        (None, None) => {}
-    }
-    d
+        },
+    )
 }
 
 #[cfg(test)]

@@ -421,34 +421,31 @@ pub fn rms_exact_schedulable(tasks: &[(u64, u64)]) -> bool {
     }
     let mut sorted: Vec<(u64, u64)> = tasks.to_vec();
     sorted.sort_by_key(|&(_, p)| p);
-    for i in 0..sorted.len() {
-        let pi = sorted[i].1;
-        let mut ok = false;
-        let mut points: Vec<u64> = Vec::new();
-        for &(_, pk) in &sorted[..=i] {
-            let mut t = pk;
-            while t <= pi {
-                points.push(t);
-                t += pk;
-            }
-        }
-        points.sort_unstable();
-        points.dedup();
-        for &t in &points {
+    let periods: Vec<u64> = sorted.iter().map(|&(_, p)| p).collect();
+    (0..sorted.len()).all(|i| {
+        scheduling_points(&periods[..=i]).into_iter().any(|t| {
             let load: u128 = sorted[..=i]
                 .iter()
                 .map(|&(c, p)| c as u128 * t.div_ceil(p) as u128)
                 .sum();
-            if load <= t as u128 {
-                ok = true;
-                break;
-            }
-        }
-        if !ok {
-            return false;
-        }
-    }
-    true
+            load <= t as u128
+        })
+    })
+}
+
+/// The full-multiples scheduling points of the last task of `periods`
+/// (positive periods in priority order, the tested task last): every
+/// `t = j·Pₖ ≤ Pᵢ` of every period up to it, ascending and deduplicated.
+/// Shared by [`rms_exact_schedulable`] and the RMS certificate replay.
+pub(crate) fn scheduling_points(periods: &[u64]) -> Vec<u64> {
+    let pi = periods.last().copied().unwrap_or(0);
+    let mut points: Vec<u64> = periods
+        .iter()
+        .flat_map(|&pk| (1..=pi / pk).map(move |j| j * pk))
+        .collect();
+    points.sort_unstable();
+    points.dedup();
+    points
 }
 
 // ---------------------------------------------------------------------------

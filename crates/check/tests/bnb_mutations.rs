@@ -201,3 +201,166 @@ fn truncated_certificate_is_incomplete_not_clean() {
     assert!(d.has(Code::CERTB006), "expected CERTB006, got: {d}");
     assert!(!d.is_clean());
 }
+
+/// The five forgeries every replayer's shared frame must reject, applied
+/// to a clean certificate of each problem.
+#[derive(Clone, Copy, Debug)]
+enum Forgery {
+    /// Cap the log at two events, counting the rest as dropped.
+    Truncate,
+    /// Swap the first two entries of the declared order.
+    SwapOrder,
+    /// Drop the last recorded event.
+    PopEvent,
+    /// Append a copy of the last recorded event.
+    AppendEvent,
+    /// Leave the log intact and forge the returned outcome instead.
+    ForgeOutcome,
+}
+
+/// Applies a log forgery to a certificate's fields; `false` for
+/// [`Forgery::ForgeOutcome`], which the caller applies to its outcome.
+fn forge_log<E: Clone>(
+    order: &mut [usize],
+    events: &mut Vec<E>,
+    dropped: &mut u64,
+    forgery: Forgery,
+) -> bool {
+    match forgery {
+        Forgery::Truncate => {
+            assert!(events.len() > 2, "the clean log must outgrow the cap");
+            *dropped = events.len() as u64 - 2;
+            events.truncate(2);
+        }
+        Forgery::SwapOrder => order.swap(0, 1),
+        Forgery::PopEvent => {
+            events.pop().expect("non-empty log");
+        }
+        Forgery::AppendEvent => {
+            let last = events.last().expect("non-empty log").clone();
+            events.push(last);
+        }
+        Forgery::ForgeOutcome => return false,
+    }
+    true
+}
+
+fn forged_ilp(forgery: Forgery) -> rtise_check::Diagnostics {
+    let m = knapsack(&mut Rng::new(0xC0DE_1009));
+    let (res, mut cert) = m.solve_with(SearchOpts::CERTIFIED).certified();
+    let mut sol = res.expect("feasible");
+    assert!(check_ilp_certificate(&m, Some(&sol), &cert).is_clean());
+    if !forge_log(
+        &mut cert.order,
+        &mut cert.events,
+        &mut cert.dropped,
+        forgery,
+    ) {
+        sol.objective += 1;
+    }
+    check_ilp_certificate(&m, Some(&sol), &cert)
+}
+
+fn forged_ise(forgery: Forgery) -> rtise_check::Diagnostics {
+    let (cands, budget) = ise_library(&mut Rng::new(0xC0DE_100A));
+    let (mut sel, mut cert) =
+        branch_and_bound_with(&cands, budget, SearchOpts::CERTIFIED).certified();
+    assert!(check_ise_certificate(&cands, budget, &sel, &cert).is_clean());
+    if !forge_log(
+        &mut cert.order,
+        &mut cert.events,
+        &mut cert.dropped,
+        forgery,
+    ) {
+        sel.total_gain += 1;
+    }
+    check_ise_certificate(&cands, budget, &sel, &cert)
+}
+
+fn forged_rms(forgery: Forgery) -> rtise_check::Diagnostics {
+    let (specs, budget) = rms_instance(&mut Rng::new(0xC0DE_100B));
+    let (res, mut cert) = select_rms_with(&specs, budget, SearchOpts::CERTIFIED).certified();
+    let mut sel = res.expect("software configurations are schedulable");
+    assert!(check_rms_certificate(&specs, budget, Some(&sel), &cert).is_clean());
+    if !forge_log(
+        &mut cert.order,
+        &mut cert.events,
+        &mut cert.dropped,
+        forgery,
+    ) {
+        sel.utilization += 0.25;
+    }
+    check_rms_certificate(&specs, budget, Some(&sel), &cert)
+}
+
+/// Class 9: the replay frame shared by all three problems — truncation
+/// (`CERTB006`), the declared order, an exhausted log and leftover events
+/// (`CERTB001`), and the outcome comparison (`CERTB005`) — each caught
+/// with exactly one diagnostic whose code and rendered text are pinned.
+#[test]
+fn frame_forgeries_are_caught_with_exact_messages() {
+    use Forgery::*;
+    type Replay = fn(Forgery) -> rtise_check::Diagnostics;
+    let forgeries = [Truncate, SwapOrder, PopEvent, AppendEvent, ForgeOutcome];
+    let table: [(&str, Replay, [&str; 5]); 3] = [
+        (
+            "ilp",
+            forged_ilp,
+            [
+                "CERTB006 [error] at -: certificate truncated: 53 event(s) dropped past the \
+                 recording cap; optimality is NOT proven",
+                "CERTB001 [error] at -: certificate variable order differs from the declared \
+                 stable descending-|objective| permutation",
+                "CERTB001 [error] at -: event log exhausted at depth 4: the recorded tree is \
+                 smaller than the branching it declares",
+                "CERTB001 [error] at -: 1 event(s) left over after the root subtree was fully \
+                 replayed",
+                "CERTB005 [error] at -: returned solution (objective 124) differs from the \
+                 replayed optimum (objective 123)",
+            ],
+        ),
+        (
+            "ise",
+            forged_ise,
+            [
+                "CERTB006 [error] at -: certificate truncated: 9 event(s) dropped past the \
+                 recording cap; optimality is NOT proven",
+                "CERTB001 [error] at -: certificate candidate order differs from the declared \
+                 stable descending gain/area permutation",
+                "CERTB001 [error] at -: event log exhausted at depth 1: the recorded tree is \
+                 smaller than the branching it declares",
+                "CERTB001 [error] at -: 1 event(s) left over after the root subtree was fully \
+                 replayed",
+                "CERTB005 [error] at -: returned selection (gain 50, area 12) differs from the \
+                 replayed optimum (gain 49, area 12)",
+            ],
+        ),
+        (
+            "rms",
+            forged_rms,
+            [
+                "CERTB006 [error] at -: certificate truncated: 4 event(s) dropped past the \
+                 recording cap; optimality is NOT proven",
+                "CERTB001 [error] at -: certificate task order differs from the declared \
+                 stable non-decreasing-period permutation",
+                "CERTB001 [error] at -: event log exhausted at depth 2: the recorded tree is \
+                 smaller than the branching it declares",
+                "CERTB001 [error] at -: 1 event(s) left over after the root subtree was fully \
+                 replayed",
+                "CERTB005 [error] at -: returned selection (utilization 0.38047619047619047) \
+                 differs from the replayed optimum (utilization 0.13047619047619047)",
+            ],
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (problem, replay, expected) in table {
+        for (forgery, rendered) in forgeries.into_iter().zip(expected) {
+            let d = replay(forgery);
+            let codes: Vec<&str> = d.iter().map(|x| x.code.as_str()).collect();
+            if codes != [&rendered[..8]] || d.render() != rendered {
+                wrong.push(format!("{problem} {forgery:?}: {codes:?}\n  {d}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}

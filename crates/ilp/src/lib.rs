@@ -34,7 +34,7 @@
 //! # Ok::<(), rtise_ilp::SolveError>(())
 //! ```
 
-use rtise_obs::{BoundedLog, Hist};
+use rtise_obs::{BoundedLog, Certificate, Hist};
 use rtise_trace::bnb::{SearchOpts, SearchOutput};
 use rtise_trace::codes;
 use std::fmt;
@@ -102,7 +102,7 @@ impl std::error::Error for SolveError {}
 /// The events reference the *normalized* problem: minimize sense, every
 /// row rewritten as `<=` (a `Ge` row negated, an `Eq` row split into its
 /// original and negated halves, in declaration order), variables permuted
-/// by [`IlpCertificate::order`]. A replayer re-deriving the same
+/// by [`IlpCertificate`]'s `order`. A replayer re-deriving the same
 /// normalization from the model can verify every decision without
 /// trusting this solver's arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,23 +128,16 @@ pub enum IlpCertEvent {
 }
 
 /// A replayable optimality certificate of one certified [`Model::solve_with`]
-/// call: the variable order plus one event per explored node, preorder.
+/// call: `order[d]` is the original index of the variable branched at
+/// depth `d` (a permutation of `0..num_vars`), plus one event per
+/// explored node, preorder.
 ///
 /// `rtise-check`'s `bnb` analyzer replays the log against the model and
 /// independently confirms that every prune was justified, that branching
 /// covered the full space, and hence that the returned solution (or the
 /// infeasibility verdict) is optimal. A truncated log (`dropped > 0`)
 /// proves nothing beyond its prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IlpCertificate {
-    /// `order[d]` is the original index of the variable branched at depth
-    /// `d` — a permutation of `0..num_vars`.
-    pub order: Vec<usize>,
-    /// One event per explored node, in preorder.
-    pub events: Vec<IlpCertEvent>,
-    /// Events dropped past the recording cap (0 = complete log).
-    pub dropped: u64,
-}
+pub type IlpCertificate = Certificate<IlpCertEvent>;
 
 /// An optimal solution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -333,14 +326,7 @@ impl Model {
         SearchOutput {
             result,
             stats,
-            cert: log.map(|log| {
-                let (events, dropped) = log.into_parts();
-                IlpCertificate {
-                    order,
-                    events,
-                    dropped,
-                }
-            }),
+            cert: log.map(|log| log.into_certificate(order)),
         }
     }
 

@@ -13,7 +13,7 @@
 //!   candidate and discard everything overlapping it.
 
 use crate::candidate::CiCandidate;
-use rtise_obs::{BoundedLog, Hist};
+use rtise_obs::{BoundedLog, Certificate, Hist};
 use rtise_trace::bnb::{SearchOpts, SearchOutput};
 
 /// One branch-and-bound decision node, in preorder.
@@ -40,22 +40,15 @@ pub enum IseCertEvent {
 }
 
 /// A replayable optimality certificate of one certified
-/// [`branch_and_bound_with`] call.
+/// [`branch_and_bound_with`] call: `order[d]` is the candidate index
+/// branched at depth `d` (a permutation of `0..cands.len()` in descending
+/// gain/area order), plus one event per decision node, preorder.
 ///
 /// `rtise-check`'s `bnb` analyzer replays it with an exact-integer bound
 /// (no floating point) and confirms the returned [`Selection`] is
 /// gain-optimal under the budget. A truncated log (`dropped > 0`) proves
 /// nothing beyond its prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IseCertificate {
-    /// `order[d]` is the candidate index branched at depth `d` — a
-    /// permutation of `0..cands.len()` in descending gain/area order.
-    pub order: Vec<usize>,
-    /// One event per decision node, in preorder.
-    pub events: Vec<IseCertEvent>,
-    /// Events dropped past the recording cap (0 = complete log).
-    pub dropped: u64,
-}
+pub type IseCertificate = Certificate<IseCertEvent>;
 
 /// Branch-and-bound statistics for one [`branch_and_bound_with`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -196,14 +189,7 @@ pub fn branch_and_bound_with(
     SearchOutput {
         result: best,
         stats,
-        cert: log.map(|log| {
-            let (events, dropped) = log.into_parts();
-            IseCertificate {
-                order,
-                events,
-                dropped,
-            }
-        }),
+        cert: log.map(|log| log.into_certificate(order)),
     }
 }
 

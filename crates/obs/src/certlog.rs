@@ -6,6 +6,8 @@
 //! drop-with-marker discipline as the `rtise-trace` ring buffers: events
 //! past the cap are dropped but *counted*, so a consumer can always tell
 //! a complete log (proof material) from a truncated one (no proof).
+//! A finished log becomes a [`Certificate`], the one certificate type of
+//! every branch-and-bound solver.
 
 /// A capped append-only event log with an explicit drop counter.
 ///
@@ -39,36 +41,35 @@ impl<T> BoundedLog<T> {
         }
     }
 
-    /// The retained event prefix.
-    pub fn events(&self) -> &[T] {
-        &self.events
+    /// Consumes the log into the certificate of a search that branched
+    /// in `order`.
+    pub fn into_certificate(self, order: Vec<usize>) -> Certificate<T> {
+        Certificate {
+            order,
+            events: self.events,
+            dropped: self.dropped,
+        }
     }
+}
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events dropped past the cap. Nonzero means the log is truncated
-    /// and must not be treated as a complete proof.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Whether every pushed event was retained.
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0
-    }
-
-    /// Consumes the log into `(events, dropped)`.
-    pub fn into_parts(self) -> (Vec<T>, u64) {
-        (self.events, self.dropped)
-    }
+/// A replayable optimality certificate of one certified branch-and-bound
+/// search: the order the search branched in plus one event per node, in
+/// preorder.
+///
+/// Each solver names its own instance (`IlpCertificate`,
+/// `IseCertificate`, `RmsCertificate`) and documents what `order`
+/// permutes and what its events `E` record; `rtise-check`'s `bnb`
+/// analyzer replays all of them in one frame. A truncated log
+/// (`dropped > 0`) proves nothing beyond its prefix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Certificate<E> {
+    /// `order[d]` is the original index of the item branched at depth
+    /// `d` — a permutation of the problem's items.
+    pub order: Vec<usize>,
+    /// One event per recorded node, in preorder.
+    pub events: Vec<E>,
+    /// Events dropped past the recording cap (0 = complete log).
+    pub dropped: u64,
 }
 
 #[cfg(test)]
@@ -81,19 +82,17 @@ mod tests {
         for i in 0..5 {
             log.push(i);
         }
-        assert_eq!(log.events(), &[0, 1, 2]);
-        assert_eq!(log.dropped(), 2);
-        assert!(!log.is_complete());
-        let (events, dropped) = log.into_parts();
-        assert_eq!((events.len(), dropped), (3, 2));
+        let cert = log.into_certificate(vec![1, 0]);
+        assert_eq!(cert.events, [0, 1, 2]);
+        assert_eq!(cert.dropped, 2);
+        assert_eq!(cert.order, [1, 0]);
     }
 
     #[test]
     fn complete_when_under_cap() {
         let mut log = BoundedLog::new(8);
         log.push("a");
-        assert!(log.is_complete());
-        assert_eq!(log.len(), 1);
-        assert!(!log.is_empty());
+        let cert = log.into_certificate(Vec::new());
+        assert_eq!((cert.events, cert.dropped), (vec!["a"], 0));
     }
 }

@@ -32,8 +32,8 @@
 //!   timers.
 //! * [`report`] — [`Timer`], the wall-clock stopwatch reports use.
 //! * [`certlog`] — [`BoundedLog`], the capped drop-with-marker event log
-//!   the branch-and-bound solvers record their replayable optimality
-//!   certificates into.
+//!   the branch-and-bound solvers record into, and [`Certificate`], the
+//!   one replayable optimality certificate it becomes.
 //! * [`json`] — a tiny JSON document model with a writer and a
 //!   recursive-descent parser, enough to serialize reports and to verify
 //!   them in tests.
@@ -75,7 +75,7 @@ pub mod report;
 pub mod rng;
 pub mod scope;
 
-pub use certlog::BoundedLog;
+pub use certlog::{BoundedLog, Certificate};
 pub use hash::{fnv1a, Fnv1a};
 pub use hist::Hist;
 pub use registry::{attribute, attribute_hists, observe, observe_hist, record, CounterScope};

@@ -10,7 +10,7 @@
 //! tried fastest-first to find good incumbents early.
 
 use crate::task::{Assignment, TaskSpec};
-use rtise_obs::{BoundedLog, Hist};
+use rtise_obs::{BoundedLog, Certificate, Hist};
 use rtise_rt::{rms_task_schedulable, scheduling_points, PeriodicTask};
 use rtise_trace::bnb::{SearchOpts, SearchOutput};
 use std::fmt;
@@ -59,23 +59,16 @@ pub enum RmsCertEvent {
 }
 
 /// A replayable optimality certificate of one certified
-/// [`select_rms_with`] call.
+/// [`select_rms_with`] call: `order[d]` is the spec index assigned at
+/// depth `d` (a permutation of `0..specs.len()` in non-decreasing period,
+/// i.e. priority, order), plus the events of [`RmsCertEvent`], preorder.
 ///
 /// `rtise-check`'s `bnb` analyzer replays it, re-deriving the utilization
 /// bound and the scheduling-point test from the task specs, and confirms
 /// the returned [`RmsSelection`] is utilization-optimal within the budget
 /// (or, when the search failed, that the whole space was refuted). A
 /// truncated log (`dropped > 0`) proves nothing beyond its prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RmsCertificate {
-    /// `order[d]` is the spec index assigned at depth `d` — a permutation
-    /// of `0..specs.len()` in non-decreasing period (priority) order.
-    pub order: Vec<usize>,
-    /// Events in preorder (see [`RmsCertEvent`]).
-    pub events: Vec<RmsCertEvent>,
-    /// Events dropped past the recording cap (0 = complete log).
-    pub dropped: u64,
-}
+pub type RmsCertificate = Certificate<RmsCertEvent>;
 
 /// Result of the RMS selection.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,11 +131,7 @@ pub fn select_rms_with(
         return SearchOutput {
             result: Err(SelectRmsError::NoTasks),
             stats: RmsBnbStats::default(),
-            cert: log.map(|_| RmsCertificate {
-                order: Vec::new(),
-                events: Vec::new(),
-                dropped: 0,
-            }),
+            cert: log.map(|log| log.into_certificate(Vec::new())),
         };
     }
     let t = rms_tables(specs);
@@ -197,14 +186,7 @@ pub fn select_rms_with(
             })
             .ok_or(SelectRmsError::Unschedulable),
         stats,
-        cert: log.map(|log| {
-            let (events, dropped) = log.into_parts();
-            RmsCertificate {
-                order: t.order,
-                events,
-                dropped,
-            }
-        }),
+        cert: log.map(|log| log.into_certificate(t.order)),
     }
 }
 

@@ -93,17 +93,11 @@ fn selection_specs(
     if u0_pct == 0 {
         return Err("u0_pct must be positive".into());
     }
-    let curves: Vec<_> = kernels
-        .iter()
-        .map(|k| rtise_bench::cached_curve_with(k, &level.options()))
-        .collect();
-    let bases: Vec<u64> = curves.iter().map(|c| c.base_cycles).collect();
-    let periods = rtise::select::task::periods_for_utilization(&bases, u0_pct as f64 / 100.0);
-    Ok(curves
-        .into_iter()
-        .zip(periods)
-        .map(|(c, p)| rtise::select::TaskSpec::new(c, p))
-        .collect())
+    Ok(rtise_bench::specs_for_with(
+        kernels,
+        u0_pct as f64 / 100.0,
+        &level.options(),
+    ))
 }
 
 fn specs_json(specs: &[rtise::select::TaskSpec]) -> Value {
