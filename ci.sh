@@ -246,7 +246,7 @@ sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)'; then
 fi
 echo "    every TCP response certified clean"
 
-echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2 and 1, cold, warm, re-indented and float-rewritten store)"
+echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2 and 1, cold, warm, re-indented, float-rewritten and corrupted store)"
 # The memo answers repeats from bytes rendered once and stamped with each
 # caller's id; a warm store answers every distinct request from disk. A
 # copy of the warm store re-indented by another JSON writer must answer
@@ -260,6 +260,11 @@ echo "==> serve byte-identity gate (seed-42 stream, --stdin --jobs 2 and 1, cold
 # All four passes must write exactly the same 1000 lines, and no pass
 # after the first may discard an entry (a recompute would give the same
 # bytes and hide the reject).
+# A fifth pass runs on a copy of the warm store with entries corrupted:
+# some cut short by one byte, some with one digit changed inside their
+# `result`, and two whose files are swapped. It must discard exactly
+# those entries, once each, write the same 1000 lines, and leave the
+# store as the cold pass wrote it.
 CARGO_TARGET_DIR=target cargo build --offline --release -q \
   --manifest-path e2ebench/probe/Cargo.toml
 target/release/e2eprobe stream --seed 42 --requests 1000 | cut -f3 > target/serve-stream-42.jsonl
@@ -267,7 +272,8 @@ STDIN_STORE=target/ci-serve-stdin-store
 SERIAL_STORE=target/ci-serve-stdin-store-serial
 REINDENTED_STORE=target/ci-serve-stdin-store-reindented
 FLOATS_STORE=target/ci-serve-stdin-store-floats
-rm -rf "$STDIN_STORE" "$SERIAL_STORE" "$REINDENTED_STORE" "$FLOATS_STORE"
+CORRUPT_STORE=target/ci-serve-stdin-store-corrupt
+rm -rf "$STDIN_STORE" "$SERIAL_STORE" "$REINDENTED_STORE" "$FLOATS_STORE" "$CORRUPT_STORE"
 target/release/serve --stdin --jobs 2 --cache-dir "$STDIN_STORE" \
   < target/serve-stream-42.jsonl > target/serve-stdin-cold.jsonl
 target/release/serve --stdin --jobs 1 --cache-dir "$SERIAL_STORE" \
@@ -303,6 +309,41 @@ PY
 target/release/serve --stdin --jobs 2 --cache-dir "$FLOATS_STORE" \
   < target/serve-stream-42.jsonl > target/serve-stdin-floats.jsonl \
   2> target/serve-stdin-floats.err
+cp -r "$STDIN_STORE" "$CORRUPT_STORE"
+CORRUPTED=$(python3 - "$CORRUPT_STORE" <<'PY'
+import pathlib, sys
+files = sorted(pathlib.Path(sys.argv[1]).rglob("*.json"))[:8]
+texts = {path: path.read_text() for path in files}
+for path in files[0::3]:  # cut short by one byte
+    path.write_text(texts[path][:-1])
+for path in files[1::3]:  # one digit changed inside the result
+    text = texts[path]
+    at = text.index('"result":')
+    at = next(i for i in range(at, len(text)) if text[i].isdigit())
+    path.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:])
+files[2].write_text(texts[files[5]])  # two entries swap files
+files[5].write_text(texts[files[2]])
+print(len(files))
+PY
+)
+target/release/serve --stdin --jobs 2 --cache-dir "$CORRUPT_STORE" \
+  < target/serve-stream-42.jsonl > target/serve-stdin-corrupt.jsonl \
+  2> target/serve-stdin-corrupt.err
+DISCARDED=$(grep -c discarding target/serve-stdin-corrupt.err || true)
+if [ "$DISCARDED" -ne "$CORRUPTED" ]; then
+  echo "FAIL: the corrupted-store pass discarded $DISCARDED entries, expected $CORRUPTED"
+  exit 1
+fi
+if ! cmp -s target/serve-stdin-cold.jsonl target/serve-stdin-corrupt.jsonl; then
+  echo "FAIL: corrupt --stdin output differs from the cold pass"
+  cmp target/serve-stdin-cold.jsonl target/serve-stdin-corrupt.jsonl | head -5
+  exit 1
+fi
+if ! diff -r "$STDIN_STORE" "$CORRUPT_STORE" > /dev/null; then
+  echo "FAIL: the corrupted-store pass left a store unlike the cold pass's"
+  diff -r "$STDIN_STORE" "$CORRUPT_STORE" | head -5
+  exit 1
+fi
 LINES=$(wc -l < target/serve-stdin-cold.jsonl)
 if [ "$LINES" -ne 1000 ]; then
   echo "FAIL: cold --stdin pass wrote $LINES response lines, expected 1000"
@@ -321,5 +362,6 @@ for PASS in serial warm reindented floats; do
   fi
 done
 echo "    cold --jobs 2 and --jobs 1, warm, re-indented- and float-store --stdin passes wrote identical bytes and stores"
+echo "    the corrupted-store pass discarded its $CORRUPTED corrupted entries once each and left the cold pass's store"
 
 echo "CI OK"

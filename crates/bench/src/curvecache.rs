@@ -11,10 +11,10 @@
 //! checker — and delegates sharding, checksums, atomic writes, eviction,
 //! and the `cache.curve.*` telemetry to the shared store core.
 
-use crate::store::{u64_field, Artifact};
+use crate::store::{u64_field, Artifact, Decode};
 use rtise::ise::configs::{ConfigCurve, ConfigPoint};
 use rtise::workbench::CurveOptions;
-use rtise_obs::json::Value;
+use rtise_obs::json::{Node, Value};
 
 /// The logical key of a curve: kernel plus the full option set. The
 /// store prefixes the format version and family.
@@ -23,8 +23,6 @@ pub fn options_key(kernel: &str, opts: &CurveOptions) -> String {
 }
 
 impl Artifact for ConfigCurve {
-    const FAMILY: &'static str = "curve";
-
     fn encode(&self) -> Value {
         Value::obj(vec![
             ("kernel", self.name.as_str().into()),
@@ -52,24 +50,27 @@ impl Artifact for ConfigCurve {
             ),
         ])
     }
+}
 
-    fn decode(payload: Value, _rendered: &str) -> Result<Self, String> {
+impl Decode for ConfigCurve {
+    const FAMILY: &'static str = "curve";
+
+    fn decode(payload: Node<'_>) -> Result<Self, String> {
         let kernel = payload
             .get("kernel")
-            .and_then(Value::as_str)
+            .and_then(Node::as_str)
             .ok_or("malformed kernel")?;
-        let base_cycles = u64_field(&payload, "base_cycles")?;
+        let base_cycles = u64_field(payload, "base_cycles")?;
         let mut points = Vec::new();
         for p in payload
             .get("points")
-            .and_then(Value::as_arr)
+            .and_then(Node::items)
             .ok_or("malformed points")?
         {
             let selection = p
                 .get("selection")
-                .and_then(Value::as_arr)
+                .and_then(Node::items)
                 .ok_or("malformed selection")?
-                .iter()
                 .map(|v| {
                     v.as_u64()
                         .map(|n| n as usize)

@@ -12,10 +12,10 @@
 //! and delegates sharding, checksums, atomic writes, eviction, and the
 //! `cache.problem.*` telemetry to the shared store core.
 
-use crate::store::{u64_field, Artifact};
+use crate::store::{u64_field, Artifact, Decode};
 use rtise::reconfig::{CisVersion, HotLoop, ReconfigProblem};
 use rtise::workbench::CurveOptions;
-use rtise_obs::json::Value;
+use rtise_obs::json::{Node, Value};
 
 /// Every input that determines a generated base problem (the
 /// `workbench::reconfig_problem` argument list).
@@ -43,8 +43,6 @@ pub fn options_key(key: &ProblemKey<'_>) -> String {
 }
 
 impl Artifact for ReconfigProblem {
-    const FAMILY: &'static str = "problem";
-
     fn encode(&self) -> Value {
         Value::obj(vec![
             (
@@ -82,22 +80,26 @@ impl Artifact for ReconfigProblem {
             ("reconfig_cost", self.reconfig_cost.into()),
         ])
     }
+}
 
-    fn decode(payload: Value, _rendered: &str) -> Result<Self, String> {
+impl Decode for ReconfigProblem {
+    const FAMILY: &'static str = "problem";
+
+    fn decode(payload: Node<'_>) -> Result<Self, String> {
         let mut loops = Vec::new();
         for l in payload
             .get("loops")
-            .and_then(Value::as_arr)
+            .and_then(Node::items)
             .ok_or("malformed loops")?
         {
             let name = l
                 .get("name")
-                .and_then(Value::as_str)
+                .and_then(Node::as_str)
                 .ok_or("malformed loop name")?;
             let mut versions = Vec::new();
             for v in l
                 .get("versions")
-                .and_then(Value::as_arr)
+                .and_then(Node::items)
                 .ok_or("malformed versions")?
             {
                 versions.push(CisVersion {
@@ -120,7 +122,7 @@ impl Artifact for ReconfigProblem {
         let mut trace = Vec::new();
         for t in payload
             .get("trace")
-            .and_then(Value::as_arr)
+            .and_then(Node::items)
             .ok_or("malformed trace")?
         {
             trace.push(t.as_u64().ok_or("malformed trace")? as usize);
@@ -128,8 +130,8 @@ impl Artifact for ReconfigProblem {
         let problem = ReconfigProblem {
             loops,
             trace,
-            max_area: u64_field(&payload, "max_area")?,
-            reconfig_cost: u64_field(&payload, "reconfig_cost")?,
+            max_area: u64_field(payload, "max_area")?,
+            reconfig_cost: u64_field(payload, "reconfig_cost")?,
         };
         // Independent re-validation of trace index ranges.
         problem.validate().map_err(|e| e.to_string())?;

@@ -8,10 +8,12 @@
 //! [`cached_jpeg_problem_with`](crate::cached_jpeg_problem_with), and
 //! `rtise-serve`'s memoized responses all call [`store`] (or
 //! [`store_rendered`], with a render in hand) and [`load`] directly with
-//! the family's key. An artifact family plugs in by
-//! implementing [`Artifact`]: a family name, a JSON payload encoding, and
-//! a decoder that *independently re-certifies* what it reconstructs (the
-//! store never trusts bytes it read back).
+//! the family's key. An artifact family plugs in by implementing
+//! [`Decode`] — a family name and a decoder that *independently
+//! re-certifies* what it reconstructs (the store never trusts bytes it
+//! read back) — and [`Artifact`], its JSON payload encoding. A reader
+//! that only loads (serve's response slots) implements `Decode` alone,
+//! under the family name of the artifact that writes the entries.
 //!
 //! Layout: entries live in `N_SHARDS` shard directories
 //! (`shard-00/ … shard-07/`) under the store root, assigned by the FNV-1a
@@ -30,36 +32,43 @@
 //! canonical compact renders of the fields, not the file's bytes, so an
 //! entry loads in any layout: the compact text this build writes, the
 //! indented text earlier builds wrote, or a copy re-indented by another
-//! tool. A load parses the entry once. The parser tells whether the text
-//! is byte for byte the compact render of what it parsed
-//! ([`parse_compact`]), as every entry this build writes is: then the
-//! payload's render is the slice of the text the payload takes, and the
-//! load renders nothing. An entry in any other layout (indented,
-//! re-spaced, numbers written as floats, other escapes) has its payload
-//! rendered once. Either way the checksum covers that render, the
-//! family's decoder receives it and owns the payload, and [`load_with`]
-//! hands the render on to a caller that serves it. Raw bytes that merely
-//! match the checksum prove nothing: a forged entry carries a checksum
-//! of its own bytes, so only the parser's proof lets a load serve them.
+//! tool. A load reads the entry once, into a flat token tape
+//! ([`json::read`]) and builds no [`Value`] tree. The reader tells
+//! whether the text is byte for byte the compact render of what it read
+//! ([`Tape::is_compact`](rtise_obs::json::Tape::is_compact)), as every
+//! entry this build writes is: then every member's render is the slice
+//! of the text its tape node spans, and the load renders nothing. An
+//! entry in any other layout (indented, re-spaced, numbers written as
+//! floats, other escapes) has its payload, counters and histograms
+//! rendered once, and the payload's render is read into a tape of its
+//! own. Either way the checksum covers those renders, and the family's
+//! decoder reads the payload from a node whose
+//! [`source`](rtise_obs::json::Node::source) is the payload's render,
+//! the bytes the checksum covered. Raw bytes that merely match the
+//! checksum prove nothing: a forged entry carries a checksum of its own
+//! bytes, so only the reader's proof lets a decoder take the bytes as
+//! the render.
 //!
 //! Trust model: [`load`] re-checks the format version, family, and full
 //! key string, the content checksum, and finally the family's own
-//! semantic re-certification, reporting failures as stable
-//! `STORE001`–`STORE005` diagnostics. Anything suspicious degrades to a
+//! semantic re-certification, all on the tape, reporting failures as
+//! stable `STORE001`–`STORE005` diagnostics. The checks read the tape
+//! through node offsets only; no hand-written byte slicing sees the
+//! entry's text. Anything suspicious degrades to a
 //! recompute with a warning on stderr and an eviction — a corrupted
 //! store can slow a consumer down but can never feed it an uncertified
 //! artifact. Hit/miss/store/evict traffic and entry ages feed the
 //! `cache.<family>.*` counters and histograms.
 
 use rtise::check::diag::{Code, Diagnostics, Location};
-use rtise_obs::json::{parse_compact, Value};
+use rtise_obs::json::{self, Node, Value};
 use rtise_obs::Hist;
 use rtise_obs::{fnv1a, Fnv1a};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Bumped whenever the envelope layout changes shape; part of every key,
 /// so stale-format entries simply miss. Version 3 introduced the sharded
@@ -81,27 +90,25 @@ static SHARD_LOCKS: [Mutex<()>; N_SHARDS as usize] = [
     Mutex::new(()),
 ];
 
-/// One persistable artifact family.
-pub trait Artifact: Sized {
+/// What a load decodes a stored payload into: a family and its
+/// re-certifying decoder.
+pub trait Decode: Sized {
     /// Family name; part of every key and of the `cache.<family>.*`
     /// counter names.
     const FAMILY: &'static str;
 
-    /// Encodes the payload portion of the envelope. Must be
-    /// deterministic: the checksum covers the rendered bytes.
-    fn encode(&self) -> Value;
-
     /// Decodes a payload and independently re-certifies it; the returned
     /// error string names what failed (reported as `STORE004`). The
-    /// payload is the decoder's to keep; `rendered` is its compact
+    /// payload node's [`source`](Node::source) is its compact
     /// [`render`](Value::render), the bytes the entry checksum covered,
-    /// for a decoder that re-hashes part of them: a slice of the entry's
-    /// own text when that text is compact, else rendered for the load.
+    /// for a decoder that re-hashes or keeps part of them: a slice of the
+    /// entry's own text when that text is compact, else of the render the
+    /// load made.
     ///
     /// # Errors
     ///
     /// Any structural or semantic problem with the payload.
-    fn decode(payload: Value, rendered: &str) -> Result<Self, String>;
+    fn decode(payload: Node<'_>) -> Result<Self, String>;
 
     /// Whether a decoded artifact may be served under `tag`, its entry's
     /// filename prefix. The key covers the tag, so `false` means a forged
@@ -113,16 +120,24 @@ pub trait Artifact: Sized {
     }
 }
 
+/// One persistable artifact family: a [`Decode`] family that also
+/// encodes.
+pub trait Artifact: Decode {
+    /// Encodes the payload portion of the envelope. Must be
+    /// deterministic: the checksum covers the rendered bytes.
+    fn encode(&self) -> Value;
+}
+
 /// The full key of an entry: format version, family, and the caller's
 /// logical key (which must cover every generation input).
 #[must_use]
-pub fn full_key<A: Artifact>(key: &str) -> String {
+pub fn full_key<A: Decode>(key: &str) -> String {
     format!("v{FORMAT_VERSION}|{}|{key}", A::FAMILY)
 }
 
 /// Shard index of a key.
 #[must_use]
-pub fn shard_of<A: Artifact>(key: &str) -> u64 {
+pub fn shard_of<A: Decode>(key: &str) -> u64 {
     fnv1a(full_key::<A>(key).as_bytes()) % N_SHARDS
 }
 
@@ -130,27 +145,40 @@ pub fn shard_of<A: Artifact>(key: &str) -> u64 {
 /// filename prefix (e.g. the kernel name); the content address is the
 /// hash suffix.
 #[must_use]
-pub fn entry_path<A: Artifact>(dir: &Path, tag: &str, key: &str) -> PathBuf {
-    let hash = fnv1a(full_key::<A>(key).as_bytes());
+pub fn entry_path<A: Decode>(dir: &Path, tag: &str, key: &str) -> PathBuf {
+    path_of(dir, tag, &full_key::<A>(key))
+}
+
+/// [`entry_path`] of the entry whose [`full_key`] is `full`.
+fn path_of(dir: &Path, tag: &str, full: &str) -> PathBuf {
+    let hash = fnv1a(full.as_bytes());
     dir.join(format!("shard-{:02}", hash % N_SHARDS))
         .join(format!("{tag}-{hash:016x}.json"))
 }
 
-/// FNV-1a over `family|FORMAT_VERSION|key|payload|counters|hists`, each
-/// of the last three a compact render (`payload` comes rendered), hashed
-/// piece by piece.
-fn checksum(family: &str, key: &str, payload: &str, counters: &Value, hists: &Value) -> u64 {
-    let mut rest = String::new();
-    counters.render_into(&mut rest);
-    rest.push('|');
-    hists.render_into(&mut rest);
+/// The `cache.<family>.<event>` counter name, formatted once per process:
+/// a load records its hit without building the name.
+fn counter_name(family: &'static str, event: &'static str) -> &'static str {
+    static NAMES: Mutex<Vec<(&str, &str, &str)>> = Mutex::new(Vec::new());
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, _, name)) = names.iter().find(|&&(f, e, _)| f == family && e == event) {
+        return name;
+    }
+    let name: &'static str = Box::leak(format!("cache.{family}.{event}").into_boxed_str());
+    names.push((family, event, name));
+    name
+}
+
+/// FNV-1a over `family|FORMAT_VERSION|key|payload|counters|hists`, the
+/// last three compact renders, hashed piece by piece.
+fn checksum(family: &str, key: &str, payload: &str, counters: &str, hists: &str) -> u64 {
     let version = FORMAT_VERSION.to_string();
     let mut hasher = Fnv1a::new();
-    for piece in [family, &version, key, payload] {
+    for piece in [family, &version, key, payload, counters] {
         hasher.write(piece.as_bytes());
         hasher.write(b"|");
     }
-    hasher.write(rest.as_bytes());
+    hasher.write(hists.as_bytes());
     hasher.finish()
 }
 
@@ -205,7 +233,13 @@ fn envelope<A: Artifact>(
     let full = full_key::<A>(key);
     let counters_json = Value::from(counters);
     let hists_value = hists_json(hists);
-    let sum = checksum(A::FAMILY, &full, rendered, &counters_json, &hists_value);
+    let sum = checksum(
+        A::FAMILY,
+        &full,
+        rendered,
+        &counters_json.render(),
+        &hists_value.render(),
+    );
     Value::obj(vec![
         ("format", u64::from(FORMAT_VERSION).into()),
         ("family", A::FAMILY.into()),
@@ -270,7 +304,7 @@ pub fn store_rendered<A: Artifact>(
     text.replace_range(null, payload);
     let path = entry_path::<A>(dir, tag, key);
     let shard = shard_of::<A>(key);
-    rtise_obs::record(&format!("cache.{}.store", A::FAMILY), 1);
+    rtise_obs::record(counter_name(A::FAMILY, "store"), 1);
     let _writer = SHARD_LOCKS[shard as usize]
         .lock()
         .expect("shard writer lock poisoned");
@@ -292,9 +326,9 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 
 /// The unsigned integer member `key` of a payload object, for family
 /// decoders; the error names the member.
-pub(crate) fn u64_field(doc: &Value, key: &str) -> Result<u64, String> {
+pub(crate) fn u64_field(doc: Node<'_>, key: &str) -> Result<u64, String> {
     doc.get(key)
-        .and_then(Value::as_u64)
+        .and_then(Node::as_u64)
         .ok_or_else(|| format!("malformed {key}"))
 }
 
@@ -311,23 +345,18 @@ fn malformed(d: &mut Diagnostics, what: &str) {
 /// — every reject maps to a stable `STORE…` code, which the seeded
 /// mutation tests assert on. Any layout of the document validates: the
 /// checksum covers compact renders of its members, not the file's bytes.
-pub fn validate<A: Artifact>(text: &str, key: &str) -> (Option<Entry<A>>, Diagnostics) {
-    validate_with(text, key, |artifact: A, _| artifact)
+pub fn validate<A: Decode>(text: &str, key: &str) -> (Option<Entry<A>>, Diagnostics) {
+    validate_full(text, &full_key::<A>(key))
 }
 
-/// [`validate`], handing the decoded artifact and its payload's compact
-/// render — the bytes the checksum covered — to `map`, whose value takes
-/// the artifact's place in the entry. When `text` is itself a compact
-/// render ([`parse_compact`]), that render is a slice of it; any other
-/// layout has its payload rendered.
-fn validate_with<'a, A: Artifact, T>(
-    text: &'a str,
-    key: &str,
-    map: impl FnOnce(A, Cow<'a, str>) -> T,
-) -> (Option<Entry<T>>, Diagnostics) {
+/// [`validate`] against the [`full_key`] `full`, on the entry's tape.
+/// When the tape is compact, each member's render is the text its node
+/// spans; any other layout has its members rendered and the payload's
+/// render read into a tape of its own, which the decoder reads.
+fn validate_full<A: Decode>(text: &str, full: &str) -> (Option<Entry<A>>, Diagnostics) {
     let mut d = Diagnostics::new();
-    let (mut doc, compact) = match parse_compact(text) {
-        Ok(parsed) => parsed,
+    let tape = match json::read(text) {
+        Ok(tape) => tape,
         Err(e) => {
             d.error(
                 Code::STORE001,
@@ -337,7 +366,8 @@ fn validate_with<'a, A: Artifact, T>(
             return (None, d);
         }
     };
-    match doc.get("format").and_then(Value::as_u64) {
+    let doc = tape.root();
+    match doc.get("format").and_then(Node::as_u64) {
         None => {
             malformed(&mut d, "format");
             return (None, d);
@@ -352,8 +382,7 @@ fn validate_with<'a, A: Artifact, T>(
         }
         Some(_) => {}
     }
-    let full = full_key::<A>(key);
-    if doc.get("family").and_then(Value::as_str) != Some(A::FAMILY) {
+    if doc.get("family").and_then(Node::as_str) != Some(A::FAMILY) {
         d.error(
             Code::STORE002,
             Location::Global,
@@ -361,7 +390,7 @@ fn validate_with<'a, A: Artifact, T>(
         );
         return (None, d);
     }
-    if doc.get("key").and_then(Value::as_str) != Some(full.as_str()) {
+    if doc.get("key").and_then(Node::as_str) != Some(full) {
         d.error(
             Code::STORE002,
             Location::Global,
@@ -369,37 +398,43 @@ fn validate_with<'a, A: Artifact, T>(
         );
         return (None, d);
     }
-    let Some(payload) = take_member(&mut doc, "payload") else {
+    let Some(payload) = doc.get("payload") else {
         malformed(&mut d, "payload");
         return (None, d);
     };
-    let Some(counters_json) = doc.get("counters") else {
+    let Some(counters_node) = doc.get("counters") else {
         malformed(&mut d, "counters");
         return (None, d);
     };
-    let Some(hists_value) = doc.get("hists") else {
+    let Some(hists_node) = doc.get("hists") else {
         malformed(&mut d, "hists");
         return (None, d);
     };
     let claimed = doc
         .get("checksum")
-        .and_then(Value::as_str)
+        .and_then(Node::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok());
     let Some(claimed) = claimed else {
         malformed(&mut d, "checksum");
         return (None, d);
     };
-    // A compact text is its document's render, so the payload's render
-    // is the range the payload member takes in it. Measured from both
-    // ends, it renders only the small members around the payload.
-    let within = if compact {
-        doc.member_range_around("payload", text.len())
-            .and_then(|range| text.get(range))
-    } else {
-        None
-    };
-    let rendered = within.map_or_else(|| Cow::Owned(payload.render()), Cow::Borrowed);
-    if claimed != checksum(A::FAMILY, &full, &rendered, counters_json, hists_value) {
+    fn render(node: Node<'_>, compact: bool) -> Cow<'_, str> {
+        if compact {
+            Cow::Borrowed(node.source())
+        } else {
+            Cow::Owned(node.to_value().render())
+        }
+    }
+    let compact = tape.is_compact();
+    let rendered = render(payload, compact);
+    let sum = checksum(
+        A::FAMILY,
+        full,
+        &rendered,
+        &render(counters_node, compact),
+        &render(hists_node, compact),
+    );
+    if claimed != sum {
         d.error(
             Code::STORE003,
             Location::Global,
@@ -408,7 +443,13 @@ fn validate_with<'a, A: Artifact, T>(
         return (None, d);
     }
 
-    let artifact = match A::decode(payload, &rendered) {
+    let decoded = if compact {
+        A::decode(payload)
+    } else {
+        let own = json::read(&rendered).expect("a render reads back");
+        A::decode(own.root())
+    };
+    let artifact = match decoded {
         Ok(a) => a,
         Err(e) => {
             d.error(
@@ -419,31 +460,23 @@ fn validate_with<'a, A: Artifact, T>(
             return (None, d);
         }
     };
-    let mut counters = BTreeMap::new();
-    let Value::Obj(pairs) = counters_json else {
+    let Some(members) = counters_node.members() else {
         malformed(&mut d, "counters");
         return (None, d);
     };
-    for (k, v) in pairs {
+    let mut counters = BTreeMap::new();
+    for (k, v) in members {
         let Some(n) = v.as_u64() else {
             malformed(&mut d, "counters");
             return (None, d);
         };
-        counters.insert(k.clone(), n);
+        counters.insert(k.to_string(), n);
     }
-    let Some(hists) = hists_from_json(hists_value) else {
+    let Some(hists) = hists_from_json(&hists_node.to_value()) else {
         malformed(&mut d, "hists");
         return (None, d);
     };
-    (Some((map(artifact, rendered), counters, hists)), d)
-}
-
-/// Moves the first `key` member — the one [`Value::get`] finds — out of
-/// an object, leaving `null` in its place.
-fn take_member(doc: &mut Value, key: &str) -> Option<Value> {
-    let Value::Obj(pairs) = doc else { return None };
-    let (_, value) = pairs.iter_mut().find(|(k, _)| k == key)?;
-    Some(std::mem::replace(value, Value::Null))
+    (Some((artifact, counters, hists)), d)
 }
 
 /// A decoded artifact plus the counters and histograms its generation
@@ -472,28 +505,14 @@ pub fn contains<A: Artifact>(dir: &Path, tag: &str, key: &str) -> bool {
 /// plain miss (no entry) and also on any rejected entry — truncated or
 /// bit-flipped files, key/family/version mismatches, payloads that fail
 /// the family's re-certification (all with their `STORE…` code), and
-/// artifacts that do not [belong](Artifact::belongs_to) to `tag` warn on
+/// artifacts that do not [belong](Decode::belongs_to) to `tag` warn on
 /// stderr and fall back to recomputation instead of panicking.
 /// Hits, misses, and evictions feed the global `cache.<family>.*`
 /// telemetry. Readers take no lock: the atomic-rename write protocol
 /// guarantees they see complete documents.
-pub fn load<A: Artifact>(dir: &Path, tag: &str, key: &str) -> Option<Entry<A>> {
-    load_with(dir, tag, key, |artifact: A, _| artifact)
-}
-
-/// [`load`], with the hit mapped by `map` from the decoded artifact and
-/// its payload's compact render, the bytes the entry checksum covered,
-/// borrowed from the entry's text when that text is compact; a caller
-/// that serves those bytes takes them here instead of rendering the
-/// artifact again.
-pub fn load_with<A: Artifact, T>(
-    dir: &Path,
-    tag: &str,
-    key: &str,
-    map: impl FnOnce(A, Cow<'_, str>) -> T,
-) -> Option<Entry<T>> {
-    let path = entry_path::<A>(dir, tag, key);
-    let prefix = format!("cache.{}", A::FAMILY);
+pub fn load<A: Decode>(dir: &Path, tag: &str, key: &str) -> Option<Entry<A>> {
+    let full = full_key::<A>(key);
+    let path = path_of(dir, tag, &full);
     // One open and one `fstat`: the age and the buffer size come from the
     // same metadata. Reading through `Take` skips the size probe (an
     // `fstat` and an `lseek`) of `File::read_to_string`; it still reads to
@@ -506,10 +525,11 @@ pub fn load_with<A: Artifact, T>(
         file.take(u64::MAX).read_to_string(&mut text)?;
         Ok((text, meta.as_ref().and_then(age_ms)))
     });
+    let evict_prefix = || format!("cache.{}", A::FAMILY);
     let (text, age) = match read {
         Ok(read) => read,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            rtise_obs::record(&format!("{prefix}.miss"), 1);
+            rtise_obs::record(counter_name(A::FAMILY, "miss"), 1);
             return None;
         }
         Err(e) => {
@@ -518,19 +538,18 @@ pub fn load_with<A: Artifact, T>(
                 A::FAMILY,
                 path.display()
             );
-            evict(&path, &prefix, entry_age_ms(&path));
+            evict(&path, &evict_prefix(), entry_age_ms(&path));
             return None;
         }
     };
-    let (entry, diags) =
-        validate_with::<A, _>(&text, key, |artifact, rendered| (artifact, rendered));
+    let (entry, diags) = validate_full::<A>(&text, &full);
     match entry {
-        Some(((artifact, rendered), counters, hists)) if artifact.belongs_to(tag) => {
-            rtise_obs::record(&format!("{prefix}.hit"), 1);
+        Some(entry) if entry.0.belongs_to(tag) => {
+            rtise_obs::record(counter_name(A::FAMILY, "hit"), 1);
             if let Some(age) = age {
-                rtise_obs::observe(&format!("{prefix}.entry_age_ms"), age);
+                rtise_obs::observe(counter_name(A::FAMILY, "entry_age_ms"), age);
             }
-            Some((map(artifact, rendered), counters, hists))
+            Some(entry)
         }
         Some(_) => {
             eprintln!(
@@ -539,7 +558,7 @@ pub fn load_with<A: Artifact, T>(
                 A::FAMILY,
                 path.display()
             );
-            evict(&path, &prefix, age);
+            evict(&path, &evict_prefix(), age);
             None
         }
         None => {
@@ -550,7 +569,7 @@ pub fn load_with<A: Artifact, T>(
                 diags.render().trim_end()
             );
             // Remove the bad entry so the recomputed artifact replaces it.
-            evict(&path, &prefix, age);
+            evict(&path, &evict_prefix(), age);
             None
         }
     }
@@ -596,20 +615,13 @@ mod tests {
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Staircase(Vec<u64>);
 
-    impl Artifact for Staircase {
+    impl Decode for Staircase {
         const FAMILY: &'static str = "stair";
 
-        fn encode(&self) -> Value {
-            Value::obj(vec![(
-                "values",
-                Value::Arr(self.0.iter().map(|&v| v.into()).collect()),
-            )])
-        }
-
-        fn decode(payload: Value, _rendered: &str) -> Result<Self, String> {
+        fn decode(payload: Node<'_>) -> Result<Self, String> {
             let arr = payload
                 .get("values")
-                .and_then(Value::as_arr)
+                .and_then(Node::items)
                 .ok_or("values missing")?;
             let mut values = Vec::new();
             for v in arr {
@@ -619,6 +631,15 @@ mod tests {
                 return Err("values are not strictly increasing".into());
             }
             Ok(Staircase(values))
+        }
+    }
+
+    impl Artifact for Staircase {
+        fn encode(&self) -> Value {
+            Value::obj(vec![(
+                "values",
+                Value::Arr(self.0.iter().map(|&v| v.into()).collect()),
+            )])
         }
     }
 

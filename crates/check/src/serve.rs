@@ -14,13 +14,15 @@
 //!
 //! The serve load-test gates on this checker for every response, and the
 //! artifact store re-runs it whenever a cached response is loaded from
-//! disk.
+//! disk. One certifier body reads any [`View`]: an owned [`Value`]
+//! ([`check_response`]) or a [`Node`](rtise_obs::json::Node) of a stored
+//! entry's tape, which a store hit certifies without building a tree.
 
 use crate::cert;
 use crate::diag::{Code, Diagnostics, Location};
 use rtise_ilp::{Cmp, Model, Sense, Solution as IlpSolution};
 use rtise_ise::configs::{ConfigCurve, ConfigPoint};
-use rtise_obs::json::Value;
+use rtise_obs::json::{Value, View};
 use rtise_obs::Fnv1a;
 use rtise_reconfig::{CisVersion, HotLoop, ReconfigProblem, Solution as ReconfigSolution};
 use rtise_select::edf::EdfSelection;
@@ -53,15 +55,8 @@ pub fn rendered_checksum(kind: &str, work: u64, result: &str) -> u64 {
     hasher.finish()
 }
 
-fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
-fn field_u64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<u64> {
-    let v = doc.get(key).and_then(Value::as_u64);
+fn field_u64<'a>(d: &mut Diagnostics, doc: impl View<'a>, key: &str) -> Option<u64> {
+    let v = doc.get(key).and_then(View::as_u64);
     if v.is_none() {
         d.error(
             Code::SRV001,
@@ -72,10 +67,10 @@ fn field_u64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<u64> {
     v
 }
 
-fn field_i64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<i64> {
+fn field_i64<'a>(d: &mut Diagnostics, doc: impl View<'a>, key: &str) -> Option<i64> {
     let v = doc
         .get(key)
-        .and_then(Value::as_f64)
+        .and_then(View::as_f64)
         .filter(|n| n.is_finite() && n.fract() == 0.0 && n.abs() < 9.0e15);
     if v.is_none() {
         d.error(
@@ -87,35 +82,31 @@ fn field_i64(d: &mut Diagnostics, doc: &Value, key: &str) -> Option<i64> {
     v.map(|n| n as i64)
 }
 
-fn u64_arr(doc: &Value, key: &str) -> Option<Vec<u64>> {
-    let mut out = Vec::new();
-    for v in doc.get(key).and_then(Value::as_arr)? {
-        out.push(v.as_u64()?);
-    }
-    Some(out)
+fn u64_arr<'a>(doc: impl View<'a>, key: &str) -> Option<Vec<u64>> {
+    doc.get(key)?.items()?.map(View::as_u64).collect()
 }
 
 /// Decodes an embedded curve payload `{kernel|name, base_cycles, points}`.
-fn decode_curve(doc: &Value, name_key: &str) -> Result<ConfigCurve, String> {
+fn decode_curve<'a>(doc: impl View<'a>, name_key: &str) -> Result<ConfigCurve, String> {
     let name = doc
         .get(name_key)
-        .and_then(Value::as_str)
+        .and_then(View::as_str)
         .ok_or_else(|| format!("curve {name_key} missing"))?;
     let base_cycles = doc
         .get("base_cycles")
-        .and_then(Value::as_u64)
+        .and_then(View::as_u64)
         .ok_or("curve base_cycles missing")?;
-    let mut points = Vec::new();
-    for p in doc
+    let raw = doc
         .get("points")
-        .and_then(Value::as_arr)
-        .ok_or("curve points missing")?
-    {
+        .and_then(View::items)
+        .ok_or("curve points missing")?;
+    let mut points = Vec::with_capacity(raw.len());
+    for p in raw {
         let mut nums = [0u64; 3];
         for (slot, key) in nums.iter_mut().zip(["area", "cycles", "gain"]) {
             *slot = p
                 .get(key)
-                .and_then(Value::as_u64)
+                .and_then(View::as_u64)
                 .ok_or_else(|| format!("curve point {key} missing"))?;
         }
         let selection = u64_arr(p, "selection")
@@ -137,17 +128,16 @@ fn decode_curve(doc: &Value, name_key: &str) -> Result<ConfigCurve, String> {
 /// silently drops dominated points and appends a missing software point,
 /// so a forged payload can normalize into a *valid* curve. Requiring the
 /// staircase to round-trip catches that.
-fn curve_round_trips(payload: &Value, curve: &ConfigCurve) -> bool {
-    let Some(raw) = payload.get("points").and_then(Value::as_arr) else {
+fn curve_round_trips<'a>(payload: impl View<'a>, curve: &ConfigCurve) -> bool {
+    let Some(mut raw) = payload.get("points").and_then(View::items) else {
         return false;
     };
-    let has_zero = raw
-        .iter()
-        .any(|p| p.get("area").and_then(Value::as_f64) == Some(0.0));
-    curve.len() == raw.len() + usize::from(!has_zero)
+    let len = raw.len();
+    let has_zero = raw.any(|p| p.get("area").and_then(View::as_f64) == Some(0.0));
+    curve.len() == len + usize::from(!has_zero)
 }
 
-fn check_curve_result(d: &mut Diagnostics, result: &Value) {
+fn check_curve_result<'a>(d: &mut Diagnostics, result: impl View<'a>) {
     match decode_curve(result, "kernel") {
         Ok(curve) => {
             if !curve_round_trips(result, &curve) {
@@ -175,13 +165,13 @@ fn check_curve_result(d: &mut Diagnostics, result: &Value) {
 
 /// Rebuilds the task specs a selection response embeds; every curve is
 /// re-certified on the way.
-fn decode_specs(d: &mut Diagnostics, result: &Value) -> Option<Vec<TaskSpec>> {
-    let Some(tasks) = result.get("tasks").and_then(Value::as_arr) else {
+fn decode_specs<'a>(d: &mut Diagnostics, result: impl View<'a>) -> Option<Vec<TaskSpec>> {
+    let Some(tasks) = result.get("tasks").and_then(View::items) else {
         d.error(Code::SRV001, Location::Global, "tasks array missing");
         return None;
     };
-    let mut specs = Vec::new();
-    for (i, t) in tasks.iter().enumerate() {
+    let mut specs = Vec::with_capacity(tasks.len());
+    for (i, t) in tasks.enumerate() {
         let curve = match decode_curve(t, "name") {
             Ok(c) => c,
             Err(e) => {
@@ -201,7 +191,7 @@ fn decode_specs(d: &mut Diagnostics, result: &Value) -> Option<Vec<TaskSpec>> {
         }
         let Some(period) = t
             .get("period")
-            .and_then(Value::as_f64)
+            .and_then(View::as_f64)
             .filter(|n| n.is_finite() && *n > 0.0 && n.fract() == 0.0)
         else {
             d.error(Code::SRV001, Location::Task(i), "task period missing");
@@ -212,7 +202,11 @@ fn decode_specs(d: &mut Diagnostics, result: &Value) -> Option<Vec<TaskSpec>> {
     Some(specs)
 }
 
-fn decode_assignment(d: &mut Diagnostics, result: &Value, n_tasks: usize) -> Option<Assignment> {
+fn decode_assignment<'a>(
+    d: &mut Diagnostics,
+    result: impl View<'a>,
+    n_tasks: usize,
+) -> Option<Assignment> {
     let Some(config) = u64_arr(result, "assignment") else {
         d.error(Code::SRV001, Location::Global, "assignment array missing");
         return None;
@@ -246,14 +240,14 @@ fn check_utilization_ppm(d: &mut Diagnostics, claimed_ppm: u64, recomputed: f64)
     }
 }
 
-fn check_select_edf_result(d: &mut Diagnostics, result: &Value) {
+fn check_select_edf_result<'a>(d: &mut Diagnostics, result: impl View<'a>) {
     let (Some(budget), Some(claimed_ppm)) = (
         field_u64(d, result, "budget"),
         field_u64(d, result, "utilization_ppm"),
     ) else {
         return;
     };
-    let Some(schedulable) = result.get("schedulable").and_then(as_bool) else {
+    let Some(schedulable) = result.get("schedulable").and_then(View::as_bool) else {
         d.error(Code::SRV001, Location::Global, "schedulable flag missing");
         return;
     };
@@ -294,7 +288,7 @@ fn check_select_edf_result(d: &mut Diagnostics, result: &Value) {
     }
 }
 
-fn check_select_rms_result(d: &mut Diagnostics, result: &Value) {
+fn check_select_rms_result<'a>(d: &mut Diagnostics, result: impl View<'a>) {
     let (Some(budget), Some(claimed_ppm)) = (
         field_u64(d, result, "budget"),
         field_u64(d, result, "utilization_ppm"),
@@ -337,7 +331,7 @@ fn check_select_rms_result(d: &mut Diagnostics, result: &Value) {
     }
 }
 
-fn check_ilp_result(d: &mut Diagnostics, result: &Value) {
+fn check_ilp_result<'a>(d: &mut Diagnostics, result: impl View<'a>) {
     let Some(model_json) = result.get("model") else {
         d.error(Code::SRV001, Location::Global, "ilp model missing");
         return;
@@ -346,7 +340,7 @@ fn check_ilp_result(d: &mut Diagnostics, result: &Value) {
         return;
     };
     let n = vars as usize;
-    let sense = match model_json.get("sense").and_then(Value::as_str) {
+    let sense = match model_json.get("sense").and_then(View::as_str) {
         Some("min") => Sense::Minimize,
         Some("max") => Sense::Maximize,
         _ => {
@@ -354,11 +348,11 @@ fn check_ilp_result(d: &mut Diagnostics, result: &Value) {
             return;
         }
     };
-    let Some(obj_arr) = model_json.get("objective").and_then(Value::as_arr) else {
+    let Some(obj_arr) = model_json.get("objective").and_then(View::items) else {
         d.error(Code::SRV001, Location::Global, "ilp objective missing");
         return;
     };
-    let mut objective = Vec::new();
+    let mut objective = Vec::with_capacity(obj_arr.len());
     for c in obj_arr {
         let Some(c) = c
             .as_f64()
@@ -382,32 +376,36 @@ fn check_ilp_result(d: &mut Diagnostics, result: &Value) {
     }
     let mut model = Model::new(n);
     model.set_objective(sense, &objective);
-    let Some(rows) = model_json.get("rows").and_then(Value::as_arr) else {
+    let Some(rows) = model_json.get("rows").and_then(View::items) else {
         d.error(Code::SRV001, Location::Global, "ilp rows missing");
         return;
     };
-    for (r, row) in rows.iter().enumerate() {
+    for (r, row) in rows.enumerate() {
         let Some(rhs) = row
             .get("rhs")
-            .and_then(Value::as_f64)
+            .and_then(View::as_f64)
             .filter(|x| x.is_finite() && x.fract() == 0.0 && x.abs() < 9.0e15)
             .map(|x| x as i64)
         else {
             d.error(Code::SRV001, Location::Row(r), "ilp row rhs missing");
             return;
         };
-        let Some(term_arr) = row.get("terms").and_then(Value::as_arr) else {
+        let Some(term_arr) = row.get("terms").and_then(View::items) else {
             d.error(Code::SRV001, Location::Row(r), "ilp row terms missing");
             return;
         };
-        let mut terms = Vec::new();
+        let mut terms = Vec::with_capacity(term_arr.len());
         for t in term_arr {
-            let (Some(pair), 2) = (t.as_arr(), t.as_arr().map_or(0, <[Value]>::len)) else {
+            let pair = t
+                .items()
+                .filter(|pair| pair.len() == 2)
+                .and_then(|mut pair| Some((pair.next()?, pair.next()?)));
+            let Some((idx, coeff)) = pair else {
                 d.error(Code::SRV001, Location::Row(r), "ilp term is not a pair");
                 return;
             };
-            let idx = pair[0].as_u64().map(|x| x as usize);
-            let coeff = pair[1]
+            let idx = idx.as_u64().map(|x| x as usize);
+            let coeff = coeff
                 .as_f64()
                 .filter(|x| x.is_finite() && x.fract() == 0.0 && x.abs() < 9.0e15)
                 .map(|x| x as i64);
@@ -425,7 +423,7 @@ fn check_ilp_result(d: &mut Diagnostics, result: &Value) {
             }
             terms.push((idx, coeff));
         }
-        match row.get("cmp").and_then(Value::as_str) {
+        match row.get("cmp").and_then(View::as_str) {
             Some("le") => model.add_le(&terms, rhs),
             Some("ge") => model.add_ge(&terms, rhs),
             Some("eq") => model.add_eq(&terms, rhs),
@@ -468,7 +466,7 @@ fn check_ilp_result(d: &mut Diagnostics, result: &Value) {
     }
 }
 
-fn check_reconfig_result(d: &mut Diagnostics, result: &Value) {
+fn check_reconfig_result<'a>(d: &mut Diagnostics, result: impl View<'a>) {
     let Some(problem_json) = result.get("problem") else {
         d.error(Code::SRV001, Location::Global, "reconfig problem missing");
         return;
@@ -479,24 +477,24 @@ fn check_reconfig_result(d: &mut Diagnostics, result: &Value) {
     ) else {
         return;
     };
-    let Some(loops_json) = problem_json.get("loops").and_then(Value::as_arr) else {
+    let Some(loops_json) = problem_json.get("loops").and_then(View::items) else {
         d.error(Code::SRV001, Location::Global, "reconfig loops missing");
         return;
     };
-    let mut loops = Vec::new();
-    for (i, l) in loops_json.iter().enumerate() {
-        let Some(name) = l.get("name").and_then(Value::as_str) else {
+    let mut loops = Vec::with_capacity(loops_json.len());
+    for (i, l) in loops_json.enumerate() {
+        let Some(name) = l.get("name").and_then(View::as_str) else {
             d.error(Code::SRV001, Location::Loop(i), "loop name missing");
             return;
         };
-        let mut versions = Vec::new();
-        let Some(version_arr) = l.get("versions").and_then(Value::as_arr) else {
+        let Some(version_arr) = l.get("versions").and_then(View::items) else {
             d.error(Code::SRV001, Location::Loop(i), "loop versions missing");
             return;
         };
+        let mut versions = Vec::with_capacity(version_arr.len());
         for v in version_arr {
-            let area = v.get("area").and_then(Value::as_u64);
-            let gain = v.get("gain").and_then(Value::as_u64);
+            let area = v.get("area").and_then(View::as_u64);
+            let gain = v.get("gain").and_then(View::as_u64);
             let (Some(area), Some(gain)) = (area, gain) else {
                 d.error(Code::SRV001, Location::Loop(i), "loop version malformed");
                 return;
@@ -563,27 +561,29 @@ pub fn check_response(doc: &Value) -> Diagnostics {
     check_rendered_response(doc, &result)
 }
 
-/// [`check_response`] given `result`, the compact
-/// [`render`](Value::render) of `doc`'s `result` member (the first, as
-/// [`Value::get`] finds it), which the checksum is computed over instead
-/// of a fresh render. `result` is not read when `doc` has no such member.
+/// [`check_response`] of any [`View`] of a response, given `result`, the
+/// compact [`render`](Value::render) of `doc`'s `result` member (the
+/// first, as [`Value::get`] finds it), which the checksum is computed
+/// over instead of a fresh render: for a node of a compact tape, that
+/// member's [`source`](rtise_obs::json::Node::source). `result` is not
+/// read when `doc` has no such member.
 #[must_use]
-pub fn check_rendered_response(doc: &Value, result: &str) -> Diagnostics {
+pub fn check_rendered_response<'a>(doc: impl View<'a>, result: &str) -> Diagnostics {
     let mut d = Diagnostics::new();
-    if !matches!(doc, Value::Obj(_)) {
+    if !doc.is_obj() {
         d.error(Code::SRV001, Location::Global, "response is not an object");
         return d;
     }
     if field_u64(&mut d, doc, "id").is_none() {
         return d;
     }
-    let Some(ok) = doc.get("ok").and_then(as_bool) else {
+    let Some(ok) = doc.get("ok").and_then(View::as_bool) else {
         d.error(Code::SRV001, Location::Global, "ok flag missing");
         return d;
     };
     if !ok {
         // Error responses carry a message and nothing else of substance.
-        match doc.get("error").and_then(Value::as_str) {
+        match doc.get("error").and_then(View::as_str) {
             Some(msg) if !msg.is_empty() => {}
             _ => d.error(
                 Code::SRV005,
@@ -600,7 +600,7 @@ pub fn check_rendered_response(doc: &Value, result: &str) -> Diagnostics {
         }
         return d;
     }
-    let Some(kind) = doc.get("kind").and_then(Value::as_str) else {
+    let Some(kind) = doc.get("kind").and_then(View::as_str) else {
         d.error(Code::SRV001, Location::Global, "kind missing");
         return d;
     };
@@ -621,7 +621,7 @@ pub fn check_rendered_response(doc: &Value, result: &str) -> Diagnostics {
     };
     let claimed = doc
         .get("checksum")
-        .and_then(Value::as_str)
+        .and_then(View::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok());
     let Some(claimed) = claimed else {
         d.error(Code::SRV001, Location::Global, "checksum missing");

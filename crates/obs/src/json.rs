@@ -1,10 +1,16 @@
-//! A minimal JSON document model with a writer and a parser.
+//! A minimal JSON document model with a writer and one reader.
 //!
-//! Just enough machinery to serialize run reports into machine-readable
-//! artifacts and to parse them back in tests — the build environment is
-//! offline, so `serde` is not an option. Object
-//! keys keep insertion order (reports read better that way) and numbers
-//! are stored as `f64`, which is exact for every counter below 2⁵³.
+//! The build environment is offline, so `serde` is not an option. The
+//! writer serializes run reports, store entries and serve responses as
+//! [`Value`]s. The reader, [`read`], turns a document into a flat
+//! [`Tape`] of tokens in one pass, one allocation for the tokens and none
+//! per string, number or key; a [`Node`] of the tape reads it in place,
+//! and [`parse`] is the tape's [`to_value`](Node::to_value) for callers
+//! that want an owned tree. Serve reads request lines and certifies
+//! store entries from the tape; the [`View`] trait lets one reader body
+//! serve both a `Node` and a `&Value`. Object keys keep insertion order
+//! (reports read better that way) and numbers are stored as `f64`, which
+//! is exact for every counter below 2⁵³.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -53,9 +59,15 @@ impl Value {
     /// [`Value::Num`]; `-0` reads as 0 and values past `u64::MAX`
     /// saturate (an `as` cast).
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64()
-            .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-            .map(|n| n as u64)
+        unsigned(self.as_f64())
+    }
+
+    /// The boolean, if this is a [`Value::Bool`].
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
     }
 
     /// The string, if this is a [`Value::Str`].
@@ -140,7 +152,7 @@ impl Value {
 
     /// The byte offset at which the first `key` member's value starts in
     /// the compact render, that value, and the members after it.
-    fn member_start(&self, key: &str, scratch: &mut String) -> Option<(usize, &Value, &Members)> {
+    fn member_start(&self, key: &str, scratch: &mut String) -> Option<(usize, &Value, &Pairs)> {
         let Value::Obj(pairs) = self else { return None };
         let i = pairs.iter().position(|(k, _)| k == key)?;
         let before = members_len(&pairs[..i], scratch);
@@ -218,11 +230,11 @@ impl From<&BTreeMap<String, u64>> for Value {
 }
 
 /// The members of an object, in order.
-type Members = [(String, Value)];
+type Pairs = [(String, Value)];
 
 /// Compact render length of object members, each as `"key":value` plus
 /// the comma that separates it from a neighbour.
-fn members_len(pairs: &Members, scratch: &mut String) -> usize {
+fn members_len(pairs: &Pairs, scratch: &mut String) -> usize {
     pairs
         .iter()
         .map(|(k, v)| {
@@ -297,7 +309,7 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Errors from [`parse`].
+/// Errors from [`read`] and [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the problem.
@@ -314,13 +326,24 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// Deepest array/object nesting [`read`] accepts. The reader recurses
 /// once per level, so without a cap one line of `[`s from an untrusted
 /// client overflows the thread's stack and aborts the process. The
 /// documents this workspace writes nest at most 6 levels.
 pub const MAX_DEPTH: usize = 128;
 
-/// Parses a JSON document.
+/// Parses a JSON document into an owned [`Value`]: the [`read`] tape's
+/// [`to_value`](Node::to_value).
+///
+/// # Errors
+///
+/// As [`read`].
+pub fn parse(src: &str) -> Result<Value, ParseError> {
+    read(src).map(|tape| tape.root().to_value())
+}
+
+/// Reads a JSON document into a flat [`Tape`] of its values, in
+/// document order, without building a [`Value`] tree.
 ///
 /// Accepts exactly one top-level value with optional surrounding
 /// whitespace. `\uXXXX` escapes outside the BMP surrogate range are
@@ -330,60 +353,399 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// [`ParseError`] with the byte offset of the first offending character,
 /// including the first array or object nested past [`MAX_DEPTH`].
-pub fn parse(src: &str) -> Result<Value, ParseError> {
-    parse_compact(src).map(|(value, _)| value)
-}
-
-/// [`parse`], also telling whether `src` is byte for byte the
-/// [`render`](Value::render) of the value it parses to.
-///
-/// The flag is `true` only when `src` holds
-/// - no whitespace outside strings,
-/// - no escape but `\"`, `\\`, `\n`, `\r` and `\t`, and
-/// - no number but plain integers of at most 15 digits, with no leading
-///   zero and no `-0`.
-///
-/// Such a text is its value's render, token by token: `render` writes no
-/// whitespace; `null`, `true` and `false` come back as written; a string
-/// run holds no `"`, `\` or control byte and is written back as is,
-/// while those five escapes decode to the five characters `render`
-/// writes as exactly those escapes (every other control character it
-/// writes as `\u00XX`, which the rule refuses); such an integer is below
-/// 9e15, so `render` writes it without exponent, fraction or leading
-/// zero, as its digits after a `-` when negative; and arrays and objects
-/// are `[`/`{`, their members joined by `,` (a key, `:`, its value),
-/// then `]`/`}`, every member kept in order, repeated keys included. The
-/// rule is conservative: `false` does not mean the text is not a render.
-///
-/// # Errors
-///
-/// As [`parse`].
-pub fn parse_compact(src: &str) -> Result<(Value, bool), ParseError> {
-    let mut p = Parser {
+pub fn read(src: &str) -> Result<Tape<'_>, ParseError> {
+    let mut r = Reader {
         src,
         pos: 0,
         depth: 0,
-        compact: true,
+        tape: Tape {
+            src,
+            // The compact documents this workspace writes hold one token
+            // per 4 to 8 bytes; a denser one grows the tape. Pages of a
+            // large reservation that are never written stay unmapped.
+            toks: Vec::with_capacity(src.len() / 4 + 1),
+            decoded: String::new(),
+            compact: true,
+        },
     };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return Err(p.err("trailing characters"));
+    r.skip_ws();
+    r.value()?;
+    r.skip_ws();
+    if r.pos != src.len() {
+        return Err(r.err("trailing characters"));
     }
-    Ok((v, p.compact))
+    Ok(r.tape)
 }
 
-struct Parser<'a> {
+/// A read JSON document: one token per value and per object key, each
+/// with its source range and the size of its subtree, so a container's
+/// members are reached by skipping, not by following pointers. Strings
+/// without escapes are slices of the source; the few with escapes are
+/// decoded once into one buffer.
+#[derive(Debug)]
+pub struct Tape<'a> {
+    src: &'a str,
+    toks: Vec<Tok>,
+    /// The decoded text of every string that holds an escape.
+    decoded: String,
+    compact: bool,
+}
+
+/// One value or object key of a [`Tape`].
+#[derive(Debug, Clone, Copy)]
+struct Tok {
+    kind: Kind,
+    /// Byte range in the source: a string's includes its quotes, a
+    /// container's its brackets.
+    start: usize,
+    end: usize,
+    /// Tokens in the subtree, this one and an object's keys included.
+    size: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// A string whose text is its source range inside the quotes.
+    Str,
+    /// A string with an escape, its text decoded into `Tape::decoded`.
+    Escaped {
+        from: usize,
+        to: usize,
+    },
+    /// An array of this many elements.
+    Arr(usize),
+    /// An object of this many members.
+    Obj(usize),
+}
+
+impl Tape<'_> {
+    /// The top-level value.
+    #[must_use]
+    pub fn root(&self) -> Node<'_> {
+        Node { tape: self, at: 0 }
+    }
+
+    /// Whether the source is byte for byte the [`render`](Value::render)
+    /// of the value it reads as.
+    ///
+    /// The flag is `true` only when the source holds
+    /// - no whitespace outside strings,
+    /// - no escape but `\"`, `\\`, `\n`, `\r` and `\t`, and
+    /// - no number but plain integers of at most 15 digits, with no
+    ///   leading zero and no `-0`.
+    ///
+    /// Such a text is its value's render, token by token: `render` writes
+    /// no whitespace; `null`, `true` and `false` come back as written; a
+    /// string run holds no `"`, `\` or control byte and is written back
+    /// as is, while those five escapes decode to the five characters
+    /// `render` writes as exactly those escapes (every other control
+    /// character it writes as `\u00XX`, which the rule refuses); such an
+    /// integer is below 9e15, so `render` writes it without exponent,
+    /// fraction or leading zero, as its digits after a `-` when negative;
+    /// and arrays and objects are `[`/`{`, their members joined by `,` (a
+    /// key, `:`, its value), then `]`/`}`, every member kept in order,
+    /// repeated keys included. So the [`source`](Node::source) of every
+    /// node of a compact tape is that node's render. The rule is
+    /// conservative: `false` does not mean the text is not a render.
+    #[must_use]
+    pub fn is_compact(&self) -> bool {
+        self.compact
+    }
+}
+
+/// One value of a [`Tape`], borrowed: the read-only counterpart of a
+/// [`Value`], with the same lookups and the value's exact source range.
+#[derive(Clone, Copy)]
+pub struct Node<'t> {
+    tape: &'t Tape<'t>,
+    at: usize,
+}
+
+impl std::fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Node({})", self.source())
+    }
+}
+
+impl<'t> Node<'t> {
+    fn tok(self) -> Tok {
+        self.tape.toks[self.at]
+    }
+
+    /// The node of token `at` of the same tape.
+    fn node(self, at: usize) -> Node<'t> {
+        Node {
+            tape: self.tape,
+            at,
+        }
+    }
+
+    /// Byte range of this value in the tape's source.
+    #[must_use]
+    pub fn range(self) -> Range<usize> {
+        let tok = self.tok();
+        tok.start..tok.end
+    }
+
+    /// This value's text in the tape's source: its
+    /// [`render`](Value::render) when the tape
+    /// [`is_compact`](Tape::is_compact).
+    #[must_use]
+    pub fn source(self) -> &'t str {
+        &self.tape.src[self.range()]
+    }
+
+    /// Looks up the first `key` member of an object, as [`Value::get`]
+    /// does; `None` for other kinds.
+    #[must_use]
+    pub fn get(self, key: &str) -> Option<Node<'t>> {
+        self.members()?
+            .find(|&(k, _)| k == key)
+            .map(|(_, value)| value)
+    }
+
+    /// The number, if this is one.
+    #[must_use]
+    pub fn as_f64(self) -> Option<f64> {
+        match self.tok().kind {
+            Kind::Num(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The number as a `u64`, as [`Value::as_u64`] reads it.
+    #[must_use]
+    pub fn as_u64(self) -> Option<u64> {
+        unsigned(self.as_f64())
+    }
+
+    /// The string, decoded, if this is one.
+    #[must_use]
+    pub fn as_str(self) -> Option<&'t str> {
+        let tok = self.tok();
+        match tok.kind {
+            Kind::Str => Some(&self.tape.src[tok.start + 1..tok.end - 1]),
+            Kind::Escaped { from, to } => Some(&self.tape.decoded[from..to]),
+            _ => None,
+        }
+    }
+
+    /// The boolean, if this is one.
+    #[must_use]
+    pub fn as_bool(self) -> Option<bool> {
+        match self.tok().kind {
+            Kind::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// Whether this is an object.
+    #[must_use]
+    pub fn is_obj(self) -> bool {
+        matches!(self.tok().kind, Kind::Obj(_))
+    }
+
+    /// The elements, if this is an array.
+    #[must_use]
+    pub fn items(self) -> Option<Items<'t>> {
+        match self.tok().kind {
+            Kind::Arr(left) => Some(Items {
+                next: self.node(self.at + 1),
+                left,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The members as `(key, value)` pairs in document order, repeated
+    /// keys included, if this is an object.
+    #[must_use]
+    pub fn members(self) -> Option<Members<'t>> {
+        match self.tok().kind {
+            Kind::Obj(left) => Some(Members {
+                next: self.node(self.at + 1),
+                left,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The owned [`Value`] this node reads as.
+    #[must_use]
+    pub fn to_value(self) -> Value {
+        match self.tok().kind {
+            Kind::Null => Value::Null,
+            Kind::Bool(b) => Value::Bool(b),
+            Kind::Num(n) => Value::Num(n),
+            Kind::Str | Kind::Escaped { .. } => {
+                Value::Str(self.as_str().unwrap_or_default().to_string())
+            }
+            Kind::Arr(_) => Value::Arr(
+                self.items()
+                    .into_iter()
+                    .flatten()
+                    .map(Node::to_value)
+                    .collect(),
+            ),
+            Kind::Obj(_) => Value::Obj(
+                self.members()
+                    .into_iter()
+                    .flatten()
+                    .map(|(k, v)| (k.to_string(), v.to_value()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// The elements of an array [`Node`].
+#[derive(Debug, Clone)]
+pub struct Items<'t> {
+    next: Node<'t>,
+    left: usize,
+}
+
+impl<'t> Iterator for Items<'t> {
+    type Item = Node<'t>;
+
+    fn next(&mut self) -> Option<Node<'t>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let item = self.next;
+        self.next.at += item.tok().size;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Items<'_> {}
+
+/// The `(key, value)` members of an object [`Node`].
+#[derive(Debug, Clone)]
+pub struct Members<'t> {
+    next: Node<'t>,
+    left: usize,
+}
+
+impl<'t> Iterator for Members<'t> {
+    type Item = (&'t str, Node<'t>);
+
+    fn next(&mut self) -> Option<(&'t str, Node<'t>)> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let key = self.next;
+        let value = key.node(key.at + 1);
+        self.next.at = value.at + value.tok().size;
+        Some((key.as_str().unwrap_or_default(), value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Members<'_> {}
+
+/// Read access shared by an owned [`Value`] and a [`Node`] of a
+/// [`Tape`]: code written once against `View` reads either, each at the
+/// speed of its own accessors.
+pub trait View<'a>: Copy {
+    /// The elements of an array.
+    type Items: ExactSizeIterator<Item = Self>;
+
+    /// The first `key` member of an object.
+    fn get(self, key: &str) -> Option<Self>;
+    /// The number, if this is one.
+    fn as_f64(self) -> Option<f64>;
+    /// The string, if this is one.
+    fn as_str(self) -> Option<&'a str>;
+    /// The boolean, if this is one.
+    fn as_bool(self) -> Option<bool>;
+    /// The elements, if this is an array.
+    fn items(self) -> Option<Self::Items>;
+    /// Whether this is an object.
+    fn is_obj(self) -> bool;
+
+    /// The number as a `u64`, as [`Value::as_u64`] reads it.
+    fn as_u64(self) -> Option<u64> {
+        unsigned(self.as_f64())
+    }
+}
+
+impl<'a> View<'a> for &'a Value {
+    type Items = std::slice::Iter<'a, Value>;
+
+    fn get(self, key: &str) -> Option<Self> {
+        Value::get(self, key)
+    }
+    fn as_f64(self) -> Option<f64> {
+        Value::as_f64(self)
+    }
+    fn as_str(self) -> Option<&'a str> {
+        Value::as_str(self)
+    }
+    fn as_bool(self) -> Option<bool> {
+        Value::as_bool(self)
+    }
+    fn items(self) -> Option<Self::Items> {
+        self.as_arr().map(<[Value]>::iter)
+    }
+    fn is_obj(self) -> bool {
+        matches!(self, Value::Obj(_))
+    }
+}
+
+impl<'t> View<'t> for Node<'t> {
+    type Items = Items<'t>;
+
+    fn get(self, key: &str) -> Option<Self> {
+        Node::get(self, key)
+    }
+    fn as_f64(self) -> Option<f64> {
+        Node::as_f64(self)
+    }
+    fn as_str(self) -> Option<&'t str> {
+        Node::as_str(self)
+    }
+    fn as_bool(self) -> Option<bool> {
+        Node::as_bool(self)
+    }
+    fn items(self) -> Option<Items<'t>> {
+        Node::items(self)
+    }
+    fn is_obj(self) -> bool {
+        Node::is_obj(self)
+    }
+}
+
+/// A finite, non-negative, integral number as a `u64`; `-0` reads as 0
+/// and values past `u64::MAX` saturate (an `as` cast).
+fn unsigned(n: Option<f64>) -> Option<u64> {
+    n.filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
+}
+
+struct Reader<'a> {
     src: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
-    /// Whether the text read so far passes [`parse_compact`]'s rule.
-    compact: bool,
+    /// The tokens read so far; its flag tells whether the text read so
+    /// far passes [`Tape::is_compact`]'s rule.
+    tape: Tape<'a>,
 }
 
-impl Parser<'_> {
+impl Reader<'_> {
     fn err(&self, msg: &'static str) -> ParseError {
         ParseError { at: self.pos, msg }
     }
@@ -398,132 +760,179 @@ impl Parser<'_> {
             self.pos += 1;
         }
         if self.pos != start {
-            self.compact = false;
+            self.tape.compact = false;
         }
     }
 
-    fn eat(&mut self, token: &str) -> Result<(), ParseError> {
-        if self.src.as_bytes()[self.pos..].starts_with(token.as_bytes()) {
-            self.pos += token.len();
-            Ok(())
-        } else {
-            Err(self.err("unexpected token"))
-        }
+    /// Appends a one-token value that starts at `start` and ends here.
+    fn push(&mut self, kind: Kind, start: usize) {
+        self.tape.toks.push(Tok {
+            kind,
+            start,
+            end: self.pos,
+            size: 1,
+        });
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    fn literal(&mut self, token: &str, kind: Kind) -> Result<(), ParseError> {
+        if !self.src.as_bytes()[self.pos..].starts_with(token.as_bytes()) {
+            return Err(self.err("unexpected token"));
+        }
+        let start = self.pos;
+        self.pos += token.len();
+        self.push(kind, start);
+        Ok(())
+    }
+
+    fn value(&mut self) -> Result<(), ParseError> {
         match self.peek() {
-            Some(b'n') => self.eat("null").map(|()| Value::Null),
-            Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
-            Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
+            Some(b'n') => self.literal("null", Kind::Null),
+            Some(b't') => self.literal("true", Kind::Bool(true)),
+            Some(b'f') => self.literal("false", Kind::Bool(false)),
+            Some(b'"') => self.string(),
+            Some(b'[') => self.nested(b']', Self::array),
+            Some(b'{') => self.nested(b'}', Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
+    /// Reads an array or object: a placeholder token, its members read
+    /// by `members` (which returns their count), then the token's kind,
+    /// end and subtree size.
     fn nested(
         &mut self,
-        container: impl FnOnce(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
+        close: u8,
+        members: impl FnOnce(&mut Self) -> Result<usize, ParseError>,
+    ) -> Result<(), ParseError> {
         if self.depth == MAX_DEPTH {
             return Err(self.err("nesting deeper than MAX_DEPTH"));
         }
+        let (at, start) = (self.tape.toks.len(), self.pos);
+        self.push(Kind::Null, start);
         self.depth += 1;
-        let v = container(self);
+        self.pos += 1; // '[' or '{'
+        let count = members(self)?;
         self.depth -= 1;
-        v
+        let size = self.tape.toks.len() - at;
+        let tok = &mut self.tape.toks[at];
+        tok.kind = if close == b']' {
+            Kind::Arr(count)
+        } else {
+            Kind::Obj(count)
+        };
+        tok.end = self.pos;
+        tok.size = size;
+        Ok(())
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.pos += 1; // '['
-        let mut items = Vec::new();
+    /// An array's elements, up to and past its `]`; their count.
+    fn array(&mut self) -> Result<usize, ParseError> {
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(0);
         }
+        let mut count = 0;
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            self.value()?;
+            count += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(count);
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.pos += 1; // '{'
-        let mut pairs = Vec::new();
+    /// An object's members, up to and past its `}`; their count.
+    fn object(&mut self) -> Result<usize, ParseError> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(pairs));
+            return Ok(0);
         }
+        let mut count = 0;
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            self.string()?;
             self.skip_ws();
             if self.peek() != Some(b':') {
                 return Err(self.err("expected ':'"));
             }
             self.pos += 1;
             self.skip_ws();
-            pairs.push((key, self.value()?));
+            self.value()?;
+            count += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(pairs));
+                    return Ok(count);
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<(), ParseError> {
         if self.peek() != Some(b'"') {
             return Err(self.err("expected a string"));
         }
+        let start = self.pos;
         self.pos += 1;
-        let mut out = String::new();
+        // Where the decoded text starts in `Tape::decoded`, once an
+        // escape showed up.
+        let mut from = None;
         loop {
             // A run stops at an ASCII byte, so it starts and ends on char
             // boundaries of `src`, which is UTF-8 already.
-            let start = self.pos;
+            let run = self.pos;
             while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                 self.pos += 1;
             }
-            out.push_str(&self.src[start..self.pos]);
+            if from.is_some() {
+                self.tape.decoded.push_str(&self.src[run..self.pos]);
+            }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    let kind = match from {
+                        None => Kind::Str,
+                        Some(from) => Kind::Escaped {
+                            from,
+                            to: self.tape.decoded.len(),
+                        },
+                    };
+                    self.push(kind, start);
+                    return Ok(());
                 }
                 Some(b'\\') => {
+                    if from.is_none() {
+                        from = Some(self.tape.decoded.len());
+                        self.tape.decoded.push_str(&self.src[start + 1..self.pos]);
+                    }
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
                         other => {
-                            self.compact = false;
-                            out.push(self.rare_escape(other)?);
+                            self.tape.compact = false;
+                            self.rare_escape(other)?
                         }
-                    }
+                    };
+                    self.tape.decoded.push(c);
                 }
                 _ => return Err(self.err("unterminated string")),
             }
@@ -550,7 +959,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, ParseError> {
+    fn number(&mut self) -> Result<(), ParseError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -568,12 +977,13 @@ impl Parser<'_> {
         if (1..=15).contains(&digits) && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             // `render` writes no leading zero and no `-0`.
             if (digits > 1 && self.src.as_bytes()[digits_start] == b'0') || (negative && int == 0) {
-                self.compact = false;
+                self.tape.compact = false;
             }
             let n = int as f64;
-            return Ok(Value::Num(if negative { -n } else { n }));
+            self.push(Kind::Num(if negative { -n } else { n }), start);
+            return Ok(());
         }
-        self.compact = false;
+        self.tape.compact = false;
         if self.peek() == Some(b'.') {
             self.pos += 1;
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
@@ -589,16 +999,22 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        self.src[start..self.pos]
+        let n = self.src[start..self.pos]
             .parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err("malformed number"))
+            .map_err(|_| self.err("malformed number"))?;
+        self.push(Kind::Num(n), start);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The owned value `src` reads as, and the tape's compact flag.
+    fn read_compact(src: &str) -> Result<(Value, bool), ParseError> {
+        read(src).map(|tape| (tape.root().to_value(), tape.is_compact()))
+    }
 
     #[test]
     fn roundtrip_compact_and_pretty() {
@@ -909,7 +1325,7 @@ mod tests {
         }
     }
 
-    /// Whether `parse_compact`'s rule recognizes `v.render()`: its numbers
+    /// Whether `Tape::is_compact`'s rule recognizes `v.render()`: its numbers
     /// render as integers of at most 15 digits, and its strings hold no
     /// control character `render` writes as `\u00XX`.
     fn render_passes_the_rule(v: &Value) -> bool {
@@ -959,7 +1375,7 @@ mod tests {
         edit.unwrap_or_else(|| text.to_string())
     }
 
-    /// `parse_compact` on seeded values and seeded edits of their renders:
+    /// The tape's compact flag on seeded values and seeded edits of their renders:
     /// every render parses back equal, flagged compact exactly when the
     /// rule covers it, and every text flagged compact — edited or not — is
     /// the render of what it parses to.
@@ -970,13 +1386,13 @@ mod tests {
         for _ in 0..3000 {
             let value = random_value(&mut rng, 3);
             let text = value.render();
-            let (back, compact) = parse_compact(&text).expect("a render parses");
+            let (back, compact) = read_compact(&text).expect("a render parses");
             assert_eq!(back, value, "{text}");
             assert_eq!(compact, render_passes_the_rule(&value), "{text}");
             flagged += usize::from(compact);
             for _ in 0..4 {
                 let edited = mutate(&text, &mut rng);
-                let Ok((parsed, compact)) = parse_compact(&edited) else {
+                let Ok((parsed, compact)) = read_compact(&edited) else {
                     continue;
                 };
                 if compact {
@@ -997,6 +1413,240 @@ mod tests {
             "{edited_flagged} edits flagged compact"
         );
         assert!(edited_not > 2000, "{edited_not} edits flagged not compact");
+    }
+
+    /// Whether two parses agree exactly: the same error, or the same
+    /// compact flag and values equal with numbers compared bit for bit
+    /// (`Value`'s `==` holds `-0` equal to `0`).
+    fn same_parse(
+        a: &Result<(Value, bool), ParseError>,
+        b: &Result<(Value, bool), ParseError>,
+    ) -> bool {
+        fn same(a: &Value, b: &Value) -> bool {
+            match (a, b) {
+                (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
+                (Value::Arr(x), Value::Arr(y)) => {
+                    x.len() == y.len() && x.iter().zip(y).all(|(x, y)| same(x, y))
+                }
+                (Value::Obj(x), Value::Obj(y)) => {
+                    x.len() == y.len()
+                        && x.iter()
+                            .zip(y)
+                            .all(|((kx, x), (ky, y))| kx == ky && same(x, y))
+                }
+                _ => a == b,
+            }
+        }
+        match (a, b) {
+            (Ok((x, cx)), Ok((y, cy))) => cx == cy && same(x, y),
+            (Err(x), Err(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// Fixed hostile texts: nesting at `MAX_DEPTH` ± 1 (arrays, objects,
+    /// closed, unclosed, followed by junk), duplicate keys, integers at
+    /// 15/16 digits and past 2⁵³, `-0`, malformed numbers, named, rare,
+    /// surrogate and malformed `\u` escapes (one cut inside a multi-byte
+    /// character), and trailing bytes.
+    fn hostile_texts() -> Vec<String> {
+        let mut texts: Vec<String> = [
+            r#"{"a":1,"a":2}"#,
+            r#"{"a":{"b":1,"b":[2]},"a":3}"#,
+            r#"{"":0,"":""}"#,
+            "123456789012345",
+            "1234567890123456",
+            "-123456789012345",
+            "9007199254740991",
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740993",
+            "18446744073709551616",
+            "-0",
+            "-0.0",
+            "0e0",
+            "00",
+            "-",
+            "1.",
+            ".5",
+            "1e",
+            "1e+",
+            "1e400",
+            "-1e400",
+            "01.5",
+            "+1",
+            r#""\u0041\u00e9\u65e5""#,
+            r#""\u0000\u001f\u007f""#,
+            r#""\uD800""#,
+            r#""\udfff""#,
+            r#""\u+041""#,
+            r#""\u12""#,
+            r#""\u12G4""#,
+            "\"\\u12\u{e9}\"",
+            "\"\\u\u{65e5}12\"",
+            r#""\/\b\f\n\r\t\"\\""#,
+            r#""\x""#,
+            r#""\"#,
+            "\"a\u{1}b\"",
+            "\"unterminated",
+            "1 2",
+            "{}x",
+            "[] ",
+            " null ",
+            r#""a""b""#,
+            "null,",
+            "[1,]",
+            "{\"a\"}",
+            "{\"a\":}",
+            "{1:2}",
+            "[1 2]",
+            "{\"a\":1 \"b\":2}",
+            "tru",
+            "nul",
+            "",
+            "   ",
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        for depth in [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1] {
+            let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            let objects = format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+            let mixed = format!(
+                "{}0{}",
+                "[{\"k\":".repeat(depth / 2),
+                "}]".repeat(depth / 2)
+            );
+            texts.push(format!("{}{}", "[".repeat(depth), "]".repeat(depth - 1)));
+            texts.push(format!("{arrays}x"));
+            texts.extend([arrays, objects, mixed]);
+        }
+        texts
+    }
+
+    /// One seeded byte-level edit of `text`: a JSON-significant byte
+    /// inserted, a byte deleted or replaced, or the text cut short.
+    fn hostile_edit(text: &str, rng: &mut crate::Rng) -> String {
+        const BYTES: &[u8] = b"{}[]:,\"\\ -.eE0123456789tfnu/x";
+        let mut bytes = text.as_bytes().to_vec();
+        let at = rng.gen_range(0..bytes.len() + 1);
+        let byte = BYTES[rng.gen_range(0..BYTES.len())];
+        match rng.gen_range(0..4u32) {
+            0 => bytes.insert(at, byte),
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            2 if at < bytes.len() => bytes[at] = byte,
+            _ => bytes.truncate(at),
+        }
+        // A cut or replaced byte inside a multi-byte character leaves no
+        // `&str`; keep the valid prefix.
+        match String::from_utf8(bytes) {
+            Ok(text) => text,
+            Err(e) => {
+                let valid = e.utf8_error().valid_up_to();
+                String::from_utf8_lossy(&e.into_bytes()[..valid]).into_owned()
+            }
+        }
+    }
+
+    /// The tape reader gives what the recursive parser it replaced gave —
+    /// the same value (numbers bit for bit), the same compact flag, or the
+    /// same error at the same byte — on seeded renders and pretty renders,
+    /// on every truncation and seeded hostile edits of them, and on the
+    /// fixed hostile texts.
+    #[test]
+    fn the_tape_reader_matches_the_recursive_reference() {
+        let mut rng = crate::Rng::new(0x7a9e_0ead);
+        let mut texts = hostile_texts();
+        for _ in 0..600 {
+            let value = random_value(&mut rng, 4);
+            let (compact, pretty) = (value.render(), value.render_pretty());
+            for cut in 0..compact.len() {
+                if compact.is_char_boundary(cut) && rng.gen_bool(0.2) {
+                    texts.push(compact[..cut].to_string());
+                }
+            }
+            for _ in 0..6 {
+                texts.push(hostile_edit(&compact, &mut rng));
+                texts.push(hostile_edit(&pretty, &mut rng));
+                texts.push(mutate(&compact, &mut rng));
+            }
+            texts.extend([compact, pretty]);
+        }
+        let (mut ok, mut err) = (0, 0);
+        for text in &texts {
+            let want = crate::json_reference::parse_compact(text);
+            let got = read_compact(text);
+            assert!(
+                same_parse(&got, &want),
+                "{text:?}: got {got:?}, want {want:?}"
+            );
+            assert_eq!(parse(text).ok(), want.as_ref().ok().map(|(v, _)| v.clone()));
+            if want.is_ok() {
+                ok += 1;
+            } else {
+                err += 1;
+            }
+        }
+        assert!(ok > 5000 && err > 5000, "{ok} texts read, {err} refused");
+    }
+
+    /// A node reads like the value it converts to: `get` finds the first
+    /// of a repeated key, items and members come in order, numbers and
+    /// strings (escaped ones too) read alike, and every node's source
+    /// range slices its own text — its render, in a compact tape.
+    #[test]
+    fn nodes_read_like_their_values_and_slice_their_source() {
+        fn check(node: Node<'_>, value: &Value, compact: bool) {
+            assert_eq!(&node.to_value(), value);
+            assert_eq!(node.as_f64(), value.as_f64());
+            assert_eq!(node.as_u64(), value.as_u64());
+            assert_eq!(node.as_str(), value.as_str());
+            assert_eq!(node.as_bool(), value.as_bool());
+            assert_eq!(node.is_obj(), matches!(value, Value::Obj(_)));
+            if compact {
+                assert_eq!(node.source(), value.render());
+            }
+            assert_eq!(
+                node.items().map(|i| i.len()),
+                value.as_arr().map(<[_]>::len)
+            );
+            if let (Some(items), Some(values)) = (node.items(), value.as_arr()) {
+                for (item, v) in items.zip(values) {
+                    check(item, v, compact);
+                }
+            }
+            if let (Some(members), Value::Obj(pairs)) = (node.members(), value) {
+                assert_eq!(members.len(), pairs.len());
+                for ((k, item), (key, v)) in members.zip(pairs) {
+                    assert_eq!(k, key);
+                    let first = node.get(key).expect("a member");
+                    let want = value.get(key).expect("a member");
+                    assert_eq!(&first.to_value(), want, "{key:?}");
+                    check(item, v, compact);
+                }
+                assert!(node.get("\u{0}missing").is_none());
+            }
+        }
+        let mut rng = crate::Rng::new(0x0de5_1ead);
+        for _ in 0..2000 {
+            let value = random_value(&mut rng, 3);
+            for text in [value.render(), value.render_pretty()] {
+                let tape = read(&text).expect("a render reads");
+                assert_eq!(
+                    tape.root().range(),
+                    text.trim_end().len() - text.trim().len()..text.trim_end().len()
+                );
+                check(tape.root(), &value, tape.is_compact());
+            }
+        }
+        let tape = read(r#"{"a":1,"b":"x\"y","a":2}"#).expect("reads");
+        let root = tape.root();
+        assert_eq!(root.get("a").and_then(Node::as_u64), Some(1));
+        assert_eq!(root.get("b").map(Node::range), Some(11..17));
+        assert_eq!(root.get("b").and_then(Node::as_str), Some("x\"y"));
+        assert!(root.get("a").and_then(|a| a.get("a")).is_none());
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //! * [`certlog`] — [`BoundedLog`], the capped drop-with-marker event log
 //!   the branch-and-bound solvers record into, and [`Certificate`], the
 //!   one replayable optimality certificate it becomes.
-//! * [`json`] — a tiny JSON document model with a writer and a
-//!   recursive-descent parser, enough to serialize reports and to verify
-//!   them in tests.
+//! * [`json`] — a tiny JSON document model with a writer and one
+//!   reader: [`json::read`] makes a flat token tape that
+//!   [`json::Node`]s read in place, and [`json::parse`] turns it into an
+//!   owned [`json::Value`].
 //! * [`rng`] — a SplitMix64 PRNG with range/bool/shuffle helpers, the
 //!   in-repo replacement for the `rand` crate used by the randomized
 //!   algorithms (multilevel partitioning) and the randomized tests.
@@ -69,6 +70,8 @@ pub mod certlog;
 pub mod hash;
 pub mod hist;
 pub mod json;
+#[cfg(test)]
+mod json_reference;
 pub mod lanes;
 pub mod registry;
 pub mod report;

@@ -12,8 +12,8 @@
 
 use crate::proto::{ReconfigReq, ReqKind, Request};
 use rtise::check::serve::{check_rendered_response, rendered_checksum};
-use rtise_bench::store::Artifact;
-use rtise_obs::json::Value;
+use rtise_bench::store::{Artifact, Decode};
+use rtise_obs::json::{Node, Value};
 use rtise_obs::Scope;
 
 /// Replaces (or appends) a top-level field of a JSON object.
@@ -357,39 +357,45 @@ fn outcome(req: &Request) -> Result<(u64, Value), String> {
 /// A complete response document as an artifact-store entry (family
 /// `response`), keyed by the request's [dedup key](crate::proto::dedup_key)
 /// with the id normalized to 0. Decoding re-runs the full
-/// [`check_response`](rtise::check::serve::check_response) certification,
-/// so a corrupted or forged store entry is evicted and recomputed instead
-/// of served. The response checksum is taken over the `result` bytes of
-/// the payload render the store already hashed, and the decoded document
-/// is the store's own, not a copy.
+/// [`check_response`](rtise::check::serve::check_response) certification
+/// on the entry's tape, so a corrupted or forged store entry is evicted
+/// and recomputed instead of served, and then builds the owned document.
+/// The server's store hits decode the same entries into response slots
+/// instead, building no document.
 pub struct ResponseArtifact(pub Value);
 
-impl Artifact for ResponseArtifact {
+impl Decode for ResponseArtifact {
     const FAMILY: &'static str = "response";
 
+    fn decode(payload: Node<'_>) -> Result<Self, String> {
+        certify_stored(payload)?;
+        Ok(ResponseArtifact(payload.to_value()))
+    }
+}
+
+impl Artifact for ResponseArtifact {
     fn encode(&self) -> Value {
         self.0.clone()
     }
+}
 
-    fn decode(payload: Value, rendered: &str) -> Result<Self, String> {
-        let result = payload
-            .member_range_around("result", rendered.len())
-            .and_then(|range| rendered.get(range))
-            .unwrap_or_default();
-        debug_assert_eq!(
-            result,
-            payload.get("result").map(Value::render).unwrap_or_default(),
-            "the result slice of the payload render"
-        );
-        let d = check_rendered_response(&payload, result);
-        if d.is_clean() {
-            Ok(ResponseArtifact(payload))
-        } else {
-            Err(format!(
-                "stored response fails re-certification: {}",
-                d.render().lines().next().unwrap_or("(no detail)")
-            ))
-        }
+/// Re-certifies a stored response from the node of its payload, whose
+/// [`source`](Node::source) is the payload's render: the response
+/// checksum is taken over the `result` bytes that node spans.
+///
+/// # Errors
+///
+/// The first line of the certifier's findings.
+pub(crate) fn certify_stored(payload: Node<'_>) -> Result<(), String> {
+    let result = payload.get("result").map_or("", Node::source);
+    let d = check_rendered_response(payload, result);
+    if d.is_clean() {
+        Ok(())
+    } else {
+        Err(format!(
+            "stored response fails re-certification: {}",
+            d.render().lines().next().unwrap_or("(no detail)")
+        ))
     }
 }
 

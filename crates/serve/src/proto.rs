@@ -16,7 +16,7 @@
 //! {"id": 6, "kind": "reconfig", "problem": "synthetic", "n": 8, "seed": 3}
 //! ```
 
-use rtise_obs::json::Value;
+use rtise_obs::json::{self, Node};
 
 /// Curve-generation quality level, mapping to
 /// [`rtise::workbench::CurveOptions`].
@@ -178,14 +178,14 @@ pub fn dedup_key(kind: &ReqKind) -> String {
     }
 }
 
-fn get_u64(doc: &Value, key: &str) -> Result<u64, String> {
+fn get_u64(doc: Node<'_>, key: &str) -> Result<u64, String> {
     doc.get(key)
-        .and_then(Value::as_u64)
+        .and_then(Node::as_u64)
         .ok_or_else(|| format!("field {key:?} is missing or not an unsigned integer"))
 }
 
-fn get_level(doc: &Value) -> Result<Level, String> {
-    match doc.get("level").and_then(Value::as_str) {
+fn get_level(doc: Node<'_>) -> Result<Level, String> {
+    match doc.get("level").and_then(Node::as_str) {
         None | Some("fast") => Ok(Level::Fast),
         Some("thorough") => Ok(Level::Thorough),
         Some(other) => Err(format!(
@@ -199,12 +199,12 @@ fn get_level(doc: &Value) -> Result<Level, String> {
 /// before any work is queued.
 pub const MAX_TASKS: usize = 64;
 
-fn get_kernels(doc: &Value) -> Result<Vec<String>, String> {
+fn get_kernels(doc: Node<'_>) -> Result<Vec<String>, String> {
     let arr = doc
         .get("kernels")
-        .and_then(Value::as_arr)
+        .and_then(Node::items)
         .ok_or("field \"kernels\" is missing or not an array")?;
-    if arr.is_empty() {
+    if arr.len() == 0 {
         return Err("field \"kernels\" is empty".into());
     }
     if arr.len() > MAX_TASKS {
@@ -213,61 +213,61 @@ fn get_kernels(doc: &Value) -> Result<Vec<String>, String> {
             arr.len()
         ));
     }
-    arr.iter()
-        .map(|v| {
-            v.as_str()
-                .map(String::from)
-                .ok_or_else(|| "field \"kernels\" contains a non-string".into())
-        })
-        .collect()
+    arr.map(|v| {
+        v.as_str()
+            .map(String::from)
+            .ok_or_else(|| "field \"kernels\" contains a non-string".into())
+    })
+    .collect()
 }
 
-/// Parses one request line.
+/// Parses one request line, reading its fields from the line's
+/// [`json::read`] tape without building a document.
 ///
 /// # Errors
 ///
 /// A human-readable description of what is malformed; the server turns it
 /// into an `ok: false` response.
 pub fn parse(line: &str) -> Result<Request, String> {
-    let doc =
-        rtise_obs::json::parse(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
-    if !matches!(doc, Value::Obj(_)) {
+    let tape = json::read(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
+    let doc = tape.root();
+    if !doc.is_obj() {
         return Err("request is not a JSON object".into());
     }
-    let id = get_u64(&doc, "id")?;
-    let kind = match doc.get("kind").and_then(Value::as_str) {
+    let id = get_u64(doc, "id")?;
+    let kind = match doc.get("kind").and_then(Node::as_str) {
         Some("curve") => ReqKind::Curve {
             kernel: doc
                 .get("kernel")
-                .and_then(Value::as_str)
+                .and_then(Node::as_str)
                 .ok_or("field \"kernel\" is missing")?
                 .to_string(),
-            level: get_level(&doc)?,
+            level: get_level(doc)?,
         },
         Some("select_edf") => ReqKind::SelectEdf {
-            kernels: get_kernels(&doc)?,
-            u0_pct: get_u64(&doc, "u0_pct")?,
-            budget: get_u64(&doc, "budget")?,
-            level: get_level(&doc)?,
+            kernels: get_kernels(doc)?,
+            u0_pct: get_u64(doc, "u0_pct")?,
+            budget: get_u64(doc, "budget")?,
+            level: get_level(doc)?,
         },
         Some("select_rms") => ReqKind::SelectRms {
-            kernels: get_kernels(&doc)?,
-            u0_pct: get_u64(&doc, "u0_pct")?,
-            budget: get_u64(&doc, "budget")?,
-            level: get_level(&doc)?,
+            kernels: get_kernels(doc)?,
+            u0_pct: get_u64(doc, "u0_pct")?,
+            budget: get_u64(doc, "budget")?,
+            level: get_level(doc)?,
         },
         Some("ilp") => ReqKind::Ilp {
-            seed: get_u64(&doc, "seed")?,
+            seed: get_u64(doc, "seed")?,
         },
-        Some("reconfig") => match doc.get("problem").and_then(Value::as_str) {
+        Some("reconfig") => match doc.get("problem").and_then(Node::as_str) {
             Some("jpeg") => ReqKind::Reconfig(ReconfigReq::Jpeg {
-                fabric_pct: get_u64(&doc, "fabric_pct")?,
-                reconfig_cost: get_u64(&doc, "reconfig_cost")?,
-                level: get_level(&doc)?,
+                fabric_pct: get_u64(doc, "fabric_pct")?,
+                reconfig_cost: get_u64(doc, "reconfig_cost")?,
+                level: get_level(doc)?,
             }),
             Some("synthetic") => ReqKind::Reconfig(ReconfigReq::Synthetic {
-                n: get_u64(&doc, "n")?,
-                seed: get_u64(&doc, "seed")?,
+                n: get_u64(doc, "n")?,
+                seed: get_u64(doc, "seed")?,
             }),
             _ => return Err("reconfig \"problem\" must be \"jpeg\" or \"synthetic\"".into()),
         },

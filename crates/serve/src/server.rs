@@ -24,14 +24,19 @@
 //! `id` value (`Rendered`); every caller gets those bytes with its own id
 //! written over that range, with no document clone and no second render.
 //! A store hit is cut from the payload bytes the entry checksum was
-//! computed over. For a compact entry, as every entry this build writes
-//! is, those are a slice of the file the store read, which its parser
-//! proved to be the payload's render, so a warm-store response is not
-//! rendered at all: the store hashes that slice, the certifier hashes
-//! its `result` bytes, and the slot serves it. An entry in another layout
-//! has its payload rendered once. A fresh response is rendered once: its
-//! checksum covers the `result` bytes of that render, the store entry is
-//! written around it, and the slot is cut from it.
+//! computed over, and builds no document. For a compact entry, as every
+//! entry this build writes is, those are a slice of the file the store
+//! read, which its JSON reader proved to be the payload's render: the
+//! store checks the envelope and hashes that slice on the entry's token
+//! tape, the certifier reads the response from the payload's tape node
+//! and hashes its `result` bytes, and the slot copies the slice and takes
+//! its `id` range from the tape. Trust rests on the tape: every byte
+//! range a hit slices is a node's, so forged member orders, repeated keys
+//! and odd numbers meet the reader's grammar, never hand-written
+//! slicing. An entry in another layout has its payload rendered once and
+//! that render read. A fresh response is rendered once: its checksum
+//! covers the `result` bytes of that render, the store entry is written
+//! around it, and the slot is cut from it.
 //!
 //! The memo holds at most [`MAX_SLOTS`] slots: an insert that would pass
 //! the cap first drops every finished slot (`serve.memo.evicted`), never
@@ -45,8 +50,8 @@
 
 use crate::engine::{self, ResponseArtifact};
 use crate::proto::{dedup_key, Request};
-use rtise_bench::store;
-use rtise_obs::json::Value;
+use rtise_bench::store::{self, Decode};
+use rtise_obs::json::{self, Node, Value};
 use rtise_obs::Scope;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -106,27 +111,29 @@ impl Rendered {
 
     /// The slot for `response` from `rendered`, its compact render: only
     /// the members up to `id` are rendered again to find where it is.
-    fn cut(response: &Value, mut rendered: String) -> Self {
-        let Value::Obj(pairs) = response else {
-            return Rendered {
-                text: rendered,
-                id: None,
-            };
-        };
-        let id = response.member_range("id").unwrap_or_else(|| {
-            rendered.pop(); // the closing brace
-            if !pairs.is_empty() {
-                rendered.push(',');
+    fn cut(response: &Value, rendered: String) -> Self {
+        let object = matches!(response, Value::Obj(_));
+        Rendered::place(rendered, response.member_range("id"), object)
+    }
+
+    /// The slot for the compact render `text` of a response, an object
+    /// or not, whose first `id` value spans `id`; an object without one
+    /// gets an empty `id` member appended.
+    fn place(mut text: String, id: Option<Range<usize>>, object: bool) -> Self {
+        if !object {
+            return Rendered { text, id: None };
+        }
+        let id = id.unwrap_or_else(|| {
+            text.pop(); // the closing brace
+            if text.len() > 1 {
+                text.push(',');
             }
-            rendered.push_str("\"id\":");
-            let at = rendered.len();
-            rendered.push('}');
+            text.push_str("\"id\":");
+            let at = text.len();
+            text.push('}');
             at..at
         });
-        Rendered {
-            text: rendered,
-            id: Some(id),
-        }
+        Rendered { text, id: Some(id) }
     }
 
     /// The response line for a caller's `id`, without the newline (its
@@ -140,6 +147,24 @@ impl Rendered {
         Value::from(id).render_into(&mut line);
         line.push_str(&self.text[range.end..]);
         line
+    }
+}
+
+/// A store hit: the response entry certified on its tape, and the slot
+/// cut from its payload's render, the bytes the checksum covered. No
+/// document is built and nothing is rendered.
+impl Decode for Rendered {
+    const FAMILY: &'static str = <ResponseArtifact as Decode>::FAMILY;
+
+    fn decode(payload: Node<'_>) -> Result<Self, String> {
+        engine::certify_stored(payload)?;
+        let base = payload.range().start;
+        let id = payload.get("id").map(|id| {
+            let at = id.range();
+            at.start - base..at.end - base
+        });
+        let text = payload.source().to_string();
+        Ok(Rendered::place(text, id, payload.is_obj()))
     }
 }
 
@@ -260,7 +285,7 @@ impl Server {
     /// Computes one distinct request: disk store first, then execution,
     /// then persist. A stored entry always carries id 0; [`Server::serve`]
     /// stamps the caller's id into the rendered slot, which a store hit
-    /// cuts from the payload render the store validated.
+    /// decodes from the payload render the store validated.
     ///
     /// The server's scope is entered around the store traffic and the
     /// `serve.exec` count only. The computation runs outside it, in the
@@ -274,14 +299,10 @@ impl Server {
             let _obs = self.scope.enter();
             if let Some(dir) = &self.cache_dir {
                 // A loaded entry already passed the full response
-                // re-certification (see `ResponseArtifact::decode`);
+                // re-certification (see `engine::certify_stored`);
                 // corrupt entries were evicted and fall through to
                 // recomputation.
-                let hit =
-                    store::load_with(dir, STORE_TAG, key, |artifact: ResponseArtifact, text| {
-                        Rendered::cut(&artifact.0, text.into_owned())
-                    });
-                if let Some((rendered, _, _)) = hit {
+                if let Some((rendered, _, _)) = store::load::<Rendered>(dir, STORE_TAG, key) {
                     return rendered;
                 }
             }
@@ -490,9 +511,9 @@ fn read_capped_line(
 /// Best-effort id extraction from a malformed request line, so the error
 /// response still correlates when possible.
 fn line_request_id(line: &str) -> u64 {
-    rtise_obs::json::parse(line)
+    json::read(line)
         .ok()
-        .and_then(|doc| doc.get("id").and_then(Value::as_u64))
+        .and_then(|tape| tape.root().get("id").and_then(Node::as_u64))
         .unwrap_or(0)
 }
 
@@ -763,15 +784,14 @@ mod tests {
     /// rendering again. For every distinct seed-42 response, stored with
     /// id 0, and for forged documents — `id` not first, `result` last,
     /// `id` or `result` repeated, an extra member, error responses — the
-    /// certifier fed the `result` slice of the render gives the
-    /// diagnostics of `check_response`, decoding accepts exactly the clean
-    /// ones, and the slot cut from the render stamps the bytes of the
-    /// stamped document.
+    /// certifier reading the render's tape with its `result` slice gives
+    /// the diagnostics of `check_response`, both decoders accept exactly
+    /// the clean ones, and the slot a hit decodes, like the slot cut from
+    /// the document, stamps the bytes of the stamped document.
     #[test]
     fn store_hits_certify_and_serve_the_checksummed_render() {
         use crate::proto::dedup_key;
         use rtise::check::serve::{check_rendered_response, check_response};
-        use rtise_bench::store::Artifact;
 
         let mut seen = std::collections::HashSet::new();
         let mut docs: Vec<Value> = crate::traffic::generate(42, 1000)
@@ -822,23 +842,32 @@ mod tests {
 
         for doc in &docs {
             let text = doc.render();
-            let result = doc
-                .member_range_around("result", text.len())
-                .map_or("", |range| &text[range]);
+            let tape = json::read(&text).expect("a render reads");
+            let root = tape.root();
+            assert!(tape.is_compact(), "{text}");
+            let result = root.get("result").map_or("", Node::source);
             let want = check_response(doc);
             assert_eq!(
-                check_rendered_response(doc, result).render(),
+                check_rendered_response(root, result).render(),
                 want.render(),
                 "{text}"
             );
-            let decoded = ResponseArtifact::decode(doc.clone(), &text);
+            let decoded = ResponseArtifact::decode(root);
             assert_eq!(decoded.is_ok(), want.is_clean(), "{text}");
+            assert_eq!(
+                decoded.ok().map(|a| a.0).as_ref(),
+                want.is_clean().then_some(doc)
+            );
+            let hit = Rendered::decode(root);
+            assert_eq!(hit.is_ok(), want.is_clean(), "{text}");
 
-            let slot = Rendered::cut(doc, text.clone());
-            for id in [0, 31, u64::MAX] {
-                let mut stamped = doc.clone();
-                engine::set_field(&mut stamped, "id", id.into());
-                assert_eq!(slot.stamp(id), stamped.render(), "{text} id {id}");
+            let slots = [Some(Rendered::cut(doc, text.clone())), hit.ok()];
+            for slot in slots.iter().flatten() {
+                for id in [0, 31, u64::MAX] {
+                    let mut stamped = doc.clone();
+                    engine::set_field(&mut stamped, "id", id.into());
+                    assert_eq!(slot.stamp(id), stamped.render(), "{text} id {id}");
+                }
             }
         }
     }
